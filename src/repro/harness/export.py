@@ -9,9 +9,9 @@ numbers can be re-rendered without re-simulating.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from repro.sim.machine import RunResult
+from repro.sim.stats import field_dict
 
 
 def result_to_dict(result: RunResult) -> "dict[str, object]":
@@ -31,8 +31,8 @@ def result_to_dict(result: RunResult) -> "dict[str, object]":
             "page_cache_frames": cfg.page_cache_frames,
         },
         "summary": stats.summary(),
-        "nodes": [asdict(n) for n in stats.nodes],
-        "cpus": [asdict(c) for c in stats.cpus],
+        "nodes": [field_dict(n) for n in stats.nodes],
+        "cpus": [field_dict(c) for c in stats.cpus],
     }
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.sim.latency import LatencyModel, paper_latency_model
+from repro.sim.stats import field_dict
 
 
 @dataclass
@@ -44,7 +45,7 @@ class CacheConfig:
 
     def to_dict(self) -> "dict[str, int]":
         """The geometry as a plain dict (JSON-safe)."""
-        return asdict(self)
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, data: "dict[str, int]") -> "CacheConfig":
@@ -156,7 +157,11 @@ class MachineConfig:
         Used for the experiment-cache key, worker handoff and
         persistence; invert with :meth:`from_dict`.
         """
-        return asdict(self)
+        data = field_dict(self)
+        data["l1"] = self.l1.to_dict()
+        data["l2"] = self.l2.to_dict()
+        data["latency"] = self.latency.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: "dict[str, object]") -> "MachineConfig":

@@ -30,7 +30,9 @@ In-core page fault, remote home                  4400
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+
+from repro.sim.stats import field_dict
 
 
 @dataclass
@@ -82,7 +84,7 @@ class LatencyModel:
 
     def to_dict(self) -> "dict[str, int]":
         """All component latencies as a plain dict (JSON-safe)."""
-        return asdict(self)
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, data: "dict[str, int]") -> "LatencyModel":

@@ -52,6 +52,9 @@ _LANUMA = PageMode.LANUMA
 _CCNUMA = PageMode.CCNUMA
 _PM_LOCAL = PageMode.LOCAL
 
+#: A turn's limit when no other CPU is queued: run until parked or done.
+_NO_LIMIT = float("inf")
+
 
 class Cpu:
     """One simulated processor."""
@@ -235,6 +238,10 @@ class Machine:
                 node.cpus.append(cpu)
                 self.cpus.append(cpu)
             self.nodes.append(node)
+        #: Event-heap keys pack (time, cpu_id) into one int,
+        #: ``time << _key_shift | cpu_id``, which orders exactly like the
+        #: tuple.
+        self._key_shift = (len(self.cpus) - 1).bit_length()
 
         self.locks = LockTable(cost=lat.lock_cost)
         self._barriers: "dict[int, Barrier]" = {}
@@ -340,222 +347,192 @@ class Machine:
         self._barrier_hook = hook
 
     def _event_loop(self) -> None:
-        if self.faults is not None or self.deadline is not None:
-            # Fault plans and deadlines need per-event checks, which the
-            # fused-handoff fast loop below skips by design; they take a
-            # separate loop so the fault-free path stays untouched.
-            return self._event_loop_guarded()
-        schedule = self.schedule
-        if schedule is None:
-            heap = [(0, cpu.cpu_id) for cpu in self.cpus]
-        else:
-            heap = [(schedule.cpu_offset(cpu.cpu_id), cpu.cpu_id)
-                    for cpu in self.cpus]
-        heapq.heapify(heap)
-        self._heap = heap
+        """The scheduler: run CPUs in (time, cpu_id) order to completion.
+
+        Heap entries are packed ints, ``time << shift | cpu_id`` (see
+        ``_key_shift``), so ordering is exactly (time, cpu_id).  Each
+        turn pops the earliest CPU and runs it inline until its clock
+        passes the next heap key (``limit``) or it parks on a barrier or
+        lock; a CPU still runnable hands off with one fused
+        ``heappushpop``, which equals a push followed by a pop.
+
+        With a fault plan or a deadline, every key taken from the heap
+        is checked first: the deadline, scheduled node failures
+        (``faults.on_tick``) and pause windows, which requeue the CPU at
+        its release time.
+        """
         cpus = self.cpus
-        run_cpu = self._run_cpu
+        shift = self._key_shift
+        mask = (1 << shift) - 1
+        heap = self._new_heap()
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        remaining = len(cpus)
-        while heap:
-            t, cid = heappop(heap)
-            cpu = cpus[cid]
-            if cpu.done:
-                continue
-            if t > cpu.time:
-                cpu.time = t
-            while True:
-                status = run_cpu(cpu, heap[0][0] if heap else None)
-                if status == "ready":
-                    # Hand off to the next runnable CPU with a single
-                    # heap sift (push + pop fused); with one runnable
-                    # CPU this bounces straight back without churn.
-                    t, cid = heappushpop(heap, (cpu.time, cid))
-                    cpu = cpus[cid]
-                    if cpu.done:
-                        break
-                    if t > cpu.time:
-                        cpu.time = t
-                    continue
-                if status == "done":
-                    remaining -= 1
-                break
-        if remaining:
-            # CPUs killed externally (fail_node mid-run) are marked done
-            # without ever returning "done", so ``remaining`` alone
-            # over-counts; only genuinely blocked CPUs are a deadlock.
-            stuck = [c.cpu_id for c in self.cpus if not c.done]
-            if stuck:
-                raise RuntimeError(
-                    "deadlock: CPUs %r blocked with empty event heap "
-                    "(mismatched barriers or locks in the workload?)" % stuck)
-
-    def _event_loop_guarded(self) -> None:
-        """The event loop under a fault plan and/or a deadline.
-
-        Functionally the same scheduler, minus the fused fast handoff:
-        every step goes through the heap so the loop can apply scheduled
-        node failures, stall CPUs of paused nodes, and enforce the
-        simulated-time deadline at each event.
-        """
-        schedule = self.schedule
-        if schedule is None:
-            heap = [(0, cpu.cpu_id) for cpu in self.cpus]
-        else:
-            heap = [(schedule.cpu_offset(cpu.cpu_id), cpu.cpu_id)
-                    for cpu in self.cpus]
-        heapq.heapify(heap)
-        self._heap = heap
-        cpus = self.cpus
         faults = self.faults
         deadline = self.deadline
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        remaining = len(cpus)
-        while heap:
-            t, cid = heappop(heap)
-            if deadline is not None and t > deadline:
-                raise DeadlineExceeded(
-                    "simulated-time deadline %d exceeded at cycle %d"
-                    % (deadline, t))
-            if faults is not None:
-                faults.on_tick(self, t)
-                release = faults.release_time(cpus[cid].node.node_id, t)
-                if release > t:
-                    # The CPU's node is paused: it stalls until the
-                    # pause window ends, then resumes where it was.
-                    heappush(heap, (release, cid))
-                    continue
-            cpu = cpus[cid]
-            if cpu.done:
-                continue
-            if t > cpu.time:
-                cpu.time = t
-            status = self._run_cpu(cpu, heap[0][0] if heap else None)
-            if status == "ready":
-                heappush(heap, (cpu.time, cid))
-            elif status == "done":
-                remaining -= 1
-        if remaining:
-            stuck = [c.cpu_id for c in self.cpus if not c.done]
-            if stuck:
-                raise RuntimeError(
-                    "deadlock: CPUs %r blocked with empty event heap "
-                    "(mismatched barriers or locks in the workload?)" % stuck)
-
-    def _wake(self, cpu_id: int, when: int) -> None:
-        cpu = self.cpus[cpu_id]
-        cpu.time = when
-        heapq.heappush(self._heap, (when, cpu_id))
-
-    def _run_cpu(self, cpu: Cpu, limit: "int | None") -> str:
-        """Advance ``cpu`` until its clock passes ``limit`` or it blocks.
-
-        Returns "ready" (requeue), "blocked" (a barrier/lock/wake will
-        requeue it) or "done".
-        """
-        gen = cpu.gen
-        time = cpu.time
-        stats = cpu.stats
-        # Hot locals: bound methods and fields resolved once per entry
-        # instead of per reference.  self._access stays an attribute
-        # load here (not hoisted at construction) so TraceRecorder's
-        # instance-level wrapping keeps working.
+        guarded = faults is not None or deadline is not None
+        # Hot locals, resolved once per run.  Workload taps have wrapped
+        # self._access on the instance by now, so the wrapper is what
+        # gets bound here.
         access = self._access
         ref_gap = self._ref_gap
         obs_access = self._obs_access
-        run = cpu.run_state
-        while limit is None or time <= limit:
-            if run is not None:
-                # Expand a block op inline: one generator resume bought
-                # `count` references; the limit check per reference
-                # keeps cross-CPU FCFS resource ordering exact.
-                is_write, addr, stride, count = run
-                while count:
-                    issued = time + ref_gap
-                    time = access(cpu, addr, is_write, issued)
-                    stats.references += 1
-                    if is_write:
-                        stats.writes += 1
-                    else:
-                        stats.reads += 1
-                    if obs_access is not None:
-                        obs_access.observe(time - issued)
-                    addr += stride
-                    count -= 1
-                    if limit is not None and time > limit:
+        while heap:
+            key = heappop(heap)
+            while True:
+                t = key >> shift
+                cid = key & mask
+                if guarded:
+                    if deadline is not None and t > deadline:
+                        raise DeadlineExceeded(
+                            "simulated-time deadline %d exceeded at cycle %d"
+                            % (deadline, t))
+                    if faults is not None:
+                        faults.on_tick(self, t)
+                        release = faults.release_time(
+                            cpus[cid].node.node_id, t)
+                        if release > t:
+                            # The CPU's node is paused: it stalls until
+                            # the pause window ends, then resumes.
+                            key = heappushpop(heap, release << shift | cid)
+                            continue
+                cpu = cpus[cid]
+                if cpu.done:
+                    break
+                time = cpu.time
+                if t > time:
+                    time = t
+                limit = heap[0] >> shift if heap else _NO_LIMIT
+                gen = cpu.gen
+                stats = cpu.stats
+                run = cpu.run_state
+                while time <= limit:
+                    if run is not None:
+                        # Expand a block op inline: one generator resume
+                        # bought `count` references; the limit check per
+                        # reference keeps cross-CPU FCFS order exact.
+                        is_write, addr, stride, count = run
+                        while count:
+                            issued = time + ref_gap
+                            time = access(cpu, addr, is_write, issued)
+                            stats.references += 1
+                            if is_write:
+                                stats.writes += 1
+                            else:
+                                stats.reads += 1
+                            if obs_access is not None:
+                                obs_access.observe(time - issued)
+                            addr += stride
+                            count -= 1
+                            if time > limit:
+                                break
+                        run = ((is_write, addr, stride, count) if count
+                               else None)
+                        continue
+                    op = next(gen, None)
+                    if op is None:
+                        cpu.done = True
+                        cpu.time = time
+                        stats.finish_time = time
                         break
-                if count:
-                    cpu.run_state = (is_write, addr, stride, count)
+                    kind = op[0]
+                    if kind == OP_READ:
+                        issued = time + ref_gap
+                        time = access(cpu, op[1], False, issued)
+                        stats.references += 1
+                        stats.reads += 1
+                        if obs_access is not None:
+                            obs_access.observe(time - issued)
+                    elif kind == OP_WRITE:
+                        issued = time + ref_gap
+                        time = access(cpu, op[1], True, issued)
+                        stats.references += 1
+                        stats.writes += 1
+                        if obs_access is not None:
+                            obs_access.observe(time - issued)
+                    elif kind == OP_COMPUTE:
+                        time += op[1]
+                    elif kind == OP_READ_RUN:
+                        if op[3] > 0:
+                            run = (False, op[1], op[2], op[3])
+                    elif kind == OP_WRITE_RUN:
+                        if op[3] > 0:
+                            run = (True, op[1], op[2], op[3])
+                    elif kind == OP_BARRIER:
+                        cpu.time = time
+                        self._arrive(cpu, op[1], time)
+                        break
+                    elif kind == OP_LOCK:
+                        granted = self.locks.acquire(op[1], cid, time)
+                        if granted is None:
+                            cpu.time = time
+                            break
+                        stats.lock_acquires += 1
+                        time = granted
+                    elif kind == OP_UNLOCK:
+                        time = self._unlock(cpu, op[1], time)
+                    else:
+                        raise ValueError("unknown op %r from workload" % (op,))
+                else:
+                    # The clock passed the limit: requeue and hand off.
                     cpu.time = time
-                    return "ready"
-                run = cpu.run_state = None
-                continue
-            op = next(gen, None)
-            if op is None:
-                cpu.done = True
-                cpu.time = time
-                stats.finish_time = time
-                return "done"
-            kind = op[0]
-            if kind == OP_READ:
-                issued = time + ref_gap
-                time = access(cpu, op[1], False, issued)
-                stats.references += 1
-                stats.reads += 1
-                if obs_access is not None:
-                    obs_access.observe(time - issued)
-            elif kind == OP_WRITE:
-                issued = time + ref_gap
-                time = access(cpu, op[1], True, issued)
-                stats.references += 1
-                stats.writes += 1
-                if obs_access is not None:
-                    obs_access.observe(time - issued)
-            elif kind == OP_COMPUTE:
-                time += op[1]
-            elif kind == OP_READ_RUN:
-                if op[3] > 0:
-                    run = (False, op[1], op[2], op[3])
-            elif kind == OP_WRITE_RUN:
-                if op[3] > 0:
-                    run = (True, op[1], op[2], op[3])
-            elif kind == OP_BARRIER:
-                stats.barrier_waits += 1
-                barrier = self._barriers.get(op[1])
-                if barrier is None:
-                    barrier = Barrier(parties=len(self.cpus),
-                                      cost=self.config.latency.barrier_cost)
-                    self._barriers[op[1]] = barrier
-                cpu.time = time
-                released = barrier.arrive(cpu.cpu_id, time)
-                if released is not None:
-                    for rcid, rtime in released:
-                        self._wake(rcid, rtime)
-                    if self._obs is not None:
-                        self._sample_epoch(released[0][1])
-                    if self._barrier_hook is not None:
-                        self._barrier_hook(released[0][1])
-                return "blocked"
-            elif kind == OP_LOCK:
-                granted = self.locks.acquire(op[1], cpu.cpu_id, time)
-                if granted is None:
-                    cpu.time = time
-                    return "blocked"
-                stats.lock_acquires += 1
-                time = granted
-            elif kind == OP_UNLOCK:
-                woken = self.locks.release(op[1], cpu.cpu_id, time)
-                time += 1
-                if woken is not None:
-                    wcid, wtime = woken
-                    self.cpus[wcid].stats.lock_acquires += 1
-                    self._wake(wcid, wtime)
-            else:
-                raise ValueError("unknown op %r from workload" % (op,))
-        cpu.time = time
-        return "ready"
+                    cpu.run_state = run
+                    key = heappushpop(heap, time << shift | cid)
+                    continue
+                # Done, or parked until a barrier or lock wakes it.
+                cpu.run_state = None
+                break
+        self._check_all_done()
+
+    def _new_heap(self) -> "list[int]":
+        """The event heap at the start of a run: every CPU's packed key
+        at its start time (schedule skews applied)."""
+        shift = self._key_shift
+        schedule = self.schedule
+        heap = [(schedule.cpu_offset(cid) if schedule is not None else 0)
+                << shift | cid for cid in range(len(self.cpus))]
+        heapq.heapify(heap)
+        self._heap = heap
+        return heap
+
+    def _check_all_done(self) -> None:
+        """Raise if the heap ran dry with CPUs still parked."""
+        stuck = [c.cpu_id for c in self.cpus if not c.done]
+        if stuck:
+            raise RuntimeError(
+                "deadlock: CPUs %r blocked with empty event heap "
+                "(mismatched barriers or locks in the workload?)" % stuck)
+
+    def _arrive(self, cpu: Cpu, bid: int, now: int) -> None:
+        """``cpu`` reaches barrier ``bid`` at ``now``; the last arrival
+        wakes every party."""
+        cpu.stats.barrier_waits += 1
+        barrier = self._barriers.get(bid)
+        if barrier is None:
+            barrier = Barrier(parties=len(self.cpus),
+                              cost=self.config.latency.barrier_cost)
+            self._barriers[bid] = barrier
+        released = barrier.arrive(cpu.cpu_id, now)
+        if released is not None:
+            for rcid, rtime in released:
+                self._wake(rcid, rtime)
+            if self._obs is not None:
+                self._sample_epoch(released[0][1])
+            if self._barrier_hook is not None:
+                self._barrier_hook(released[0][1])
+
+    def _unlock(self, cpu: Cpu, lid: int, now: int) -> int:
+        """``cpu`` releases lock ``lid``, handing it to the next waiter;
+        returns the releaser's clock after the release."""
+        woken = self.locks.release(lid, cpu.cpu_id, now)
+        if woken is not None:
+            wcid, wtime = woken
+            self.cpus[wcid].stats.lock_acquires += 1
+            self._wake(wcid, wtime)
+        return now + 1
+
+    def _wake(self, cpu_id: int, when: int) -> None:
+        self.cpus[cpu_id].time = when
+        heapq.heappush(self._heap, when << self._key_shift | cpu_id)
 
     # ------------------------------------------------------------------
     # The memory reference path.

@@ -17,8 +17,11 @@ with a vectorized dispatcher:
   touches and the latency histogram);
 * everything else — L2 hits, misses, upgrades, TLB misses, barriers,
   locks and protocol events — drops into the *existing* interpreter
-  slow path (``Machine._access`` and friends), so all coherence, fault
-  and tracing machinery is reused unchanged.
+  slow path (``Machine._access`` and friends), so all coherence and
+  tracing machinery is reused unchanged.
+
+A run under a fault plan or a deadline, or with a tap wrapping
+``_access``, falls back to the interpreter's op path outright.
 
 Byte-identity with the interpreter is a hard invariant, enforced by the
 golden tiny-matrix snapshot and property tests: a reference is claimed
@@ -429,10 +432,11 @@ class _Cursor:
 class VectorMachine(Machine):
     """A :class:`Machine` whose CPUs replay compiled traces.
 
-    Identical substrates, identical event loop and slow paths; only
-    ``run`` (compiles instead of holding generators) and ``_run_cpu``
-    (vector claims + scalar fallback instead of generator dispatch)
-    differ.  Statistics are byte-identical to the interpreter's.
+    Identical substrates, scheduling and slow paths; only ``run``
+    (compiles instead of holding generators) and the CPU turn
+    (``_replay_turn``: vector claims + scalar fallback instead of
+    generator dispatch) differ.  Statistics are byte-identical to the
+    interpreter's.
     """
 
     def __init__(self, config: "MachineConfig | None" = None,
@@ -462,17 +466,18 @@ class VectorMachine(Machine):
         # sibling probe, invalidation or intervention ever names their
         # lines, and with unbounded page caches, no migration and no
         # fault plan, no kernel pageout/shootdown can evict them from
-        # under the claim either.  Their timestamps are computed with
-        # the exact interpreter arithmetic, so every visible action
-        # keeps its simulated time and results stay byte-identical.
+        # under the claim either (a fault plan never reaches replay: see
+        # run()).  Their timestamps are computed with the exact
+        # interpreter arithmetic, so every visible action keeps its
+        # simulated time and results stay byte-identical.
         cfg = self.config
-        self._overclaim = (self.faults is None
-                           and not cfg.enable_migration
+        self._overclaim = (not cfg.enable_migration
                            and cfg.page_cache_frames is None
                            and cfg.total_frames_per_node is None
                            and page_cache_override is None)
         #: Set when an instance-level ``_access`` wrap (a value tap or
-        #: serving tap) forces the interpreter op path; see run().
+        #: serving tap), a fault plan or a deadline forces the
+        #: interpreter op path; see run().
         self._interp_mode = False
 
     # -- running -------------------------------------------------------
@@ -481,13 +486,15 @@ class VectorMachine(Machine):
         """Compile (or fetch) the workload's trace, then replay it."""
         workload.setup(self.layout, len(self.cpus))
         self._bind_workload_taps(workload)
-        if "_access" in self.__dict__:
+        if ("_access" in self.__dict__ or self.faults is not None
+                or self.deadline is not None):
             # A tap wrapped _access at instance level and must see every
             # reference, but the vectorized claim path batches L1 hits
-            # without ever calling _access.  Fall back to the
-            # interpreter's op path for this run — stats stay identical
-            # by the engines' byte-identity contract; only host speed
-            # changes.
+            # without ever calling _access; a fault plan or a deadline
+            # needs the per-key checks of the interpreter's loop.  Fall
+            # back to the interpreter's op path for this run — stats
+            # stay identical by the engines' byte-identity contract;
+            # only host speed changes.
             self._interp_mode = True
             return self._run_interp(workload)
         self._ref_gap = getattr(workload, "cycles_per_ref", 3)
@@ -560,44 +567,38 @@ class VectorMachine(Machine):
     def _event_loop(self) -> None:
         """The interpreter's scheduler with an inlined drain turn.
 
-        Identical turn structure and heap keys to ``Machine._event_loop``
-        (the guarded variant is inherited unchanged); the only addition
-        is a fast path for CPUs whose cursor is mid pending-drain — the
-        by far most common turn in lockstep phases — which replicates
-        ``_drain_pending``'s arithmetic without the ``_run_cpu``
-        dispatch overhead.
+        Identical turn structure and packed heap keys to
+        ``Machine._event_loop``; a turn runs ``_replay_turn`` (vector
+        claims plus scalar fallback) instead of generator dispatch, and
+        CPUs whose cursor is mid pending-drain — the by far most common
+        turn in lockstep phases — take an inlined copy of
+        ``_drain_pending``'s arithmetic without the call.
         """
         if self._interp_mode:
             return Machine._event_loop(self)
-        if self.faults is not None or self.deadline is not None:
-            return super()._event_loop()
-        schedule = self.schedule
-        if schedule is None:
-            heap = [(0, cpu.cpu_id) for cpu in self.cpus]
-        else:
-            heap = [(schedule.cpu_offset(cpu.cpu_id), cpu.cpu_id)
-                    for cpu in self.cpus]
-        heapq.heapify(heap)
-        self._heap = heap
         cpus = self.cpus
+        shift = self._key_shift
+        mask = (1 << shift) - 1
+        heap = self._new_heap()
         cursors = self._cursors
         step = self._claim_step
-        run_cpu = self._run_cpu
+        replay_turn = self._replay_turn
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        remaining = len(cpus)
         while heap:
-            t, cid = heappop(heap)
-            cpu = cpus[cid]
-            if cpu.done:
-                continue
-            if t > cpu.time:
-                cpu.time = t
+            key = heappop(heap)
             while True:
+                cid = key & mask
+                cpu = cpus[cid]
+                if cpu.done:
+                    break
+                t = key >> shift
+                if t > cpu.time:
+                    cpu.time = t
                 rs = cursors[cid]
                 if rs.pend_end and heap:
                     # Inline _drain_pending (keep the two in sync!).
-                    limit = heap[0][0]
+                    limit = heap[0] >> shift
                     seg = rs.pend_view
                     cum = seg.cum_l
                     tb = rs.pend_tb
@@ -614,7 +615,7 @@ class VectorMachine(Machine):
                             rs.pend_gap = False
                             cpu.time = r
                             # Batch exhausted: the turn continues in
-                            # normal replay below (run_cpu re-checks
+                            # normal replay below (_replay_turn re-checks
                             # r <= limit exactly as the interpreter).
                         else:
                             rs.pend_from = new_p
@@ -624,48 +625,26 @@ class VectorMachine(Machine):
                             else:
                                 rs.pend_gap = False
                             cpu.time = r
-                            t, cid = heappushpop(heap, (r, cid))
-                            cpu = cpus[cid]
-                            if cpu.done:
-                                break
-                            if t > cpu.time:
-                                cpu.time = t
+                            key = heappushpop(heap, r << shift | cid)
                             continue
                     elif not rs.pend_gap:
                         rs.pend_gap = True
                         r = tb + cum[p] - cumb - step
                         cpu.time = r
-                        t, cid = heappushpop(heap, (r, cid))
-                        cpu = cpus[cid]
-                        if cpu.done:
-                            break
-                        if t > cpu.time:
-                            cpu.time = t
+                        key = heappushpop(heap, r << shift | cid)
                         continue
-                status = run_cpu(cpu, heap[0][0] if heap else None)
-                if status == "ready":
-                    t, cid = heappushpop(heap, (cpu.time, cid))
-                    cpu = cpus[cid]
-                    if cpu.done:
-                        break
-                    if t > cpu.time:
-                        cpu.time = t
-                    continue
-                if status == "done":
-                    remaining -= 1
-                break
-        if remaining:
-            stuck = [c.cpu_id for c in self.cpus if not c.done]
-            if stuck:
-                raise RuntimeError(
-                    "deadlock: CPUs %r blocked with empty event heap "
-                    "(mismatched barriers or locks in the workload?)"
-                    % stuck)
+                if replay_turn(cpu, heap[0] >> shift if heap else None):
+                    break
+                key = heappushpop(heap, cpu.time << shift | cid)
+        self._check_all_done()
 
-    def _run_cpu(self, cpu, limit: "int | None") -> str:
-        """Advance ``cpu`` along its compiled trace (see Machine)."""
-        if self._interp_mode:
-            return Machine._run_cpu(self, cpu, limit)
+    def _replay_turn(self, cpu, limit: "int | None") -> bool:
+        """Advance ``cpu`` along its compiled trace until its clock
+        passes ``limit`` (None: no limit) or it parks.
+
+        Returns True when the CPU is done or parked on a barrier or lock
+        (a wake requeues it), False when it must be requeued now.
+        """
         rs = self._cursors[cpu.cpu_id]
         segs = self._segviews[cpu.cpu_id]
         stats = cpu.stats
@@ -684,7 +663,7 @@ class VectorMachine(Machine):
                 if drained:
                     continue
                 cpu.time = time
-                return "ready"
+                return False
             if rs.seg >= len(segs):  # pragma: no cover - defensive
                 break
             seg = segs[rs.seg]
@@ -722,7 +701,7 @@ class VectorMachine(Machine):
                                         - cum_before)
                             if reported > limit:
                                 cpu.time = reported
-                                return "ready"
+                                return False
                         continue
                 # Scalar fallback: exactly the interpreter's
                 # per-reference path (gap op, then _access).
@@ -778,50 +757,30 @@ class VectorMachine(Machine):
                         continue
             kind = seg.end_kind
             if kind == END_BARRIER:
-                stats.barrier_waits += 1
-                barrier = self._barriers.get(seg.end_arg)
-                if barrier is None:
-                    from repro.sim.engine import Barrier
-                    barrier = Barrier(
-                        parties=len(self.cpus),
-                        cost=self.config.latency.barrier_cost)
-                    self._barriers[seg.end_arg] = barrier
                 cpu.time = time
                 rs.advance()
-                released = barrier.arrive(cpu.cpu_id, time)
-                if released is not None:
-                    for rcid, rtime in released:
-                        self._wake(rcid, rtime)
-                    if self._obs is not None:
-                        self._sample_epoch(released[0][1])
-                    if self._barrier_hook is not None:
-                        self._barrier_hook(released[0][1])
-                return "blocked"
+                self._arrive(cpu, seg.end_arg, time)
+                return True
             if kind == END_LOCK:
                 granted = self.locks.acquire(seg.end_arg, cpu.cpu_id, time)
                 rs.advance()
                 if granted is None:
                     cpu.time = time
-                    return "blocked"
+                    return True
                 stats.lock_acquires += 1
                 time = granted
                 continue
             if kind == END_UNLOCK:
-                woken = self.locks.release(seg.end_arg, cpu.cpu_id, time)
-                time += 1
-                if woken is not None:
-                    wcid, wtime = woken
-                    self.cpus[wcid].stats.lock_acquires += 1
-                    self._wake(wcid, wtime)
+                time = self._unlock(cpu, seg.end_arg, time)
                 rs.advance()
                 continue
             # END_STREAM
             cpu.done = True
             cpu.time = time
             stats.finish_time = time
-            return "done"
+            return True
         cpu.time = time
-        return "ready"
+        return False
 
     def _drain_pending(self, rs: _Cursor,
                        limit: "int | None") -> "tuple[int, bool]":

@@ -13,7 +13,16 @@ extension experiments.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+
+
+def field_dict(obj) -> "dict[str, object]":
+    """``dataclasses.asdict`` for a dataclass of plain-valued fields.
+
+    One shallow dict in field order, without ``asdict``'s recursive
+    deep copy of every value (the stats and config wire formats are
+    built per run, per worker handoff and per cache key)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass
@@ -127,8 +136,8 @@ class MachineStats:
         :meth:`from_dict`.
         """
         return {
-            "nodes": [asdict(n) for n in self.nodes],
-            "cpus": [asdict(c) for c in self.cpus],
+            "nodes": [field_dict(n) for n in self.nodes],
+            "cpus": [field_dict(c) for c in self.cpus],
             "execution_cycles": self.execution_cycles,
             "frames_allocated_total": self.frames_allocated_total,
             "touched_line_fraction_sum": self.touched_line_fraction_sum,

@@ -20,9 +20,9 @@ from the latest write — which :func:`repro.verify.checker.check_history`
 then flags.
 
 The tap wraps ``Machine._access`` as an *instance* attribute (the same
-idiom :class:`repro.sim.trace.TraceRecorder` uses — the machine looks
-``_access`` up per ``_run_cpu`` entry precisely so this works) and
-costs nothing when not attached.
+idiom :class:`repro.sim.trace.TraceRecorder` uses — the event loop
+looks ``_access`` up once per run, after taps are attached, precisely
+so this works) and costs nothing when not attached.
 """
 
 from __future__ import annotations

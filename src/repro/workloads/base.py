@@ -23,6 +23,8 @@ space; :class:`SharedArray` and :class:`PrivateArray` provide element
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
                            OP_READ_RUN, OP_UNLOCK, OP_WRITE, OP_WRITE_RUN)
 
@@ -153,42 +155,59 @@ class Workload:
         }
 
 
-def coalesce(refs):
-    """Fuse an in-order stream of ``(OP_READ|OP_WRITE, addr)`` ops into
-    maximal same-kind constant-stride run ops.
+def coalesce(addrs, writes) -> list:
+    """Fuse a stretch of references into maximal constant-stride runs.
 
-    The run ops expand to exactly the input sequence (same kinds, same
-    addresses, same order), so a generator built on :func:`coalesce` is
-    reference-for-reference identical to one yielding the singles — only
-    the op count the simulator iterates over shrinks.  Lone references
-    stay plain single ops.
+    ``addrs`` and ``writes`` are equal-length arrays: reference ``i``
+    loads (or, where ``writes[i]`` is true, stores) ``addrs[i]``.  The
+    result is the op list :func:`coalesce_stream` yields for the same
+    single ops — same-kind runs grown greedily from the left, lone
+    references left as plain single ops — so a generator built on it is
+    reference-for-reference identical to one yielding the singles; only
+    the op count the simulator iterates over shrinks.  The runs are
+    found with array arithmetic; only the ops themselves are built in
+    Python.
     """
-    run_of = {OP_READ: OP_READ_RUN, OP_WRITE: OP_WRITE_RUN}
-    kind = base = stride = None
-    count = 0
-    for op, addr in refs:
-        if op == kind and (stride is None or addr - prev == stride):
-            if stride is None:
-                stride = addr - prev
-            prev = addr
-            count += 1
-            continue
-        if count == 1:
-            yield (kind, base)
-        elif count:
-            yield (run_of[kind], base, stride, count)
-        kind, base, prev, stride, count = op, addr, addr, None, 1
-    if count == 1:
-        yield (kind, base)
-    elif count:
-        yield (run_of[kind], base, stride, count)
+    addrs = np.asarray(addrs, dtype=np.int64)
+    writes = np.asarray(writes, dtype=bool)
+    n = len(addrs)
+    if n == 0:
+        return []
+    # Link j joins reference j to j + 1.  A run can take link j only if
+    # both ends are the same kind (``same``); it must if the link
+    # repeats its predecessor's stride inside a same-kind stretch
+    # (``cont``).  Any other same-kind link is taken exactly when the
+    # run ending at reference j did not take link j - 1, so between two
+    # "anchor" links (``cont`` -> taken, not ``same`` -> not taken) the
+    # taken flag alternates.
+    stride = np.diff(addrs)
+    same = writes[1:] == writes[:-1]
+    cont = np.zeros(n - 1, dtype=bool)
+    cont[1:] = same[1:] & same[:-1] & (stride[1:] == stride[:-1])
+    anchor = cont | ~same
+    link = np.arange(n - 1)
+    last = np.maximum.accumulate(np.where(anchor, link, -1))
+    taken = np.where(anchor, cont,
+                     (cont[last] & (last >= 0)) ^ ((link - last) & 1 == 1))
+    starts = np.flatnonzero(np.concatenate(([True], ~taken)))
+    counts = np.diff(np.append(starts, n))
+    kinds = writes[starts]
+    ops = np.where(counts > 1,
+                   np.where(kinds, OP_WRITE_RUN, OP_READ_RUN),
+                   np.where(kinds, OP_WRITE, OP_READ))
+    strides = np.append(stride, 0)[starts]
+    return [(op, base) if count == 1 else (op, base, step, count)
+            for op, base, step, count in zip(
+                ops.tolist(), addrs[starts].tolist(), strides.tolist(),
+                counts.tolist())]
 
 
 def coalesce_stream(ops):
     """Fuse ref runs in a *full* op stream (refs mixed with compute,
     barrier and lock ops).
 
-    Like :func:`coalesce`, but accepts the complete generator output:
+    Like :func:`coalesce`, but takes a stream of op tuples, the
+    complete generator output included:
     non-reference ops flush any pending run and pass through unchanged,
     so the expanded stream is op-for-op identical to the input — only
     maximal same-kind constant-stride reference runs collapse into

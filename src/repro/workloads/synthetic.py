@@ -30,9 +30,10 @@ Patterns:
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from repro.sim.ops import OP_READ, OP_WRITE
 from repro.workloads.base import (SharedArray, Workload, barrier, coalesce,
                                   compute)
 
@@ -197,17 +198,16 @@ class SyntheticWorkload(Workload):
     # -- generator ---------------------------------------------------------
 
     def generator(self, cpu_id: int, num_cpus: int):
+        # One op list per iteration, chained in C: the machine's next()
+        # never resumes a Python frame inside an iteration.
+        return chain.from_iterable(self._iteration_ops(cpu_id))
+
+    def _iteration_ops(self, cpu_id: int):
         array = self.array
-        vbase = array.vbase
-        elem = array.elem_bytes
-        bid = 0
-        for lines, writes in self._plans[cpu_id]:
-            # Fuse each iteration's plan into constant-stride run ops;
+        for bid, (lines, writes) in enumerate(self._plans[cpu_id]):
             # coalesce() expands back to exactly the per-line sequence,
             # so the reference stream (and stats) are unchanged.
-            yield from coalesce(
-                (OP_WRITE if write else OP_READ, vbase + line * elem)
-                for line, write in zip(lines.tolist(), writes.tolist()))
-            yield compute(50)
-            yield barrier(bid)
-            bid += 1
+            ops = coalesce(array.vbase + lines * array.elem_bytes, writes)
+            ops.append(compute(50))
+            ops.append(barrier(bid))
+            yield ops

@@ -52,17 +52,37 @@ def test_vector_engine_matches_the_committed_golden_fixture(golden):
     byte for byte — same counters, same cycle totals, same per-CPU
     breakdowns."""
     recomputed = _load_update_golden().compute_golden(engine="vector")
-    assert set(recomputed) == set(golden)
-    problems = []
-    for cell in sorted(golden):
-        diff = _diff("", golden[cell], recomputed[cell])
-        problems.extend("%s: %s" % (cell, d) for d in diff)
-    assert not problems, (
-        "%d stat(s) diverged between the vector engine and the golden "
-        "fixture:\n  %s" % (len(problems), "\n  ".join(problems[:40])))
+    _assert_matches(golden, recomputed, "the vector engine")
 
 
 def test_stats_match_the_committed_golden_fixture(golden, recomputed):
+    _assert_matches(golden, recomputed,
+                    "the interpreter (intentional? rerun "
+                    "tools/update_golden.py and commit the diff)")
+
+
+def test_guarded_event_loop_matches_the_committed_golden_fixture(golden):
+    """An empty fault plan and an unreachable deadline switch on the
+    event loop's per-key guard checks (deadline, fault ticks, pause
+    windows); over the whole matrix they must change nothing."""
+    from repro.faults.plan import FaultPlan
+    recomputed = _load_update_golden().compute_golden(
+        faults=FaultPlan(), deadline=10 ** 12)
+    _assert_matches(golden, recomputed, "the guarded event loop")
+
+
+def test_deadline_inside_the_run_still_raises():
+    from repro.sim.config import tiny_config
+    from repro.sim.machine import DeadlineExceeded, Machine
+    from repro.workloads import make_workload
+    machine = Machine(tiny_config(), policy="scoma", deadline=50000)
+    with pytest.raises(DeadlineExceeded) as excinfo:
+        machine.run(make_workload("fft", preset="tiny"))
+    assert str(excinfo.value) == (
+        "simulated-time deadline 50000 exceeded at cycle 52725")
+
+
+def _assert_matches(golden, recomputed, source):
     assert set(recomputed) == set(golden), \
         "cell set drifted: rerun tools/update_golden.py"
     problems = []
@@ -70,9 +90,8 @@ def test_stats_match_the_committed_golden_fixture(golden, recomputed):
         diff = _diff("", golden[cell], recomputed[cell])
         problems.extend("%s: %s" % (cell, d) for d in diff)
     assert not problems, (
-        "%d stat(s) drifted from the golden fixture (intentional? rerun "
-        "tools/update_golden.py and commit the diff):\n  %s"
-        % (len(problems), "\n  ".join(problems[:40])))
+        "%d stat(s) from %s diverged from the golden fixture:\n  %s"
+        % (len(problems), source, "\n  ".join(problems[:40])))
 
 
 def _diff(prefix, want, got):

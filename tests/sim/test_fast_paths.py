@@ -9,6 +9,7 @@ expansion.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.modes import PageMode
@@ -118,6 +119,12 @@ class TestRunOpEquivalence:
         assert OP_READ_RUN in kinds and OP_WRITE_RUN in kinds
 
 
+def _coalesce_refs(refs):
+    """coalesce() over ``(OP_READ|OP_WRITE, addr)`` single ops."""
+    return coalesce(np.array([addr for _kind, addr in refs], dtype=np.int64),
+                    np.array([kind == OP_WRITE for kind, _addr in refs]))
+
+
 class TestCoalesce:
     def test_round_trip_is_identity(self):
         rng = random.Random(7)
@@ -127,18 +134,18 @@ class TestCoalesce:
             kind = OP_WRITE if rng.random() < 0.3 else OP_READ
             addr += rng.choice((0, 8, 8, 8, 64, -8))
             refs.append((kind, addr))
-        fused = list(coalesce(iter(refs)))
+        fused = _coalesce_refs(refs)
         assert len(fused) < len(refs)  # something actually coalesced
         expanded = [single for op in fused for single in expand_op(op)]
         assert expanded == refs
 
     def test_lone_references_stay_single_ops(self):
         refs = [(OP_READ, 0), (OP_WRITE, 8), (OP_READ, 16)]
-        assert list(coalesce(iter(refs))) == refs
+        assert _coalesce_refs(refs) == refs
 
     def test_constant_stride_becomes_one_run(self):
         refs = [(OP_READ, 100 + 32 * i) for i in range(8)]
-        assert list(coalesce(iter(refs))) == [(OP_READ_RUN, 100, 32, 8)]
+        assert _coalesce_refs(refs) == [(OP_READ_RUN, 100, 32, 8)]
 
 
 class TestDensePit:

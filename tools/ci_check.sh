@@ -195,6 +195,11 @@ if ! diff -u "$workdir/2pc1.txt" "$workdir/2pc2.txt"; then
     exit 1
 fi
 
+echo "== benchmark smoke: four workloads, quick, untraced and traced =="
+# Every output digest must match bench/reference, and the untraced and
+# traced runs must agree on outputs and exact counters.
+bash bench/smoke.sh
+
 echo "== simulator throughput gate (quick matrix, 10% tolerance) =="
 # Best-of-5 rounds, both engine arms (the vector arm gates as
 # CELL@vector cells of the extended baseline): the gate runs right

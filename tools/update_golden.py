@@ -19,12 +19,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "integration" / "golden_tiny_stats.json"
 
 
-def compute_golden(engine: str = "interp") -> "dict[str, dict]":
+def compute_golden(engine: str = "interp",
+                   **machine_kwargs) -> "dict[str, dict]":
     """Simulate every (app, policy) cell at the tiny preset.
 
     ``engine`` picks the simulation core; any engine must reproduce
     the committed fixture byte for byte (the vector engine's identity
     gate in test_golden_stats.py runs this with ``engine="vector"``).
+    ``machine_kwargs`` go to every machine built (for example an empty
+    ``faults`` plan and an unreachable ``deadline``, which must not
+    change any cell either).
     """
     from dataclasses import replace
 
@@ -37,7 +41,8 @@ def compute_golden(engine: str = "interp") -> "dict[str, dict]":
     for app in ALL_APPLICATIONS:
         for policy in POLICY_NAMES:
             machine = build_machine(
-                replace(tiny_config(), engine=engine), policy=policy)
+                replace(tiny_config(), engine=engine), policy=policy,
+                **machine_kwargs)
             machine.run(make_workload(app, preset="tiny"))
             cells["%s/%s" % (app, policy)] = machine.stats.to_dict()
     return cells
