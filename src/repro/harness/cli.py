@@ -36,16 +36,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_engine_arg(sub) -> None:
-    """``--engine`` flag for every command that simulates cells."""
-    sub.add_argument("--engine", choices=("interp", "vector"),
-                     default="interp",
-                     help="simulation engine: 'interp' walks the op "
-                          "stream per reference, 'vector' trace-compiles "
-                          "each workload and replays cache hits in bulk "
-                          "(identical stats; see docs/PERFORMANCE.md)")
-
-
 def _add_session_args(sub) -> None:
     """Scheduling/caching flags shared by run, suite and evaluate."""
     sub.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
@@ -87,14 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "every barrier release and fail loudly on a "
                           "violation (forces an uncached, in-process "
                           "run)")
-    _add_engine_arg(run)
     _add_session_args(run)
 
     suite = sub.add_parser("suite",
                            help="run all six policies (Figure 7 slice)")
     suite.add_argument("workload", choices=ALL_APPLICATIONS)
     suite.add_argument("--preset", default="small", choices=PRESET_NAMES)
-    _add_engine_arg(suite)
     _add_session_args(suite)
 
     evaluate = sub.add_parser("evaluate",
@@ -106,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="skip the section 4.3 PIT study")
     evaluate.add_argument("--save", metavar="JSON",
                           help="also persist the campaign results to a file")
-    _add_engine_arg(evaluate)
     _add_session_args(evaluate)
 
     sub.add_parser("microbench", help="regenerate Table 1")
@@ -166,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--chrome", metavar="FILE", default=None,
                        help="write Chrome trace_event JSON (open at "
                             "ui.perfetto.dev or chrome://tracing)")
-    _add_engine_arg(trace)
 
     top = sub.add_parser(
         "top", help="run a campaign under a live terminal dashboard")
@@ -184,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--no-trace", action="store_true",
                      help="skip the per-cell trace collector (the "
                           "critical-path segment column stays empty)")
-    _add_engine_arg(top)
 
     verify = sub.add_parser(
         "verify", help="protocol conformance: litmus suite / schedule "
@@ -260,8 +245,7 @@ def cmd_run(args) -> int:
     """
     from repro.harness.session import ExperimentSpec
     config = MachineConfig(page_cache_frames=args.page_cache,
-                           enable_migration=args.migration,
-                           engine=args.engine)
+                           enable_migration=args.migration)
     session = _session_from_args(args, verbose=False)
     spec = ExperimentSpec(args.workload, args.policy,
                           preset=args.preset, config=config)
@@ -303,9 +287,9 @@ def _run_with_invariants(args, spec) -> int:
     walk found."""
     from repro.sim.invariants import InvariantViolation, \
         install_barrier_checks
-    from repro.sim.replay import build_machine
+    from repro.sim.machine import Machine
     from repro.workloads import make_workload
-    machine = build_machine(spec.resolved_config(), policy=spec.policy)
+    machine = Machine(spec.resolved_config(), policy=spec.policy)
     install_barrier_checks(machine)
     try:
         result = machine.run(make_workload(spec.workload, spec.preset))
@@ -429,9 +413,7 @@ def cmd_suite(args) -> int:
     """``repro suite``: a Figure 7 slice."""
     from repro.harness.figures import figure7_ascii
     session = _session_from_args(args)
-    suite = session.run_workload_suite(args.workload, preset=args.preset,
-                                       config=MachineConfig(
-                                           engine=args.engine))
+    suite = session.run_workload_suite(args.workload, preset=args.preset)
     print()
     print(figure7_ascii({args.workload: suite}))
     print("\n%-10s %12s %14s %10s" % ("policy", "normalized",
@@ -450,10 +432,7 @@ def cmd_evaluate(args) -> int:
     if args.save:
         from repro.harness.export import save_campaign
         session = _session_from_args(args)
-        config = (MachineConfig(engine=args.engine)
-                  if args.engine != "interp" else None)
-        suites = session.run_campaign(tuple(args.apps), preset=args.preset,
-                                      config=config)
+        suites = session.run_campaign(tuple(args.apps), preset=args.preset)
         save_campaign(suites, args.save)
         from repro.harness.figures import figure7_table
         print(figure7_table(suites).render())
@@ -464,8 +443,7 @@ def cmd_evaluate(args) -> int:
     print(run_paper_evaluation(apps=tuple(args.apps), preset=args.preset,
                                include_pit=not args.skip_pit, verbose=True,
                                jobs=args.jobs, cache_dir=cache_dir,
-                               collect_metrics=args.metrics,
-                               engine=args.engine))
+                               collect_metrics=args.metrics))
     return 0
 
 
@@ -657,12 +635,11 @@ def cmd_trace(args) -> int:
     """
     from repro.harness.report import TextTable
     from repro.obs import tracing
-    from repro.sim.replay import build_machine
+    from repro.sim.machine import Machine
     from repro.workloads import make_workload
 
     with tracing.collecting(seed=args.seed) as collector:
-        machine = build_machine(MachineConfig(engine=args.engine),
-                                policy=args.policy)
+        machine = Machine(policy=args.policy)
         machine.run(make_workload(args.workload, args.preset))
 
     print("%s / %s (%s preset, seed %d): %d transactions, %d spans"
@@ -719,8 +696,7 @@ def cmd_top(args) -> int:
     view = LiveCampaignView(jobs=args.jobs)
     session = Session(jobs=args.jobs, cache_dir=cache_dir, progress=view,
                       collect_metrics=True, trace_cells=not args.no_trace)
-    session.run_campaign(tuple(args.apps), preset=args.preset,
-                         config=MachineConfig(engine=args.engine))
+    session.run_campaign(tuple(args.apps), preset=args.preset)
     if not view.repaint:
         print()
         print(view.render())

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine, RunResult
-from repro.sim.replay import build_machine, set_trace_cache_dir
 from repro.sim.stats import MachineStats
 from repro.workloads import make_workload
 
@@ -122,18 +121,8 @@ class ExperimentSpec:
                    config=MachineConfig.from_dict(payload["config"]))
 
     def cache_key(self) -> str:
-        """Stable content hash of (spec, resolved MachineConfig).
-
-        ``config.engine`` is dropped before hashing: the interpreter
-        and the vectorized replay engine produce byte-identical
-        statistics (see :mod:`repro.sim.replay`), so results cache
-        across engines — the same contract as
-        :meth:`~repro.sim.config.MachineConfig.config_hash`.
-        """
-        payload = self.to_payload()
-        payload["config"] = dict(payload["config"])
-        payload["config"].pop("engine", None)
-        canonical = json.dumps({"schema": CACHE_SCHEMA, **payload},
+        """Stable content hash of (spec, resolved MachineConfig)."""
+        canonical = json.dumps({"schema": CACHE_SCHEMA, **self.to_payload()},
                                sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -146,8 +135,8 @@ def execute_spec(spec: ExperimentSpec) -> RunResult:
     """Run one spec in-process (no cache, no pool)."""
     override = (list(spec.page_cache_override)
                 if spec.page_cache_override is not None else None)
-    machine = build_machine(spec.resolved_config(), policy=spec.policy,
-                            page_cache_override=override)
+    machine = Machine(spec.resolved_config(), policy=spec.policy,
+                      page_cache_override=override)
     return machine.run(make_workload(spec.workload, spec.preset))
 
 
@@ -362,11 +351,6 @@ class Session:
             raise ValueError("jobs must be >= 1, got %d" % jobs)
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        if cache_dir:
-            # Compiled workload traces (the vector engine's recording
-            # pass) persist next to the result cache, so repeat
-            # campaigns skip recompilation entirely.
-            set_trace_cache_dir(os.path.join(cache_dir, "traces"))
         self.progress = progress
         self.collect_metrics = collect_metrics
         self.trace_cells = trace_cells
@@ -519,9 +503,9 @@ class Session:
                     if spec.page_cache_override is not None else None)
         with obs.collecting() as registry:
             with obs.timer("harness.cell_wall_seconds"):
-                machine = build_machine(spec.resolved_config(),
-                                        policy=spec.policy,
-                                        page_cache_override=override)
+                machine = Machine(spec.resolved_config(),
+                                  policy=spec.policy,
+                                  page_cache_override=override)
                 workload = make_workload(spec.workload, spec.preset)
                 if sink is not None:
                     with TraceRecorder(machine, kinds=trace_kinds,

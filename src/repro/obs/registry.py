@@ -113,17 +113,6 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    def observe_n(self, value, n: int) -> None:
-        """Record ``n`` observations of the same ``value``.
-
-        Snapshot-identical to calling :meth:`observe` ``n`` times; the
-        replay engine uses it to charge a whole batch of equal-latency
-        cache hits with one bucket update.
-        """
-        self.counts[bisect_left(self.buckets, value)] += n
-        self.sum += value * n
-        self.count += n
-
     def quantile(self, q: float):
         """Approximate q-quantile (upper bound of the covering bucket)."""
         return quantile({"buckets": list(self.buckets),

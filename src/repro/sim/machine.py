@@ -297,26 +297,6 @@ class Machine:
         """Set up ``workload`` and simulate it to completion."""
         workload.setup(self.layout, len(self.cpus))
         self._bind_workload_taps(workload)
-        return self._run_interp(workload)
-
-    def _bind_workload_taps(self, workload) -> None:
-        """Give ``workload`` its post-setup machine hook.
-
-        A workload exposing ``bind_machine(machine)`` (the serving
-        family's metrics tap, the 2PC chaos channel driver) is called
-        here, after :meth:`setup` built its segments but before any op
-        executes.  A returned object with a ``close()`` method is
-        closed after the run's stats are finalized.
-        """
-        bind = getattr(workload, "bind_machine", None)
-        if bind is None:
-            return
-        tap = bind(self)
-        if tap is not None and hasattr(tap, "close"):
-            self._taps.append(tap)
-
-    def _run_interp(self, workload) -> RunResult:
-        """The interpreter's simulate-to-completion tail (post-setup)."""
         # Instructions executed around each memory reference (address
         # arithmetic, loop control) — keeps issue rates realistic for an
         # in-order CPU instead of back-to-back memory operations.
@@ -337,6 +317,22 @@ class Machine:
                 round(self.stats.references / wall, 1) if wall > 0 else 0.0)
         return RunResult(workload=workload.name, policy=self.policy.name,
                          config=self.config, stats=self.stats)
+
+    def _bind_workload_taps(self, workload) -> None:
+        """Give ``workload`` its post-setup machine hook.
+
+        A workload exposing ``bind_machine(machine)`` (the serving
+        family's metrics tap, the 2PC chaos channel driver) is called
+        here, after :meth:`setup` built its segments but before any op
+        executes.  A returned object with a ``close()`` method is
+        closed after the run's stats are finalized.
+        """
+        bind = getattr(workload, "bind_machine", None)
+        if bind is None:
+            return
+        tap = bind(self)
+        if tap is not None and hasattr(tap, "close"):
+            self._taps.append(tap)
 
     def on_barrier_release(self, hook) -> None:
         """Install ``hook(release_time)`` to run at every barrier
@@ -481,7 +477,11 @@ class Machine:
                 # Done, or parked until a barrier or lock wakes it.
                 cpu.run_state = None
                 break
-        self._check_all_done()
+        stuck = [c.cpu_id for c in cpus if not c.done]
+        if stuck:
+            raise RuntimeError(
+                "deadlock: CPUs %r blocked with empty event heap "
+                "(mismatched barriers or locks in the workload?)" % stuck)
 
     def _new_heap(self) -> "list[int]":
         """The event heap at the start of a run: every CPU's packed key
@@ -493,14 +493,6 @@ class Machine:
         heapq.heapify(heap)
         self._heap = heap
         return heap
-
-    def _check_all_done(self) -> None:
-        """Raise if the heap ran dry with CPUs still parked."""
-        stuck = [c.cpu_id for c in self.cpus if not c.done]
-        if stuck:
-            raise RuntimeError(
-                "deadlock: CPUs %r blocked with empty event heap "
-                "(mismatched barriers or locks in the workload?)" % stuck)
 
     def _arrive(self, cpu: Cpu, bid: int, now: int) -> None:
         """``cpu`` reaches barrier ``bid`` at ``now``; the last arrival

@@ -26,8 +26,8 @@ serving-shaped structure:
 
 Both workloads are plain op-stream kernels — their generators go
 through :func:`~repro.workloads.base.coalesce_stream` and contain only
-the standard op vocabulary — so they run unchanged on the interpreter
-and the vector engine and join the golden stats matrix.
+the standard op vocabulary — so they run unchanged on the simulator's
+event loop and join the golden stats matrix.
 
 Serving metrics come from :class:`ServingTap`: when a metrics registry
 is installed the workloads bind a tap over ``Machine._access`` (the

@@ -46,18 +46,9 @@ def test_fixture_covers_every_app_policy_cell(golden):
     assert set(golden) == expected
 
 
-def test_vector_engine_matches_the_committed_golden_fixture(golden):
-    """The trace-replay engine's identity gate: every one of the 80
-    tiny-matrix cells must reproduce the committed interpreter fixture
-    byte for byte — same counters, same cycle totals, same per-CPU
-    breakdowns."""
-    recomputed = _load_update_golden().compute_golden(engine="vector")
-    _assert_matches(golden, recomputed, "the vector engine")
-
-
 def test_stats_match_the_committed_golden_fixture(golden, recomputed):
     _assert_matches(golden, recomputed,
-                    "the interpreter (intentional? rerun "
+                    "the simulator (intentional? rerun "
                     "tools/update_golden.py and commit the diff)")
 
 

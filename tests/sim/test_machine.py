@@ -154,3 +154,11 @@ def test_utilization_accounting_counts_touched_lines():
     stats = result.stats
     assert stats.frames_allocated_total == 1
     assert stats.average_utilization == pytest.approx(2 / 8)
+
+
+def test_build_machine_returns_a_plain_machine():
+    # The benchmark harness builds machines through repro.sim.replay.
+    from repro.sim.replay import build_machine
+    assert type(build_machine()) is Machine
+    machine = build_machine(MachineConfig(), policy="lanuma")
+    assert machine.policy.name == "lanuma"

@@ -63,6 +63,7 @@ def test_config_to_dict_equals_asdict(config):
 
 def test_config_hash_is_unchanged():
     # Pinned: a change here orphans every on-disk result cache.
+    assert "engine" not in MachineConfig().to_dict()
     assert MachineConfig().config_hash() == (
         "32dbad5dc86a5ac7a4e06adc5eb3f094f2777269e520fa4060f0633950f99049")
     assert tiny_config().config_hash() == (

@@ -177,7 +177,7 @@ def test_deterministic(app):
 @pytest.mark.parametrize("app", SERVING_APPLICATIONS)
 def test_coalesced_generators_match_their_raw_streams(app):
     # coalesce_stream wrapping must expand back to the raw stream
-    # op for op (the vector-engine identity precondition).
+    # op for op.
     wl, _ = build(app)
     for cpu in (0, NUM_CPUS - 1):
         raw = []

@@ -43,22 +43,13 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from dataclasses import replace
-
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.sim.replay import build_machine
 
 
 def _bench_config() -> MachineConfig:
     """The pinned machine geometry most cells run on."""
     return MachineConfig(num_nodes=2, cpus_per_node=2,
-                         directory_cache_entries=256)
-
-
-def _serial_config() -> MachineConfig:
-    """One CPU total: the vector engine's unbounded-claim regime."""
-    return MachineConfig(num_nodes=1, cpus_per_node=1,
                          directory_cache_entries=256)
 
 
@@ -91,26 +82,24 @@ def _skew(num_cpus: int, scale: int = 1997):
 class Cell:
     """One benchmark cell: policy + workload factory + machine shape.
 
-    ``config`` picks the machine geometry, ``schedule`` an optional
-    start-time perturbation, and ``arms`` the engines the matrix times
-    (every arm beyond ``interp`` is recorded as ``name@<engine>``).
+    ``config`` picks the machine geometry and ``schedule`` an optional
+    start-time perturbation.
     """
 
-    __slots__ = ("policy", "factory", "config", "schedule", "arms")
+    __slots__ = ("policy", "factory", "config", "schedule")
 
     def __init__(self, policy, factory, config=_bench_config,
-                 schedule=None, arms=("interp", "vector")):
+                 schedule=None):
         self.policy = policy
         self.factory = factory
         self.config = config
         self.schedule = schedule
-        self.arms = arms
 
 
 def _hot(cpus: int, **kwargs):
     """A warmed-up block sweep whose per-CPU working set fits in L1
     (1 KB per CPU on the default geometry): the hit-dominated regime
-    the vector engine accelerates."""
+    that times the scheduler and the L1/TLB hit path."""
     kwargs.setdefault("shared_kb", cpus)
     kwargs.setdefault("iterations", 20)
     return _synthetic("block", **kwargs)
@@ -118,11 +107,9 @@ def _hot(cpus: int, **kwargs):
 
 #: The pinned cell matrix.  The first block matches
 #: benchmarks/test_simulator_throughput.py; the ``hot-*`` family is
-#: hit-dominated (sub-1% miss rate after warm-up) and exists to gate
-#: the vector engine's replay speedups across its scheduling regimes
-#: (lockstep, skewed clocks, imbalanced work, single CPU — see
-#: docs/PERFORMANCE.md); the ``*-32x8`` cells run the paper-scale
-#: geometry.
+#: hit-dominated (sub-1% miss rate after warm-up) and times the
+#: scheduler and the hit path under lockstep clocks, skewed clocks and
+#: imbalanced work; the ``*-32x8`` cells run the paper-scale geometry.
 CELLS = {
     "block/scoma": Cell("scoma", lambda: _synthetic("block")),
     "block/lanuma": Cell("lanuma", lambda: _synthetic("block")),
@@ -136,8 +123,6 @@ CELLS = {
                            schedule=lambda: _skew(4)),
     "hot-imbalance/scoma": Cell(
         "scoma", lambda: _hot(4, iterations=8, imbalance=7.0)),
-    "hot-serial/scoma": Cell("scoma", lambda: _hot(1),
-                             config=_serial_config),
     "hot-32x8/scoma": Cell(
         "scoma", lambda: _hot(256, iterations=4), config=_wide_config),
     "skew-32x8/scoma": Cell(
@@ -150,30 +135,22 @@ CELLS = {
 }
 
 #: The CI subset: one synthetic hot-loop cell, one remote-heavy cell,
-#: one real-kernel cell, one vector-regime cell, one serving cell.
-#: Runs in a few seconds per round.
+#: one real-kernel cell, one serving cell.  Runs in a few seconds per
+#: round.
 QUICK_CELLS = ("block/scoma", "random/lanuma", "fft-tiny/scoma",
-               "hot-serial/scoma", "kvstore-tiny/scoma")
+               "kvstore-tiny/scoma")
 
 
-def run_cell(name: str, rounds: int,
-             engine: str = "interp") -> "dict[str, object]":
-    """Benchmark one cell under one engine; returns its record.
-
-    Best-of-``rounds`` wall time.  For the vector arm the in-memory
-    trace cache persists across rounds (workload signatures are
-    content-addressed), so the reported number is warm-trace replay
-    throughput — recording cost is bounded separately by the
-    ``trace_compile`` gate in ci_check.sh.
-    """
+def run_cell(name: str, rounds: int) -> "dict[str, object]":
+    """Benchmark one cell; returns its record (best-of-``rounds``
+    wall time)."""
     cell = CELLS[name]
-    config = replace(cell.config(), engine=engine)
+    config = cell.config()
     best_wall = None
     references = cycles = 0
     for _ in range(rounds):
         schedule = cell.schedule() if cell.schedule is not None else None
-        machine = build_machine(config, policy=cell.policy,
-                                schedule=schedule)
+        machine = Machine(config, policy=cell.policy, schedule=schedule)
         workload = cell.factory()
         start = time.perf_counter()
         result = machine.run(workload)
@@ -183,8 +160,7 @@ def run_cell(name: str, rounds: int,
         if best_wall is None or wall < best_wall:
             best_wall = wall
     return {
-        "cell": name if engine == "interp" else "%s@%s" % (name, engine),
-        "engine": engine,
+        "cell": name,
         "refs_per_sec": round(references / best_wall, 1),
         "wall_s": round(best_wall, 4),
         "cycles": cycles,
@@ -257,17 +233,6 @@ def geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _print_geomeans(records) -> None:
-    """Per-arm geomean summary lines for the matrix just timed."""
-    for engine in ("interp", "vector"):
-        arm = [r["refs_per_sec"] for r in records
-               if r.get("engine", "interp") == engine]
-        if arm:
-            print("  %-22s %28s %10.0f refs/s"
-                  % ("geomean@%s" % engine, "(%d cells)" % len(arm),
-                     geomean(arm)))
-
-
 def host_metadata() -> "dict[str, str]":
     return {
         "python": platform.python_version(),
@@ -333,11 +298,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=3,
                         help="timing rounds per cell; best is kept "
                              "(default: 3)")
-    parser.add_argument("--engine", choices=("interp", "vector", "both"),
-                        default="both",
-                        help="engine arm(s) to time; 'both' (default) "
-                             "records the vector arm as CELL@vector "
-                             "next to the interp arm")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the trajectory JSON here "
                              "(e.g. BENCH_sim.json)")
@@ -368,17 +328,14 @@ def main(argv=None) -> int:
           % (args.rounds, "s" if args.rounds != 1 else ""))
     records = []
     for name in names:
-        if args.engine == "both":
-            arms = CELLS[name].arms
-        else:
-            arms = (args.engine,)
-        for engine in arms:
-            record = run_cell(name, args.rounds, engine=engine)
-            records.append(record)
-            print("  %-22s %8d refs %8.3fs %10.0f refs/s"
-                  % (record["cell"], record["references"],
-                     record["wall_s"], record["refs_per_sec"]))
-    _print_geomeans(records)
+        record = run_cell(name, args.rounds)
+        records.append(record)
+        print("  %-22s %8d refs %8.3fs %10.0f refs/s"
+              % (record["cell"], record["references"],
+                 record["wall_s"], record["refs_per_sec"]))
+    print("  %-22s %28s %10.0f refs/s"
+          % ("geomean", "(%d cells)" % len(records),
+             geomean(r["refs_per_sec"] for r in records)))
 
     payload = {
         "schema": 1,

@@ -117,70 +117,18 @@ if ! diff -u "$workdir/chaos1.txt" "$workdir/chaos2.txt"; then
     exit 1
 fi
 
-echo "== vector engine: stats identity vs interpreter (quick matrix) =="
-# The trace-replay engine must be *byte-identical* to the interpreter
-# on MachineStats — not approximately equal.  Runs a small real-kernel
-# matrix under both engines and diffs the full stats dicts.
-python - <<'EOF'
-from dataclasses import replace
-
-from repro.sim.config import tiny_config
-from repro.sim.machine import Machine
-from repro.sim.replay import VectorMachine
-from repro.workloads import make_workload
-
-cells = [("fft", "scoma"), ("fft", "lanuma"), ("lu", "dyn-lru"),
-         ("water-nsq", "scoma"), ("radix", "lanuma")]
-for app, policy in cells:
-    interp = Machine(tiny_config(), policy=policy)
-    a = interp.run(make_workload(app, "tiny")).stats.to_dict()
-    vector = VectorMachine(replace(tiny_config(), engine="vector"),
-                           policy=policy)
-    b = vector.run(make_workload(app, "tiny")).stats.to_dict()
-    if a != b:
-        diff = {k: (a[k], b[k]) for k in a if a[k] != b[k]}
-        raise SystemExit("vector stats diverged on %s/%s: %r"
-                         % (app, policy, diff))
-    refs = sum(c["references"] for c in a["cpus"])
-    print("  %-12s %-8s identical (%d refs)" % (app, policy, refs))
-print("vector stats identity: OK")
-EOF
-
-echo "== vector engine: traced run + live dashboard smoke =="
-# Slow-path tracing must still attach under the vector engine, and the
-# exported span schema must validate exactly as the interpreter's does.
-python -m repro trace fft --preset tiny --seed 3 --engine vector \
-    --out "$workdir/vspans.jsonl" > /dev/null
-python - "$workdir" <<'EOF'
-import sys
-from repro.obs.tracing import validate_spans_jsonl
-spans = validate_spans_jsonl(sys.argv[1] + "/vspans.jsonl")
-assert spans > 0, "vector-engine trace exported no spans"
-print("vector traced run: %d spans validated" % spans)
-EOF
-python -m repro top --apps fft --preset tiny --no-cache \
-    --engine vector > "$workdir/top.txt"
+echo "== live dashboard smoke =="
+python -m repro top --apps fft --preset tiny --no-cache > "$workdir/top.txt"
 grep -q 'fft' "$workdir/top.txt" || {
-    echo "FAIL: repro top under --engine vector produced no cells" >&2
+    echo "FAIL: repro top produced no cells" >&2
     exit 1
 }
 
-echo "== serving smoke: kvstore on both engines + seeded txn2pc chaos =="
-# A tiny kvstore cell must produce byte-identical MachineStats on both
-# engines, and its serving summary must report request latency.
+echo "== serving smoke: kvstore metrics + seeded txn2pc chaos =="
+# A tiny kvstore cell's serving summary must report request latency.
 python -m repro run kvstore --preset tiny --no-cache --metrics \
-    > "$workdir/kv_interp.txt"
-python -m repro run kvstore --preset tiny --no-cache --metrics \
-    --engine vector > "$workdir/kv_vector.txt"
-for f in kv_interp kv_vector; do
-    grep -v -e 'refs/sec' -e 'host wall' "$workdir/$f.txt" \
-        > "$workdir/$f.stable"
-done
-if ! diff -u "$workdir/kv_interp.stable" "$workdir/kv_vector.stable"; then
-    echo "FAIL: kvstore serving run diverged across engines" >&2
-    exit 1
-fi
-grep -q 'p50=' "$workdir/kv_interp.txt" || {
+    > "$workdir/kv.txt"
+grep -q 'p50=' "$workdir/kv.txt" || {
     echo "FAIL: kvstore --metrics reported no request latency" >&2
     exit 1
 }
@@ -201,10 +149,8 @@ echo "== benchmark smoke: four workloads, quick, untraced and traced =="
 bash bench/smoke.sh
 
 echo "== simulator throughput gate (quick matrix, 10% tolerance) =="
-# Best-of-5 rounds, both engine arms (the vector arm gates as
-# CELL@vector cells of the extended baseline): the gate runs right
-# after the test suite, so the first rounds can be depressed by
-# residual host load.
+# Best-of-5 rounds: the gate runs right after the test suite, so the
+# first rounds can be depressed by residual host load.
 python tools/bench.py --quick --rounds 5 --out "$workdir/bench.json" \
     --compare BENCH_sim.json --tolerance 0.10
 
