@@ -32,6 +32,23 @@ from repro.interconnect.messages import MessageKind
 from repro.mem.cache import LineState
 from repro.sim.engine import Resource
 
+# Enum members hoisted to module globals: an enum class attribute
+# lookup costs about 100 ns, and the per-transaction paths below make
+# several.  Tag writes on those paths store the tag's byte value.
+_MODIFIED = LineState.MODIFIED
+_LANUMA = PageMode.LANUMA
+_CCNUMA = PageMode.CCNUMA
+_HOME_EXCL = DirState.HOME_EXCL
+_DIR_SHARED = DirState.SHARED
+_CLIENT_EXCL = DirState.CLIENT_EXCL
+_READ_REQ = MessageKind.READ_REQ
+_READ_EXCL_REQ = MessageKind.READ_EXCL_REQ
+_UPGRADE_REQ = MessageKind.UPGRADE_REQ
+_INTERVENTION = MessageKind.INTERVENTION
+_WRITEBACK = MessageKind.WRITEBACK
+_INVALIDATE = MessageKind.INVALIDATE
+_ACK = MessageKind.ACK
+
 
 class ProtocolError(RuntimeError):
     """An inter-node protocol invariant was violated."""
@@ -126,16 +143,18 @@ class CoherenceController:
         machine = self.machine
         gpage = entry.gpage
         tracer = self._tracer
-        if entry.tags is not None:
-            prior = entry.tags.get(lip)
-            entry.tags.set(lip, Tag.TRANSIT)
-        else:
-            prior = None
+        # TRANSIT and the final grant are written straight into the tag
+        # bytes: neither is a transition to Invalid, the only kind that
+        # must go through FineGrainTags.set.
+        tags = entry.tags
+        if tags is not None:
+            prior = tags.tags[lip]
+            tags.tags[lip] = 3  # Tag.TRANSIT
 
         # Client controller dispatch + forward PIT translation.
         # CC-NUMA frames bypass the PIT: the physical address directly
         # identifies the memory location at the home (section 3.2).
-        pit_free = entry.mode == PageMode.CCNUMA
+        pit_free = entry.mode == _CCNUMA
         res = self.resource
         occ = self._lat_dispatch if pit_free else self._lat_dispatch_pit
         start = res.next_free if res.next_free > now else now
@@ -148,11 +167,11 @@ class CoherenceController:
         if not pit_free:
             node.pit.lookups += 1
         if has_copy:
-            kind = MessageKind.UPGRADE_REQ
+            kind = _UPGRADE_REQ
         elif want_excl:
-            kind = MessageKind.READ_EXCL_REQ
+            kind = _READ_EXCL_REQ
         else:
-            kind = MessageKind.READ_REQ
+            kind = _READ_REQ
         sent = node.msglog.sent
         sent[kind] = sent.get(kind, 0) + 1
 
@@ -162,7 +181,7 @@ class CoherenceController:
         home_id = entry.dynamic_home
         true_home = machine.migration.dynamic_home.get(gpage)
         if true_home is None:
-            true_home = machine.static_home_of(gpage)
+            true_home = machine.ipc.home_of(gpage)
         if true_home in machine.failed_nodes:
             raise NodeFailedError(
                 "gpage %d is homed at failed node %d" % (gpage, true_home))
@@ -197,15 +216,14 @@ class CoherenceController:
                                   gpage=gpage)
                      if tracer is not None else None)
         t, sender_id, granted_excl = home.controller.home_service(
-            requester=node.node_id, gpage=gpage, lip=lip,
-            want_excl=want_excl, has_copy=has_copy,
-            frame_guess=entry.home_frame, arrival=t, pit_free=pit_free)
+            node.node_id, gpage, lip, want_excl, has_copy,
+            entry.home_frame, t, pit_free)
         if home_span is not None:
             tracer.end(home_span, t)
 
         # Cache the home frame number for future fast reverse
         # translation, and the confirmed dynamic home.
-        dir_page = home.directory.page(gpage)
+        dir_page = home.directory._pages.get(gpage)
         if dir_page is not None:
             entry.home_frame = dir_page.home_frame
         entry.dynamic_home = home_id
@@ -240,19 +258,27 @@ class CoherenceController:
         res.next_free = t
         res.busy_cycles += occ
         res.acquisitions += 1
-        t = node.bus.transfer(t)
+        # MemoryBus.transfer spelled out (same FCFS arithmetic).
+        res = node.bus.data_path
+        occ = lat.bus_data
+        t = (res.next_free if res.next_free > t else t) + occ
+        res.next_free = t
+        res.busy_cycles += occ
+        res.acquisitions += 1
         t += lat.cache_fill
 
-        if entry.tags is not None:
-            final = Tag.EXCLUSIVE if granted_excl else Tag.SHARED
-            if has_copy and not granted_excl:  # pragma: no cover
-                final = prior if prior is not None else Tag.SHARED
-            entry.tags.set(lip, final)
+        if tags is not None:
+            if granted_excl:
+                tags.tags[lip] = 2  # Tag.EXCLUSIVE
+            elif not has_copy:
+                tags.tags[lip] = 1  # Tag.SHARED
+            else:  # pragma: no cover - upgrades are granted exclusive
+                tags.set(lip, Tag(prior))
         if has_copy:
             node.stats.remote_upgrades += 1
         else:
             node.stats.remote_misses += 1
-            if entry.mode == PageMode.LANUMA:
+            if entry.mode == _LANUMA:
                 node.kernel.note_lanuma_refetch(entry)
         if self._obs_fetch is not None:
             self._obs_fetch.observe(t - now)
@@ -331,7 +357,7 @@ class CoherenceController:
                 "node %d may not write gpage %d (home %d firewall)"
                 % (requester, gpage, node.node_id))
 
-        dir_page = node.directory.page(gpage)
+        dir_page = node.directory._pages.get(gpage)
         if dir_page is None:
             raise ProtocolError("no directory for gpage %d at home %d"
                                 % (gpage, node.node_id))
@@ -346,11 +372,11 @@ class CoherenceController:
         home_tags = entry.tags
         home_line = entry.frame * self.lpp + lip
 
-        if dl.state == DirState.CLIENT_EXCL and dl.owner != requester:
+        if dl.state == _CLIENT_EXCL and dl.owner != requester:
             return self._three_party(dl, dir_page, gpage, lip, want_excl,
                                      requester, home_tags, t)
 
-        if dl.state == DirState.SHARED and want_excl:
+        if dl.state == _DIR_SHARED and want_excl:
             return self._write_to_shared(dl, gpage, lip, requester,
                                          home_tags, home_line, t)
 
@@ -365,23 +391,31 @@ class CoherenceController:
                      home_tags, home_line: int, t: int) -> "tuple[int, int, bool]":
         lat = self.lat
         node = self.node
+        memory = node.memory
         if requester == node.node_id:
             # A home CPU re-acquiring its own page's line (tags were
             # Invalid after a client took the line away and returned
             # it, or a defensive re-grant).  Home memory is valid.
-            t = node.memory.port.acquire(t, lat.local_memory)
-            node.memory.reads += 1
+            t = memory.port.acquire(t, lat.local_memory)
+            memory.reads += 1
             if want_excl or not dl.sharers:
                 if home_tags is not None:
-                    home_tags.set(lip, Tag.EXCLUSIVE)
-                dl.state = DirState.HOME_EXCL
+                    home_tags.tags[lip] = 2  # Tag.EXCLUSIVE
+                dl.state = _HOME_EXCL
                 dl.owner = -1
                 dl.sharers = set()
                 return t, node.node_id, True
             if home_tags is not None:
-                home_tags.set(lip, Tag.SHARED)
+                home_tags.tags[lip] = 1  # Tag.SHARED
             return t, node.node_id, False
-        dirty_cpu = self._local_modified_holder(home_line)
+        # The local CPU (if any) holding the line MODIFIED.
+        dirty_cpu = None
+        holders = node.presence._holders.get(home_line)
+        if holders:
+            for cid in holders:
+                if node.cpus[cid].hierarchy.state(home_line) == _MODIFIED:
+                    dirty_cpu = cid
+                    break
         if dirty_cpu is not None:
             # 2-party access to a modified line: intervene on the home
             # bus to pull the dirty data out of the home CPU's cache.
@@ -398,28 +432,35 @@ class CoherenceController:
             t += lat.intervention
             self._drop_local_copies(home_line)
 
-        t = node.memory.port.acquire(t, lat.local_memory)
-        node.memory.reads += 1
+        # NodeMemory.read spelled out (same port arithmetic, counters).
+        res = memory.port
+        occ = lat.local_memory
+        t = (res.next_free if res.next_free > t else t) + occ
+        res.next_free = t
+        res.busy_cycles += occ
+        res.acquisitions += 1
+        memory.reads += 1
         if dirty_cpu is not None:
             # The pulled dirty data drains to memory from the write
             # buffer after the supply (off the critical path).
-            node.memory.write(t)
+            memory.write(t)
 
         if want_excl:
             if home_tags is not None:
                 home_tags.set(lip, Tag.INVALID)
-            dl.state = DirState.CLIENT_EXCL
+            dl.state = _CLIENT_EXCL
             dl.owner = requester
             dl.sharers = set()
             return t, node.node_id, True
         if home_tags is not None:
-            home_tags.set(lip, Tag.SHARED)
-        if dl.state != DirState.SHARED:
-            dl.state = DirState.SHARED
+            home_tags.tags[lip] = 1  # Tag.SHARED
+        if dl.state != _DIR_SHARED:
+            dl.state = _DIR_SHARED
             dl.owner = -1
         # Home CPU copies of an exclusive line become shared.
-        for cid in self.node.presence.holders(home_line):
-            node.cpus[cid].hierarchy.downgrade(home_line)
+        if holders:
+            for cid in holders:
+                node.cpus[cid].hierarchy.downgrade(home_line)
         dl.sharers.add(requester)
         return t, node.node_id, False
 
@@ -436,10 +477,10 @@ class CoherenceController:
                 "gpage %d line %d is owned by failed node %d"
                 % (gpage, lip, owner_id))
         owner = machine.nodes[owner_id]
-        self.node.msglog.record(MessageKind.INTERVENTION)
+        self.node.msglog.record(_INTERVENTION)
 
         t = machine.network.send(self.node.node_id, owner_id, t,
-                                 MessageKind.INTERVENTION)
+                                 _INTERVENTION)
         t = owner.controller.resource.acquire(t, lat.ctrl_dispatch)
         owner_entry = owner.pit.by_gpage(gpage, None)
         t += owner.controller._client_reverse_cost(owner_entry)
@@ -463,11 +504,11 @@ class CoherenceController:
                 owner_entry.tags.set(lip, Tag.INVALID)
             owner.stats.invalidations_received += 1
             if requester_is_home:
-                dl.state = DirState.HOME_EXCL
+                dl.state = _HOME_EXCL
                 dl.owner = -1
                 dl.sharers = set()
                 if home_tags is not None:
-                    home_tags.set(lip, Tag.EXCLUSIVE)
+                    home_tags.tags[lip] = 2  # Tag.EXCLUSIVE
             else:
                 dl.owner = requester
                 dl.sharers = set()
@@ -475,15 +516,15 @@ class CoherenceController:
 
         # Read: owner keeps a shared copy and writes the dirty data back
         # to the home ("sharing writeback"); home memory becomes valid.
-        for cid in owner.presence.holders(owner_line):
+        for cid in owner.presence._holders.get(owner_line, ()):
             owner.cpus[cid].hierarchy.downgrade(owner_line)
         if owner_entry.tags is not None:
-            owner_entry.tags.set(lip, Tag.SHARED)
-        owner.msglog.record(MessageKind.WRITEBACK)
+            owner_entry.tags.tags[lip] = 1  # Tag.SHARED
+        owner.msglog.record(_WRITEBACK)
         self.node.memory.write(t)  # home memory update, off critical path
         if home_tags is not None:
-            home_tags.set(lip, Tag.SHARED)
-        dl.state = DirState.SHARED
+            home_tags.tags[lip] = 1  # Tag.SHARED
+        dl.state = _DIR_SHARED
         dl.sharers = {owner_id}
         if not requester_is_home:
             dl.sharers.add(requester)
@@ -518,16 +559,16 @@ class CoherenceController:
         tracer = self._tracer
         for s in sharers:
             issue = self.resource.acquire(issue, lat.inval_issue)
-            node.msglog.record(MessageKind.INVALIDATE)
+            node.msglog.record(_INVALIDATE)
             inval_span = (tracer.begin("invalidate", "inval",
                                        node.node_id, issue, target=s)
                           if tracer is not None else None)
             arr = machine.network.send(node.node_id, s, issue,
-                                       MessageKind.INVALIDATE)
+                                       _INVALIDATE)
             ack_ready = machine.nodes[s].controller.handle_invalidate(
                 gpage, lip, arr)
             ack = machine.network.send(s, node.node_id, ack_ready,
-                                       MessageKind.ACK)
+                                       _ACK)
             if inval_span is not None:
                 tracer.end(inval_span, ack)
             if ack > last_ack:
@@ -539,12 +580,12 @@ class CoherenceController:
         node.memory.reads += 1
 
         if requester_is_home:
-            dl.state = DirState.HOME_EXCL
+            dl.state = _HOME_EXCL
             dl.owner = -1
             if home_tags is not None:
-                home_tags.set(lip, Tag.EXCLUSIVE)
+                home_tags.tags[lip] = 2  # Tag.EXCLUSIVE
         else:
-            dl.state = DirState.CLIENT_EXCL
+            dl.state = _CLIENT_EXCL
             dl.owner = requester
         dl.sharers = set()
         return t, node.node_id, True
@@ -561,7 +602,7 @@ class CoherenceController:
         entry = node.pit.by_gpage(gpage, None)
         t += self._client_reverse_cost(entry)
         node.stats.invalidations_received += 1
-        node.msglog.record(MessageKind.ACK)
+        node.msglog.record(_ACK)
         if entry is None:
             return t  # stale sharer: page already gone locally
         t = node.bus.request(t)
@@ -594,18 +635,23 @@ class CoherenceController:
 
         owned = 0
         base = entry.frame * self.lpp
+        tag_bytes = entry.tags.tags if entry.tags is not None else None
+        cached = node.presence._holders
         for lip in range(self.lpp):
             line = base + lip
+            if (tag_bytes is not None and tag_bytes[lip] == 0
+                    and line not in cached):
+                continue  # Invalid and uncached here: nothing to flush
             dirty = self._drop_local_copies(line)
             if dir_page is None:
                 continue
             dl = dir_page.lines[lip]
-            if entry.tags is not None:
-                tag = entry.tags.get(lip)
-                if tag == Tag.EXCLUSIVE:
+            if tag_bytes is not None:
+                tag = tag_bytes[lip]
+                if tag == 2:  # Tag.EXCLUSIVE
                     owned += 1
                     self._return_line_home(dl, lip, home, home_tags, now)
-                elif tag == Tag.SHARED:
+                elif tag == 1:  # Tag.SHARED
                     self._leave_sharers(dl, lip, home_tags)
                 entry.tags.set(lip, Tag.INVALID)
             else:
@@ -724,7 +770,7 @@ class CoherenceController:
         a frame hint and the fast path applies.  CC-NUMA frames skip
         the PIT entirely.
         """
-        if entry is not None and entry.mode == PageMode.CCNUMA:
+        if entry is not None and entry.mode == _CCNUMA:
             self.node.pit.lookups -= 1
             self.node.pit.hash_lookups -= 1
             return 0
@@ -733,22 +779,15 @@ class CoherenceController:
             return self.lat.pit_access
         return self.lat.pit_hash
 
-    def _local_modified_holder(self, line: int) -> "int | None":
-        """Local CPU (id) holding ``line`` MODIFIED, if any."""
-        for cid in self.node.presence.holders(line):
-            if self.node.cpus[cid].hierarchy.state(line) == LineState.MODIFIED:
-                return cid
-        return None
-
     def _drop_local_copies(self, line: int) -> bool:
         """Invalidate every local CPU copy of ``line``; True if any was
         dirty."""
         node = self.node
+        holders = node.presence._holders.pop(line, None)
         dirty = False
-        holders = node.presence.holders(line)
         if holders:
-            for cid in list(holders):
-                if node.cpus[cid].hierarchy.invalidate(line):
+            cpus = node.cpus
+            for cid in holders:
+                if cpus[cid].hierarchy.invalidate(line):
                     dirty = True
-            node.presence.drop_line(line)
         return dirty

@@ -33,6 +33,11 @@ class Tag(IntEnum):
     TRANSIT = 3
 
 
+#: Tag members indexed by their value: ``_TAGS[byte]`` is ``Tag(byte)``
+#: without the enum constructor call.
+_TAGS: "tuple[Tag, ...]" = tuple(Tag)
+
+
 class FineGrainTags:
     """Tag array for one S-COMA frame."""
 
@@ -43,7 +48,7 @@ class FineGrainTags:
 
     def get(self, line_in_page: int) -> Tag:
         """Tag of one line."""
-        return Tag(self.tags[line_in_page])
+        return _TAGS[self.tags[line_in_page]]
 
     def set(self, line_in_page: int, tag: Tag) -> None:
         """Set one line's tag."""
@@ -63,4 +68,4 @@ class FineGrainTags:
         return len(self.tags)
 
     def __iter__(self):
-        return (Tag(t) for t in self.tags)
+        return (_TAGS[t] for t in self.tags)

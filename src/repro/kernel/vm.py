@@ -101,11 +101,6 @@ class NodeKernel:
         """All client S-COMA frames currently mapped at this node."""
         return self._client_lru.keys()
 
-    def touch_lru(self, frame: int) -> None:
-        """Refresh a client frame's recency (page-cache access)."""
-        if frame in self._client_lru:
-            self._client_lru.move_to_end(frame)
-
     # ------------------------------------------------------------------
     # Page faults.
     # ------------------------------------------------------------------

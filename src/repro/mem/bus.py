@@ -28,14 +28,30 @@ class MemoryBus:
         self.transactions = 0
         self.retries = 0
 
+    # request, transfer and NodeMemory.write spell out Resource.acquire
+    # (same FCFS arithmetic and counters): each runs at least once per
+    # remote miss.
+
     def request(self, now: int) -> int:
         """Run an address phase; returns its completion time."""
         self.transactions += 1
-        return self.address_path.acquire(now, self.lat.bus_request)
+        res = self.address_path
+        duration = self.lat.bus_request
+        end = (res.next_free if res.next_free > now else now) + duration
+        res.next_free = end
+        res.busy_cycles += duration
+        res.acquisitions += 1
+        return end
 
     def transfer(self, now: int) -> int:
         """Run a data phase for one cache line; returns completion time."""
-        return self.data_path.acquire(now, self.lat.bus_data)
+        res = self.data_path
+        duration = self.lat.bus_data
+        end = (res.next_free if res.next_free > now else now) + duration
+        res.next_free = end
+        res.busy_cycles += duration
+        res.acquisitions += 1
+        return end
 
     def retry(self, now: int) -> int:
         """A bus retry (e.g. fine-grain tag in Transit).  Charged as an
@@ -71,4 +87,10 @@ class NodeMemory:
         real hardware; we charge port occupancy but the caller normally
         does not put this on the critical path."""
         self.writes += 1
-        return self.port.acquire(now, self.lat.local_memory // 2)
+        res = self.port
+        duration = self.lat.local_memory // 2
+        end = (res.next_free if res.next_free > now else now) + duration
+        res.next_free = end
+        res.busy_cycles += duration
+        res.acquisitions += 1
+        return end

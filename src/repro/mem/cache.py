@@ -32,6 +32,8 @@ class LineState(IntEnum):
     MODIFIED = 3
 
 
+_INVALID = LineState.INVALID
+_SHARED = LineState.SHARED
 _MODIFIED = LineState.MODIFIED
 
 
@@ -190,52 +192,46 @@ class CacheHierarchy:
         state = self.l1.lookup(line)
         if state != LineState.INVALID:
             return "l1", state
-        state = self.probe_l2(line)
+        state = self.l2.lookup(line)
         if state == LineState.INVALID:
             return "miss", LineState.INVALID
+        self._promote_to_l1(line, state)
         return "l2", state
-
-    def probe_l2(self, line: int) -> LineState:
-        """The L2 half of :meth:`probe`, for callers that already
-        resolved the L1 miss against ``l1.flat``: looks ``line`` up in
-        L2 and promotes a hit into L1.  Returns the line state
-        (INVALID on a full miss)."""
-        state = self.l2.lookup(line)
-        if state != LineState.INVALID:
-            self._promote_to_l1(line, state)
-        return state
 
     def state(self, line: int) -> LineState:
         """Machine-visible state of ``line`` in this hierarchy."""
-        state = self.l1.peek(line)
-        if state != LineState.INVALID:
+        state = self.l1.flat.get(line)
+        if state is not None:
             return state
-        return self.l2.peek(line)
+        return self.l2.flat.get(line, _INVALID)
 
     # -- mutations -----------------------------------------------------
 
-    def fill(self, line: int, state: LineState) -> "list[tuple[int, LineState]]":
+    def fill(self, line: int, state: LineState
+             ) -> "list[tuple[int, LineState]] | tuple[()]":
         """Install a missing line in L2+L1 with ``state``.
 
-        Returns the list of lines this CPU *lost* as ``(line, state)``
-        pairs — L2 victims (with their merged L1 dirtiness) that the
-        node must write back (if MODIFIED) and deregister.
+        Returns the lines this CPU *lost* as ``(line, state)`` pairs —
+        L2 victims (with their merged L1 dirtiness) that the node must
+        write back (if MODIFIED) and deregister — or ``()`` if none.
 
         Both inserts are :meth:`Cache.insert` spelled out inline (same
         LRU replacement, same eviction counters) — fill runs once per
         miss and the call overhead was measurable.
         """
-        lost: "list[tuple[int, LineState]]" = []
+        lost = ()
         l1, l2 = self.l1, self.l2
         cache_set = l2._sets[line % l2.num_sets]
         if len(cache_set) >= l2.associativity:
             vline, vstate = cache_set.popitem(last=False)
             del l2.flat[vline]
             l2.evictions += 1
-            l1_state = l1.remove(vline)  # inclusion
-            if l1_state == _MODIFIED:
-                vstate = _MODIFIED
-            lost.append((vline, vstate))
+            l1_state = l1.flat.pop(vline, None)  # inclusion
+            if l1_state is not None:
+                del l1._sets[vline % l1.num_sets][vline]
+                if l1_state == _MODIFIED:
+                    vstate = _MODIFIED
+            lost = [(vline, vstate)]
         cache_set[line] = state
         l2.flat[line] = state
         cache_set = l1._sets[line % l1.num_sets]
@@ -250,20 +246,29 @@ class CacheHierarchy:
         l1.flat[line] = state
         return lost
 
+    # Below: Cache.set_state / Cache.remove spelled out on each level.
+
     def write_hit(self, line: int) -> None:
         """Mark a resident line MODIFIED in L1 (and L2 for inclusion
         bookkeeping the machine relies on during flushes)."""
-        if line in self.l1:
-            self.l1.set_state(line, LineState.MODIFIED)
-        if line in self.l2:
-            self.l2.set_state(line, LineState.MODIFIED)
-        else:  # pragma: no cover - inclusion guarantees L2 residency
+        l1, l2 = self.l1, self.l2
+        if line in l1.flat:
+            l1.flat[line] = _MODIFIED
+            l1._sets[line % l1.num_sets][line] = _MODIFIED
+        if line not in l2.flat:  # pragma: no cover - inclusion
             raise KeyError("write_hit on non-resident line %d" % line)
+        l2.flat[line] = _MODIFIED
+        l2._sets[line % l2.num_sets][line] = _MODIFIED
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line``; returns True if a dirty copy was lost."""
-        dirty = self.l1.remove(line) == LineState.MODIFIED
-        dirty = self.l2.remove(line) == LineState.MODIFIED or dirty
+        dirty = False
+        for cache in (self.l1, self.l2):
+            state = cache.flat.pop(line, None)
+            if state is not None:
+                del cache._sets[line % cache.num_sets][line]
+                if state == _MODIFIED:
+                    dirty = True
         return dirty
 
     def downgrade(self, line: int) -> bool:
@@ -273,11 +278,12 @@ class CacheHierarchy:
         """
         dirty = False
         for cache in (self.l1, self.l2):
-            state = cache.peek(line)
-            if state == LineState.MODIFIED:
-                dirty = True
-            if state != LineState.INVALID:
-                cache.set_state(line, LineState.SHARED)
+            state = cache.flat.get(line)
+            if state is not None:
+                if state == _MODIFIED:
+                    dirty = True
+                cache.flat[line] = _SHARED
+                cache._sets[line % cache.num_sets][line] = _SHARED
         return dirty
 
     def _promote_to_l1(self, line: int, state: LineState) -> None:

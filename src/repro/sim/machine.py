@@ -580,7 +580,7 @@ class Machine:
                     return self._upgrade(cpu, frame, lip, line, now)
             return now + self._lat_l1_hit
         l1.misses += 1
-        # The L2 half of CacheHierarchy.probe_l2, inlined the same way.
+        # The L2 half of CacheHierarchy.probe, inlined the same way.
         l2 = hierarchy.l2
         state = l2.flat.get(line)
         if state is not None:
@@ -608,11 +608,14 @@ class Machine:
         t = node.bus.request(now)
         remote = False
         if mode == _SCOMA:
-            if entry.tags.get(lip) != 2:  # Tag.EXCLUSIVE
+            if entry.tags.tags[lip] != 2:  # Tag.EXCLUSIVE
                 t = node.controller.fetch(entry, lip, True, True, t)
                 remote = True
-            node.kernel.touch_lru(frame)
-        elif mode.is_remote_backed:
+            # A page-cache access refreshes the client frame's recency.
+            lru = node.kernel._client_lru
+            if frame in lru:
+                lru.move_to_end(frame)
+        elif mode == _LANUMA or mode == _CCNUMA:
             # No tags behind imaginary/CC-NUMA frames: any upgrade must
             # ask the home (even if the node happens to own the line).
             t = node.controller.fetch(entry, lip, True, True, t)
@@ -621,7 +624,8 @@ class Machine:
         self._invalidate_siblings(node, cpu, line)
         cpu.hierarchy.write_hit(line)
         if remote:
-            t = node.kernel.drain_promotions(t)
+            if node.kernel.pending_promotions:
+                t = node.kernel.drain_promotions(t)
             if self.migration.enabled:
                 self.migration.drain()
         return t
@@ -661,7 +665,10 @@ class Machine:
                 t = node.controller.fetch(entry, lip, is_write, False, t)
                 node.memory.write(t)  # line lands in the page cache too
                 remote = True
-            node.kernel.touch_lru(frame)
+            # A page-cache access refreshes the client frame's recency.
+            lru = node.kernel._client_lru
+            if frame in lru:
+                lru.move_to_end(frame)
         elif mode == _LANUMA or mode == _CCNUMA:
             if line in node.presence._holders:
                 sib_state = self._max_sibling_state(node, line)
@@ -691,11 +698,17 @@ class Machine:
             raise RuntimeError("access to frame in mode %s" % mode.name)
 
         lost = cpu.hierarchy.fill(line, fill_state)
-        node.presence.add(line, cpu.local_id)
+        # NodePresence.add inlined.
+        holders = node.presence._holders.get(line)
+        if holders is None:
+            node.presence._holders[line] = {cpu.local_id}
+        else:
+            holders.add(cpu.local_id)
         if lost:
             self._handle_lost(node, cpu, lost, t)
         if remote:
-            t = node.kernel.drain_promotions(t)
+            if node.kernel.pending_promotions:
+                t = node.kernel.drain_promotions(t)
             if self.migration.enabled:
                 self.migration.drain()
         return t
@@ -726,8 +739,14 @@ class Machine:
         dirty_sibling = None
         holders = node.presence._holders.get(line)
         if holders:
+            # CacheHierarchy.state read off the flat mirrors: the L1
+            # state, when resident, is the CPU's state.
             for cid in holders:
-                if node.cpus[cid].hierarchy.state(line) == _MODIFIED:
+                hierarchy = node.cpus[cid].hierarchy
+                state = hierarchy.l1.flat.get(line)
+                if state is None:
+                    state = hierarchy.l2.flat.get(line)
+                if state == _MODIFIED:
                     dirty_sibling = cid
                     break
         if dirty_sibling is not None:
@@ -800,13 +819,15 @@ class Machine:
                       else pit.entry_or_none(vframe))
             if ventry is None:
                 continue
+            mode = ventry.mode
+            remote_backed = mode == _LANUMA or mode == _CCNUMA
             if vstate == _MODIFIED:
-                if ventry.mode.is_remote_backed:
+                if remote_backed:
                     node.controller.evict_writeback(
                         ventry, vline & self._lip_mask, now)
                 else:
                     node.memory.write(now)
-            elif (ventry.mode.is_remote_backed
+            elif (remote_backed
                   and vstate == _EXCLUSIVE
                   and vline not in node.presence._holders):
                 node.controller.replacement_hint(

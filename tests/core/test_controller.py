@@ -254,6 +254,64 @@ class TestInvalidateStaleSharer:
         assert h.dir_line(page, 2).owner == 2
 
 
+class TestFlushClientPage:
+    def evict(self, h, cpu, lip):
+        """Push line ``lip`` of any page out of ``cpu``'s caches: with
+        one L2 set per line-in-page, two private-page reads of the same
+        ``lip`` fill the 2-way set."""
+        cfg = h.machine.config
+        for i in range(2):
+            h.read(cpu, h.private.vbase + i * cfg.page_bytes
+                   + lip * cfg.line_bytes)
+
+    def test_flush_mixed_frame(self, harness):
+        """A client S-COMA frame holding Exclusive and Shared lines, some
+        cached by local CPUs (one by both siblings) and some only in the
+        page cache, plus Invalid uncached lines: the flush writes the
+        owned lines home, leaves the sharer lists and clears every local
+        copy and tag."""
+        h = harness
+        page = h.page_homed_at(1)
+        cpu0 = h.cpu_on_node(0, 0)
+        cpu1 = h.cpu_on_node(0, 1)
+        h.write(cpu0, h.vaddr(page, 0))            # E, cached by both
+        h.read(cpu1, h.vaddr(page, 0))
+        h.write(cpu1, h.vaddr(page, 1))            # E, page cache only
+        self.evict(h, cpu1, 1)
+        h.read(cpu0, h.vaddr(page, 2))             # S, node 2 shares too
+        h.read(h.cpu_on_node(2), h.vaddr(page, 2))
+        h.read(cpu1, h.vaddr(page, 3))             # S, page cache only
+        self.evict(h, cpu1, 3)
+        node = h.node(0)
+        entry = h.entry_at(0, page)
+        base = entry.frame * 8
+        assert list(entry.tags) == [Tag.EXCLUSIVE, Tag.EXCLUSIVE,
+                                    Tag.SHARED, Tag.SHARED] + [Tag.INVALID] * 4
+        assert node.presence.holders(base) == {0, 1}
+        assert not node.presence.any_holder(base + 1)
+        assert not node.presence.any_holder(base + 3)
+        writebacks = node.stats.writebacks_remote
+
+        owned = node.controller.flush_client_page(entry, h.clock)
+
+        assert owned == 2
+        assert node.stats.writebacks_remote == writebacks + 2
+        states = [(dl.state, dl.owner, dl.sharers)
+                  for dl in (h.dir_line(page, lip) for lip in range(8))]
+        home_excl = (DirState.HOME_EXCL, -1, set())
+        assert states == [home_excl, home_excl,
+                          (DirState.SHARED, -1, {2}),
+                          home_excl] + [home_excl] * 4
+        assert list(h.entry_at(1, page).tags) == [
+            Tag.EXCLUSIVE, Tag.EXCLUSIVE, Tag.SHARED] + [Tag.EXCLUSIVE] * 5
+        assert list(entry.tags) == [Tag.INVALID] * 8
+        for cpu in node.cpus:
+            for lip in range(8):
+                assert cpu.hierarchy.state(base + lip) == LineState.INVALID
+        assert not any(node.presence.any_holder(base + lip)
+                       for lip in range(8))
+
+
 class TestMemoryFirewall:
     def test_wild_write_blocked_and_counted(self, harness):
         from repro.core.controller import WildWriteError

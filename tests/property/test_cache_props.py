@@ -120,3 +120,118 @@ def test_tlb_never_exceeds_capacity_and_keeps_mru(vpages, entries):
             tlb.insert(vp, vp * 10)
         assert len(tlb) <= entries
     assert tlb.lookup(vpages[-1]) == vpages[-1] * 10
+
+
+class ReferenceHierarchy:
+    """The hierarchy operations spelled with Cache's own methods only
+    (lookup/peek/insert/set_state/remove) -- the model the inlined fast
+    paths of CacheHierarchy must match step for step."""
+
+    def __init__(self, l1_cfg, l2_cfg):
+        self.l1 = Cache(l1_cfg)
+        self.l2 = Cache(l2_cfg)
+
+    def probe(self, line):
+        state = self.l1.lookup(line)
+        if state != LineState.INVALID:
+            return "l1", state
+        state = self.l2.lookup(line)
+        if state == LineState.INVALID:
+            return "miss", state
+        victim = self.l1.insert(line, state)
+        if victim is not None and victim[1] == LineState.MODIFIED:
+            self.l2.set_state(victim[0], LineState.MODIFIED)
+        return "l2", state
+
+    def state(self, line):
+        state = self.l1.peek(line)
+        if state != LineState.INVALID:
+            return state
+        return self.l2.peek(line)
+
+    def fill(self, line, state):
+        lost = []
+        victim = self.l2.insert(line, state)
+        if victim is not None:
+            vline, vstate = victim
+            if self.l1.remove(vline) == LineState.MODIFIED:
+                vstate = LineState.MODIFIED
+            lost.append((vline, vstate))
+        victim = self.l1.insert(line, state)
+        if victim is not None and victim[1] == LineState.MODIFIED:
+            self.l2.set_state(victim[0], LineState.MODIFIED)
+        return lost
+
+    def write_hit(self, line):
+        if self.l1.peek(line) != LineState.INVALID:
+            self.l1.set_state(line, LineState.MODIFIED)
+        self.l2.set_state(line, LineState.MODIFIED)
+
+    def invalidate(self, line):
+        dirty = self.l1.remove(line) == LineState.MODIFIED
+        return self.l2.remove(line) == LineState.MODIFIED or dirty
+
+    def downgrade(self, line):
+        dirty = False
+        for cache in (self.l1, self.l2):
+            state = cache.peek(line)
+            if state == LineState.MODIFIED:
+                dirty = True
+            if state != LineState.INVALID:
+                cache.set_state(line, LineState.SHARED)
+        return dirty
+
+
+HIERARCHY_LINES = st.integers(min_value=0, max_value=31)
+
+
+@st.composite
+def hierarchy_ops(draw):
+    return draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("fill"), HIERARCHY_LINES, STATES),
+            st.tuples(st.just("probe"), HIERARCHY_LINES),
+            st.tuples(st.just("state"), HIERARCHY_LINES),
+            st.tuples(st.just("write_hit"), HIERARCHY_LINES),
+            st.tuples(st.just("invalidate"), HIERARCHY_LINES),
+            st.tuples(st.just("downgrade"), HIERARCHY_LINES),
+        ),
+        min_size=1, max_size=300))
+
+
+def cache_view(cache):
+    """Everything observable about one level: per-set LRU order with
+    states, the flat mirror, and the counters."""
+    return ([list(s.items()) for s in cache._sets], dict(cache.flat),
+            cache.hits, cache.misses, cache.evictions)
+
+
+@given(hierarchy_ops())
+@settings(max_examples=300, deadline=None)
+def test_hierarchy_fast_paths_match_cache_method_model(ops):
+    l1_cfg, l2_cfg = CacheConfig(128, 32, 2), CacheConfig(256, 32, 2)
+    h = CacheHierarchy(l1_cfg, l2_cfg)
+    ref = ReferenceHierarchy(l1_cfg, l2_cfg)
+    for op in ops:
+        name, line = op[0], op[1]
+        if name == "fill":
+            if ref.state(line) != LineState.INVALID:
+                continue  # fill installs missing lines only
+            lost = h.fill(line, op[2])
+            assert list(lost) == ref.fill(line, op[2])
+        elif name == "write_hit":
+            if ref.state(line) == LineState.INVALID:
+                continue  # write hits need a resident line
+            h.write_hit(line)
+            ref.write_hit(line)
+        else:
+            assert getattr(h, name)(line) == getattr(ref, name)(line)
+        assert cache_view(h.l1) == cache_view(ref.l1)
+        assert cache_view(h.l2) == cache_view(ref.l2)
+
+
+def test_fill_without_eviction_returns_empty_iterable():
+    h = CacheHierarchy(CacheConfig(128, 32, 2), CacheConfig(256, 32, 2))
+    lost = h.fill(0, LineState.SHARED)
+    assert not lost
+    assert list(lost) == []

@@ -148,6 +148,9 @@ echo "== benchmark smoke: four workloads, quick, untraced and traced =="
 # traced runs must agree on outputs and exact counters.
 bash bench/smoke.sh
 
+echo "== benchmark tests =="
+python3 -m pytest bench/tests -q
+
 echo "== simulator throughput gate (quick matrix, 10% tolerance) =="
 # Best-of-5 rounds: the gate runs right after the test suite, so the
 # first rounds can be depressed by residual host load.
