@@ -157,3 +157,5 @@ class MigrationManager:
         machine.nodes[static_id].msglog.record(MessageKind.MIGRATE_ACK, 2)
         self.migrations += 1
         obs.counter("core.migrations").inc()
+        for probe in machine.probes.migrate:
+            probe(gpage, old_home_id, new_home_id)

@@ -38,7 +38,7 @@ class Network:
         self.faults = None
         #: Optional causal-trace collector (a
         #: :class:`~repro.obs.tracing.TraceCollector`), installed by
-        #: ``TraceCollector.bind_machine``.  Every hop taken inside an
+        #: ``TraceCollector.attach``.  Every hop taken inside an
         #: active transaction becomes a ``network`` child span; with no
         #: collector this is one pointer test.
         self.tracer = None

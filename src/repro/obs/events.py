@@ -8,10 +8,12 @@ dict carrying a process-monotonic sequence number and a ``kind`` from
 are overwritten, with an accurate ``dropped`` count) and exports JSONL
 (one event per line, sorted keys) or CSV (one section per kind).
 
-Producers: :class:`~repro.sim.trace.TraceRecorder` forwards its machine
-hooks here when constructed with a sink; the CLI's ``run --trace-out``
-wires that up end to end.  Consumers validate with
-:func:`validate_event` / :func:`validate_jsonl`.
+This is the one event store of the simulator.  Producers:
+:class:`~repro.sim.trace.TraceRecorder`, whose ``machine.probes``
+emit machine events here (the CLI's ``run --trace-out`` wires that up
+end to end); the value tracker (:mod:`repro.verify.tracker`); and the
+fault injector.  Consumers validate with :func:`validate_event` /
+:func:`validate_jsonl`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ EVENT_SCHEMA: "dict[str, dict[str, type]]" = {
     "fault": {"time": int, "node": int, "vpage": int, "gpage": int,
               "mode": str, "remote_home": bool},
     "pageout": {"time": int, "node": int, "frame": int, "demoted": bool},
-    "promote": {"time": int, "node": int, "gpage": int},
     "migrate": {"gpage": int, "old_home": int, "new_home": int},
     # Value records produced by the verification tap
     # (``repro.verify.tracker``): every read's observed value and every
@@ -41,8 +42,8 @@ EVENT_SCHEMA: "dict[str, dict[str, type]]" = {
               "version": int},
     # Fault plane (``repro.faults``): one event per injected message
     # fault (action in drop/duplicate/delay/reorder/retransmit) and one
-    # per node death (also recorded by ``Machine.fail_node`` itself via
-    # the ``node_fail`` trace hook).
+    # per node death (recorded from the machine's ``node_fail`` probe
+    # point by a trace recorder).
     "fault_inject": {"time": int, "action": str, "msg": str, "src": int,
                      "dst": int},
     "node_fail": {"time": int, "node": int},

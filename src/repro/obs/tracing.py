@@ -264,7 +264,6 @@ class TraceCollector:
         self._registry = None
         self._seg_hists: "dict[str, object]" = {}
         self._policy = ""
-        self._bound: "list[tuple[object, str]]" = []
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -471,114 +470,70 @@ class TraceCollector:
         if len(heap) > self.top_capacity:
             heappop(heap)
 
-    # -- machine binding ---------------------------------------------------
+    # -- machine probes ----------------------------------------------------
 
-    def bind_machine(self, machine) -> None:
-        """Install root-span hooks on a machine's slow paths.
+    def attach(self, machine) -> None:
+        """Open root spans on a machine's slow paths.
 
-        Wraps ``Machine._miss`` / ``Machine._upgrade`` and every node
-        kernel's ``fault`` / ``page_out_client`` at *instance* level
-        (the same shadowing technique as
-        :class:`repro.sim.trace.TraceRecorder`), and points
-        ``machine.network.tracer`` here.  The per-reference fast path
-        (`_access`) is untouched — cache hits are never traced, which
-        is what keeps the traced-run overhead within the bench gate.
+        Registers span probes on the ``miss``, ``upgrade``, ``fault``
+        and ``pageout`` points of ``machine.probes`` and points
+        ``machine.network.tracer`` here.  The per-reference ``access``
+        point is left alone — cache hits are never traced, which is
+        what keeps the traced-run overhead within the bench gate.
         """
         from repro import obs
 
         self._registry = obs.current()
         self._policy = machine.policy.name
         machine.network.tracer = self
-        collector = self
+        for point, probe in self._span_probes():
+            machine.probes.add(point, probe)
 
-        miss = machine._miss
-
-        def traced_miss(cpu, frame, lip, line, is_write, now, _miss=miss):
-            root = collector.begin("miss", "local", cpu.node.node_id, now,
-                                   cpu=cpu.cpu_id, write=int(is_write))
-            try:
-                t = _miss(cpu, frame, lip, line, is_write, now)
-            except BaseException as exc:
-                collector.unwind(error=type(exc).__name__)
-                raise
-            collector.end(root, t)
-            return t
-
-        machine._miss = traced_miss
-        self._bound.append((machine, "_miss"))
-
-        upgrade = machine._upgrade
-
-        def traced_upgrade(cpu, frame, lip, line, now, _upgrade=upgrade):
-            root = collector.begin("upgrade", "local", cpu.node.node_id,
-                                   now, cpu=cpu.cpu_id, write=1)
-            try:
-                t = _upgrade(cpu, frame, lip, line, now)
-            except BaseException as exc:
-                collector.unwind(error=type(exc).__name__)
-                raise
-            collector.end(root, t)
-            return t
-
-        machine._upgrade = traced_upgrade
-        self._bound.append((machine, "_upgrade"))
-
+    def detach(self, machine) -> None:
+        """Undo :meth:`attach` and clear the controllers' child-span
+        handles, so no transaction opens a root span any more.  The
+        machine's and kernels' own handles stay: they only add children
+        to an open root."""
+        for point, probe in self._span_probes():
+            machine.probes.remove(point, probe)
+        machine.network.tracer = None
         for node in machine.nodes:
-            self._bind_kernel(node.kernel)
+            node.controller._tracer = None
 
-    def _bind_kernel(self, kernel) -> None:
-        collector = self
-        node_id = kernel.node.node_id
+    def _span_probes(self):
+        return (("miss", self._miss), ("upgrade", self._upgrade),
+                ("fault", self._fault), ("pageout", self._pageout))
 
-        fault = kernel.fault
+    def _span(self, call, args, name, kind, node, begin, **attrs):
+        """Run ``call(*args)`` inside a root span; an escaping exception
+        unwinds the trace tagged with its type."""
+        root = self.begin(name, kind, node, begin, **attrs)
+        try:
+            result = call(*args)
+        except BaseException as exc:
+            self.unwind(error=type(exc).__name__)
+            raise
+        # A fault returns (frame, done); every other span point a time.
+        self.end(root, result[1] if kind == "fault" else result)
+        return result
 
-        def traced_fault(vpage, now, _fault=fault):
-            root = collector.begin("fault", "fault", node_id, now,
-                                   vpage=vpage)
-            try:
-                frame, done = _fault(vpage, now)
-            except BaseException as exc:
-                collector.unwind(error=type(exc).__name__)
-                raise
-            collector.end(root, done)
-            return frame, done
+    def _miss(self, call, cpu, frame, lip, line, is_write, now):
+        return self._span(call, (cpu, frame, lip, line, is_write, now),
+                          "miss", "local", cpu.node.node_id, now,
+                          cpu=cpu.cpu_id, write=int(is_write))
 
-        kernel.fault = traced_fault
-        self._bound.append((kernel, "fault"))
+    def _upgrade(self, call, cpu, frame, lip, line, now):
+        return self._span(call, (cpu, frame, lip, line, now), "upgrade",
+                          "local", cpu.node.node_id, now, cpu=cpu.cpu_id,
+                          write=1)
 
-        pageout = kernel.page_out_client
+    def _fault(self, call, kernel, vpage, now):
+        return self._span(call, (vpage, now), "fault", "fault",
+                          kernel.node.node_id, now, vpage=vpage)
 
-        def traced_pageout(frame, now, demote=False, _pageout=pageout):
-            span = collector.begin("page_out", "pageout", node_id, now,
-                                   frame=frame)
-            try:
-                t = _pageout(frame, now, demote)
-            except BaseException as exc:
-                collector.unwind(error=type(exc).__name__)
-                raise
-            collector.end(span, t)
-            return t
-
-        kernel.page_out_client = traced_pageout
-        self._bound.append((kernel, "page_out_client"))
-
-    def detach(self) -> None:
-        """Remove the instance-level hooks installed by
-        :meth:`bind_machine` (restores the original methods) and clear
-        the tracer handles the machine's layers captured at
-        construction, so the whole machine reverts to the no-op path."""
-        for owner, name in self._bound:
-            try:
-                delattr(owner, name)
-            except AttributeError:  # pragma: no cover - already clean
-                pass
-            if name == "_miss" and getattr(owner, "network", None) is not None:
-                owner.network.tracer = None
-                owner._tracer = None
-                for node in owner.nodes:
-                    node.controller._tracer = None
-                    node.kernel._tracer = None
-        self._bound = []
+    def _pageout(self, call, kernel, frame, now, demote=False):
+        return self._span(call, (frame, now, demote), "page_out", "pageout",
+                          kernel.node.node_id, now, frame=frame)
 
     # -- reporting ---------------------------------------------------------
 

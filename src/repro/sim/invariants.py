@@ -45,13 +45,15 @@ class InvariantViolation(RuntimeError):
             % (when, preview))
 
 
-def install_barrier_checks(machine) -> None:
+def install_barrier_checks(machine):
     """Run :func:`check_machine` at every barrier release of ``machine``
     and raise :class:`InvariantViolation` on the first failure.
 
     Barrier releases are the natural checkpoints: every CPU is parked,
     no transaction is mid-flight, so directories, tags, PITs and caches
-    must agree machine-wide.
+    must agree machine-wide.  The check is a ``barrier`` probe; it is
+    returned so ``machine.probes.remove("barrier", probe)`` can
+    uninstall it.
     """
 
     def hook(release_time: int) -> None:
@@ -59,7 +61,8 @@ def install_barrier_checks(machine) -> None:
         if problems:
             raise InvariantViolation(problems, release_time)
 
-    machine.on_barrier_release(hook)
+    machine.probes.add("barrier", hook)
+    return hook
 
 
 def check_machine(machine) -> "list[str]":

@@ -38,6 +38,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.engine import Barrier, LockTable, Resource, sample_utilization
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
                            OP_READ_RUN, OP_UNLOCK, OP_WRITE, OP_WRITE_RUN)
+from repro.sim.probes import Probes
 from repro.sim.stats import CpuStats, MachineStats, NodeStats
 
 # Hoisted line states and page modes: the reference fast path compares
@@ -246,13 +247,9 @@ class Machine:
         self.locks = LockTable(cost=lat.lock_cost)
         self._barriers: "dict[int, Barrier]" = {}
         self._ref_gap = 3
-        #: Called as ``hook(release_time)`` at every barrier release
-        #: (verification: invariant walks at synchronization points).
-        #: None keeps the barrier path a single attribute test.
-        self._barrier_hook = None
-        #: Workload-bound taps (closed after _finalize); see
-        #: _bind_workload_taps.
-        self._taps = []
+        #: The probe bus (``repro.sim.probes``): every observer of the
+        #: machine registers here.
+        self.probes = Probes(self)
         #: Nodes that have fail-stopped (section 3.3 failure model).
         self.failed_nodes: "set[int]" = set()
         self.stats = MachineStats(
@@ -271,11 +268,11 @@ class Machine:
             faults.bind(self)
 
         # Causal tracing: opt-in like obs.  With no collector installed
-        # the slow paths stay unwrapped, the network hook stays None
-        # and simulated results are byte-identical.
+        # no span probe is registered, the network hook stays None and
+        # simulated results are byte-identical.
         self._tracer = tracing.current()
         if self._tracer is not None:
-            self._tracer.bind_machine(self)
+            self._tracer.attach(self)
 
     # ------------------------------------------------------------------
     # Home lookup.
@@ -296,7 +293,12 @@ class Machine:
     def run(self, workload) -> RunResult:
         """Set up ``workload`` and simulate it to completion."""
         workload.setup(self.layout, len(self.cpus))
-        self._bind_workload_taps(workload)
+        # A workload that observes its own run (the serving metrics
+        # tap, the 2PC channel driver) registers probes once its
+        # segments exist and before any op executes.
+        add_probes = getattr(workload, "add_probes", None)
+        if add_probes is not None:
+            add_probes(self)
         # Instructions executed around each memory reference (address
         # arithmetic, loop control) — keeps issue rates realistic for an
         # in-order CPU instead of back-to-back memory operations.
@@ -307,8 +309,6 @@ class Machine:
         self._event_loop()
         wall = perf_counter() - start
         self._finalize()
-        for tap in self._taps:
-            tap.close()
         if self._obs is not None:
             # Host-side throughput, next to the simulated telemetry:
             # how fast the host chewed through this run's references.
@@ -317,30 +317,6 @@ class Machine:
                 round(self.stats.references / wall, 1) if wall > 0 else 0.0)
         return RunResult(workload=workload.name, policy=self.policy.name,
                          config=self.config, stats=self.stats)
-
-    def _bind_workload_taps(self, workload) -> None:
-        """Give ``workload`` its post-setup machine hook.
-
-        A workload exposing ``bind_machine(machine)`` (the serving
-        family's metrics tap, the 2PC chaos channel driver) is called
-        here, after :meth:`setup` built its segments but before any op
-        executes.  A returned object with a ``close()`` method is
-        closed after the run's stats are finalized.
-        """
-        bind = getattr(workload, "bind_machine", None)
-        if bind is None:
-            return
-        tap = bind(self)
-        if tap is not None and hasattr(tap, "close"):
-            self._taps.append(tap)
-
-    def on_barrier_release(self, hook) -> None:
-        """Install ``hook(release_time)`` to run at every barrier
-        release (``None`` uninstalls).  The verification layer hangs
-        machine-wide invariant walks here: barrier releases are the
-        points where every CPU is quiescent, so cross-node state must
-        be consistent."""
-        self._barrier_hook = hook
 
     def _event_loop(self) -> None:
         """The scheduler: run CPUs in (time, cpu_id) order to completion.
@@ -366,9 +342,10 @@ class Machine:
         faults = self.faults
         deadline = self.deadline
         guarded = faults is not None or deadline is not None
-        # Hot locals, resolved once per run.  Workload taps have wrapped
-        # self._access on the instance by now, so the wrapper is what
-        # gets bound here.
+        # Hot locals, resolved once per run.  Access probes are bound
+        # on the instance as one composed chain by now, so the chain
+        # (or the plain method, with none registered) is what gets
+        # bound here.
         access = self._access
         ref_gap = self._ref_gap
         obs_access = self._obs_access
@@ -509,8 +486,8 @@ class Machine:
                 self._wake(rcid, rtime)
             if self._obs is not None:
                 self._sample_epoch(released[0][1])
-            if self._barrier_hook is not None:
-                self._barrier_hook(released[0][1])
+            for probe in self.probes.barrier:
+                probe(released[0][1])
 
     def _unlock(self, cpu: Cpu, lid: int, now: int) -> int:
         """``cpu`` releases lock ``lid``, handing it to the next waiter;
@@ -857,8 +834,8 @@ class Machine:
         *owned* by the dead node stays owned — the only valid copy died
         with it, and touching it keeps raising ``NodeFailedError``.
 
-        ``now`` is the simulated failure time (for the obs event;
-        ``-1`` when failed outside a run).
+        ``now`` is the simulated failure time (for the obs event and
+        the ``node_fail`` probes; ``-1`` when failed outside a run).
         """
         if not 0 <= node_id < len(self.nodes):
             raise ValueError("no node %d" % node_id)
@@ -898,6 +875,8 @@ class Machine:
         if sharers_pruned or hints_reset:
             obs.counter("sim.failover_sharers_pruned").inc(sharers_pruned)
             obs.counter("sim.failover_hints_reset").inc(hints_reset)
+        for probe in self.probes.node_fail:
+            probe(node_id, now)
 
     def shared_resources(self) -> "list[Resource]":
         """Every shared hardware resource (buses, memory ports,

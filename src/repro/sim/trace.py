@@ -5,188 +5,97 @@ This is the *event* substrate ("what happened, in order"); the
 :mod:`repro.obs.tracing`, which follows each coherence transaction as
 a span tree with a critical-path latency breakdown.
 
-A :class:`TraceRecorder` hooks a machine and records structured events:
-memory references (with their resolved level and latency), page faults,
-page-outs, mode demotions/promotions and home migrations.  Tracing is
-opt-in — the hooks wrap the hot path, so expect a run to slow down
-while recording.
+A :class:`TraceRecorder` registers probes on ``machine.probes`` (see
+:mod:`repro.sim.probes`) that emit structured events into an
+:class:`~repro.obs.events.EventSink`: memory references (with their
+latency), page faults, page-outs (demotions included), home migrations
+and node failures.  Tracing is opt-in — an ``access`` probe sits on
+the per-reference path, so expect a run to slow down while recording.
 
-Storage is a **bounded ring buffer**: when more than ``max_events``
-events arrive, the *oldest* events are overwritten (and counted in
-``dropped``) so the recorder always holds the most recent window of the
-run.  Earlier versions silently stopped recording at the cap instead —
-keeping the tail is almost always what post-mortem analysis wants, and
-the ``dropped`` counter stays an exact count of what was lost.
-
-The recorder can also forward every event to a structured
-:class:`~repro.obs.events.EventSink`, which adds monotonic sequence
-numbers and JSONL/CSV export — the substrate behind the CLI's
-``run --trace-out FILE``::
+The sink is the one event store: a bounded ring buffer with monotonic
+sequence numbers, an exact ``dropped`` count and JSONL/CSV export — the
+substrate behind the CLI's ``run --trace-out FILE``::
 
     from repro.obs.events import EventSink
 
     sink = EventSink()
     machine = Machine(config, policy="dyn-lru")
-    with TraceRecorder(machine, kinds={"fault", "pageout"},
-                       sink=sink) as trace:
+    with TraceRecorder(machine, kinds={"fault", "pageout"}, sink=sink):
         machine.run(workload)
     sink.write_jsonl("trace.jsonl")
-
-Events are plain namedtuples in memory; ``summary()`` aggregates them
-and ``to_csv()`` renders them for offline analysis.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque, namedtuple
+from repro.obs.events import EventSink
 
-AccessEvent = namedtuple(
-    "AccessEvent", "time cpu vaddr write latency")
-FaultEvent = namedtuple(
-    "FaultEvent", "time node vpage gpage mode remote_home")
-PageOutEvent = namedtuple(
-    "PageOutEvent", "time node frame demoted")
-PromoteEvent = namedtuple(
-    "PromoteEvent", "time node gpage")
-MigrateEvent = namedtuple(
-    "MigrateEvent", "gpage old_home new_home")
-NodeFailEvent = namedtuple(
-    "NodeFailEvent", "time node")
+#: The event kinds a recorder can produce (each is also a probe point
+#: and an ``EVENT_SCHEMA`` kind).
+KINDS = ("access", "fault", "pageout", "migrate", "node_fail")
 
-KINDS = ("access", "fault", "pageout", "promote", "migrate", "node_fail")
-
-#: Structured-event kind for each in-memory event type (the sink's
-#: schema field names match the namedtuple fields).
-_KIND_OF = {
-    AccessEvent: "access",
-    FaultEvent: "fault",
-    PageOutEvent: "pageout",
-    PromoteEvent: "promote",
-    MigrateEvent: "migrate",
-    NodeFailEvent: "node_fail",
-}
 
 class TraceRecorder:
-    """Records machine events while active (use as a context manager)."""
+    """Records machine events into ``sink`` while active (use as a
+    context manager); a fresh :class:`EventSink` when none is given."""
 
     def __init__(self, machine, kinds: "set[str] | None" = None,
-                 max_events: int = 1_000_000, sink=None) -> None:
+                 sink: "EventSink | None" = None) -> None:
         unknown = (set(kinds) - set(KINDS)) if kinds else set()
         if unknown:
             raise ValueError("unknown trace kinds: %s" % sorted(unknown))
         self.machine = machine
         self.kinds = set(kinds) if kinds is not None else set(KINDS)
-        self.max_events = max_events
-        self.sink = sink
-        self._events: "deque[tuple]" = deque(maxlen=max_events)
-        self.dropped = 0
-        self._saved: "list[tuple]" = []
-
-    @property
-    def events(self) -> "list[tuple]":
-        """The retained events, oldest first (the most recent
-        ``max_events`` of the run)."""
-        return list(self._events)
-
-    # -- lifecycle ---------------------------------------------------------
+        self.sink = sink if sink is not None else EventSink()
+        self._probes = [(kind, getattr(self, "_" + kind))
+                        for kind in KINDS if kind in self.kinds]
 
     def __enter__(self) -> "TraceRecorder":
-        self.attach()
+        for kind, probe in self._probes:
+            self.machine.probes.add(kind, probe)
         return self
 
     def __exit__(self, *exc) -> None:
-        self.detach()
+        for kind, probe in self._probes:
+            self.machine.probes.remove(kind, probe)
 
-    def attach(self) -> None:
-        """Install the recording hooks on the machine."""
-        machine = self.machine
-        if "access" in self.kinds:
-            self._wrap(machine, "_access", self._on_access)
-        if self.kinds & {"fault", "pageout", "promote"}:
-            for node in machine.nodes:
-                kernel = node.kernel
-                if "fault" in self.kinds:
-                    self._wrap(kernel, "fault", self._on_fault)
-                if "pageout" in self.kinds:
-                    self._wrap(kernel, "page_out_client", self._on_pageout)
-        if "migrate" in self.kinds:
-            self._wrap(machine.migration, "migrate", self._on_migrate)
-        if "node_fail" in self.kinds:
-            self._wrap(machine, "fail_node", self._on_node_fail)
+    # -- probes --------------------------------------------------------------
 
-    def detach(self) -> None:
-        # _wrap installed instance attributes shadowing the (class)
-        # methods; deleting them restores the original hot path.
-        for owner, name, _original in self._saved:
-            try:
-                delattr(owner, name)
-            except AttributeError:  # pragma: no cover - already clean
-                pass
-        self._saved = []
+    def _access(self, call, cpu, vaddr, is_write, now):
+        done = call(cpu, vaddr, is_write, now)
+        self.sink.emit("access", time=now, cpu=cpu.cpu_id, vaddr=vaddr,
+                       write=bool(is_write), latency=done - now)
+        return done
 
-    def _wrap(self, owner, name: str, hook) -> None:
-        original = getattr(owner, name)
-        self._saved.append((owner, name, original))
-
-        def wrapper(*args, **kwargs):
-            result = original(*args, **kwargs)
-            hook(owner, original, args, kwargs, result)
-            return result
-
-        setattr(owner, name, wrapper)
-
-    def _record(self, event) -> None:
-        if len(self._events) == self.max_events:
-            self.dropped += 1
-        self._events.append(event)
-        if self.sink is not None:
-            self.sink.emit(_KIND_OF[type(event)], **event._asdict())
-
-    # -- hooks ---------------------------------------------------------------
-
-    def _on_access(self, _machine, _orig, args, _kwargs, result) -> None:
-        cpu, vaddr, is_write, now = args
-        self._record(AccessEvent(now, cpu.cpu_id, vaddr, bool(is_write),
-                                 result - now))
-
-    def _on_fault(self, kernel, _orig, args, _kwargs, result) -> None:
-        vpage, now = args
-        frame, done = result
+    def _fault(self, call, kernel, vpage, now):
+        frame, done = call(vpage, now)
+        node_id = kernel.node.node_id
         entry = kernel.node.pit.entry_or_none(frame)
         gpage = entry.gpage if entry is not None else -1
-        mode = entry.mode.name if entry is not None else "?"
-        remote = (gpage >= 0 and
-                  kernel.machine.dynamic_home_of(gpage) != kernel.node.node_id)
-        self._record(FaultEvent(now, kernel.node.node_id, vpage, gpage,
-                                mode, remote))
+        self.sink.emit(
+            "fault", time=now, node=node_id, vpage=vpage, gpage=gpage,
+            mode=entry.mode.name if entry is not None else "?",
+            remote_home=(gpage >= 0 and
+                         kernel.machine.dynamic_home_of(gpage) != node_id))
+        return frame, done
 
-    def _on_pageout(self, kernel, _orig, args, kwargs, _result) -> None:
-        frame = args[0]
-        now = args[1]
-        demote = kwargs.get("demote", args[2] if len(args) > 2 else False)
-        self._record(PageOutEvent(now, kernel.node.node_id, frame,
-                                  bool(demote)))
+    def _pageout(self, call, kernel, frame, now, demote=False):
+        done = call(frame, now, demote)
+        self.sink.emit("pageout", time=now, node=kernel.node.node_id,
+                       frame=frame, demoted=bool(demote))
+        return done
 
-    def _on_migrate(self, migration, _orig, args, _kwargs, _result) -> None:
-        gpage, new_home = args
-        self._record(MigrateEvent(gpage, -1, new_home))
+    def _migrate(self, gpage, old_home, new_home):
+        self.sink.emit("migrate", gpage=gpage, old_home=old_home,
+                       new_home=new_home)
 
-    def _on_node_fail(self, _machine, _orig, args, kwargs, _result) -> None:
-        node_id = args[0] if args else kwargs["node_id"]
-        now = kwargs.get("now", args[1] if len(args) > 1 else -1)
-        self._record(NodeFailEvent(now, node_id))
+    def _node_fail(self, node_id, now):
+        self.sink.emit("node_fail", time=now, node=node_id)
 
     # -- reporting -----------------------------------------------------------
 
-    def summary(self) -> "dict[str, int]":
-        """Retained-event counts by type (plus the dropped count)."""
-        counts = Counter(type(event).__name__ for event in self._events)
-        counts["dropped"] = self.dropped
-        return dict(counts)
-
-    def accesses(self) -> "list[AccessEvent]":
-        """Just the access events, in order."""
-        return [e for e in self._events if isinstance(e, AccessEvent)]
+    def accesses(self) -> "list[dict]":
+        """The retained access events, in order."""
+        return [e for e in self.sink.events if e["kind"] == "access"]
 
     def latency_histogram(self, buckets=(2, 15, 100, 700, 2500)) -> "dict[str, int]":
         """Bucket access latencies (cycles): hits, L2, local, remote,
@@ -195,23 +104,9 @@ class TraceRecorder:
         hist = dict.fromkeys(labels, 0)
         for event in self.accesses():
             for bound, label in zip(buckets, labels):
-                if event.latency <= bound:
+                if event["latency"] <= bound:
                     hist[label] += 1
                     break
             else:
                 hist[labels[-1]] += 1
         return hist
-
-    def to_csv(self) -> str:
-        """All retained events as CSV (one section per event type)."""
-        lines = []
-        by_type: "dict[str, list]" = {}
-        for event in self._events:
-            by_type.setdefault(type(event).__name__, []).append(event)
-        for name in sorted(by_type):
-            events = by_type[name]
-            lines.append("# %s" % name)
-            lines.append(",".join(events[0]._fields))
-            for event in events:
-                lines.append(",".join(str(v) for v in event))
-        return "\n".join(lines)

@@ -10,8 +10,8 @@ order.  This package turns that into an executable oracle:
   programs of loads/stores/delays with expected-outcome predicates) and
   the bundled suite covering S-COMA, LA-NUMA, CC-NUMA, sibling
   invalidation, dynamic home migration and page-out races.
-* :mod:`repro.verify.tracker`  — the value tap: wraps the machine's
-  reference hot path and records every read's *observed* value and
+* :mod:`repro.verify.tracker`  — the value tap: an ``access`` probe on
+  the machine that records every read's *observed* value and
   every write's installed value into an EventSink history.
 * :mod:`repro.verify.checker`  — validates a recorded history against
   the legal writes-serialization order.

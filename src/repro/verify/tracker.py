@@ -19,10 +19,10 @@ CPU hitting a *stale* shadow copy, and the recorded read value diverges
 from the latest write — which :func:`repro.verify.checker.check_history`
 then flags.
 
-The tap wraps ``Machine._access`` as an *instance* attribute (the same
-idiom :class:`repro.sim.trace.TraceRecorder` uses — the event loop
-looks ``_access`` up once per run, after taps are attached, precisely
-so this works) and costs nothing when not attached.
+The tap is an ``access`` probe on ``machine.probes`` (see
+:mod:`repro.sim.probes`; the event loop binds the access chain once per
+run, so attach before ``machine.run``) and costs nothing when not
+attached.
 """
 
 from __future__ import annotations
@@ -51,20 +51,18 @@ class ValueTracker:
         self._page_shift = machine._page_shift
         self._lpp = machine._lpp
         self._lip_mask = machine._lip_mask
-        self._orig_access = machine._access
-        machine._access = self._on_access
+        machine.probes.add("access", self._on_access)
 
     def detach(self) -> None:
-        """Restore the machine's unwrapped reference path."""
-        try:
-            del self.machine._access
-        except AttributeError:
-            pass
+        """Remove the tracker's probe (a no-op when already removed)."""
+        if self._on_access in self.machine.probes.access:
+            self.machine.probes.remove("access", self._on_access)
 
-    def _on_access(self, cpu, vaddr: int, is_write: bool, now: int) -> int:
+    def _on_access(self, call, cpu, vaddr: int, is_write: bool,
+                   now: int) -> int:
         vline = vaddr >> self._line_shift
         if is_write:
-            t = self._orig_access(cpu, vaddr, True, now)
+            t = call(cpu, vaddr, True, now)
             self.version += 1
             version = self.version
             self.latest[vline] = version
@@ -82,7 +80,7 @@ class ValueTracker:
             line = frame * self._lpp + (vline & self._lip_mask)
             hierarchy = cpu.hierarchy
             hit = (line in hierarchy.l1.flat or line in hierarchy.l2.flat)
-        t = self._orig_access(cpu, vaddr, False, now)
+        t = call(cpu, vaddr, False, now)
         key = (cpu.cpu_id, vline)
         current = self.latest.get(vline, 0)
         if hit:

@@ -30,11 +30,12 @@ the standard op vocabulary — so they run unchanged on the simulator's
 event loop and join the golden stats matrix.
 
 Serving metrics come from :class:`ServingTap`: when a metrics registry
-is installed the workloads bind a tap over ``Machine._access`` (the
-:class:`~repro.verify.tracker.ValueTracker` idiom) that measures each
+is installed the workloads register an ``access`` probe on
+``machine.probes`` (:mod:`repro.sim.probes`) that measures each
 request's simulated latency first-access-to-last-completion and
 publishes ``serving.request_latency_cycles{op=...}`` histograms,
-``serving.requests{op=...}`` counters and a cumulative
+``serving.requests{op=...}`` counters, a ``serving.requests_total``
+gauge and a cumulative
 ``serving.completed_requests`` time series (the throughput curve —
 its slope before/during/after an injected node failure is the
 degradation story).  With no registry installed nothing attaches and
@@ -114,7 +115,7 @@ class ZipfianStream:
 
 
 class ServingTap:
-    """Per-request latency/throughput metrics over ``Machine._access``.
+    """Per-request latency/throughput metrics from an ``access`` probe.
 
     ``schedules[cpu]`` is that CPU's request plan as ``(kind,
     accesses)`` pairs, in issue order; the tap counts the CPU's
@@ -122,10 +123,8 @@ class ServingTap:
     resolves, observes ``completion - first_access_issue`` into
     ``serving.request_latency_cycles{op=kind}`` and samples the
     cumulative completed-request count into
-    ``serving.completed_requests``.  Wrapping ``_access`` as an
-    instance attribute is the :class:`~repro.verify.tracker
-    .ValueTracker` idiom — the machine re-reads the attribute per
-    scheduler turn precisely so taps can stack.
+    ``serving.completed_requests`` and the ``serving.requests_total``
+    gauge.
     """
 
     def __init__(self, machine, schedules) -> None:
@@ -143,12 +142,13 @@ class ServingTap:
         self._hist = {}
         self._counter = {}
         self._series = registry.series("serving.completed_requests")
+        self._total = registry.gauge("serving.requests_total")
         self._completed = 0
-        self._orig_access = machine._access
-        machine._access = self._on_access
+        machine.probes.add("access", self._on_access)
 
-    def _on_access(self, cpu, vaddr: int, is_write: bool, now: int) -> int:
-        done = self._orig_access(cpu, vaddr, is_write, now)
+    def _on_access(self, call, cpu, vaddr: int, is_write: bool,
+                   now: int) -> int:
+        done = call(cpu, vaddr, is_write, now)
         cid = cpu.cpu_id
         sched = self._schedules[cid]
         pos = self._pos[cid]
@@ -170,16 +170,13 @@ class ServingTap:
         hist.observe(done - self._begin[cid])
         self._counter[kind].inc()
         self._completed += 1
+        self._total.set(self._completed)
         self._series.sample(done, self._completed)
         pos += 1
         self._pos[cid] = pos
         self._begin[cid] = -1
         self._left[cid] = sched[pos][1] if pos < len(sched) else 0
         return done
-
-    def close(self) -> None:
-        """Publish totals; leaves any later wraps untouched."""
-        self._registry.gauge("serving.requests_total").set(self._completed)
 
 
 class KvStoreWorkload(Workload):
@@ -272,10 +269,10 @@ class KvStoreWorkload(Workload):
 
     # -- serving metrics ---------------------------------------------------
 
-    def bind_machine(self, machine) -> "ServingTap | None":
+    def add_probes(self, machine) -> None:
         """Machine hook: attach the serving tap when metrics are on."""
         if obs.current() is None:
-            return None
+            return
         per_req = 1 + self.value_lines
         schedules = []
         for cpu in range(len(machine.cpus)):
@@ -284,7 +281,7 @@ class KvStoreWorkload(Workload):
                 schedule.extend(("get" if g else "put", per_req)
                                 for g in gets.tolist())
             schedules.append(schedule)
-        return ServingTap(machine, schedules)
+        ServingTap(machine, schedules)
 
 
 class Txn2pcWorkload(Workload):
@@ -317,7 +314,7 @@ class Txn2pcWorkload(Workload):
     description = "Coordinator + data-node two-phase commit"
     paper_problem = "n/a (serving extension)"
 
-    #: When true, :meth:`bind_machine` attaches a
+    #: When true, :meth:`add_probes` attaches a
     #: :class:`TwoPhaseChannelDriver` (chaos campaigns only).
     use_command_channels = False
 
@@ -396,21 +393,20 @@ class Txn2pcWorkload(Workload):
         return [[coord if c == 0 else part] * self.txns
                 for c in range(num_cpus)]
 
-    def bind_machine(self, machine) -> "ServingTap | None":
+    def add_probes(self, machine) -> None:
         """Machine hook: chaos channel driver and/or serving tap."""
         if self.use_command_channels:
-            self._driver = TwoPhaseChannelDriver(machine, self)
-        if obs.current() is None:
-            return None
-        return ServingTap(machine,
-                          self._tap_schedules(len(machine.cpus)))
+            TwoPhaseChannelDriver(machine, self)
+        if obs.current() is not None:
+            ServingTap(machine, self._tap_schedules(len(machine.cpus)))
 
 
 class TwoPhaseChannelDriver:
     """Broadcast 2PC decisions over command-mode message channels.
 
-    Wraps ``Machine._access`` (stacking over any already-attached
-    value tap): when the coordinator's *decision* write to ``log[t]``
+    An ``access`` probe (registered after any value tracker, so the
+    tracker records the raw completion): when the coordinator's
+    *decision* write to ``log[t]``
     resolves, a ``("commit", t)`` command is sent on the coordinator
     node's channel to every other node, and when a participant's
     decision read resolves, the participant polls its channel until
@@ -442,11 +438,11 @@ class TwoPhaseChannelDriver:
         self._prepared: "set[int]" = set()
         self._decided: "set[int]" = set()
         self._received: "set[tuple[int, int]]" = set()
-        self._orig_access = machine._access
-        machine._access = self._on_access
+        machine.probes.add("access", self._on_access)
 
-    def _on_access(self, cpu, vaddr: int, is_write: bool, now: int) -> int:
-        done = self._orig_access(cpu, vaddr, is_write, now)
+    def _on_access(self, call, cpu, vaddr: int, is_write: bool,
+                   now: int) -> int:
+        done = call(cpu, vaddr, is_write, now)
         if not self._log_base <= vaddr < self._log_end:
             return done
         txn = (vaddr - self._log_base) // self._elem

@@ -168,9 +168,11 @@ def test_fail_node_is_idempotent():
 
 
 def test_trace_recorder_records_node_fail():
-    from repro.sim.trace import NodeFailEvent, TraceRecorder
+    from repro.sim.trace import TraceRecorder
     h = Harness()
     with TraceRecorder(h.machine, kinds={"node_fail"}) as trace:
         h.machine.fail_node(2, now=1_234)
-    assert trace.events == [NodeFailEvent(1_234, 2)]
-    assert trace.summary()["NodeFailEvent"] == 1
+        h.machine.fail_node(2, now=2_000)   # no-op, no second event
+    assert trace.sink.events == [
+        {"seq": 0, "kind": "node_fail", "time": 1_234, "node": 2}]
+    assert trace.sink.summary()["node_fail"] == 1

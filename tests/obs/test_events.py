@@ -59,8 +59,8 @@ def test_write_and_validate_jsonl(tmp_path):
 
 def test_validate_jsonl_rejects_reordering(tmp_path):
     path = tmp_path / "bad.jsonl"
-    a = {"seq": 5, "kind": "promote", "time": 1, "node": 0, "gpage": 2}
-    b = {"seq": 4, "kind": "promote", "time": 2, "node": 0, "gpage": 3}
+    a = {"seq": 5, "kind": "node_fail", "time": 1, "node": 0}
+    b = {"seq": 4, "kind": "node_fail", "time": 2, "node": 1}
     path.write_text(json.dumps(a) + "\n" + json.dumps(b) + "\n")
     with pytest.raises(ValueError, match="sequence went backwards"):
         validate_jsonl(str(path))

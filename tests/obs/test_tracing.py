@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.core.controller import NodeFailedError
 from repro.kernel.msgqueue import MessageChannel
 from repro.obs import tracing
 from repro.obs.tracing import (SEGMENTS, Span, Trace, TraceCollector,
@@ -12,7 +13,9 @@ from repro.obs.tracing import (SEGMENTS, Span, Trace, TraceCollector,
                                validate_span, validate_spans_jsonl)
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
+from repro.sim.probes import POINTS
 from repro.workloads import make_workload
+from tests.conftest import Harness
 
 
 def _run_traced(seed=0, workload="fft", policy="scoma", **collector_kw):
@@ -319,11 +322,27 @@ def test_registry_receives_segment_histograms_and_gauges():
 def test_detach_restores_machine_fast_path():
     with tracing.collecting() as collector:
         machine = Machine(MachineConfig(), policy="scoma")
-        collector.detach()
+        assert machine.probes.miss
+        collector.detach(machine)
         machine.run(make_workload("fft", "tiny"))
         assert collector.started == 0
     assert machine.network.tracer is None
-    assert "_miss" not in vars(machine)
+    for point in POINTS:
+        assert getattr(machine.probes, point) == ()
+
+
+def test_exception_inside_a_span_probe_unwinds_with_its_type():
+    with tracing.collecting() as collector:
+        h = Harness()
+        page = h.page_homed_at(2)
+        h.read(h.cpu_on_node(0), h.vaddr(page, 0))
+        h.machine.fail_node(2)
+        with pytest.raises(NodeFailedError):
+            h.read(h.cpu_on_node(0), h.vaddr(page, 1))
+    (trace,) = collector.errored()
+    assert trace.error == "NodeFailedError"
+    assert trace.root.name == "miss"
+    assert trace.root.attrs["error"] == "NodeFailedError"
 
 
 def test_message_channel_links_send_and_recv():

@@ -1,31 +1,45 @@
-"""Seam liveness: the methods other layers patch are still called.
+"""Probe liveness, the probe registry, and the mutation seams.
 
-Taps, the tracer, the trace recorder and the protocol mutations work by
-wrapping a handful of methods (``docs/PERFORMANCE.md``, "Seams that must
-stay calls").  If a fast path inlines one of them, the wrapper is
-silently bypassed and its client goes blind.  Each test here wraps one
-seam with a counter, installed the way its real patcher installs it
-(instance attribute or class attribute), runs a tiny-preset cell that
-must reach it, and asserts the counter moved.
+Every observer of a machine registers on ``machine.probes``
+(``repro.sim.probes``).  If a fast path stops reaching a probe point
+(say, ``_access`` inlines ``_miss``), its observers silently go blind;
+each liveness test here registers a counting probe on one point, drives
+a run that must reach it and asserts the probe fired.
+
+The protocol mutations still patch three methods at class level
+(``docs/PERFORMANCE.md``, "Seams that must stay calls"); the class-seam
+tests pin those.
 """
 
 import pytest
 
+import repro
 from repro.core.controller import CoherenceController
 from repro.core.finegrain import FineGrainTags, Tag
 from repro.harness.runner import derive_page_cache_caps
 from repro.harness.session import ExperimentSpec, execute_spec
 from repro.sim.machine import Machine
+from repro.sim.probes import POINTS
 from repro.workloads import make_workload
+from tests.conftest import Harness
 
 FFT_SCOMA = ExperimentSpec(workload="fft", policy="scoma", preset="tiny")
 
 
-def counting(original, calls):
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-    return wrapper
+def counting(point, calls):
+    """A probe for ``point`` that records its arguments."""
+    if point in ("fault", "pageout"):
+        def probe(call, kernel, *args, **kwargs):
+            calls.append(args)
+            return call(*args, **kwargs)
+    elif point in ("access", "miss", "upgrade"):
+        def probe(call, *args):
+            calls.append(args)
+            return call(*args)
+    else:
+        def probe(*args):
+            calls.append(args)
+    return probe
 
 
 def build(spec):
@@ -39,38 +53,119 @@ def run(machine, spec):
     return machine.run(make_workload(spec.workload, spec.preset))
 
 
-@pytest.mark.parametrize("name", ["_access", "_miss", "_upgrade"])
-def test_machine_instance_seams_are_called(name):
-    # Serving taps, ValueTracker and TraceRecorder wrap _access; the
-    # TraceCollector wraps _miss and _upgrade -- all per instance.
-    machine = build(FFT_SCOMA)
-    calls = []
-    setattr(machine, name, counting(getattr(machine, name), calls))
-    run(machine, FFT_SCOMA)
-    assert calls, "Machine.%s was never called" % name
-
-
-def test_kernel_fault_seam_is_called():
-    machine = build(FFT_SCOMA)
-    calls = []
-    for node in machine.nodes:
-        node.kernel.fault = counting(node.kernel.fault, calls)
-    run(machine, FFT_SCOMA)
-    assert calls, "NodeKernel.fault was never called"
-
-
-def test_kernel_page_out_client_seam_is_called():
+def scoma70_spec():
     caps = derive_page_cache_caps(execute_spec(FFT_SCOMA), 0.7)
-    spec = ExperimentSpec(workload="fft", policy="scoma-70", preset="tiny",
+    return ExperimentSpec(workload="fft", policy="scoma-70", preset="tiny",
                           page_cache_override=tuple(caps))
-    machine = build(spec)
+
+
+def drive_point(point, calls):
+    """Register a counting probe on ``point`` and run something that
+    must fire it; returns the machine."""
+    if point == "pageout":
+        spec = scoma70_spec()
+        machine = build(spec)
+        machine.probes.add(point, counting(point, calls))
+        result = run(machine, spec)
+        assert len(calls) >= sum(n.client_page_outs
+                                 for n in result.stats.nodes)
+    elif point == "migrate":
+        machine = Machine(repro.tiny_config(enable_migration=True,
+                                            migration_threshold=16))
+        machine.probes.add(point, counting(point, calls))
+        machine.run(make_workload("water-spa", "tiny"))
+        assert len(calls) == machine.migration.migrations
+    elif point == "node_fail":
+        machine = Machine(repro.tiny_config())
+        machine.probes.add(point, counting(point, calls))
+        machine.fail_node(1, now=7)
+        assert calls == [(1, 7)]
+    else:
+        machine = build(FFT_SCOMA)
+        machine.probes.add(point, counting(point, calls))
+        run(machine, FFT_SCOMA)
+    return machine
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_probe_point_fires(point):
     calls = []
-    for node in machine.nodes:
-        kernel = node.kernel
-        kernel.page_out_client = counting(kernel.page_out_client, calls)
-    result = run(machine, spec)
-    assert calls, "NodeKernel.page_out_client was never called"
-    assert len(calls) >= sum(n.client_page_outs for n in result.stats.nodes)
+    machine = drive_point(point, calls)
+    assert calls, "probe point %r never fired" % point
+    if point == "access":
+        assert len(calls) == machine.stats.references
+    elif point == "fault":
+        assert len(calls) == machine.stats.page_faults
+
+
+# -- the registry -------------------------------------------------------
+
+
+def test_probes_fire_in_registration_order():
+    h = Harness()
+    order = []
+
+    def tagged(name):
+        def probe(call, *args):
+            done = call(*args)
+            order.append(name)
+            return done
+        return probe
+
+    h.machine.probes.add("access", tagged("first"))
+    h.machine.probes.add("access", tagged("second"))
+    h.read(0, h.vaddr(0))
+    assert order == ["first", "second"]
+
+    order.clear()
+    h.machine.probes.add("node_fail", lambda node, now: order.append(1))
+    h.machine.probes.add("node_fail", lambda node, now: order.append(2))
+    h.machine.fail_node(3)
+    assert order == [1, 2]
+
+
+def test_access_probe_result_is_passed_to_the_next_probe():
+    ref = Harness()
+    plain = ref.read(0, ref.vaddr(0))
+    h = Harness()
+    seen = []
+
+    def later(call, *args):
+        seen.append(call(*args))
+        return seen[-1]
+
+    h.machine.probes.add("access", lambda call, *args: call(*args) + 100)
+    h.machine.probes.add("access", later)
+    assert h.read(0, h.vaddr(0)) == plain + 100
+    assert [t - h.clock for t in seen] == [plain + 100]
+
+
+def test_removing_the_last_access_probe_restores_the_plain_method():
+    machine = Machine(repro.tiny_config())
+    probe = counting("access", [])
+    other = counting("access", [])
+    machine.probes.add("access", probe)
+    machine.probes.add("access", other)
+    assert "_access" in vars(machine)
+    machine.probes.remove("access", probe)
+    assert machine.probes.access == (other,)
+    machine.probes.remove("access", other)
+    assert machine.probes.access == ()
+    assert "_access" not in vars(machine)
+    assert machine._access.__func__ is Machine._access
+    with pytest.raises(ValueError):
+        machine.probes.remove("access", probe)
+
+
+def test_unknown_point_raises():
+    machine = Machine(repro.tiny_config())
+    with pytest.raises(ValueError, match="promote"):
+        machine.probes.add("promote", print)
+    with pytest.raises(ValueError):
+        machine.probes.remove("vibes", print)
+
+
+# -- class seams the mutations patch ------------------------------------
 
 
 @pytest.mark.parametrize("cls, name", [
@@ -81,7 +176,13 @@ def test_kernel_page_out_client_seam_is_called():
 def test_class_seams_are_called(monkeypatch, cls, name):
     # The protocol mutations patch these at class level.
     calls = []
-    monkeypatch.setattr(cls, name, counting(getattr(cls, name), calls))
+    original = getattr(cls, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
     execute_spec(FFT_SCOMA)
     assert calls, "%s.%s was never called" % (cls.__name__, name)
     if cls is FineGrainTags:

@@ -3,9 +3,9 @@
 import pytest
 
 import repro
+from repro.obs.events import EventSink
 from repro.sim.machine import Machine
-from repro.sim.trace import (AccessEvent, FaultEvent, MigrateEvent,
-                             PageOutEvent, TraceRecorder)
+from repro.sim.trace import TraceRecorder
 from repro.workloads import make_workload
 
 
@@ -19,56 +19,65 @@ def run_traced(policy="scoma", kinds=None, cap=None, migration=False):
     return machine, trace
 
 
+def of_kind(trace, kind):
+    return [e for e in trace.sink.events if e["kind"] == kind]
+
+
 def test_records_accesses_and_faults():
     machine, trace = run_traced(kinds={"access", "fault"})
-    summary = trace.summary()
-    assert summary["AccessEvent"] == machine.stats.references
-    assert summary["FaultEvent"] == machine.stats.page_faults
+    summary = trace.sink.summary()
+    assert summary["access"] == machine.stats.references
+    assert summary["fault"] == machine.stats.page_faults
     assert summary["dropped"] == 0
 
 
 def test_access_events_have_positive_latency():
     _, trace = run_traced(kinds={"access"})
-    assert all(e.latency >= 1 for e in trace.accesses())
+    assert all(e["latency"] >= 1 for e in trace.accesses())
 
 
 def test_fault_events_classify_home():
     _, trace = run_traced(kinds={"fault"})
-    faults = [e for e in trace.events if isinstance(e, FaultEvent)]
-    assert any(e.remote_home for e in faults)
-    assert any(not e.remote_home for e in faults)
-    assert any(e.mode == "LOCAL" for e in faults)
-    assert any(e.mode == "SCOMA" for e in faults)
+    faults = of_kind(trace, "fault")
+    assert any(e["remote_home"] for e in faults)
+    assert any(not e["remote_home"] for e in faults)
+    assert any(e["mode"] == "LOCAL" for e in faults)
+    assert any(e["mode"] == "SCOMA" for e in faults)
 
 
 def test_pageouts_traced_under_capped_policy():
     machine, trace = run_traced(policy="dyn-lru", cap=3,
                                 kinds={"pageout"})
-    pageouts = [e for e in trace.events if isinstance(e, PageOutEvent)]
+    pageouts = of_kind(trace, "pageout")
     assert len(pageouts) == sum(
         n.client_page_outs + n.mode_promotions for n in machine.stats.nodes)
-    assert any(e.demoted for e in pageouts)
+    assert any(e["demoted"] for e in pageouts)
 
 
 def test_migrations_traced():
     machine, trace = run_traced(kinds={"migrate"}, migration=True)
-    migrations = [e for e in trace.events if isinstance(e, MigrateEvent)]
+    migrations = of_kind(trace, "migrate")
     assert len(migrations) == machine.migration.migrations
+    # The probe fires inside MigrationManager.migrate, which knows the
+    # home the page left.
+    assert migrations
+    assert all(0 <= e["old_home"] != e["new_home"] for e in migrations)
 
 
 def test_detach_restores_hot_path():
     machine, trace = run_traced(kinds={"access"})
-    # After detach, the wrapped method is gone from the instance dict.
-    assert "_access" not in machine.__dict__
+    # Leaving the recorder empties the registry it filled.
+    assert machine.probes.access == ()
 
 
 def test_max_events_drops_excess():
     cfg = repro.tiny_config()
     machine = Machine(cfg, policy="scoma")
-    with TraceRecorder(machine, kinds={"access"}, max_events=10) as trace:
+    with TraceRecorder(machine, kinds={"access"},
+                       sink=EventSink(capacity=10)) as trace:
         machine.run(make_workload("water-spa", "tiny"))
-    assert len(trace.events) == 10
-    assert trace.dropped > 0
+    assert len(trace.sink.events) == 10
+    assert trace.sink.dropped > 0
 
 
 def test_ring_buffer_keeps_newest_events():
@@ -77,21 +86,23 @@ def test_ring_buffer_keeps_newest_events():
     full = run_traced(kinds={"access"})[1]
     cfg = repro.tiny_config()
     machine = Machine(cfg, policy="scoma")
-    with TraceRecorder(machine, kinds={"access"}, max_events=10) as trace:
+    with TraceRecorder(machine, kinds={"access"},
+                       sink=EventSink(capacity=10)) as trace:
         machine.run(make_workload("water-spa", "tiny"))
-    assert trace.events == full.events[-10:]
-    assert trace.dropped == len(full.events) - 10
+    assert trace.sink.events == full.sink.events[-10:]
+    assert trace.sink.dropped == len(full.sink.events) - 10
 
 
 def test_sink_forwarding_produces_schema_valid_events():
-    from repro.obs.events import EventSink, validate_event
+    from repro.obs.events import validate_event
 
     cfg = repro.tiny_config(page_cache_frames=3)
     machine = Machine(cfg, policy="dyn-lru")
     sink = EventSink()
     with TraceRecorder(machine, sink=sink) as trace:
         machine.run(make_workload("water-spa", "tiny"))
-    assert sink.emitted == len(trace.events) + trace.dropped
+    assert trace.sink is sink
+    assert sink.emitted == len(sink.events) + sink.dropped
     kinds = set()
     for event in sink.events:
         validate_event(event)
@@ -110,15 +121,19 @@ def test_latency_histogram_covers_all_accesses():
 
 def test_csv_export():
     _, trace = run_traced(kinds={"fault"})
-    csv = trace.to_csv()
-    assert csv.startswith("# FaultEvent")
-    assert "time,node,vpage,gpage,mode,remote_home" in csv
+    csv = trace.sink.to_csv()
+    assert csv.startswith("# fault")
+    assert "seq,gpage,mode,node,remote_home,time,vpage" in csv
 
 
 def test_unknown_kind_rejected():
     machine = Machine(repro.tiny_config())
     with pytest.raises(ValueError):
         TraceRecorder(machine, kinds={"access", "vibes"})
+    # No probe point records promotions (a promotion pages out the
+    # LA-NUMA frame, which is recorded as a pageout event).
+    with pytest.raises(ValueError):
+        TraceRecorder(machine, kinds={"promote"})
 
 
 def test_resource_report():

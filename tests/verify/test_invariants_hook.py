@@ -38,18 +38,17 @@ def test_clean_run_passes_barrier_checks():
 
 def test_hand_corrupted_directory_entry_is_reported():
     machine, test = _machine()
-    install_barrier_checks(machine)
-    inner = machine._barrier_hook
     corrupted = []
 
-    def corrupt_then_check(release_time):
+    def corrupt(release_time):
         # After the warm-up barrier every node holds shared copies, so
         # there is a SHARED line to corrupt before the walk runs.
         if not corrupted:
             corrupted.append(_corrupt_one_directory_entry(machine))
-        inner(release_time)
 
-    machine.on_barrier_release(corrupt_then_check)
+    # Barrier probes fire in registration order: corrupt, then check.
+    machine.probes.add("barrier", corrupt)
+    install_barrier_checks(machine)
     with pytest.raises(InvariantViolation) as excinfo:
         machine.run(LitmusWorkload(test))
     assert corrupted
@@ -67,7 +66,7 @@ def test_violation_message_previews_at_most_three_problems():
 
 def test_hook_uninstalls_with_none():
     machine, _test = _machine()
-    install_barrier_checks(machine)
-    assert machine._barrier_hook is not None
-    machine.on_barrier_release(None)
-    assert machine._barrier_hook is None
+    hook = install_barrier_checks(machine)
+    assert machine.probes.barrier == (hook,)
+    machine.probes.remove("barrier", hook)
+    assert machine.probes.barrier == ()

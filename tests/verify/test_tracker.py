@@ -55,10 +55,10 @@ def test_detach_restores_the_class_reference_path():
     machine = Machine(test.build_config(), policy=test.policy)
     unwrapped = machine._access
     tracker = ValueTracker(machine, EventSink())
-    assert machine._access == tracker._on_access
+    assert machine.probes.access == (tracker._on_access,)
     tracker.detach()
+    assert machine.probes.access == ()
     assert machine._access == unwrapped
-    assert "_access" not in machine.__dict__
     tracker.detach()  # idempotent
 
 

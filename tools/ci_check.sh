@@ -61,6 +61,11 @@ from repro.obs import validate_jsonl
 
 events = validate_jsonl(workdir + "/trace.jsonl")
 assert events > 0, "trace.jsonl is empty"
+# Each kind comes from its own probe point: a point that stops firing
+# leaves its kind out of the trace.
+kinds = {json.loads(line)["kind"] for line in open(workdir + "/trace.jsonl")}
+missing = {"access", "fault"} - kinds
+assert not missing, "fft/scoma trace has no %s events" % sorted(missing)
 
 snapshot = json.load(open(workdir + "/metrics.json"))
 cell = snapshot["fft/scoma"]

@@ -124,13 +124,20 @@ snapshot = registry.to_dict()          # JSON-safe, stable key order
   runs one cell in-process with metrics and, optionally, a structured
   event trace.  Render with `repro.harness.tables.metrics_table` or
   export with `repro.harness.export.save_metrics` (`metrics.json`).
+* **Probe bus** — every observer of a machine registers callables on
+  `machine.probes` (`repro.sim.probes`) at a fixed set of points:
+  `access`, `miss`, `upgrade`, `fault`, `pageout` (wrapped: a probe
+  gets the next callable and returns the result, possibly adjusted)
+  and `migrate`, `node_fail`, `barrier` (events).  Probes fire in
+  registration order; with none registered the machine runs its plain
+  methods.
 * **Structured events** — `repro.obs.events.EventSink` ring-buffers
-  typed events (`access`, `fault`, `pageout`, `promote`, `migrate` per
-  `EVENT_SCHEMA`) with monotonic sequence numbers that survive drops;
-  `validate_event()` / `validate_jsonl()` check an exported trace end
-  to end (strict: unknown fields and non-monotonic sequence numbers
-  are rejected).  The `repro.sim.trace.TraceRecorder` forwards its
-  machine hooks to a sink when constructed with one.
+  typed events (`access`, `fault`, `pageout`, `migrate`, `node_fail`,
+  ... per `EVENT_SCHEMA`) with monotonic sequence numbers that survive
+  drops; `validate_event()` / `validate_jsonl()` check an exported
+  trace end to end (strict: unknown fields and non-monotonic sequence
+  numbers are rejected).  `repro.sim.trace.TraceRecorder` is a set of
+  probes that emit into a sink.
 * **Causal tracing** — `repro.obs.tracing.TraceCollector` follows each
   coherence transaction end-to-end as a span tree (miss/upgrade/fault
   roots; queue-wait, network-hop, home-service, invalidation-fan-out,
