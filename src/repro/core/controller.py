@@ -45,6 +45,7 @@ _READ_REQ = MessageKind.READ_REQ
 _READ_EXCL_REQ = MessageKind.READ_EXCL_REQ
 _UPGRADE_REQ = MessageKind.UPGRADE_REQ
 _INTERVENTION = MessageKind.INTERVENTION
+_DATA_REPLY = MessageKind.DATA_REPLY
 _WRITEBACK = MessageKind.WRITEBACK
 _INVALIDATE = MessageKind.INVALIDATE
 _ACK = MessageKind.ACK
@@ -102,16 +103,6 @@ class CoherenceController:
         lat = self.lat
         self._lat_dispatch = lat.ctrl_dispatch
         self._lat_dispatch_pit = lat.ctrl_dispatch + lat.pit_access
-        self._ni_occ = machine.network.NI_OCCUPANCY
-        self._net_flight = lat.net_latency - self._ni_occ
-        # Hop-jitter hook, hoisted from the network (set when the
-        # machine runs under a schedule perturbation; None keeps the
-        # inlined send sites at a single test each).
-        self._jitter = machine.network.jitter
-        # Fault plane, hoisted likewise: None keeps the inlined send
-        # sites; an injector reroutes them through Network.send so every
-        # hop is judged (drop/retry/delay/duplicate) exactly once.
-        self._faults = getattr(machine, "faults", None)
         # Pre-resolved observability handles (None when disabled, so the
         # protocol paths pay one attribute test each).
         registry = obs.current()
@@ -185,28 +176,9 @@ class CoherenceController:
         if true_home in machine.failed_nodes:
             raise NodeFailedError(
                 "gpage %d is homed at failed node %d" % (gpage, true_home))
-        # Network.send inlined (same NI occupancy + flight arithmetic).
-        network = machine.network
+        send = machine.network.send
         node_id = node.node_id
-        if home_id != node_id:
-            if self._faults is not None:
-                t = self._faults.deliver(network, node_id, home_id, t, kind)
-            else:
-                sent_at = t
-                network.messages += 1
-                network.hops_charged += 1
-                ni = network.interfaces[node_id]
-                start = ni.next_free if ni.next_free > t else t
-                injected = start + self._ni_occ
-                ni.next_free = injected
-                ni.busy_cycles += self._ni_occ
-                ni.acquisitions += 1
-                t = injected + self._net_flight
-                if self._jitter is not None:
-                    t += self._jitter()
-                if tracer is not None:
-                    tracer.add("req:" + kind.name, "network", node_id,
-                               sent_at, t, dst=home_id)
+        t = send(node_id, home_id, t, kind)
         if home_id != true_home:
             t = self._reroute(entry, home_id, true_home, t)
             home_id = true_home
@@ -228,28 +200,9 @@ class CoherenceController:
             entry.home_frame = dir_page.home_frame
         entry.dynamic_home = home_id
 
-        # Response flight + client-side completion (send, dispatch and
-        # data phase inlined as in the request path).
-        if sender_id != node_id:
-            if self._faults is not None:
-                t = self._faults.deliver(network, sender_id, node_id, t,
-                                         MessageKind.DATA_REPLY)
-            else:
-                sent_at = t
-                network.messages += 1
-                network.hops_charged += 1
-                ni = network.interfaces[sender_id]
-                start = ni.next_free if ni.next_free > t else t
-                injected = start + self._ni_occ
-                ni.next_free = injected
-                ni.busy_cycles += self._ni_occ
-                ni.acquisitions += 1
-                t = injected + self._net_flight
-                if self._jitter is not None:
-                    t += self._jitter()
-                if tracer is not None:
-                    tracer.add("reply:DATA_REPLY", "network", sender_id,
-                               sent_at, t, dst=node_id)
+        # Response flight + client-side completion (dispatch and data
+        # phase inlined as in the request path).
+        t = send(sender_id, node_id, t, _DATA_REPLY)
         occ = self._lat_dispatch
         start = res.next_free if res.next_free > t else t
         if tracer is not None and start > t:

@@ -1,8 +1,9 @@
 """The fault plane: executes a :class:`FaultPlan` against the machine.
 
-A :class:`FaultInjector` sits behind ``Network.send`` (and therefore
-every protocol hop, paging fan-out and command-channel deposit).  When
-a machine carries one, every inter-node hop is *judged*: partitions and
+A :class:`FaultInjector` is a ``send`` probe (``repro.sim.probes``), so
+it sees every inter-node hop ``Network.send`` charges: every protocol
+hop, paging fan-out and command-channel deposit.  When a machine
+carries one, every inter-node hop is *judged*: partitions and
 drop rules lose it, delay/reorder rules stretch its flight, duplicate
 rules deliver it twice (the second copy is discarded by sequence-number
 dedup), and deliveries to a paused node are held until the pause ends.
@@ -24,8 +25,9 @@ Determinism: the injector owns a dedicated ``random.Random(seed)``.
 Fault verdicts consume randomness only for hops a live rule actually
 covers, and nothing here touches the machine's workload RNGs, so a run
 under an *empty* plan is byte-identical to a run with no injector at
-all (the machine never even takes these code paths — every hook is
-gated on ``faults is not None``).
+all.  Without an injector none of this code runs: no ``send`` probe is
+registered, and the event loop's checks are gated on ``faults is not
+None``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro import obs
 from repro.obs import tracing
 from repro.core.controller import UnreachableNodeError
 from repro.interconnect.messages import MessageKind, SequenceTracker
+from repro.interconnect.network import Network
 from repro.sim.machine import DeadlineExceeded
 
 
@@ -101,8 +104,8 @@ class FaultInjector:
 
     Construct one per run (it accumulates per-run state: RNG position,
     sequence numbers, applied failures, counters) and hand it to
-    ``Machine(..., faults=injector)``; the machine wires it into the
-    network and event loop.  ``sink`` is an optional
+    ``Machine(..., faults=injector)``; the machine attaches it and
+    checks it from the event loop.  ``sink`` is an optional
     :class:`~repro.obs.events.EventSink` receiving one ``fault_inject``
     event per injected fault.
     """
@@ -130,8 +133,10 @@ class FaultInjector:
 
     # -- machine wiring ----------------------------------------------------
 
-    def bind(self, machine) -> None:
-        """Attach to a built machine; validates plan node ids."""
+    def attach(self, machine) -> None:
+        """Register as a ``send`` probe on a built machine.
+
+        Validates the plan's node ids against the machine first."""
         num_nodes = machine.config.num_nodes
         for clause in list(self.plan.pauses) + list(self.plan.failures):
             if clause.node >= num_nodes:
@@ -142,6 +147,7 @@ class FaultInjector:
                 raise ValueError("partition names a node outside the "
                                  "%d-node machine" % num_nodes)
         self._machine = machine
+        machine.probes.add("send", self._send)
 
     # -- event-loop hooks --------------------------------------------------
 
@@ -168,20 +174,18 @@ class FaultInjector:
 
     # -- the fault plane ---------------------------------------------------
 
-    def deliver(self, network, src: int, dst: int, now: int,
-                kind: "MessageKind") -> int:
-        """Judge and deliver one inter-node hop; returns arrival time.
+    def _send(self, call, src: int, dst: int, now: int,
+              kind: "MessageKind") -> int:
+        """The ``send`` probe: judge and deliver one inter-node hop.
 
-        Replicates ``Network.send``'s NI-occupancy/flight arithmetic
-        per transmission attempt, so a clean verdict costs exactly what
+        Each transmission attempt is one ``call``, the hop as the rest
+        of the chain charges it, so a clean verdict costs exactly what
         the fault-free path charges.
         """
         machine = self._machine
         retry = self.retry
         stamp = self.seqs.stamp(src, dst)
-        ni = network.interfaces[src]
-        occ = network.NI_OCCUPANCY
-        flight = network.lat.net_latency - occ
+        ni = machine.network.interfaces[src]
         t = now
         attempt = 0
         while True:
@@ -191,12 +195,9 @@ class FaultInjector:
                 raise UnreachableNodeError(
                     "node %d: %s to failed node %d is undeliverable"
                     % (src, kind.name, dst))
-            network.messages += 1
-            network.hops_charged += 1
-            injected = ni.acquire(t, occ)
-            arrival = injected + flight
-            if network.jitter is not None:
-                arrival += network.jitter()
+            arrival = call(src, dst, t, kind)
+            # The hop left the source NI at its new next_free.
+            injected = ni.next_free
             self.stats.judged += 1
             action, extra = self._judge(kind, src, dst, t)
             if action is None:
@@ -239,12 +240,11 @@ class FaultInjector:
                 arrival += extra
                 self._note("reorder", kind, src, dst, t)
             elif action == "duplicate":
-                # The extra copy occupies the NI and reaches the
-                # receiver, where sequence-number dedup discards it.
+                # The extra copy takes one more hop (no jitter, no
+                # verdict) and reaches the receiver, where
+                # sequence-number dedup discards it.
                 self.stats.duplicated += 1
-                network.messages += 1
-                network.hops_charged += 1
-                ni.acquire(arrival, occ)
+                Network._hop(machine.network, src, dst, arrival, kind)
                 self._dup_pending = True
                 self._note("duplicate", kind, src, dst, t)
             break
@@ -262,10 +262,6 @@ class FaultInjector:
             self.seqs.accept(src, dst, stamp)
             self.stats.dedup_drops += 1
             obs.counter("faults.dedup_drops").inc()
-        tracer = tracing.current()
-        if tracer is not None:
-            tracer.add("net:" + kind.name, "network", src, t, arrival,
-                       dst=dst)
         return arrival
 
     def consume_duplicate(self) -> bool:

@@ -156,10 +156,6 @@ class NodePresence:
         """Does any local CPU cache ``line``?"""
         return line in self._holders
 
-    def drop_line(self, line: int) -> None:
-        """Forget every holder of ``line``."""
-        self._holders.pop(line, None)
-
 
 _EMPTY_SET: "frozenset[int]" = frozenset()
 

@@ -476,16 +476,15 @@ class TraceCollector:
         """Open root spans on a machine's slow paths.
 
         Registers span probes on the ``miss``, ``upgrade``, ``fault``
-        and ``pageout`` points of ``machine.probes`` and points
-        ``machine.network.tracer`` here.  The per-reference ``access``
-        point is left alone — cache hits are never traced, which is
-        what keeps the traced-run overhead within the bench gate.
+        and ``pageout`` points of ``machine.probes``, and a hop-span
+        probe on ``send``.  The per-reference ``access`` point is left
+        alone — cache hits are never traced, which is what keeps the
+        traced-run overhead within the bench gate.
         """
         from repro import obs
 
         self._registry = obs.current()
         self._policy = machine.policy.name
-        machine.network.tracer = self
         for point, probe in self._span_probes():
             machine.probes.add(point, probe)
 
@@ -496,13 +495,13 @@ class TraceCollector:
         to an open root."""
         for point, probe in self._span_probes():
             machine.probes.remove(point, probe)
-        machine.network.tracer = None
         for node in machine.nodes:
             node.controller._tracer = None
 
     def _span_probes(self):
         return (("miss", self._miss), ("upgrade", self._upgrade),
-                ("fault", self._fault), ("pageout", self._pageout))
+                ("fault", self._fault), ("pageout", self._pageout),
+                ("send", self._send))
 
     def _span(self, call, args, name, kind, node, begin, **attrs):
         """Run ``call(*args)`` inside a root span; an escaping exception
@@ -534,6 +533,13 @@ class TraceCollector:
     def _pageout(self, call, kernel, frame, now, demote=False):
         return self._span(call, (frame, now, demote), "page_out", "pageout",
                           kernel.node.node_id, now, frame=frame)
+
+    def _send(self, call, src, dst, now, kind):
+        # A hop is a child of the open transaction (``add`` records
+        # nothing outside one), never a root.
+        arrival = call(src, dst, now, kind)
+        self.add("net:" + kind.name, "network", src, now, arrival, dst=dst)
+        return arrival
 
     # -- reporting ---------------------------------------------------------
 

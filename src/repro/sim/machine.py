@@ -176,14 +176,12 @@ class Machine:
                 "CC-NUMA encodes home locations in physical addresses, so "
                 "lazy home migration is impossible (section 5)")
         self._page_cache_override = page_cache_override
-        #: Optional schedule perturbation; must be set before nodes are
-        #: built so the controllers can hoist the jitter hook.
+        #: Optional schedule perturbation (start skews and hop jitter).
         self.schedule = schedule
         if schedule is not None:
             schedule.reset()
-        #: Optional fault plane (``repro.faults``); like ``schedule``,
-        #: must be set before nodes are built so the controllers can
-        #: hoist the hook.  A bare FaultPlan is wrapped in an injector.
+        #: Optional fault plane (``repro.faults``), a ``send`` probe.  A
+        #: bare FaultPlan is wrapped in an injector.
         if faults is not None:
             from repro.faults.injector import FaultInjector
             from repro.faults.plan import FaultPlan
@@ -219,10 +217,6 @@ class Machine:
                                - lat.bus_data)
 
         self.network = Network(cfg.num_nodes, lat)
-        if schedule is not None:
-            self.network.jitter = schedule.next_jitter
-        if faults is not None:
-            self.network.faults = faults
         self.ipc = GlobalIpcServer(cfg.num_nodes, cfg.page_bytes)
         self.layout = AddressSpaceLayout(self.ipc, cfg.page_bytes)
         self.migration = MigrationManager(self)
@@ -250,26 +244,29 @@ class Machine:
         #: The probe bus (``repro.sim.probes``): every observer of the
         #: machine registers here.
         self.probes = Probes(self)
+        # The send probes, innermost first: schedule jitter, the fault
+        # plane (which re-sends through the jitter per attempt), then
+        # the trace collector's hop spans.
+        if schedule is not None:
+            next_jitter = schedule.next_jitter
+
+            def jitter(call, src, dst, now, kind):
+                return call(src, dst, now, kind) + next_jitter()
+            self.probes.add("send", jitter)
         #: Nodes that have fail-stopped (section 3.3 failure model).
         self.failed_nodes: "set[int]" = set()
         self.stats = MachineStats(
             nodes=[n.stats for n in self.nodes],
             cpus=[c.stats for c in self.cpus])
 
-        # Observability: pre-resolve the per-reference histogram handle
-        # so the hot path pays one attribute test when disabled.
         self._obs = obs.current()
-        self._obs_access = (
-            self._obs.histogram("sim.access_latency_cycles",
-                                policy=self.policy.name)
-            if self._obs is not None else None)
 
         if faults is not None:
-            faults.bind(self)
+            faults.attach(self)
 
         # Causal tracing: opt-in like obs.  With no collector installed
-        # no span probe is registered, the network hook stays None and
-        # simulated results are byte-identical.
+        # no span probe is registered and simulated results are
+        # byte-identical.
         self._tracer = tracing.current()
         if self._tracer is not None:
             self._tracer.attach(self)
@@ -299,6 +296,17 @@ class Machine:
         add_probes = getattr(workload, "add_probes", None)
         if add_probes is not None:
             add_probes(self)
+        if self._obs is not None:
+            hist = self._obs.histogram("sim.access_latency_cycles",
+                                       policy=self.policy.name)
+
+            def access_latency(call, cpu, vaddr, is_write, now):
+                done = call(cpu, vaddr, is_write, now)
+                hist.observe(done - now)
+                return done
+            # Registered after the workload's probes, so outermost: it
+            # observes the completion the whole chain returns.
+            self.probes.add("access", access_latency)
         # Instructions executed around each memory reference (address
         # arithmetic, loop control) — keeps issue rates realistic for an
         # in-order CPU instead of back-to-back memory operations.
@@ -348,7 +356,6 @@ class Machine:
         # bound here.
         access = self._access
         ref_gap = self._ref_gap
-        obs_access = self._obs_access
         while heap:
             key = heappop(heap)
             while True:
@@ -385,15 +392,13 @@ class Machine:
                         # reference keeps cross-CPU FCFS order exact.
                         is_write, addr, stride, count = run
                         while count:
-                            issued = time + ref_gap
-                            time = access(cpu, addr, is_write, issued)
+                            time = access(cpu, addr, is_write,
+                                          time + ref_gap)
                             stats.references += 1
                             if is_write:
                                 stats.writes += 1
                             else:
                                 stats.reads += 1
-                            if obs_access is not None:
-                                obs_access.observe(time - issued)
                             addr += stride
                             count -= 1
                             if time > limit:
@@ -409,19 +414,13 @@ class Machine:
                         break
                     kind = op[0]
                     if kind == OP_READ:
-                        issued = time + ref_gap
-                        time = access(cpu, op[1], False, issued)
+                        time = access(cpu, op[1], False, time + ref_gap)
                         stats.references += 1
                         stats.reads += 1
-                        if obs_access is not None:
-                            obs_access.observe(time - issued)
                     elif kind == OP_WRITE:
-                        issued = time + ref_gap
-                        time = access(cpu, op[1], True, issued)
+                        time = access(cpu, op[1], True, time + ref_gap)
                         stats.references += 1
                         stats.writes += 1
-                        if obs_access is not None:
-                            obs_access.observe(time - issued)
                     elif kind == OP_COMPUTE:
                         time += op[1]
                     elif kind == OP_READ_RUN:

@@ -16,34 +16,38 @@ upgrade       ``probe(call, cpu, frame, lip, line, now)``       completion
 fault         ``probe(call, kernel, vpage, now)``               ``(frame,
                                                                 done)``
 pageout       ``probe(call, kernel, frame, now, demote=False)`` completion
+send          ``probe(call, src, dst, now, kind)``              arrival
 migrate       ``probe(gpage, old_home, new_home)``              --
 node_fail     ``probe(node_id, now)``                           --
 barrier       ``probe(release_time)``                           --
 ============  ================================================  ==========
 
-The first five are *wrapped* points.  A probe there receives ``call``,
+The first six are *wrapped* points.  A probe there receives ``call``,
 the next callable in the chain (for the kernel points already bound to
 ``kernel``), calls it with the point's own arguments and returns its
 result — possibly adjusted: the 2PC driver adds the channel broadcast
-to an access's completion time.  The registry composes the chain in
-registration order, the first probe innermost, so the code after
-``call`` runs in the order the probes were added and each probe gets
-the result the previous one returned.  The composed chain is bound on
-the owner instance (the machine, or every node kernel), so the machine
-code calls the chain exactly where it called the plain method; with no
-probe registered the instance attribute is absent and the plain method
-runs with no test at all.  ``Machine._event_loop`` looks ``_access`` up
-once per run, so register access probes before ``machine.run`` (or from
-a workload's ``add_probes`` hook, which the run calls after setup).
+to an access's completion time, and the schedule's jitter probe adds
+extra flight cycles to a hop's arrival.  The registry composes the
+chain in registration order, the first probe innermost, so the code
+after ``call`` runs in the order the probes were added and each probe
+gets the result the previous one returned.  The composed chain is bound
+on the owner instance (the machine, every node kernel, or the network),
+so the machine code calls the chain exactly where it called the plain
+method; with no probe registered the instance attribute is absent and
+the plain method runs with no test at all.  ``send`` is composed around
+``Network._hop``, which ``Network.send`` calls only for an inter-node
+hop, so an intra-node send fires no probe.  ``Machine._event_loop``
+looks ``_access`` up once per run, so register access probes before
+``machine.run`` (or from a workload's ``add_probes`` hook, which the
+run calls after setup).
 
 The last three are *event* points: the machine calls each registered
 probe in order, after the event happened.  An empty point costs one
 loop over an empty tuple on a rare path.
 
 This module is the only code that installs anything on a machine.  The
-exceptions left are single attribute tests: the network's ``tracer``,
-``faults`` and ``jitter`` hooks and the controllers' and kernels'
-child-span handles.
+exceptions left are the controllers' and kernels' child-span handles,
+single attribute tests that mark spans inside protocol steps.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from __future__ import annotations
 from functools import partial
 
 #: Every probe point, in the order of the table above.
-POINTS = ("access", "miss", "upgrade", "fault", "pageout",
+POINTS = ("access", "miss", "upgrade", "fault", "pageout", "send",
           "migrate", "node_fail", "barrier")
 
 #: Wrapped points: point -> the method its probes are composed around.
@@ -101,6 +105,8 @@ class Probes:
             for node in machine.nodes:
                 _bind(node.kernel, _KERNEL_METHODS[point], probes,
                       (node.kernel,))
+        elif point == "send":
+            _bind(machine.network, "_hop", probes, ())
 
 
 def _bind(owner, method: str, probes: tuple, extra: tuple) -> None:

@@ -1,9 +1,12 @@
 """The deterministic fault plane end to end on a real machine."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core.controller import NodeFailedError, UnreachableNodeError
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.obs import tracing
 from repro.sim.config import tiny_config
 from repro.sim.machine import DeadlineExceeded, Machine
 from repro.workloads import make_workload
@@ -142,3 +145,44 @@ class TestDeadline:
         _, baseline = run_fft()
         _, guarded = run_fft(deadline=10 ** 12)
         assert guarded.stats.to_dict() == baseline.stats.to_dict()
+
+
+class TestTracedFaultPlane:
+    """The trace collector's hop spans wrap the fault plane's ``send``
+    probe; tracing must not perturb a single verdict."""
+
+    @staticmethod
+    def verdict(plan, traced):
+        injector = FaultInjector(plan, seed=5)
+        with tracing.collecting() if traced else nullcontext() as collector:
+            try:
+                _, result = run_fft(faults=injector)
+                outcome = result.stats.to_dict()
+            except UnreachableNodeError as exc:
+                outcome = "unreachable: %s" % exc
+        return outcome, injector.stats.to_dict(), collector
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan().drop(0.3, kinds="requests", end=100_000).duplicate(
+            0.5, kinds="replies"),
+        FaultPlan().partition({0}, start=0),
+    ], ids=["drop-retry-duplicate", "partition"])
+    def test_verdict_and_stats_equal_traced_and_untraced(self, plan):
+        plain, plain_stats, _ = self.verdict(plan, traced=False)
+        traced, traced_stats, collector = self.verdict(plan, traced=True)
+        assert traced == plain
+        assert traced_stats == plain_stats
+        assert plain_stats["retransmissions"] > 0
+        for trace in collector.traces:
+            assert sum(trace.breakdown.values()) == trace.duration
+
+    def test_traced_retries_charge_a_retry_segment(self):
+        plan = FaultPlan().drop(0.3, kinds="requests", end=100_000).duplicate(
+            0.5, kinds="replies")
+        _, stats, collector = self.verdict(plan, traced=True)
+        assert stats["duplicated"] > 0
+        assert collector.rollup()["retry"]["cycles"] > 0
+        names = {span.name for trace in collector.traces
+                 for span in trace.spans}
+        assert "net:DATA_REPLY" in names
+        assert not any(name.startswith(("req:", "reply:")) for name in names)

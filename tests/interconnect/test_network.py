@@ -31,12 +31,3 @@ def test_receiving_ni_is_not_charged():
     # A send from another node to the same destination is unaffected.
     assert net.send(2, 1, 0) == lat.net_latency
 
-
-def test_multicast_returns_per_destination_arrivals():
-    lat = LatencyModel()
-    net = Network(8, lat)
-    arrivals = net.multicast(0, [1, 2, 3], 0)
-    assert arrivals == [lat.net_latency,
-                        lat.net_latency + Network.NI_OCCUPANCY,
-                        lat.net_latency + 2 * Network.NI_OCCUPANCY]
-    assert net.messages == 3

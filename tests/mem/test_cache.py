@@ -158,10 +158,3 @@ class TestNodePresence:
         p = NodePresence()
         p.remove(5, 3)
         assert not p.any_holder(5)
-
-    def test_drop_line(self):
-        p = NodePresence()
-        p.add(1, 0)
-        p.add(1, 2)
-        p.drop_line(1)
-        assert p.holders(1) == set()

@@ -265,7 +265,8 @@ def test_traced_run_stats_byte_identical_to_plain_run():
 def test_untraced_machine_has_no_tracer():
     machine = Machine(MachineConfig(), policy="scoma")
     assert machine._tracer is None
-    assert machine.network.tracer is None
+    assert machine.probes.send == ()
+    assert "_hop" not in vars(machine.network)
 
 
 def test_traced_run_breakdowns_sum_and_are_diverse():
@@ -323,10 +324,10 @@ def test_detach_restores_machine_fast_path():
     with tracing.collecting() as collector:
         machine = Machine(MachineConfig(), policy="scoma")
         assert machine.probes.miss
+        assert machine.probes.send
         collector.detach(machine)
         machine.run(make_workload("fft", "tiny"))
         assert collector.started == 0
-    assert machine.network.tracer is None
     for point in POINTS:
         assert getattr(machine.probes, point) == ()
 

@@ -27,14 +27,38 @@ def test_stats_byte_identical_with_and_without_registry():
 def test_machine_resolves_no_handles_without_registry():
     from repro.sim.machine import Machine
     import repro
+    from repro.workloads import make_workload
     machine = Machine(repro.tiny_config(), policy="scoma")
+    machine.run(make_workload("fft", "tiny"))
     assert machine._obs is None
-    assert machine._obs_access is None
+    assert machine.probes.access == ()
     kernel = machine.nodes[0].kernel
     assert kernel._obs_fault is None
     assert kernel._obs_pageout is None
     controller = machine.nodes[0].controller
     assert controller._obs_fetch is None
+
+
+def test_access_latency_histogram_is_the_outermost_access_probe():
+    import repro
+    from repro.sim.machine import Machine
+    from repro.workloads import make_workload
+    seen = []
+
+    def slower(call, cpu, vaddr, is_write, now):
+        done = call(cpu, vaddr, is_write, now) + 5
+        seen.append(done - now)
+        return done
+
+    with obs.collecting() as registry:
+        machine = Machine(repro.tiny_config(), policy="scoma")
+        machine.probes.add("access", slower)
+        machine.run(make_workload("fft", "tiny"))
+    (_labels, hist), = obs.find_metrics(registry.to_dict()["histograms"],
+                                        "sim.access_latency_cycles")
+    assert hist["count"] == machine.stats.references
+    # It observed the completion the earlier probe adjusted.
+    assert hist["sum"] == sum(seen)
 
 
 def test_disabled_path_within_coarse_overhead_bound():

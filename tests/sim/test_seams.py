@@ -18,6 +18,8 @@ from repro.core.controller import CoherenceController
 from repro.core.finegrain import FineGrainTags, Tag
 from repro.harness.runner import derive_page_cache_caps
 from repro.harness.session import ExperimentSpec, execute_spec
+from repro.interconnect.messages import MessageKind
+from repro.sim.engine import SchedulePerturbation
 from repro.sim.machine import Machine
 from repro.sim.probes import POINTS
 from repro.workloads import make_workload
@@ -32,7 +34,7 @@ def counting(point, calls):
         def probe(call, kernel, *args, **kwargs):
             calls.append(args)
             return call(*args, **kwargs)
-    elif point in ("access", "miss", "upgrade"):
+    elif point in ("access", "miss", "upgrade", "send"):
         def probe(call, *args):
             calls.append(args)
             return call(*args)
@@ -96,6 +98,23 @@ def test_probe_point_fires(point):
         assert len(calls) == machine.stats.references
     elif point == "fault":
         assert len(calls) == machine.stats.page_faults
+    elif point == "send":
+        assert len(calls) == machine.network.messages
+
+
+def test_intra_node_send_fires_no_probe_and_draws_no_jitter():
+    schedule = SchedulePerturbation(net_jitter=(5,))
+    machine = Machine(repro.tiny_config(), schedule=schedule)
+    calls = []
+    machine.probes.add("send", counting("send", calls))
+    assert machine.network.send(1, 1, 100, MessageKind.READ_REQ) == 100
+    assert calls == []
+    assert schedule._hop == 0
+    assert machine.network.messages == 0
+    arrival = machine.network.send(0, 1, 100, MessageKind.READ_REQ)
+    assert arrival == 100 + machine.config.latency.net_latency + 5
+    assert calls == [(0, 1, 100, MessageKind.READ_REQ)]
+    assert schedule._hop == 1
 
 
 # -- the registry -------------------------------------------------------

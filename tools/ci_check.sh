@@ -112,13 +112,20 @@ echo "== protocol conformance: litmus suite + fixed-seed fuzz smoke =="
 python -m repro verify --suite litmus
 python -m repro verify --fuzz 40 --seed 0
 
-echo "== chaos smoke: seeded fault-injection campaign, twice =="
+echo "== chaos smoke: seeded fault-injection campaign, twice, then traced =="
 # The campaign must pass (every verdict acceptable) and be perfectly
 # reproducible: two invocations with the same seed diff clean.
 python -m repro chaos --seed 7 --rounds 4 > "$workdir/chaos1.txt"
 python -m repro chaos --seed 7 --rounds 4 > "$workdir/chaos2.txt"
 if ! diff -u "$workdir/chaos1.txt" "$workdir/chaos2.txt"; then
     echo "FAIL: chaos campaign is not reproducible across invocations" >&2
+    exit 1
+fi
+# Hop spans are a send probe wrapped around the fault plane's: tracing
+# must not change a single verdict.
+python -m repro chaos --seed 7 --rounds 4 --trace > "$workdir/chaos3.txt"
+if ! diff -u "$workdir/chaos1.txt" "$workdir/chaos3.txt"; then
+    echo "FAIL: tracing perturbs the chaos campaign" >&2
     exit 1
 fi
 
