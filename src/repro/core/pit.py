@@ -123,11 +123,6 @@ class PageInformationTable:
 
     # -- translation ---------------------------------------------------
 
-    def by_frame(self, frame: int) -> "PitEntry | None":
-        """Forward translation: physical frame -> entry."""
-        self.lookups += 1
-        return self._by_frame.get(frame)
-
     def by_gpage(self, gpage: int,
                  guess_frame: "int | None" = None) -> "PitEntry | None":
         """Reverse translation: global page -> entry.

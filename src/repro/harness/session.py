@@ -86,13 +86,6 @@ class ExperimentSpec:
         """The machine configuration this spec runs on (never None)."""
         return self.config if self.config is not None else MachineConfig()
 
-    def with_override(self, caps: "list[int] | tuple[int, ...]") -> "ExperimentSpec":
-        """Copy of this spec with a per-node page-cache cap list."""
-        return ExperimentSpec(workload=self.workload, policy=self.policy,
-                              preset=self.preset, config=self.config,
-                              page_cache_override=tuple(caps),
-                              seed=self.seed)
-
     def to_payload(self) -> "dict[str, object]":
         """JSON-safe dict describing this spec, config fully resolved.
 

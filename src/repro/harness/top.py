@@ -1,14 +1,13 @@
 """Live terminal view of a running campaign (``repro top``).
 
-:class:`LiveCampaignView` implements the :class:`~repro.harness.
-report.CampaignProgress` duck interface (``expect`` / ``cell_done`` /
-``note_cache``) plus the session's optional ``cell_metrics`` hook, and
-renders a full-screen frame after every completed cell: per-cell
-progress with access-latency p50/p99, result-cache counters, worker
-utilization, and rolling campaign-wide latency quantiles with a
-critical-path segment breakdown (when the cells ran with a trace
-collector the ``trace.segment_cycles`` roll-ups feed it; otherwise the
-segment column is empty).
+:class:`LiveCampaignView` is a :class:`~repro.harness.report.
+CampaignProgress` that also takes the session's optional
+``cell_metrics`` hook, and renders a full-screen frame after every
+completed cell: per-cell progress with access-latency p50/p99,
+result-cache counters, worker utilization, and rolling campaign-wide
+latency quantiles with a critical-path segment breakdown (when the
+cells ran with a trace collector the ``trace.segment_cycles`` roll-ups
+feed it; otherwise the segment column is empty).
 
 This is the seed of the ROADMAP's campaign-service dashboard: the view
 consumes only :mod:`repro.obs` snapshot dicts — exactly what a
@@ -23,11 +22,8 @@ line per completed cell, which keeps piped output and CI logs sane.
 
 from __future__ import annotations
 
-import sys
-import time
-
 from repro.obs.registry import find_metrics, quantile
-from repro.harness.report import TextTable
+from repro.harness.report import CampaignProgress, TextTable
 
 #: Clear screen + home the cursor.
 _ANSI_REPAINT = "\x1b[H\x1b[2J"
@@ -47,28 +43,24 @@ def _merge_hist(into: "dict | None", member: dict) -> dict:
     return into
 
 
-class LiveCampaignView:
+class LiveCampaignView(CampaignProgress):
     """Live campaign dashboard; plug into ``Session(progress=...)``.
 
     The session must run with ``collect_metrics=True`` for the latency
     columns to populate (cells completed without a snapshot — e.g.
-    cache hits stored without one — show dashes).
+    cache hits stored without one — show dashes).  Counting, the cache
+    counters and :meth:`summary` are :class:`CampaignProgress`'s; its
+    per-cell lines stay off because this view draws its own.
     """
 
     def __init__(self, stream=None, jobs: int = 1,
                  repaint: "bool | None" = None) -> None:
-        self.stream = stream if stream is not None else sys.stdout
+        super().__init__(stream, enabled=False)
         self.jobs = max(1, jobs)
         if repaint is None:
             repaint = bool(getattr(self.stream, "isatty", lambda: False)())
         self.repaint = repaint
-        self.total = 0
-        self.done = 0
-        self.cached = 0
         self.busy_seconds = 0.0
-        self.cache_hits: "int | None" = None
-        self.cache_misses: "int | None" = None
-        self.started = time.perf_counter()
         #: Completed cells in completion order:
         #: (workload, policy, note, p50, p99, segments-string).
         self.rows: "list[tuple]" = []
@@ -76,16 +68,7 @@ class LiveCampaignView:
         self._latency = None          # rolling access-latency histogram
         self._segments: "dict[str, int]" = {}   # segment -> cycles
 
-    # -- session progress interface (duck-typed) -------------------------
-
-    def expect(self, cells: int) -> None:
-        """Announce ``cells`` more cells to run (totals accumulate)."""
-        self.total += cells
-
-    def note_cache(self, hits: int, misses: int) -> None:
-        """Record the session's result-cache counters (absolute)."""
-        self.cache_hits = hits
-        self.cache_misses = misses
+    # -- session progress interface ---------------------------------------
 
     def cell_metrics(self, workload: str, policy: str,
                      metrics: dict) -> None:
@@ -111,10 +94,8 @@ class LiveCampaignView:
     def cell_done(self, workload: str, policy: str, seconds: float,
                   cached: bool = False) -> None:
         """Record one completed campaign cell and redraw."""
-        self.done += 1
-        if cached:
-            self.cached += 1
-        else:
+        super().cell_done(workload, policy, seconds, cached)
+        if not cached:
             self.busy_seconds += seconds
         note = "cached" if cached else "%.2fs" % seconds
         p50, p99 = self._pending_metrics.pop((workload, policy),
@@ -135,11 +116,6 @@ class LiveCampaignView:
                        key=lambda kv: (-kv[1], kv[0]))[:top]
         return " ".join("%s %d%%" % (kind, round(100.0 * cycles / total))
                         for kind, cycles in parts)
-
-    @property
-    def elapsed(self) -> float:
-        """Wall-clock seconds since this view was created."""
-        return time.perf_counter() - self.started
 
     def utilization(self) -> float:
         """Fraction of the worker pool kept busy by simulated cells."""
@@ -183,14 +159,3 @@ class LiveCampaignView:
                                  row[0], row[1], row[2], row[3], row[4],
                                  row[5]))
         self.stream.flush()
-
-    def summary(self) -> str:
-        """End-of-campaign one-liner (matches CampaignProgress's)."""
-        line = ("campaign: %d cells in %.1fs wall-clock"
-                " (%d simulated, %d cache hits)"
-                % (self.done, self.elapsed, self.done - self.cached,
-                   self.cached))
-        if self.cache_hits is not None:
-            line += (" [result cache: %d hits, %d misses]"
-                     % (self.cache_hits, self.cache_misses))
-        return line

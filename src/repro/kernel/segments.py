@@ -98,11 +98,6 @@ class Region:
     gsid: "int | None"
     gpage_base: int = -1
 
-    @property
-    def vend(self) -> int:
-        """One past the region's last virtual address."""
-        return self.vbase + self.size_bytes
-
 
 class AddressSpaceLayout:
     """The (identical-everywhere) virtual address space of a workload.

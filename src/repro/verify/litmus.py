@@ -165,10 +165,6 @@ class LitmusWorkload(Workload):
         self._addr = {loc: self.arr.addr(i)
                       for i, loc in enumerate(test.locations)}
 
-    def addr_of(self, loc: str) -> int:
-        """Virtual address of a named location (for checkers)."""
-        return self._addr[loc]
-
     def generator(self, cpu_id: int, num_cpus: int):
         test = self.test
         addr = self._addr

@@ -209,10 +209,10 @@ fault model, the plan JSON format and the verdict taxonomy.
 The reference path is aggressively optimised but every fast path is
 required to leave simulated results byte-identical; see
 [PERFORMANCE.md](PERFORMANCE.md) for the hot-path design rules, the
-`tools/bench.py` throughput harness, the committed `BENCH_sim.json`
-trajectory and the CI regression gate, and a cProfile recipe for
-single cells.  Workload generators can compress constant-stride
-reference sequences into block ops (`OP_READ_RUN`/`OP_WRITE_RUN`) via
+`bench/` benchmark, the CI gates on its exact per-layer call counts
+and on a wall-clock floor, and a cProfile recipe for single cells.
+Workload generators can compress constant-stride reference sequences
+into block ops (`OP_READ_RUN`/`OP_WRITE_RUN`) via
 `SharedArray.read_run`/`write_run` or `repro.workloads.base.coalesce`.
 """
 
