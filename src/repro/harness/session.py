@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import queue
 import tempfile
@@ -254,8 +253,11 @@ class _Scheduler:
         self._session = session
         self._events: "queue.Queue" = queue.Queue()
         self._outstanding = 0
-        self._pool = (multiprocessing.Pool(session.jobs)
-                      if session.jobs > 1 else None)
+        self._pool = None
+        if session.jobs > 1:
+            import multiprocessing
+
+            self._pool = multiprocessing.Pool(session.jobs)
 
     def submit(self, tag, spec: ExperimentSpec) -> None:
         """Schedule one cell; its completion event carries ``tag``."""

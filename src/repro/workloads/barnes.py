@@ -21,8 +21,6 @@ particles, 3 iterations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.workloads.base import (PrivateArray, SharedArray, Workload,
                                   barrier, coalesce_stream, compute,
                                   lock, unlock)
@@ -68,6 +66,8 @@ class BarnesWorkload(Workload):
 
         # Real spatial decomposition: cluster the bodies (Plummer-ish
         # clumping) and bin them into the uniform cell grid.
+        import numpy as np
+
         rng = np.random.RandomState(self.seed)
         centers = rng.rand(8, 3)
         pos = (centers[rng.randint(0, 8, n)]

@@ -23,8 +23,6 @@ space; :class:`SharedArray` and :class:`PrivateArray` provide element
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
                            OP_READ_RUN, OP_UNLOCK, OP_WRITE, OP_WRITE_RUN)
 
@@ -168,6 +166,8 @@ def coalesce(addrs, writes) -> list:
     found with array arithmetic; only the ops themselves are built in
     Python.
     """
+    import numpy as np
+
     addrs = np.asarray(addrs, dtype=np.int64)
     writes = np.asarray(writes, dtype=bool)
     n = len(addrs)

@@ -17,8 +17,6 @@ particles, 5 iterations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.workloads.base import (SharedArray, Workload, barrier,
                                   coalesce_stream, compute)
 
@@ -52,6 +50,8 @@ class Mp3dWorkload(Workload):
                                  elem_bytes=CELL_BYTES)
 
         # Real free-flight trajectories through the wind tunnel.
+        import numpy as np
+
         rng = np.random.RandomState(self.seed)
         pos = rng.rand(self.n, 3) * np.array([nx, ny, nz])
         vel = rng.randn(self.n, 3) * 0.4 + np.array([1.2, 0.0, 0.0])

@@ -21,8 +21,6 @@ radix 256, 2 passes over 16-bit keys.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.workloads.base import (PrivateArray, SharedArray, Workload,
                                   barrier, coalesce_stream, compute)
 
@@ -61,6 +59,8 @@ class RadixWorkload(Workload):
                            for _ in range(num_cpus)]
 
         # Compute the real per-pass permutations with numpy.
+        import numpy as np
+
         rng = np.random.RandomState(self.seed)
         keys = rng.randint(0, 1 << (self.passes * self.digit_bits), size=n,
                            dtype=np.int64)

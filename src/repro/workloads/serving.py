@@ -44,8 +44,6 @@ runs are byte-identical to an untapped machine.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import obs
 from repro.workloads.base import (SharedArray, Workload, barrier,
                                   coalesce_stream, compute, lock, unlock)
@@ -87,6 +85,8 @@ class ZipfianStream:
         self.churn_interval = churn_interval
         self.drift = drift
         self.seed = seed
+        import numpy as np
+
         weights = 1.0 / np.arange(1, num_keys + 1, dtype=np.float64) ** skew
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
@@ -98,12 +98,16 @@ class ZipfianStream:
     def ranks(self, count: int) -> np.ndarray:
         """Popularity ranks (0 = hottest) of the next ``count``
         requests; advances the stream exactly like :meth:`sample`."""
+        import numpy as np
+
         u = self._uniforms.random_sample(count)
         return np.searchsorted(self._cdf, u, side="left")
 
     def sample(self, count: int) -> np.ndarray:
         """Keys of the next ``count`` requests, churn/drift applied.
         Every key is in ``[0, num_keys)`` by construction."""
+        import numpy as np
+
         start = self._drawn
         ranks = self.ranks(count)
         self._drawn = start + count
@@ -233,6 +237,8 @@ class KvStoreWorkload(Workload):
         stream = ZipfianStream(self.num_keys, skew=self.skew,
                                churn_interval=self.churn_interval,
                                drift=self.drift, seed=self.seed)
+        import numpy as np
+
         flips = np.random.RandomState(self.seed + 1)
         per_batch = self.requests_per_cpu // self.batches
         self._plans = []

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from itertools import chain
 
-import numpy as np
-
 from repro.workloads.base import (SharedArray, Workload, barrier, coalesce,
                                   compute)
 
@@ -99,6 +97,8 @@ class SyntheticWorkload(Workload):
         self.num_lines = self.shared_kb * 1024 // LINE_BYTES
         self.array = SharedArray(layout, key=9100, num_elems=self.num_lines,
                                  elem_bytes=LINE_BYTES)
+        import numpy as np
+
         rng = np.random.RandomState(self.seed)
         builder = getattr(self, "_plan_" + self.pattern)
         #: per-cpu, per-iteration list of (line_index, is_write) arrays.
@@ -110,6 +110,8 @@ class SyntheticWorkload(Workload):
         return rng.rand(count) < self.write_fraction
 
     def _plan_block(self, num_cpus, rng):
+        import numpy as np
+
         per_cpu = self.num_lines // num_cpus
         span = max(1, int(per_cpu * self.sweep_fraction))
         plans = []
@@ -139,6 +141,8 @@ class SyntheticWorkload(Workload):
         return plans
 
     def _plan_migratory(self, num_cpus, rng):
+        import numpy as np
+
         # A pool of "objects" (4 lines each); each iteration every CPU
         # read-modify-writes the objects of a rotating slice, so every
         # object is owned by each CPU in turn.
@@ -161,6 +165,8 @@ class SyntheticWorkload(Workload):
         return plans
 
     def _plan_producer_consumer(self, num_cpus, rng):
+        import numpy as np
+
         per_cpu = self.num_lines // num_cpus
         span = max(1, int(per_cpu * self.sweep_fraction))
         plans = []
@@ -177,6 +183,8 @@ class SyntheticWorkload(Workload):
         return plans
 
     def _plan_reuse_vs_stream(self, num_cpus, rng):
+        import numpy as np
+
         per_cpu = self.num_lines // num_cpus
         hot_span = max(1, per_cpu // 4)
         refs = self.refs_per_cpu_per_iter

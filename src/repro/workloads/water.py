@@ -21,8 +21,6 @@ Paper data sets: 512 molecules, 3 iterations for both.  Defaults here:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.workloads.base import (PrivateArray, SharedArray, Workload,
                                   barrier, coalesce_stream, compute,
                                   lock, unlock)
@@ -137,6 +135,8 @@ class WaterSpatialWorkload(_WaterBase):
     def setup(self, layout, num_cpus: int) -> None:
         super().setup(layout, num_cpus)
         d = self.cells_per_dim
+        import numpy as np
+
         rng = np.random.RandomState(self.seed)
         pos = rng.rand(self.n, 3)
         cell = (pos * d).astype(np.int64).clip(0, d - 1)

@@ -190,6 +190,26 @@ if rate < FLOOR:
     sys.exit("FAIL: hot-32x8 work_per_s is below the floor")
 EOF
 
+echo "== cold-start ceiling: chaos --quick setup_s =="
+# tests/test_cold_start.py keeps numpy and multiprocessing out of a
+# plain launch; this catches any other heavy import that creeps in.
+# When the ceiling was set, ten runs of
+# `bench/run.py --quick --seconds 0 --workload chaos` on a shared
+# 2-vCPU x86-64 host (CPython 3.11) read setup_s 0.140-0.211 s.
+# The ceiling is 1.25 x their maximum (0.2113 s): 1.25 is one plus
+# the 0.25 setup_s bound in BENCHMARK.json.
+python3 - <<'EOF'
+import json
+import sys
+
+CEILING = 0.264
+result = json.load(open("bench/results/smoke/chaos-seed0-quick.json"))
+setup = result["metrics"]["setup_s"]["value"]
+print("chaos setup_s %.3f s (ceiling %.3f s)" % (setup, CEILING))
+if setup > CEILING:
+    sys.exit("FAIL: chaos setup_s is above the cold-start ceiling")
+EOF
+
 echo "== benchmark tests =="
 python3 -m pytest bench/tests -q
 
