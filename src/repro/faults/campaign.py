@@ -147,25 +147,29 @@ def run_chaos(test: LitmusTest, plan: FaultPlan, seed: int = 0,
             collector.unwind("run aborted")
             tracing.uninstall()
 
-    violations = []
-    if sink.dropped:
-        violations.append("history truncated: %d events dropped"
-                          % sink.dropped)
-    violations += check_history(sink.events, machine._line_shift)
-    checker = getattr(test, "check", None)
-    if checker is not None:
-        # Scenario-level invariants over the recorded history (e.g. 2PC
-        # atomicity: no data apply before its commit decision).
-        violations += checker(sink.events, machine)
-    if verdict == Verdict.COMPLETED_SC and test.forbidden is not None:
-        registers = _bind_registers(test, sink.events)
-        if test.forbidden(registers):
-            violations.append("forbidden outcome: registers %r"
-                              % (registers,))
-    if violations:
-        # Even a clean failure must leave an SC prefix behind; a bad
-        # history always escalates to CORRUPT.
-        verdict = Verdict.CORRUPT
+    # The checks read the history and the machine; close it after them.
+    try:
+        violations = []
+        if sink.dropped:
+            violations.append("history truncated: %d events dropped"
+                              % sink.dropped)
+        violations += check_history(sink.events, machine._line_shift)
+        checker = getattr(test, "check", None)
+        if checker is not None:
+            # Scenario-level invariants over the recorded history (e.g. 2PC
+            # atomicity: no data apply before its commit decision).
+            violations += checker(sink.events, machine)
+        if verdict == Verdict.COMPLETED_SC and test.forbidden is not None:
+            registers = _bind_registers(test, sink.events)
+            if test.forbidden(registers):
+                violations.append("forbidden outcome: registers %r"
+                                  % (registers,))
+        if violations:
+            # Even a clean failure must leave an SC prefix behind; a bad
+            # history always escalates to CORRUPT.
+            verdict = Verdict.CORRUPT
+    finally:
+        machine.close()
     return ChaosRun(test=test, plan=plan, seed=seed, verdict=verdict,
                     detail=detail, violations=violations,
                     fault_stats=injector.stats.to_dict(), trace=collector)

@@ -129,7 +129,10 @@ def execute_spec(spec: ExperimentSpec) -> RunResult:
                 if spec.page_cache_override is not None else None)
     machine = Machine(spec.resolved_config(), policy=spec.policy,
                       page_cache_override=override)
-    return machine.run(make_workload(spec.workload, spec.preset))
+    try:
+        return machine.run(make_workload(spec.workload, spec.preset))
+    finally:
+        machine.close()
 
 
 def _worker_run(payload: "dict[str, object]",
@@ -501,13 +504,16 @@ class Session:
                 machine = Machine(spec.resolved_config(),
                                   policy=spec.policy,
                                   page_cache_override=override)
-                workload = make_workload(spec.workload, spec.preset)
-                if sink is not None:
-                    with TraceRecorder(machine, kinds=trace_kinds,
-                                       sink=sink):
+                try:
+                    workload = make_workload(spec.workload, spec.preset)
+                    if sink is not None:
+                        with TraceRecorder(machine, kinds=trace_kinds,
+                                           sink=sink):
+                            result = machine.run(workload)
+                    else:
                         result = machine.run(workload)
-                else:
-                    result = machine.run(workload)
+                finally:
+                    machine.close()
         result.metrics = registry.to_dict()
         if self.cache is not None:
             self.cache.store(spec, result.stats, result.metrics)

@@ -23,6 +23,7 @@ from repro.core.directory import Directory, DirState
 from repro.core.finegrain import Tag
 from repro.core.migration import MigrationManager
 from repro.core.modes import PageMode
+from repro.core.pit import PageInformationTable
 from repro.core.policies import PageModePolicy, make_policy
 from repro.interconnect.messages import MessageLog
 from repro.interconnect.network import Network
@@ -38,7 +39,8 @@ from repro.sim.config import MachineConfig
 from repro.sim.engine import Barrier, LockTable, Resource, sample_utilization
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
                            OP_READ_RUN, OP_UNLOCK, OP_WRITE, OP_WRITE_RUN)
-from repro.sim.probes import Probes
+from repro.sim.probes import (_KERNEL_METHODS, _MACHINE_METHODS,
+                              _NETWORK_METHODS, POINTS, Probes)
 from repro.sim.stats import CpuStats, MachineStats, NodeStats
 
 # Hoisted line states and page modes: the reference fast path compares
@@ -95,7 +97,6 @@ class Node:
         self.pools = FramePools(node_id,
                                 page_cache_frames=config.page_cache_frames,
                                 total_frames=config.total_frames_per_node)
-        from repro.core.pit import PageInformationTable
         self.pit = PageInformationTable(node_id, config.lines_per_page)
         self.directory = Directory(node_id, config.lines_per_page,
                                    config.directory_cache_entries)
@@ -289,6 +290,8 @@ class Machine:
 
     def run(self, workload) -> RunResult:
         """Set up ``workload`` and simulate it to completion."""
+        if self.probes.machine is None:
+            raise RuntimeError("a closed machine cannot run again")
         workload.setup(self.layout, len(self.cpus))
         # A workload that observes its own run (the serving metrics
         # tap, the 2PC channel driver) registers probes once its
@@ -325,6 +328,49 @@ class Machine:
                 round(self.stats.references / wall, 1) if wall > 0 else 0.0)
         return RunResult(workload=workload.name, policy=self.policy.name,
                          config=self.config, stats=self.stats)
+
+    def close(self) -> None:
+        """Free the simulated model once its results have been read.
+
+        Ownership rule: whoever builds a machine and keeps only its
+        results closes it.  A finished machine is a reference cycle
+        (nodes, controllers, kernels, CPUs, the migration manager and
+        the probe bus all point back at it, and every bound probe chain
+        points at its owner), so without this its caches, directories
+        and PITs wait for a full cyclic collection.  ``close`` empties
+        every probe point, unbinds the chains, severs the
+        back-references and drops the CPUs' generators; the model is
+        then freed by reference counting as soon as the owner drops the
+        machine.
+
+        The returned :class:`RunResult` and ``self.stats`` stay valid,
+        as does :meth:`resource_report`; the machine cannot run again.
+        Closing twice is a no-op.
+        """
+        probes = self.probes
+        # Probes._set(point, ()) for every point, spelled out so that
+        # closing costs one call.
+        for point in POINTS:
+            setattr(probes, point, ())
+        for method in _MACHINE_METHODS.values():
+            vars(self).pop(method, None)
+        for method in _NETWORK_METHODS.values():
+            vars(self.network).pop(method, None)
+        probes.machine = None
+        self.migration.machine = None
+        if self.faults is not None:
+            self.faults._machine = None
+        for node in self.nodes:
+            node.machine = None
+            controller = node.controller
+            controller.node = controller.machine = None
+            kernel = node.kernel
+            for method in _KERNEL_METHODS.values():
+                vars(kernel).pop(method, None)
+            kernel.node = kernel.machine = None
+            for cpu in node.cpus:
+                cpu.node = None
+                cpu.gen = None
 
     def _event_loop(self) -> None:
         """The scheduler: run CPUs in (time, cpu_id) order to completion.

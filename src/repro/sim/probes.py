@@ -48,6 +48,8 @@ loop over an empty tuple on a rare path.
 This module is the only code that installs anything on a machine.  The
 exceptions left are the controllers' and kernels' child-span handles,
 single attribute tests that mark spans inside protocol steps.
+``Machine.close`` empties every point and drops the bound chains, using
+the method tables below.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ POINTS = ("access", "miss", "upgrade", "fault", "pageout", "send",
 _MACHINE_METHODS = {"access": "_access", "miss": "_miss",
                     "upgrade": "_upgrade"}
 _KERNEL_METHODS = {"fault": "fault", "pageout": "page_out_client"}
+_NETWORK_METHODS = {"send": "_hop"}
 
 
 class Probes:
@@ -105,8 +108,8 @@ class Probes:
             for node in machine.nodes:
                 _bind(node.kernel, _KERNEL_METHODS[point], probes,
                       (node.kernel,))
-        elif point == "send":
-            _bind(machine.network, "_hop", probes, ())
+        elif point in _NETWORK_METHODS:
+            _bind(machine.network, _NETWORK_METHODS[point], probes, ())
 
 
 def _bind(owner, method: str, probes: tuple, extra: tuple) -> None:

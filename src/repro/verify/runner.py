@@ -62,37 +62,40 @@ def run_litmus(test: LitmusTest,
     """Run one litmus test under one schedule and check all oracles."""
     machine = Machine(test.build_config(), policy=test.policy,
                       schedule=schedule)
-    sink = EventSink(capacity=100_000)
-    tracker = ValueTracker(machine, sink)
-    invariant_problems: "list[str]" = []
-    if check_invariants:
-        install_barrier_checks(machine)
-    workload = LitmusWorkload(test)
     try:
-        machine.run(workload)
-    except InvariantViolation as exc:
-        invariant_problems = exc.problems
-    except RuntimeError as exc:
-        # Protocol errors and engine deadlocks are conformance failures
-        # too — a mutation may crash the machine instead of corrupting
-        # values, and the suite must report that, not die.
-        invariant_problems = ["machine raised %s: %s"
-                              % (type(exc).__name__, exc)]
-    finally:
-        tracker.detach()
+        sink = EventSink(capacity=100_000)
+        tracker = ValueTracker(machine, sink)
+        invariant_problems: "list[str]" = []
+        if check_invariants:
+            install_barrier_checks(machine)
+        workload = LitmusWorkload(test)
+        try:
+            machine.run(workload)
+        except InvariantViolation as exc:
+            invariant_problems = exc.problems
+        except RuntimeError as exc:
+            # Protocol errors and engine deadlocks are conformance failures
+            # too — a mutation may crash the machine instead of corrupting
+            # values, and the suite must report that, not die.
+            invariant_problems = ["machine raised %s: %s"
+                                  % (type(exc).__name__, exc)]
+        finally:
+            tracker.detach()
 
-    violations = list(invariant_problems)
-    if sink.dropped:
-        violations.append("history truncated: %d events dropped"
-                          % sink.dropped)
-    violations += check_history(sink.events, machine._line_shift)
-    registers = _bind_registers(test, sink.events)
-    if test.forbidden is not None and not violations:
-        if test.forbidden(registers):
-            violations.append("forbidden outcome: registers %r"
-                              % (registers,))
-    return LitmusResult(test=test, schedule=schedule,
-                        violations=violations, registers=registers)
+        violations = list(invariant_problems)
+        if sink.dropped:
+            violations.append("history truncated: %d events dropped"
+                              % sink.dropped)
+        violations += check_history(sink.events, machine._line_shift)
+        registers = _bind_registers(test, sink.events)
+        if test.forbidden is not None and not violations:
+            if test.forbidden(registers):
+                violations.append("forbidden outcome: registers %r"
+                                  % (registers,))
+        return LitmusResult(test=test, schedule=schedule,
+                            violations=violations, registers=registers)
+    finally:
+        machine.close()
 
 
 def _bind_registers(test: LitmusTest, events) -> "tuple[tuple[int, ...], ...]":

@@ -12,6 +12,8 @@ between accesses so resources are idle (uncontended latencies).
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.machine import Machine
 
@@ -196,21 +198,31 @@ class LatencyProbe:
 
 
 def run_microbenchmark(config: "MachineConfig | None" = None) -> "dict[str, int]":
-    """Measure every Table 1 row; returns ``{row_name: cycles}``."""
+    """Measure every Table 1 row; returns ``{row_name: cycles}``.
+
+    Each probe's machine is closed when the measurement is done.
+    """
     results: "dict[str, int]" = {}
-    probe = LatencyProbe(config)
-    results["l2_hit"] = probe.probe_l2_hit()
-    results["local_memory"] = probe.probe_local_memory()
-    results["remote_clean"] = probe.probe_remote_clean()
-    results["2party_modified"] = probe.probe_2party_modified()
-    results["3party_modified"] = probe.probe_3party_modified()
-    results["2party_write_shared"] = probe.probe_2party_write_shared()
-    base = LatencyProbe(config).probe_write_shared(0)
-    results["write_shared_base"] = base
-    with_two = LatencyProbe(config).probe_write_shared(2)
-    results["write_shared_per_sharer"] = (with_two - base) // 2
-    results["tlb_miss"] = probe.probe_tlb_miss()
-    fresh = LatencyProbe(config)
-    results["fault_local"] = fresh.probe_fault_local()
-    results["fault_remote"] = fresh.probe_fault_remote()
+    with ExitStack() as owned:
+        probe = LatencyProbe(config)
+        owned.callback(probe.machine.close)
+        results["l2_hit"] = probe.probe_l2_hit()
+        results["local_memory"] = probe.probe_local_memory()
+        results["remote_clean"] = probe.probe_remote_clean()
+        results["2party_modified"] = probe.probe_2party_modified()
+        results["3party_modified"] = probe.probe_3party_modified()
+        results["2party_write_shared"] = probe.probe_2party_write_shared()
+        base_probe = LatencyProbe(config)
+        owned.callback(base_probe.machine.close)
+        base = base_probe.probe_write_shared(0)
+        results["write_shared_base"] = base
+        two_probe = LatencyProbe(config)
+        owned.callback(two_probe.machine.close)
+        with_two = two_probe.probe_write_shared(2)
+        results["write_shared_per_sharer"] = (with_two - base) // 2
+        results["tlb_miss"] = probe.probe_tlb_miss()
+        fresh = LatencyProbe(config)
+        owned.callback(fresh.machine.close)
+        results["fault_local"] = fresh.probe_fault_local()
+        results["fault_remote"] = fresh.probe_fault_remote()
     return results

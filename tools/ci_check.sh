@@ -210,6 +210,29 @@ if setup > CEILING:
     sys.exit("FAIL: chaos setup_s is above the cold-start ceiling")
 EOF
 
+echo "== campaign-memory ceiling: paper-tiny --quick peak_rss_mb =="
+# Every campaign cell closes its machine (Machine.close), so one cell's
+# model is live at a time; a finished machine left as a reference
+# cycle waits for the cyclic GC and the peak grows with the campaign.
+# When the ceiling was set, ten runs of
+# `bench/run.py --quick --seconds 0 --workload paper-tiny` on a shared
+# 2-vCPU x86-64 host (CPython 3.11) read peak_rss_mb 26.35-26.48 MB
+# (42.64-42.79 MB with finished machines left to the GC).
+# The ceiling is 1.15 x their maximum (26.48 MB): 1.15 is one plus the
+# 0.15 peak_rss_mb bound in BENCHMARK.json.
+python3 - <<'EOF'
+import json
+import sys
+
+CEILING = 30.45
+result = json.load(open("bench/results/smoke/paper-tiny-seed0-quick.json"))
+rss = result["metrics"]["peak_rss_mb"]["value"]
+print("paper-tiny peak_rss_mb %.2f MB (ceiling %.2f MB)" % (rss, CEILING))
+if rss > CEILING:
+    sys.exit("FAIL: paper-tiny peak_rss_mb is above the campaign-memory "
+             "ceiling")
+EOF
+
 echo "== benchmark tests =="
 python3 -m pytest bench/tests -q
 
