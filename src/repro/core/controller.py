@@ -23,8 +23,6 @@ uncontended transactions reproduce Table 1 and contended ones stretch.
 
 from __future__ import annotations
 
-from repro import obs
-from repro.obs import tracing
 from repro.core.directory import DirState
 from repro.core.finegrain import Tag
 from repro.core.modes import PageMode
@@ -103,18 +101,19 @@ class CoherenceController:
         lat = self.lat
         self._lat_dispatch = lat.ctrl_dispatch
         self._lat_dispatch_pit = lat.ctrl_dispatch + lat.pit_access
-        # Pre-resolved observability handles (None when disabled, so the
-        # protocol paths pay one attribute test each).
-        registry = obs.current()
+        # Pre-resolved observability handles from the machine's registry
+        # (None when disabled, so the protocol paths pay one attribute
+        # test each).
+        registry = machine.registry
         if registry is not None:
             self._obs_fetch = registry.histogram("core.fetch_latency_cycles")
             self._obs_messages = registry.counter("core.remote_transactions")
         else:
             self._obs_fetch = None
             self._obs_messages = None
-        # Causal tracing handle (None when no collector is installed;
+        # Causal tracing handle (None when the machine has no collector;
         # every span site below pays one pointer test).
-        self._tracer = tracing.current()
+        self._tracer = machine.tracer
 
     # ------------------------------------------------------------------
     # Client side.
@@ -305,7 +304,9 @@ class CoherenceController:
         # nodes not on the page's writer list (section 3.2).
         if want_excl and not node.pit.write_allowed(entry.frame, requester):
             node.stats.wild_writes_blocked += 1
-            obs.counter("core.wild_writes_blocked").inc()
+            registry = self.machine.registry
+            if registry is not None:
+                registry.counter("core.wild_writes_blocked").inc()
             raise WildWriteError(
                 "node %d may not write gpage %d (home %d firewall)"
                 % (requester, gpage, node.node_id))

@@ -18,7 +18,6 @@ the majority of them, the home migrates to that node.
 
 from __future__ import annotations
 
-from repro import obs
 from repro.core.directory import DirState
 from repro.core.finegrain import Tag
 from repro.core.modes import PageMode
@@ -156,6 +155,7 @@ class MigrationManager:
         new_home.stats.homes_migrated_in += 1
         machine.nodes[static_id].msglog.record(MessageKind.MIGRATE_ACK, 2)
         self.migrations += 1
-        obs.counter("core.migrations").inc()
+        if machine.registry is not None:
+            machine.registry.counter("core.migrations").inc()
         for probe in machine.probes.migrate:
             probe(gpage, old_home_id, new_home_id)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs
 from repro.core.finegrain import Tag
 from repro.core.modes import PageMode
 
@@ -82,8 +81,10 @@ class PageModePolicy:
             outcome = "demote"
         else:
             outcome = "evict"
-        obs.counter("core.cache_full_actions",
-                    policy=self.name, action=outcome).inc()
+        registry = kernel.machine.registry
+        if registry is not None:
+            registry.counter("core.cache_full_actions",
+                             policy=self.name, action=outcome).inc()
         return action
 
     def __repr__(self) -> str:

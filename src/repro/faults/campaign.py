@@ -20,6 +20,7 @@ plans, same verdicts, so a campaign is a reproducible artifact.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 import random
 
@@ -97,55 +98,58 @@ def run_chaos(test: LitmusTest, plan: FaultPlan, seed: int = 0,
     the protocol state, which the machine-wide walks would flag), plus
     the fault plane and the hang deadline.
 
-    ``trace=True`` installs a :class:`~repro.obs.tracing.TraceCollector`
-    (seeded with the run seed) for the duration of the run and attaches
-    it to the returned :class:`ChaosRun` — a failing run then comes with
-    the span tree of the transaction that hung or aborted, annotated
-    with the faults injected into it.  Tracing is passive: verdicts and
-    fault stats are identical either way.
+    ``trace=True`` builds the machine under a fresh
+    :class:`~repro.obs.tracing.TraceCollector` scope (seeded with the
+    run seed) and attaches the collector to the returned
+    :class:`ChaosRun` — a failing run then comes with the span tree of
+    the transaction that hung or aborted, annotated with the faults
+    injected into it.  Tracing is passive: verdicts and fault stats are
+    identical either way.
     """
     sink = EventSink(capacity=100_000)
     injector = FaultInjector(plan, seed=seed, retry=retry, sink=sink)
-    collector = None
-    if trace:
-        collector = tracing.install(tracing.TraceCollector(seed=seed))
-    try:
-        machine = Machine(test.build_config(), policy=test.policy,
-                          faults=injector, deadline=deadline)
-        tracker = ValueTracker(machine, sink)
-        # Litmus tests run as LitmusWorkload; scenario-style tests (the
-        # serving family's 2PC transactions) supply their own workload
-        # via a duck-typed make_workload() hook.
-        make = getattr(test, "make_workload", None)
-        workload = make() if make is not None else LitmusWorkload(test)
-        verdict = Verdict.COMPLETED_SC
-        detail = ""
+    # An aborted run leaves its transaction open: unwind it (tagged)
+    # before the collector's scope closes.
+    scope = tracing.collecting(seed=seed) if trace else nullcontext()
+    with scope as collector:
         try:
-            machine.run(workload)
-        except DeadlineExceeded as exc:
-            verdict = Verdict.HUNG
-            detail = str(exc)
-        except NodeFailedError as exc:
-            verdict = Verdict.FAILED_CLEAN
-            detail = "%s: %s" % (type(exc).__name__, exc)
-        except RuntimeError as exc:
-            if machine.failed_nodes and str(exc).startswith("deadlock"):
-                # A node died holding up a barrier: the survivors block
-                # forever by design.  That is a clean partial failure, not
-                # a protocol hang — the dead node is known and reported.
+            machine = Machine(test.build_config(), policy=test.policy,
+                              faults=injector, deadline=deadline)
+            tracker = ValueTracker(machine, sink)
+            # Litmus tests run as LitmusWorkload; scenario-style tests
+            # (the serving family's 2PC transactions) supply their own
+            # workload via a duck-typed make_workload() hook.
+            make = getattr(test, "make_workload", None)
+            workload = make() if make is not None else LitmusWorkload(test)
+            verdict = Verdict.COMPLETED_SC
+            detail = ""
+            try:
+                machine.run(workload)
+            except DeadlineExceeded as exc:
+                verdict = Verdict.HUNG
+                detail = str(exc)
+            except NodeFailedError as exc:
                 verdict = Verdict.FAILED_CLEAN
-                detail = ("nodes %s failed; surviving CPUs blocked on a "
-                          "barrier the dead node can never reach"
-                          % sorted(machine.failed_nodes))
-            else:
-                verdict = Verdict.CORRUPT
-                detail = "machine raised %s: %s" % (type(exc).__name__, exc)
+                detail = "%s: %s" % (type(exc).__name__, exc)
+            except RuntimeError as exc:
+                if machine.failed_nodes and str(exc).startswith("deadlock"):
+                    # A node died holding up a barrier: the survivors
+                    # block forever by design.  That is a clean partial
+                    # failure, not a protocol hang — the dead node is
+                    # known and reported.
+                    verdict = Verdict.FAILED_CLEAN
+                    detail = ("nodes %s failed; surviving CPUs blocked on a "
+                              "barrier the dead node can never reach"
+                              % sorted(machine.failed_nodes))
+                else:
+                    verdict = Verdict.CORRUPT
+                    detail = ("machine raised %s: %s"
+                              % (type(exc).__name__, exc))
+            finally:
+                tracker.detach()
         finally:
-            tracker.detach()
-    finally:
-        if collector is not None:
-            collector.unwind("run aborted")
-            tracing.uninstall()
+            if collector is not None:
+                collector.unwind("run aborted")
 
     # The checks read the history and the machine; close it after them.
     try:

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import random
 
-from repro import obs
-from repro.obs import tracing
 from repro.core.controller import UnreachableNodeError
 from repro.interconnect.messages import MessageKind, SequenceTracker
 from repro.interconnect.network import Network
@@ -221,7 +219,7 @@ class FaultInjector:
                         "declaring node %d unreachable"
                         % (kind.name, src, dst, attempt + 1, dst))
                 t = injected + retry.timeout(attempt)
-                tracer = tracing.current()
+                tracer = machine.tracer
                 if tracer is not None:
                     # The back-off window the requester sat on before
                     # this retransmission — the ``retry`` segment.
@@ -261,7 +259,8 @@ class FaultInjector:
             self._dup_pending = False
             self.seqs.accept(src, dst, stamp)
             self.stats.dedup_drops += 1
-            obs.counter("faults.dedup_drops").inc()
+            if machine.registry is not None:
+                machine.registry.counter("faults.dedup_drops").inc()
         return arrival
 
     def consume_duplicate(self) -> bool:
@@ -275,7 +274,9 @@ class FaultInjector:
         """Record a receiver-side dedup performed outside the injector
         (the command channel's queued-payload path)."""
         self.stats.dedup_drops += 1
-        obs.counter("faults.dedup_drops").inc()
+        registry = self._machine.registry
+        if registry is not None:
+            registry.counter("faults.dedup_drops").inc()
 
     # -- internals ---------------------------------------------------------
 
@@ -297,15 +298,19 @@ class FaultInjector:
         return None, 0
 
     def _note(self, action: str, kind, src: int, dst: int, now: int) -> None:
-        """Surface one fault as an obs counter and (optionally) event.
+        """Surface one fault as a ``faults.*`` counter in the machine's
+        registry and (optionally) an event.
 
-        With a trace collector installed the active transaction is also
-        annotated: a ``fault_<action>`` counter attr plus the message
-        kind the rule hit — a chaos failure's span tree says what was
-        injected into it.
+        With a trace collector on the machine the active transaction is
+        also annotated: a ``fault_<action>`` counter attr plus the
+        message kind the rule hit — a chaos failure's span tree says
+        what was injected into it.
         """
-        obs.counter("faults." + action, msg=kind.name).inc()
-        tracer = tracing.current()
+        machine = self._machine
+        if machine.registry is not None:
+            machine.registry.counter("faults." + action,
+                                     msg=kind.name).inc()
+        tracer = machine.tracer
         if tracer is not None:
             tracer.count("fault_" + action)
             tracer.annotate(fault_msg=kind.name)

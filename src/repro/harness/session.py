@@ -159,12 +159,15 @@ def _worker_run(payload: "dict[str, object]",
     if collect_metrics or trace_cells:
         from repro.obs import tracing
         with obs.collecting() as registry:
-            with obs.timer("harness.cell_wall_seconds"):
-                if trace_cells:
-                    with tracing.collecting(seed=spec.seed):
-                        result = execute_spec(spec)
-                else:
+            wall = registry.histogram("harness.cell_wall_seconds",
+                                      buckets=obs.TIME_BUCKETS_SECONDS)
+            begin = time.perf_counter()
+            if trace_cells:
+                with tracing.collecting(seed=spec.seed):
                     result = execute_spec(spec)
+            else:
+                result = execute_spec(spec)
+            wall.observe(time.perf_counter() - begin)
         metrics = registry.to_dict()
     else:
         result = execute_spec(spec)
@@ -500,20 +503,22 @@ class Session:
         override = (list(spec.page_cache_override)
                     if spec.page_cache_override is not None else None)
         with obs.collecting() as registry:
-            with obs.timer("harness.cell_wall_seconds"):
-                machine = Machine(spec.resolved_config(),
-                                  policy=spec.policy,
-                                  page_cache_override=override)
-                try:
-                    workload = make_workload(spec.workload, spec.preset)
-                    if sink is not None:
-                        with TraceRecorder(machine, kinds=trace_kinds,
-                                           sink=sink):
-                            result = machine.run(workload)
-                    else:
+            wall = registry.histogram("harness.cell_wall_seconds",
+                                      buckets=obs.TIME_BUCKETS_SECONDS)
+            begin = time.perf_counter()
+            machine = Machine(spec.resolved_config(), policy=spec.policy,
+                              page_cache_override=override)
+            try:
+                workload = make_workload(spec.workload, spec.preset)
+                if sink is not None:
+                    with TraceRecorder(machine, kinds=trace_kinds,
+                                       sink=sink):
                         result = machine.run(workload)
-                finally:
-                    machine.close()
+                else:
+                    result = machine.run(workload)
+            finally:
+                machine.close()
+            wall.observe(time.perf_counter() - begin)
         result.metrics = registry.to_dict()
         if self.cache is not None:
             self.cache.store(spec, result.stats, result.metrics)

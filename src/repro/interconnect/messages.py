@@ -1,18 +1,15 @@
 """Inter-node protocol message vocabulary.
 
 The simulator resolves transactions atomically, so messages are not
-queued objects in the hot path; they are *accounted* — every protocol
-step increments a per-node counter keyed by :class:`MessageKind`, and
-the paging / migration layers construct :class:`Message` records where
-the extra structure is useful (tests, traces, the command interface).
+queued objects; they are *accounted* — every protocol step increments
+a per-node :class:`MessageLog` counter keyed by :class:`MessageKind`,
+and under a fault plan each hop is stamped with a per-link sequence
+number by a :class:`SequenceTracker`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum, auto
-
-from repro.obs import tracing
 
 
 class MessageKind(IntEnum):
@@ -49,38 +46,6 @@ class MessageKind(IntEnum):
 
     # Command-mode interface (section 3.2).
     COMMAND = auto()           # processor -> controller, memory mapped
-
-
-@dataclass
-class Message:
-    """A structured protocol message (used off the hot path)."""
-
-    kind: MessageKind
-    src_node: int
-    dst_node: int
-    gpage: int = -1
-    line_in_page: int = -1
-    #: Frame-number hint for the receiver's reverse translation; a
-    #: correct guess lets the receiver skip the PIT hash search.
-    frame_guess: "int | None" = None
-    payload: dict = field(default_factory=dict)
-    #: Per-link sequence number stamped by a :class:`SequenceTracker`
-    #: when the fault plane is active (``-1`` = unsequenced).
-    seq: int = -1
-    #: Causal-trace context: the transaction (trace) and the span that
-    #: caused this message.  Auto-stamped from the active span of the
-    #: installed :class:`~repro.obs.tracing.TraceCollector` when left
-    #: at the defaults (``0`` = untraced).
-    trace_id: int = 0
-    span_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.src_node < 0 or self.dst_node < 0:
-            raise ValueError("message endpoints must be valid node ids")
-        if self.trace_id == 0:
-            context = tracing.active_context()
-            if context is not None:
-                self.trace_id, self.span_id = context
 
 
 class SequenceTracker:

@@ -26,7 +26,6 @@ from collections import deque
 
 from repro.core.modes import PageMode
 from repro.interconnect.messages import MessageKind
-from repro.obs import tracing
 
 
 class ChannelError(RuntimeError):
@@ -87,7 +86,7 @@ class MessageChannel:
         lat = self.lat
         # Causal tracing: a send is its own root span; its context rides
         # in the queue so the receive can link back across CPUs.
-        tracer = tracing.current()
+        tracer = self.machine.tracer
         span = (tracer.begin("channel_send", "msg", self.src.node_id, now,
                              dst=self.dst.node_id)
                 if tracer is not None else None)
@@ -146,7 +145,7 @@ class MessageChannel:
             self._last_accepted = seq
             self.receives += 1
             if context is not None:
-                tracer = tracing.current()
+                tracer = self.machine.tracer
                 if tracer is not None:
                     # The receive belongs to the *receiver's* causal
                     # chain; link back to the send rather than mutating

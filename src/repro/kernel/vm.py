@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro import obs
-from repro.obs import tracing
 from repro.core.modes import PageMode
 from repro.core.policies import PageModePolicy
 from repro.interconnect.messages import MessageKind
@@ -57,9 +55,9 @@ class NodeKernel:
         #: resident at their home.
         self.home_status: "set[int]" = set()
 
-        # Pre-resolved metric handles (None when no registry is
-        # installed, so the fault path pays one `is not None` test).
-        registry = obs.current()
+        # Pre-resolved metric handles from the machine's registry (None
+        # when disabled, so the fault path pays one `is not None` test).
+        registry = machine.registry
         if registry is not None:
             self._obs_fault = {
                 kind: registry.histogram("kernel.fault_service_cycles",
@@ -71,8 +69,8 @@ class NodeKernel:
         else:
             self._obs_fault = None
             self._obs_pageout = None
-        # Causal-tracing handle (None when no collector is installed).
-        self._tracer = tracing.current()
+        # Causal-tracing handle (None when the machine has no collector).
+        self._tracer = machine.tracer
 
         #: Remote refetch counters for LA-NUMA pages (dyn-bidir).
         self.refetch_counts: "dict[int, int]" = {}

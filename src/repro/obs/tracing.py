@@ -12,11 +12,11 @@ transaction's latency went.
 Like the rest of :mod:`repro.obs`, tracing is strictly opt-in.  With no
 collector installed every instrumentation site pays one pointer test
 (``if tracer is not None``) and simulated results are byte-identical to
-an uninstrumented run.  Install a collector for the current process
-with :func:`install`/:func:`uninstall` or the :func:`collecting`
-context manager, *before* constructing the :class:`~repro.sim.machine.
-Machine` (the machine binds the collector's root-span hooks at
-construction time)::
+an uninstrumented run.  Install a collector with the :func:`collecting`
+context manager *before* constructing the :class:`~repro.sim.machine.
+Machine`: the machine reads :func:`current` once, keeps the collector
+as ``machine.tracer`` and attaches its root-span probes, and every
+component below the machine takes the collector from there::
 
     from repro.obs import tracing
 
@@ -37,7 +37,7 @@ root span's ``[begin, end)`` window into elementary intervals and
 charges each interval to the *innermost* covering span's segment kind,
 so the per-segment cycles of every trace sum exactly to the
 transaction's simulated latency, even when sibling spans overlap
-(invalidation fan-out).  Roll-ups land in the installed
+(invalidation fan-out).  Roll-ups land in the machine's
 :class:`~repro.obs.registry.MetricsRegistry` as
 ``trace.segment_cycles{segment=...,policy=...}`` histograms.
 
@@ -479,24 +479,26 @@ class TraceCollector:
         and ``pageout`` points of ``machine.probes``, and a hop-span
         probe on ``send``.  The per-reference ``access`` point is left
         alone — cache hits are never traced, which is what keeps the
-        traced-run overhead within the bench gate.
+        traced-run overhead within the bench gate.  The ``trace.*``
+        roll-ups go to ``machine.registry``.
         """
-        from repro import obs
-
-        self._registry = obs.current()
+        self._registry = machine.registry
         self._policy = machine.policy.name
         for point, probe in self._span_probes():
             machine.probes.add(point, probe)
 
     def detach(self, machine) -> None:
-        """Undo :meth:`attach` and clear the controllers' child-span
-        handles, so no transaction opens a root span any more.  The
-        machine's and kernels' own handles stay: they only add children
-        to an open root."""
+        """Undo :meth:`attach` and drop every handle on this collector.
+
+        Clears ``machine.tracer`` and the controllers' and kernels'
+        span handles taken from it, so no component records into this
+        collector any more."""
         for point, probe in self._span_probes():
             machine.probes.remove(point, probe)
+        machine.tracer = None
         for node in machine.nodes:
             node.controller._tracer = None
+            node.kernel._tracer = None
 
     def _span_probes(self):
         return (("miss", self._miss), ("upgrade", self._upgrade),
@@ -707,24 +709,9 @@ def validate_spans_jsonl(path) -> int:
     return count
 
 
-# -- module-global collector (mirrors repro.obs install/current) -----------
+# -- the process-wide collector (read once per machine) -------------------
 
 _COLLECTOR: "TraceCollector | None" = None
-
-
-def install(collector: TraceCollector) -> TraceCollector:
-    """Make ``collector`` the process-wide trace collector."""
-    global _COLLECTOR
-    if _COLLECTOR is not None:
-        raise RuntimeError("a trace collector is already installed")
-    _COLLECTOR = collector
-    return collector
-
-
-def uninstall() -> None:
-    """Remove the process-wide collector (no-op when none installed)."""
-    global _COLLECTOR
-    _COLLECTOR = None
 
 
 def current() -> "TraceCollector | None":
@@ -732,27 +719,19 @@ def current() -> "TraceCollector | None":
     return _COLLECTOR
 
 
-def enabled() -> bool:
-    """Whether a trace collector is installed."""
-    return _COLLECTOR is not None
-
-
-def active_context() -> "tuple[int, int] | None":
-    """``(trace_id, span_id)`` of the innermost active span of the
-    installed collector — what gets stamped onto new ``Message``\\ s."""
-    collector = _COLLECTOR
-    if collector is None:
-        return None
-    return collector.context()
-
-
 @contextmanager
 def collecting(seed: int = 0, max_traces: int = MAX_TRACES,
                top: int = TOP_CAPACITY):
-    """Context manager: install a fresh collector, yield it, uninstall."""
-    collector = install(TraceCollector(seed=seed, max_traces=max_traces,
-                                       top=top))
+    """Context manager: install a fresh collector, yield it, uninstall.
+
+    Collectors do not nest: entering a scope while another collector is
+    installed raises ``RuntimeError``.
+    """
+    global _COLLECTOR
+    if _COLLECTOR is not None:
+        raise RuntimeError("a trace collector is already installed")
+    _COLLECTOR = TraceCollector(seed=seed, max_traces=max_traces, top=top)
     try:
-        yield collector
+        yield _COLLECTOR
     finally:
-        uninstall()
+        _COLLECTOR = None

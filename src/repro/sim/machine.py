@@ -191,6 +191,12 @@ class Machine:
         self.faults = faults
         #: Simulated-cycle budget; None = unbounded.
         self.deadline = deadline
+        #: The observers, read once here and never looked up again:
+        #: every component below the machine takes its handles from
+        #: these two, so a registry or collector installed after the
+        #: machine is built sees nothing of its run.  None = off.
+        self.registry = obs.current()
+        self.tracer = tracing.current()
         cfg = self.config
         lat = cfg.latency
 
@@ -260,17 +266,14 @@ class Machine:
             nodes=[n.stats for n in self.nodes],
             cpus=[c.stats for c in self.cpus])
 
-        self._obs = obs.current()
-
         if faults is not None:
             faults.attach(self)
 
         # Causal tracing: opt-in like obs.  With no collector installed
         # no span probe is registered and simulated results are
         # byte-identical.
-        self._tracer = tracing.current()
-        if self._tracer is not None:
-            self._tracer.attach(self)
+        if self.tracer is not None:
+            self.tracer.attach(self)
 
     # ------------------------------------------------------------------
     # Home lookup.
@@ -299,9 +302,9 @@ class Machine:
         add_probes = getattr(workload, "add_probes", None)
         if add_probes is not None:
             add_probes(self)
-        if self._obs is not None:
-            hist = self._obs.histogram("sim.access_latency_cycles",
-                                       policy=self.policy.name)
+        if self.registry is not None:
+            hist = self.registry.histogram("sim.access_latency_cycles",
+                                           policy=self.policy.name)
 
             def access_latency(call, cpu, vaddr, is_write, now):
                 done = call(cpu, vaddr, is_write, now)
@@ -320,11 +323,11 @@ class Machine:
         self._event_loop()
         wall = perf_counter() - start
         self._finalize()
-        if self._obs is not None:
+        if self.registry is not None:
             # Host-side throughput, next to the simulated telemetry:
             # how fast the host chewed through this run's references.
-            self._obs.gauge("host.wall_seconds").set(round(wall, 6))
-            self._obs.gauge("host.refs_per_sec").set(
+            self.registry.gauge("host.wall_seconds").set(round(wall, 6))
+            self.registry.gauge("host.refs_per_sec").set(
                 round(self.stats.references / wall, 1) if wall > 0 else 0.0)
         return RunResult(workload=workload.name, policy=self.policy.name,
                          config=self.config, stats=self.stats)
@@ -529,7 +532,7 @@ class Machine:
         if released is not None:
             for rcid, rtime in released:
                 self._wake(rcid, rtime)
-            if self._obs is not None:
+            if self.registry is not None:
                 self._sample_epoch(released[0][1])
             for probe in self.probes.barrier:
                 probe(released[0][1])
@@ -577,8 +580,8 @@ class Machine:
                 if frame is None:
                     frame, now = kernel.fault(vpage, now)
                 else:
-                    if self._tracer is not None:
-                        self._tracer.note_tlb(now, now + self._lat_tlb_miss)
+                    if self.tracer is not None:
+                        self.tracer.note_tlb(now, now + self._lat_tlb_miss)
                     now += self._lat_tlb_miss
                     cpu.stats.tlb_misses += 1
                 tlb.insert(vpage, frame)
@@ -745,7 +748,7 @@ class Machine:
         """
         node = cpu.node
         bus = node.bus
-        tracer = self._tracer
+        tracer = self.tracer
         # Address phase, data phase and DRAM port occupancy are inlined
         # Resource.acquire calls (same FCFS arithmetic) — this function
         # runs once per local miss and the call overhead was measurable.
@@ -915,11 +918,14 @@ class Machine:
                         entry.dynamic_home = true_home
                         entry.home_frame = None
                         hints_reset += 1
-        obs.counter("sim.node_failures", node=str(node_id)).inc()
-        obs.gauge("sim.failed_nodes").set(len(self.failed_nodes))
-        if sharers_pruned or hints_reset:
-            obs.counter("sim.failover_sharers_pruned").inc(sharers_pruned)
-            obs.counter("sim.failover_hints_reset").inc(hints_reset)
+        registry = self.registry
+        if registry is not None:
+            registry.counter("sim.node_failures", node=str(node_id)).inc()
+            registry.gauge("sim.failed_nodes").set(len(self.failed_nodes))
+            if sharers_pruned or hints_reset:
+                registry.counter("sim.failover_sharers_pruned").inc(
+                    sharers_pruned)
+                registry.counter("sim.failover_hints_reset").inc(hints_reset)
         for probe in self.probes.node_fail:
             probe(node_id, now)
 
@@ -966,7 +972,7 @@ class Machine:
                 self.retire_frame_utilization(entry)
             self.stats.directory_cache_hits += node.directory.cache.hits
             self.stats.directory_cache_misses += node.directory.cache.misses
-        if self._obs is not None:
+        if self.registry is not None:
             self._publish_final_metrics()
 
     # ------------------------------------------------------------------
@@ -976,16 +982,16 @@ class Machine:
     def _sample_epoch(self, now: int) -> None:
         """Per-epoch telemetry, taken at each barrier release: resource
         utilization curves and page-cache occupancy per node."""
-        sample_utilization(self._obs, self.shared_resources(), now)
+        sample_utilization(self.registry, self.shared_resources(), now)
         for node in self.nodes:
-            self._obs.series("kernel.page_cache_frames",
-                             node=node.node_id).sample(
+            self.registry.series("kernel.page_cache_frames",
+                                 node=node.node_id).sample(
                 now, node.pools.client_scoma_in_use)
 
     def _publish_final_metrics(self) -> None:
         """End-of-run roll-ups: protocol message mix, PIT traffic and
         hit ratio, frame-pool occupancy gauges."""
-        registry = self._obs
+        registry = self.registry
         pit_lookups = pit_hash = 0
         for node in self.nodes:
             for kind in sorted(node.msglog.sent, key=lambda k: k.name):
@@ -1004,5 +1010,5 @@ class Machine:
             round(1.0 - pit_hash / pit_lookups, 4) if pit_lookups else 1.0)
         registry.gauge("sim.execution_cycles").set(
             self.stats.execution_cycles)
-        if self._tracer is not None:
-            self._tracer.publish(registry)
+        if self.tracer is not None:
+            self.tracer.publish(registry)

@@ -46,8 +46,11 @@ probe in order, after the event happened.  An empty point costs one
 loop over an empty tuple on a rare path.
 
 This module is the only code that installs anything on a machine.  The
-exceptions left are the controllers' and kernels' child-span handles,
-single attribute tests that mark spans inside protocol steps.
+exceptions left are the observer handles every component takes at
+construction from ``machine.registry`` and ``machine.tracer`` (the
+controllers' and kernels' metric and child-span handles among them):
+single attribute tests that count or mark spans inside protocol
+steps.
 ``Machine.close`` empties every point and drops the bound chains, using
 the method tables below.
 """

@@ -29,8 +29,8 @@ through :func:`~repro.workloads.base.coalesce_stream` and contain only
 the standard op vocabulary — so they run unchanged on the simulator's
 event loop and join the golden stats matrix.
 
-Serving metrics come from :class:`ServingTap`: when a metrics registry
-is installed the workloads register an ``access`` probe on
+Serving metrics come from :class:`ServingTap`: when the machine carries
+a metrics registry the workloads register an ``access`` probe on
 ``machine.probes`` (:mod:`repro.sim.probes`) that measures each
 request's simulated latency first-access-to-last-completion and
 publishes ``serving.request_latency_cycles{op=...}`` histograms,
@@ -38,13 +38,12 @@ publishes ``serving.request_latency_cycles{op=...}`` histograms,
 gauge and a cumulative
 ``serving.completed_requests`` time series (the throughput curve —
 its slope before/during/after an injected node failure is the
-degradation story).  With no registry installed nothing attaches and
-runs are byte-identical to an untapped machine.
+degradation story).  With no registry on the machine nothing attaches
+and runs are byte-identical to an untapped machine.
 """
 
 from __future__ import annotations
 
-from repro import obs
 from repro.workloads.base import (SharedArray, Workload, barrier,
                                   coalesce_stream, compute, lock, unlock)
 
@@ -132,9 +131,9 @@ class ServingTap:
     """
 
     def __init__(self, machine, schedules) -> None:
-        registry = obs.current()
+        registry = machine.registry
         if registry is None:
-            raise RuntimeError("ServingTap needs an installed registry")
+            raise RuntimeError("ServingTap needs a machine with a registry")
         self.machine = machine
         self._schedules = schedules
         n = len(machine.cpus)
@@ -277,7 +276,7 @@ class KvStoreWorkload(Workload):
 
     def add_probes(self, machine) -> None:
         """Machine hook: attach the serving tap when metrics are on."""
-        if obs.current() is None:
+        if machine.registry is None:
             return
         per_req = 1 + self.value_lines
         schedules = []
@@ -403,7 +402,7 @@ class Txn2pcWorkload(Workload):
         """Machine hook: chaos channel driver and/or serving tap."""
         if self.use_command_channels:
             TwoPhaseChannelDriver(machine, self)
-        if obs.current() is not None:
+        if machine.registry is not None:
             ServingTap(machine, self._tap_schedules(len(machine.cpus)))
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import RetryPolicy
-from repro.interconnect.messages import Message, MessageKind, SequenceTracker
+from repro.interconnect.messages import MessageKind, SequenceTracker
 
 pytestmark = pytest.mark.faults
 
@@ -58,8 +58,3 @@ class TestSequenceTracker:
         assert not seqs.accept(0, 1, 3)
         assert seqs.accept(0, 1, 6)
 
-
-class TestMessageSeq:
-    def test_messages_default_to_unstamped(self):
-        msg = Message(kind=MessageKind.READ_REQ, src_node=0, dst_node=1)
-        assert msg.seq == -1

@@ -159,8 +159,8 @@ def test_fail_node_emits_obs_counters():
 
 def test_fail_node_is_idempotent():
     from repro import obs
-    h = Harness()
     with obs.collecting() as registry:
+        h = Harness()
         h.machine.fail_node(2)
         h.machine.fail_node(2)   # no-op, no double counting
     assert h.machine.failed_nodes == {2}

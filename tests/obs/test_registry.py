@@ -109,27 +109,17 @@ def test_find_metrics_without_matches_returns_empty_list():
     assert find_metrics(snap["counters"], "hit") == []
 
 
-def test_module_helpers_are_noops_without_registry():
-    assert obs.current() is None
-    assert obs.counter("anything") is obs.NOOP_METRIC
-    assert obs.histogram("anything") is obs.NOOP_METRIC
-    assert obs.timer("anything") is obs.NOOP_TIMER
-    obs.counter("anything").inc()          # absorbed, no state anywhere
-    with obs.timer("anything"):
-        pass
-
-
 def test_collecting_installs_and_restores():
-    assert not obs.enabled()
-    with obs.collecting() as reg:
-        assert obs.enabled()
+    assert obs.current() is None
+    given = MetricsRegistry()
+    with obs.collecting(given) as reg:
+        assert reg is given
         assert obs.current() is reg
-        obs.counter("inside").inc()
         with obs.collecting() as inner:
             assert obs.current() is inner
+            assert inner is not reg
         assert obs.current() is reg
-    assert not obs.enabled()
-    assert reg.counter("inside").value == 1
+    assert obs.current() is None
 
 
 def test_quantile_edge_cases_are_defined_not_raised():

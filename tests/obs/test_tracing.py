@@ -15,6 +15,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.probes import POINTS
 from repro.workloads import make_workload
+from repro.workloads.serving import chaos_scenarios
 from tests.conftest import Harness
 
 
@@ -184,16 +185,16 @@ def test_deterministic_ids_per_seed():
 
 def test_module_install_current_context():
     assert tracing.current() is None
-    assert not tracing.enabled()
-    assert tracing.active_context() is None
     with tracing.collecting(seed=1) as collector:
         assert tracing.current() is collector
-        assert tracing.enabled()
-        assert tracing.active_context() is None  # nothing open yet
+        assert collector.seed == 1
+        assert collector.context() is None  # nothing open yet
         root = collector.begin("miss", "local", 0, 0)
-        assert tracing.active_context() == (root.trace_id, root.span_id)
+        assert collector.context() == (root.trace_id, root.span_id)
         with pytest.raises(RuntimeError):
-            tracing.install(TraceCollector())
+            with tracing.collecting():
+                pass
+        assert tracing.current() is collector
         collector.end(root, 1)
     assert tracing.current() is None
 
@@ -264,7 +265,7 @@ def test_traced_run_stats_byte_identical_to_plain_run():
 
 def test_untraced_machine_has_no_tracer():
     machine = Machine(MachineConfig(), policy="scoma")
-    assert machine._tracer is None
+    assert machine.tracer is None
     assert machine.probes.send == ()
     assert "_hop" not in vars(machine.network)
 
@@ -330,6 +331,16 @@ def test_detach_restores_machine_fast_path():
         assert collector.started == 0
     for point in POINTS:
         assert getattr(machine.probes, point) == ()
+    # Detach leaves no component holding the collector: the 2PC chaos
+    # scenario's command channels open a root span on every send and
+    # receive of an attached run, and none once detached.
+    scenario = chaos_scenarios()["txn2pc"]
+    with tracing.collecting() as collector:
+        machine = Machine(scenario.build_config(), policy=scenario.policy)
+        collector.detach(machine)
+        machine.run(scenario.make_workload())
+        assert collector.started == 0
+        assert collector.span_count == 0
 
 
 def test_exception_inside_a_span_probe_unwinds_with_its_type():

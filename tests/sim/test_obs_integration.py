@@ -30,7 +30,7 @@ def test_machine_resolves_no_handles_without_registry():
     from repro.workloads import make_workload
     machine = Machine(repro.tiny_config(), policy="scoma")
     machine.run(make_workload("fft", "tiny"))
-    assert machine._obs is None
+    assert machine.registry is None
     assert machine.probes.access == ()
     kernel = machine.nodes[0].kernel
     assert kernel._obs_fault is None

@@ -99,15 +99,18 @@ suites = session.run_campaign(("fft", "lu"), preset="small")
 (counters, gauges, log-bucket latency histograms, bounded utilization
 time series, all organized as labeled families like
 `core.protocol_messages{kind=READ_REQ,node=3}`) plus a structured-event
-sink with JSONL/CSV export.  Both are strictly opt-in — with no registry
-installed, the instrumentation helpers return shared no-op objects and
-the simulator's pre-resolved handles stay `None`, so the hot path pays
-one pointer test and results are byte-identical either way.
+sink with JSONL/CSV export.  Both are strictly opt-in.  Install, then
+build: `Machine.__init__` reads the installed registry and trace
+collector once (`machine.registry`, `machine.tracer`) and every
+component below the machine takes its handles from there.  With none
+installed those handles stay `None`, so the hot path pays one pointer
+test and results are byte-identical either way.
 
 ```python
 from repro import obs
 
 with obs.collecting() as registry:
+    machine = Machine(config, policy="scoma")
     machine.run(workload)
 snapshot = registry.to_dict()          # JSON-safe, stable key order
 ```

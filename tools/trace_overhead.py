@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
@@ -38,9 +39,8 @@ CELL = "block-hot/scoma"
 
 def one(traced: bool) -> float:
     """Wall seconds of one run of the cell, optionally traced."""
-    if traced:
-        collector = tracing.install(tracing.TraceCollector(seed=0))
-    try:
+    scope = tracing.collecting(seed=0) if traced else nullcontext()
+    with scope as collector:
         machine = Machine(MachineConfig(num_nodes=2, cpus_per_node=2,
                                         directory_cache_entries=256),
                           policy="scoma")
@@ -50,10 +50,8 @@ def one(traced: bool) -> float:
         start = time.perf_counter()
         machine.run(workload)
         wall = time.perf_counter() - start
-    finally:
-        if traced:
-            assert collector.finished > 0
-            tracing.uninstall()
+    if traced:
+        assert collector.finished > 0
     return wall
 
 
