@@ -234,8 +234,10 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                    suffix=".tmp")
         try:
+            # dumps, not dump: json.dump streams through the pure-Python
+            # encoder; dumps takes the C one.  The bytes are the same.
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                fh.write(json.dumps(entry, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             try:

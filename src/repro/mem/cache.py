@@ -49,8 +49,7 @@ class Cache:
     set-index computation.
     """
 
-    __slots__ = ("num_sets", "associativity", "_sets", "flat", "hits",
-                 "misses", "evictions")
+    __slots__ = ("num_sets", "associativity", "_sets", "flat")
 
     def __init__(self, cfg: CacheConfig) -> None:
         self.num_sets = cfg.num_sets
@@ -59,22 +58,17 @@ class Cache:
             OrderedDict() for _ in range(self.num_sets)]
         #: line -> state mirror of every resident line (all sets).
         self.flat: "dict[int, LineState]" = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def lookup(self, line: int) -> LineState:
         """State of ``line``; touches LRU on hit."""
         state = self.flat.get(line)
         if state is None:
-            self.misses += 1
             return LineState.INVALID
         self._sets[line % self.num_sets].move_to_end(line)
-        self.hits += 1
         return state
 
     def peek(self, line: int) -> LineState:
-        """State of ``line`` without touching LRU or hit counters."""
+        """State of ``line`` without touching LRU."""
         return self.flat.get(line, LineState.INVALID)
 
     def insert(self, line: int, state: LineState) -> "tuple[int, LineState] | None":
@@ -85,7 +79,6 @@ class Cache:
         if len(cache_set) >= self.associativity:
             victim = cache_set.popitem(last=False)
             del self.flat[victim[0]]
-            self.evictions += 1
         cache_set[line] = state
         self.flat[line] = state
         return victim
@@ -212,8 +205,8 @@ class CacheHierarchy:
         write back (if MODIFIED) and deregister — or ``()`` if none.
 
         Both inserts are :meth:`Cache.insert` spelled out inline (same
-        LRU replacement, same eviction counters) — fill runs once per
-        miss and the call overhead was measurable.
+        LRU replacement) — fill runs once per miss and the call
+        overhead was measurable.
         """
         lost = ()
         l1, l2 = self.l1, self.l2
@@ -221,7 +214,6 @@ class CacheHierarchy:
         if len(cache_set) >= l2.associativity:
             vline, vstate = cache_set.popitem(last=False)
             del l2.flat[vline]
-            l2.evictions += 1
             l1_state = l1.flat.pop(vline, None)  # inclusion
             if l1_state is not None:
                 del l1._sets[vline % l1.num_sets][vline]
@@ -234,7 +226,6 @@ class CacheHierarchy:
         if len(cache_set) >= l1.associativity:
             vline, vstate = cache_set.popitem(last=False)
             del l1.flat[vline]
-            l1.evictions += 1
             # Inclusion: L2 still holds the line; merge dirtiness down.
             if vstate == _MODIFIED:
                 l2.set_state(vline, _MODIFIED)
@@ -283,14 +274,13 @@ class CacheHierarchy:
         return dirty
 
     def _promote_to_l1(self, line: int, state: LineState) -> None:
-        # Cache.insert inlined (same replacement and counters): this
+        # Cache.insert inlined (same replacement): this
         # runs on every L2 hit.
         l1 = self.l1
         cache_set = l1._sets[line % l1.num_sets]
         if len(cache_set) >= l1.associativity:
             vline, vstate = cache_set.popitem(last=False)
             del l1.flat[vline]
-            l1.evictions += 1
             if vstate == _MODIFIED:
                 self.l2.set_state(vline, _MODIFIED)
         cache_set[line] = state

@@ -21,20 +21,16 @@ class Tlb:
     ever a copy of the MRU entry: :meth:`lookup`/:meth:`insert` refresh
     it and :meth:`invalidate`/:meth:`flush` clear it, so consulting it
     is indistinguishable (including final LRU order) from calling
-    :meth:`lookup` — callers that use it must bump :attr:`hits`
-    themselves.
+    :meth:`lookup`.
     """
 
-    __slots__ = ("entries", "_map", "hits", "misses",
-                 "last_vpage", "last_frame")
+    __slots__ = ("entries", "_map", "last_vpage", "last_frame")
 
     def __init__(self, entries: int) -> None:
         if entries < 1:
             raise ValueError("TLB needs at least one entry")
         self.entries = entries
         self._map: "OrderedDict[int, int]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.last_vpage = -1
         self.last_frame = -1
 
@@ -42,10 +38,8 @@ class Tlb:
         """Frame backing ``vpage``, or ``None`` on a TLB miss."""
         frame = self._map.get(vpage)
         if frame is None:
-            self.misses += 1
             return None
         self._map.move_to_end(vpage)
-        self.hits += 1
         self.last_vpage = vpage
         self.last_frame = frame
         return frame

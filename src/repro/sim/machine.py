@@ -561,20 +561,17 @@ class Machine:
         if vpage == tlb.last_vpage:
             # Front-line TLB memo: same page as the previous reference.
             # The entry is already MRU, so skipping the LRU touch is
-            # exact; the hit is still counted.
+            # exact.
             frame = tlb.last_frame
-            tlb.hits += 1
         else:
-            # Tlb.lookup spelled out inline (same LRU touch, counters
-            # and memo refresh) — one call less per new-page reference.
+            # Tlb.lookup spelled out inline (same LRU touch and memo
+            # refresh) — one call less per new-page reference.
             frame = tlb._map.get(vpage)
             if frame is not None:
                 tlb._map.move_to_end(vpage)
-                tlb.hits += 1
                 tlb.last_vpage = vpage
                 tlb.last_frame = frame
             else:
-                tlb.misses += 1
                 kernel = cpu.node.kernel
                 frame = kernel.page_table.get(vpage)
                 if frame is None:
@@ -589,14 +586,13 @@ class Machine:
         line = frame * self._lpp + lip
 
         # Front-line cache probe: one flat-dict lookup resolves the
-        # dominant L1-hit case; the per-set LRU touch and hit counter
-        # keep the replacement behaviour identical to Cache.lookup.
+        # dominant L1-hit case; the per-set LRU touch keeps the
+        # replacement behaviour identical to Cache.lookup.
         hierarchy = cpu.hierarchy
         l1 = hierarchy.l1
         state = l1.flat.get(line)
         if state is not None:
             l1._sets[line % l1.num_sets].move_to_end(line)
-            l1.hits += 1
             cpu.stats.l1_hits += 1
             if is_write and state != _MODIFIED:
                 if state == _EXCLUSIVE:
@@ -604,13 +600,11 @@ class Machine:
                 else:
                     return self._upgrade(cpu, frame, lip, line, now)
             return now + self._lat_l1_hit
-        l1.misses += 1
         # The L2 half of CacheHierarchy.probe, inlined the same way.
         l2 = hierarchy.l2
         state = l2.flat.get(line)
         if state is not None:
             l2._sets[line % l2.num_sets].move_to_end(line)
-            l2.hits += 1
             hierarchy._promote_to_l1(line, state)
             cpu.stats.l2_hits += 1
             if is_write and state != _MODIFIED:
@@ -619,7 +613,6 @@ class Machine:
                 else:
                     return self._upgrade(cpu, frame, lip, line, now)
             return now + self._lat_l2_hit
-        l2.misses += 1
         return self._miss(cpu, frame, lip, line, is_write, now)
 
     def _upgrade(self, cpu: Cpu, frame: int, lip: int, line: int,

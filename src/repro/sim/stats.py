@@ -16,13 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 
+#: Field names per dataclass, read once: ``fields()`` rebuilds its
+#: tuple on every call.
+_FIELD_NAMES: "dict[type, tuple[str, ...]]" = {}
+
+
 def field_dict(obj) -> "dict[str, object]":
     """``dataclasses.asdict`` for a dataclass of plain-valued fields.
 
     One shallow dict in field order, without ``asdict``'s recursive
     deep copy of every value (the stats and config wire formats are
     built per run, per worker handoff and per cache key)."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return {name: getattr(obj, name) for name in names}
 
 
 @dataclass

@@ -153,18 +153,31 @@ class Workload:
         }
 
 
-def coalesce(addrs, writes) -> list:
+#: Most ops in one list :func:`coalesce` yields.  A workload's
+#: generator hands the machine these lists through
+#: ``itertools.chain.from_iterable``, so only one chunk of op tuples per
+#: CPU is alive at a time, however long the stretch of references.
+#: Measured on hot-32x8, 64 gave the lowest peak memory of 64/128/256
+#: with no wall-clock difference (docs/PERFORMANCE.md).
+COALESCE_CHUNK = 64
+
+
+def coalesce(addrs, writes):
     """Fuse a stretch of references into maximal constant-stride runs.
 
     ``addrs`` and ``writes`` are equal-length arrays: reference ``i``
     loads (or, where ``writes[i]`` is true, stores) ``addrs[i]``.  The
-    result is the op list :func:`coalesce_stream` yields for the same
-    single ops — same-kind runs grown greedily from the left, lone
-    references left as plain single ops — so a generator built on it is
+    ops are the ones :func:`coalesce_stream` yields for the same single
+    ops — same-kind runs grown greedily from the left, lone references
+    left as plain single ops — so a generator built on it is
     reference-for-reference identical to one yielding the singles; only
-    the op count the simulator iterates over shrinks.  The runs are
-    found with array arithmetic; only the ops themselves are built in
-    Python.
+    the op count the simulator iterates over shrinks.
+
+    The runs are found here, once, with array arithmetic, and kept as
+    compact per-op arrays (kind, base, stride, count); the returned
+    iterator builds the op tuples from them in lists of at most
+    :data:`COALESCE_CHUNK` ops.  Joined, the lists are the whole op
+    list.
     """
     import numpy as np
 
@@ -172,7 +185,7 @@ def coalesce(addrs, writes) -> list:
     writes = np.asarray(writes, dtype=bool)
     n = len(addrs)
     if n == 0:
-        return []
+        return iter(())
     # Link j joins reference j to j + 1.  A run can take link j only if
     # both ends are the same kind (``same``); it must if the link
     # repeats its predecessor's stride inside a same-kind stretch
@@ -190,16 +203,27 @@ def coalesce(addrs, writes) -> list:
     taken = np.where(anchor, cont,
                      (cont[last] & (last >= 0)) ^ ((link - last) & 1 == 1))
     starts = np.flatnonzero(np.concatenate(([True], ~taken)))
-    counts = np.diff(np.append(starts, n))
+    counts = np.diff(np.append(starts, n)).astype(np.int32)
     kinds = writes[starts]
     ops = np.where(counts > 1,
                    np.where(kinds, OP_WRITE_RUN, OP_READ_RUN),
-                   np.where(kinds, OP_WRITE, OP_READ))
-    strides = np.append(stride, 0)[starts]
-    return [(op, base) if count == 1 else (op, base, step, count)
-            for op, base, step, count in zip(
-                ops.tolist(), addrs[starts].tolist(), strides.tolist(),
-                counts.tolist())]
+                   np.where(kinds, OP_WRITE, OP_READ)).astype(np.int8)
+    # A lone reference has no stride; a run's stride is its first step.
+    strides = np.where(counts > 1, np.append(stride, 0)[starts], 0)
+    if -(1 << 31) <= strides.min() and strides.max() < 1 << 31:
+        strides = strides.astype(np.int32)
+    return _op_chunks(ops, addrs[starts], strides, counts)
+
+
+def _op_chunks(kinds, bases, strides, counts):
+    """The op tuples of :func:`coalesce`'s per-op arrays, in lists of
+    at most :data:`COALESCE_CHUNK` ops."""
+    for lo in range(0, len(kinds), COALESCE_CHUNK):
+        hi = lo + COALESCE_CHUNK
+        yield [(op, base) if count == 1 else (op, base, step, count)
+               for op, base, step, count in zip(
+                   kinds[lo:hi].tolist(), bases[lo:hi].tolist(),
+                   strides[lo:hi].tolist(), counts[lo:hi].tolist())]
 
 
 def coalesce_stream(ops):

@@ -24,10 +24,15 @@ serving-shaped structure:
   per-transaction outcomes recorded through the value tap let the SC
   checker plus :meth:`Txn2pcScenario.check` judge atomicity.
 
-Both workloads are plain op-stream kernels — their generators go
-through :func:`~repro.workloads.base.coalesce_stream` and contain only
-the standard op vocabulary — so they run unchanged on the simulator's
-event loop and join the golden stats matrix.
+Both workloads are plain op-stream kernels that emit only the standard
+op vocabulary, so they run unchanged on the simulator's event loop and
+join the golden stats matrix.  ``kvstore`` builds each batch's
+reference addresses and write flags as arrays in :meth:`setup` and its
+generator chains the bounded op chunks
+:func:`~repro.workloads.base.coalesce` makes of them, so a CPU holds
+one chunk of op tuples at a time.  ``txn2pc`` interleaves locks,
+barriers and compute with a few references per phase and keeps the
+per-op :func:`~repro.workloads.base.coalesce_stream`.
 
 Serving metrics come from :class:`ServingTap`: when the machine carries
 a metrics registry the workloads register an ``access`` probe on
@@ -44,7 +49,9 @@ and runs are byte-identical to an untapped machine.
 
 from __future__ import annotations
 
-from repro.workloads.base import (SharedArray, Workload, barrier,
+from itertools import chain
+
+from repro.workloads.base import (SharedArray, Workload, barrier, coalesce,
                                   coalesce_stream, compute, lock, unlock)
 
 LINE_BYTES = 32
@@ -246,31 +253,34 @@ class KvStoreWorkload(Workload):
                 [(stream.sample(per_batch),
                   flips.random_sample(per_batch) < self.get_fraction)
                  for _ in range(self.batches)])
+        # Per request: the shard's index line, then the value's
+        # ``value_lines`` lines (a get reads them, a put writes them).
+        nshards, vl = self.num_shards, self.value_lines
+        shard_base = np.array([arr.vbase for arr in self.shards])
+        value_step = np.arange(vl) * LINE_BYTES
+        #: per-cpu, per-batch ``(addresses, write flags)`` arrays.
+        self._batches = []
+        for plan in self._plans:
+            batches = []
+            for keys, gets in plan:
+                shard = keys % nshards
+                addrs = np.empty((len(keys), 1 + vl), dtype=np.int64)
+                addrs[:, 0] = self.index.vbase + shard * LINE_BYTES
+                addrs[:, 1:] = (shard_base[shard]
+                                + keys // nshards * vl * LINE_BYTES
+                                )[:, None] + value_step
+                writes = np.zeros(addrs.shape, dtype=bool)
+                writes[:, 1:] = ~gets[:, None]
+                batches.append((addrs.ravel(), writes.ravel()))
+            self._batches.append(batches)
 
     def generator(self, cpu_id: int, num_cpus: int):
-        return coalesce_stream(self._stream(cpu_id, num_cpus))
+        return chain.from_iterable(self._batch_ops(cpu_id))
 
-    def _stream(self, cpu_id: int, num_cpus: int):
-        nshards = self.num_shards
-        vl = self.value_lines
-        index = self.index
-        shards = self.shards
-        bid = 0
-        for keys, gets in self._plans[cpu_id]:
-            for key, get in zip(keys.tolist(), gets.tolist()):
-                shard = key % nshards
-                yield index.read(shard)
-                arr = shards[shard]
-                base = (key // nshards) * vl
-                if get:
-                    for i in range(vl):
-                        yield arr.read(base + i)
-                else:
-                    for i in range(vl):
-                        yield arr.write(base + i)
-            yield compute(40)
-            yield barrier(bid)
-            bid += 1
+    def _batch_ops(self, cpu_id: int):
+        for bid, (addrs, writes) in enumerate(self._batches[cpu_id]):
+            yield from coalesce(addrs, writes)
+            yield (compute(40), barrier(bid))
 
     # -- serving metrics ---------------------------------------------------
 
@@ -279,12 +289,13 @@ class KvStoreWorkload(Workload):
         if machine.registry is None:
             return
         per_req = 1 + self.value_lines
+        # One shared tuple per request kind, not one per request.
+        get, put = ("get", per_req), ("put", per_req)
         schedules = []
         for cpu in range(len(machine.cpus)):
             schedule = []
             for _keys, gets in self._plans[cpu]:
-                schedule.extend(("get" if g else "put", per_req)
-                                for g in gets.tolist())
+                schedule.extend(get if g else put for g in gets.tolist())
             schedules.append(schedule)
         ServingTap(machine, schedules)
 

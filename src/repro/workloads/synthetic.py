@@ -97,125 +97,125 @@ class SyntheticWorkload(Workload):
         self.num_lines = self.shared_kb * 1024 // LINE_BYTES
         self.array = SharedArray(layout, key=9100, num_elems=self.num_lines,
                                  elem_bytes=LINE_BYTES)
+        self._num_cpus = num_cpus
         import numpy as np
 
         rng = np.random.RandomState(self.seed)
-        builder = getattr(self, "_plan_" + self.pattern)
-        #: per-cpu, per-iteration list of (line_index, is_write) arrays.
-        self._plans = builder(num_cpus, rng)
+        #: per-cpu, per-iteration seeded draws ``(line offsets, write
+        #: flags)``, either ``None`` where the pattern draws none; the
+        #: line indices themselves are built one iteration at a time.
+        self._draws = [[self._draw(cpu, it, rng)
+                        for it in range(self.iterations)]
+                       for cpu in range(num_cpus)]
 
     # -- pattern planners -------------------------------------------------
 
     def _writes(self, rng, count: int) -> np.ndarray:
         return rng.rand(count) < self.write_fraction
 
-    def _plan_block(self, num_cpus, rng):
+    def _block_refs(self, cpu: int) -> int:
+        refs = self.refs_per_cpu_per_iter
+        if self.imbalance and self._num_cpus > 1:
+            refs = int(refs * (1.0 + self.imbalance * cpu
+                               / (self._num_cpus - 1)))
+        return refs
+
+    def _span(self) -> int:
+        per_cpu = self.num_lines // self._num_cpus
+        return max(1, int(per_cpu * self.sweep_fraction))
+
+    def _draw(self, cpu: int, it: int, rng):
+        """The RNG draws of one CPU's iteration, in draw order: line
+        offsets (stored as int32: they index the shared array), then
+        write flags."""
         import numpy as np
 
-        per_cpu = self.num_lines // num_cpus
-        span = max(1, int(per_cpu * self.sweep_fraction))
-        plans = []
-        for cpu in range(num_cpus):
+        if self.pattern == "block":
+            refs = self._block_refs(cpu)
+            offsets = (rng.randint(0, self._span(), refs).astype(np.int32)
+                       if self.random_order else None)
+            return offsets, self._writes(rng, refs)
+        if self.pattern == "random":
             refs = self.refs_per_cpu_per_iter
-            if self.imbalance and num_cpus > 1:
-                refs = int(refs * (1.0 + self.imbalance * cpu
-                                   / (num_cpus - 1)))
-            base = cpu * per_cpu
-            iters = []
-            for _ in range(self.iterations):
-                if self.random_order:
-                    idx = base + rng.randint(0, span, refs)
-                else:
-                    idx = base + (np.arange(refs) % span)
-                iters.append((idx, self._writes(rng, refs)))
-            plans.append(iters)
-        return plans
+            return (rng.randint(0, self.num_lines, refs).astype(np.int32),
+                    self._writes(rng, refs))
+        if self.pattern == "reuse_vs_stream" and it % 2 == 0:
+            return None, self._writes(rng, self.refs_per_cpu_per_iter)
+        return None, None
 
-    def _plan_random(self, num_cpus, rng):
-        refs = self.refs_per_cpu_per_iter
-        plans = []
-        for cpu in range(num_cpus):
-            plans.append([(rng.randint(0, self.num_lines, refs),
-                           self._writes(rng, refs))
-                          for _ in range(self.iterations)])
-        return plans
+    def _plan_block(self, cpu, it, offsets, writes):
+        import numpy as np
 
-    def _plan_migratory(self, num_cpus, rng):
+        base = cpu * (self.num_lines // self._num_cpus)
+        if offsets is None:
+            offsets = np.arange(len(writes)) % self._span()
+        return base + offsets, writes
+
+    def _plan_random(self, cpu, it, offsets, writes):
+        return offsets, writes
+
+    def _plan_migratory(self, cpu, it, offsets, writes):
         import numpy as np
 
         # A pool of "objects" (4 lines each); each iteration every CPU
         # read-modify-writes the objects of a rotating slice, so every
         # object is owned by each CPU in turn.
+        num_cpus = self._num_cpus
         obj_lines = 4
         num_objects = self.num_lines // obj_lines
         per_cpu = max(1, num_objects // num_cpus)
-        refs = per_cpu * obj_lines
-        plans = []
-        for cpu in range(num_cpus):
-            iters = []
-            for it in range(self.iterations):
-                slice_id = (cpu + it) % num_cpus
-                objs = np.arange(per_cpu) + slice_id * per_cpu
-                lines = (objs[:, None] * obj_lines
-                         + np.arange(obj_lines)).ravel() % self.num_lines
-                # RMW: every reference pair is a read then a write.
-                iters.append((np.repeat(lines, 2),
-                              np.tile([False, True], refs)))
-            plans.append(iters)
-        return plans
+        slice_id = (cpu + it) % num_cpus
+        objs = np.arange(per_cpu) + slice_id * per_cpu
+        lines = (objs[:, None] * obj_lines
+                 + np.arange(obj_lines)).ravel() % self.num_lines
+        # RMW: every reference pair is a read then a write.
+        return np.repeat(lines, 2), np.tile([False, True], len(lines))
 
-    def _plan_producer_consumer(self, num_cpus, rng):
+    def _plan_producer_consumer(self, cpu, it, offsets, writes):
         import numpy as np
 
+        num_cpus = self._num_cpus
         per_cpu = self.num_lines // num_cpus
-        span = max(1, int(per_cpu * self.sweep_fraction))
-        plans = []
-        for cpu in range(num_cpus):
-            own = cpu * per_cpu + (np.arange(span))
-            upstream = ((cpu - 1) % num_cpus) * per_cpu + np.arange(span)
-            iters = []
-            for it in range(self.iterations):
-                if it % 2 == 0:
-                    iters.append((own, np.ones(span, dtype=bool)))   # produce
-                else:
-                    iters.append((upstream, np.zeros(span, dtype=bool)))
-            plans.append(iters)
-        return plans
+        span = self._span()
+        if it % 2 == 0:                                        # produce
+            return cpu * per_cpu + np.arange(span), np.ones(span, dtype=bool)
+        upstream = ((cpu - 1) % num_cpus) * per_cpu + np.arange(span)
+        return upstream, np.zeros(span, dtype=bool)
 
-    def _plan_reuse_vs_stream(self, num_cpus, rng):
+    def _plan_reuse_vs_stream(self, cpu, it, offsets, writes):
         import numpy as np
 
-        per_cpu = self.num_lines // num_cpus
+        per_cpu = self.num_lines // self._num_cpus
         hot_span = max(1, per_cpu // 4)
-        refs = self.refs_per_cpu_per_iter
-        plans = []
-        for cpu in range(num_cpus):
-            base = cpu * per_cpu
-            hot = base + (np.arange(refs) % hot_span)
-            stream = base + hot_span + (np.arange(per_cpu - hot_span))
-            iters = []
-            for it in range(self.iterations):
-                if it % 2 == 0:
-                    iters.append((hot, self._writes(rng, refs)))
-                else:
-                    iters.append((stream,
-                                  np.zeros(len(stream), dtype=bool)))
-            plans.append(iters)
-        return plans
+        base = cpu * per_cpu
+        if it % 2 == 0:
+            return base + (np.arange(len(writes)) % hot_span), writes
+        stream = base + hot_span + np.arange(per_cpu - hot_span)
+        return stream, np.zeros(len(stream), dtype=bool)
 
     # -- generator ---------------------------------------------------------
 
     def generator(self, cpu_id: int, num_cpus: int):
-        # One op list per iteration, chained in C: the machine's next()
-        # never resumes a Python frame inside an iteration.
+        # Bounded op chunks per iteration, chained in C: the machine's
+        # next() resumes a Python frame only once per chunk.
         return chain.from_iterable(self._iteration_ops(cpu_id))
 
     def _iteration_ops(self, cpu_id: int):
-        array = self.array
-        for bid, (lines, writes) in enumerate(self._plans[cpu_id]):
+        for bid, (offsets, writes) in enumerate(self._draws[cpu_id]):
             # coalesce() expands back to exactly the per-line sequence,
-            # so the reference stream (and stats) are unchanged.
-            ops = coalesce(array.vbase + lines * array.elem_bytes, writes)
-            ops.append(compute(50))
-            ops.append(barrier(bid))
-            yield ops
+            # so the reference stream (and stats) are unchanged.  The
+            # iteration's arrays are call arguments, not locals: only
+            # coalesce's compact per-op arrays outlive the call.
+            yield from coalesce(*self._references(cpu_id, bid, offsets,
+                                                  writes))
+            yield (compute(50), barrier(bid))
+
+    def _references(self, cpu: int, it: int, offsets, writes):
+        """``(addresses, write flags)`` of one CPU's iteration."""
+        import numpy as np
+
+        plan = getattr(self, "_plan_" + self.pattern)
+        lines, writes = plan(cpu, it, offsets, writes)
+        array = self.array
+        return (array.vbase + np.asarray(lines, dtype=np.int64)
+                * array.elem_bytes), writes

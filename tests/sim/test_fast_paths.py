@@ -120,9 +120,12 @@ class TestRunOpEquivalence:
 
 
 def _coalesce_refs(refs):
-    """coalesce() over ``(OP_READ|OP_WRITE, addr)`` single ops."""
-    return coalesce(np.array([addr for _kind, addr in refs], dtype=np.int64),
-                    np.array([kind == OP_WRITE for kind, _addr in refs]))
+    """coalesce() over ``(OP_READ|OP_WRITE, addr)`` single ops, its
+    chunks joined."""
+    chunks = coalesce(
+        np.array([addr for _kind, addr in refs], dtype=np.int64),
+        np.array([kind == OP_WRITE for kind, _addr in refs]))
+    return [op for chunk in chunks for op in chunk]
 
 
 class TestCoalesce:

@@ -6,14 +6,16 @@ exactly what ``dataclasses.asdict`` produced — and the hashes built from
 them must not move, or existing cache directories stop hitting.
 """
 
+import json
 from dataclasses import asdict, fields
 
 import pytest
 
-from repro.harness.session import ExperimentSpec
-from repro.sim.config import (MachineConfig, paper_scale_config,
+from repro.harness.session import CACHE_SCHEMA, ExperimentSpec, ResultCache
+from repro.sim.config import (CacheConfig, MachineConfig, paper_scale_config,
                               tiny_config)
-from repro.sim.stats import CpuStats, MachineStats, NodeStats
+from repro.sim.latency import LatencyModel
+from repro.sim.stats import CpuStats, MachineStats, NodeStats, field_dict
 
 
 def populated_stats(num_nodes=8, cpus_per_node=4) -> MachineStats:
@@ -76,3 +78,28 @@ def test_experiment_cache_key_is_unchanged():
         "a5715ad56ba78cbd1382aee0a5a1b45aab30fe722dfe522a47a38ccdebe5e4e0")
     assert ExperimentSpec("fft", "scoma").cache_key() == (
         "3962d38ebaabd1a8cf9aeb4704c3a92ddc863993e0e53002113e9dc48b84b0f2")
+
+
+def test_field_dict_keys_follow_each_class_field_order():
+    # field_dict reads each class's field names once; every class keeps
+    # its own declaration order, on the first call and on later ones.
+    objects = [NodeStats(3), CpuStats(5), CacheConfig(256, 32, 2),
+               LatencyModel()]
+    for _ in range(2):
+        for obj in objects:
+            data = field_dict(obj)
+            assert list(data) == [f.name for f in fields(obj)]
+            assert data == asdict(obj)
+
+
+def test_result_cache_entry_bytes_are_sorted_json(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    spec = ExperimentSpec("fft", "scoma", preset="tiny", config=tiny_config())
+    stats = populated_stats()
+    metrics = {"schema": 1, "counters": {"b": 2, "a": 1}}
+    cache.store(spec, stats, metrics)
+    entry = {"schema": CACHE_SCHEMA, "spec": spec.to_payload(),
+             "stats": stats.to_dict(), "metrics": metrics}
+    path = tmp_path / spec.cache_key()[:2] / (spec.cache_key() + ".json")
+    assert path.read_text() == json.dumps(entry, sort_keys=True)
+    assert cache.load_with_metrics(spec)[0].to_dict() == stats.to_dict()

@@ -174,7 +174,7 @@ def test_deterministic(app):
         assert collect_ops(wl1, cpu) == collect_ops(wl2, cpu)
 
 
-@pytest.mark.parametrize("app", SERVING_APPLICATIONS)
+@pytest.mark.parametrize("app", ["txn2pc"])
 def test_coalesced_generators_match_their_raw_streams(app):
     # coalesce_stream wrapping must expand back to the raw stream
     # op for op.
@@ -184,6 +184,32 @@ def test_coalesced_generators_match_their_raw_streams(app):
         for op in wl._stream(cpu, NUM_CPUS):
             raw.extend(expand_op(op))
         assert collect_ops(wl, cpu) == raw
+
+
+def test_kvstore_ops_match_the_request_plan():
+    # Every CPU's ops expand to the per-request references built here
+    # from the drawn plan: the shard's index line, then the value's
+    # lines (read by a get, written by a put); each batch ends in a
+    # compute gap and its barrier.  The batch arrays setup builds are
+    # the same references.
+    wl, _ = build("kvstore")
+    nshards, vl = wl.num_shards, wl.value_lines
+    for cpu in range(NUM_CPUS):
+        expected = []
+        for bid, (keys, gets) in enumerate(wl._plans[cpu]):
+            batch = []
+            for key, get in zip(keys.tolist(), gets.tolist()):
+                shard = key % nshards
+                batch.append((OP_READ, wl.index.addr(shard)))
+                value = wl.shards[shard]
+                kind = OP_READ if get else OP_WRITE
+                batch.extend((kind, value.addr((key // nshards) * vl + i))
+                             for i in range(vl))
+            addrs, writes = wl._batches[cpu][bid]
+            assert [(OP_WRITE if w else OP_READ, a) for a, w in zip(
+                addrs.tolist(), writes.tolist())] == batch
+            expected += batch + [(OP_COMPUTE, 40), (OP_BARRIER, bid)]
+        assert collect_ops(wl, cpu) == expected
 
 
 @pytest.mark.parametrize("app", SERVING_APPLICATIONS)

@@ -1,5 +1,8 @@
 """Tests for the synthetic workload generator."""
 
+import tracemalloc
+
+import numpy  # noqa: F401  (its import is not the workload's memory)
 import pytest
 
 from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
@@ -119,3 +122,26 @@ def test_runs_coherently_on_a_machine(pattern):
     result = machine.run(wl)
     assert result.stats.references > 0
     assert check_machine(machine) == []
+
+
+def test_op_streams_stay_bounded_on_the_paper_geometry():
+    # hot-32x8's workload on 32 x 8 CPUs, no simulation: setup plus the
+    # first op of every CPU.  setup keeps only the seeded draws and
+    # each generator one iteration's compact arrays and one op chunk.
+    # Measured: 7.0 MiB (29.9 MiB when setup built every iteration's
+    # line indices and each generator a whole iteration's op tuples).
+    num_cpus = 256
+    wl = SyntheticWorkload("block", shared_kb=256,
+                           refs_per_cpu_per_iter=2000, iterations=2, seed=0)
+    layout = AddressSpaceLayout(GlobalIpcServer(32, 4096), 4096)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        wl.setup(layout, num_cpus)
+        gens = [wl.generator(cpu, num_cpus) for cpu in range(num_cpus)]
+        for gen in gens:
+            next(gen)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 12 * 2 ** 20, "%.1f MiB" % (grown / 2 ** 20)
