@@ -23,7 +23,7 @@ uncontended transactions reproduce Table 1 and contended ones stretch.
 
 from __future__ import annotations
 
-from repro.core.directory import DirState
+from repro.core.directory import NO_SHARERS, DirState
 from repro.core.finegrain import Tag
 from repro.core.modes import PageMode
 from repro.interconnect.messages import MessageKind
@@ -357,19 +357,21 @@ class CoherenceController:
                     home_tags.tags[lip] = 2  # Tag.EXCLUSIVE
                 dl.state = _HOME_EXCL
                 dl.owner = -1
-                dl.sharers = set()
+                dl.sharers = NO_SHARERS
                 return t, node.node_id, True
             if home_tags is not None:
                 home_tags.tags[lip] = 1  # Tag.SHARED
             return t, node.node_id, False
         # The local CPU (if any) holding the line MODIFIED.
         dirty_cpu = None
-        holders = node.presence._holders.get(home_line)
-        if holders:
-            for cid in holders:
-                if node.cpus[cid].hierarchy.state(home_line) == _MODIFIED:
-                    dirty_cpu = cid
-                    break
+        holders = bits = node.presence._holders.get(home_line, 0)
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            cid = low.bit_length() - 1
+            if node.cpus[cid].hierarchy.state(home_line) == _MODIFIED:
+                dirty_cpu = cid
+                break
         if dirty_cpu is not None:
             # 2-party access to a modified line: intervene on the home
             # bus to pull the dirty data out of the home CPU's cache.
@@ -404,7 +406,7 @@ class CoherenceController:
                 home_tags.set(lip, Tag.INVALID)
             dl.state = _CLIENT_EXCL
             dl.owner = requester
-            dl.sharers = set()
+            dl.sharers = NO_SHARERS
             return t, node.node_id, True
         if home_tags is not None:
             home_tags.tags[lip] = 1  # Tag.SHARED
@@ -412,10 +414,14 @@ class CoherenceController:
             dl.state = _DIR_SHARED
             dl.owner = -1
         # Home CPU copies of an exclusive line become shared.
-        if holders:
-            for cid in holders:
-                node.cpus[cid].hierarchy.downgrade(home_line)
-        dl.sharers.add(requester)
+        while holders:
+            low = holders & -holders
+            holders ^= low
+            node.cpus[low.bit_length() - 1].hierarchy.downgrade(home_line)
+        if dl.sharers is NO_SHARERS:
+            dl.sharers = {requester}
+        else:
+            dl.sharers.add(requester)
         return t, node.node_id, False
 
     # -- 3-party transfer -----------------------------------------------
@@ -460,18 +466,21 @@ class CoherenceController:
             if requester_is_home:
                 dl.state = _HOME_EXCL
                 dl.owner = -1
-                dl.sharers = set()
+                dl.sharers = NO_SHARERS
                 if home_tags is not None:
                     home_tags.tags[lip] = 2  # Tag.EXCLUSIVE
             else:
                 dl.owner = requester
-                dl.sharers = set()
+                dl.sharers = NO_SHARERS
             return t, owner_id, True
 
         # Read: owner keeps a shared copy and writes the dirty data back
         # to the home ("sharing writeback"); home memory becomes valid.
-        for cid in owner.presence._holders.get(owner_line, ()):
-            owner.cpus[cid].hierarchy.downgrade(owner_line)
+        mask = owner.presence._holders.get(owner_line, 0)
+        while mask:  # each holder's bit, lowest first
+            low = mask & -mask
+            mask ^= low
+            owner.cpus[low.bit_length() - 1].hierarchy.downgrade(owner_line)
         if owner_entry.tags is not None:
             owner_entry.tags.tags[lip] = 1  # Tag.SHARED
         owner.msglog.record(_WRITEBACK)
@@ -507,7 +516,8 @@ class CoherenceController:
         # acknowledged by timeout at the home (no message exchanged).
         sharers = [s for s in dl.sharers
                    if s != requester and s not in machine.failed_nodes]
-        dl.sharers.difference_update(machine.failed_nodes)
+        if dl.sharers:
+            dl.sharers.difference_update(machine.failed_nodes)
         issue = t
         last_ack = t
         tracer = self._tracer
@@ -541,7 +551,7 @@ class CoherenceController:
         else:
             dl.state = _CLIENT_EXCL
             dl.owner = requester
-        dl.sharers = set()
+        dl.sharers = NO_SHARERS
         return t, node.node_id, True
 
     def handle_invalidate(self, gpage: int, lip: int, arrival: int) -> int:
@@ -625,12 +635,13 @@ class CoherenceController:
         home.memory.write(now)
         dl.state = DirState.HOME_EXCL
         dl.owner = -1
-        dl.sharers = set()
+        dl.sharers = NO_SHARERS
         if home_tags is not None:
             home_tags.set(lip, Tag.EXCLUSIVE)
 
     def _leave_sharers(self, dl, lip: int, home_tags) -> None:
-        dl.sharers.discard(self.node.node_id)
+        if dl.sharers:
+            dl.sharers.discard(self.node.node_id)
         if dl.state == DirState.SHARED and not dl.sharers:
             dl.state = DirState.HOME_EXCL
             dl.owner = -1
@@ -661,7 +672,7 @@ class CoherenceController:
         if dl.state == DirState.CLIENT_EXCL and dl.owner == node.node_id:
             dl.state = DirState.HOME_EXCL
             dl.owner = -1
-            dl.sharers = set()
+            dl.sharers = NO_SHARERS
             home_entry = home.pit.entry_or_none(dir_page.home_frame)
             if home_entry is not None and home_entry.tags is not None:
                 home_entry.tags.set(lip, Tag.EXCLUSIVE)
@@ -683,7 +694,7 @@ class CoherenceController:
                              MessageKind.REPLACEMENT_HINT)
         dl.state = DirState.HOME_EXCL
         dl.owner = -1
-        dl.sharers = set()
+        dl.sharers = NO_SHARERS
         home_entry = home.pit.entry_or_none(dir_page.home_frame)
         if home_entry is not None and home_entry.tags is not None:
             home_entry.tags.set(lip, Tag.EXCLUSIVE)
@@ -737,11 +748,12 @@ class CoherenceController:
         """Invalidate every local CPU copy of ``line``; True if any was
         dirty."""
         node = self.node
-        holders = node.presence._holders.pop(line, None)
+        mask = node.presence._holders.pop(line, 0)
         dirty = False
-        if holders:
-            cpus = node.cpus
-            for cid in holders:
-                if cpus[cid].hierarchy.invalidate(line):
-                    dirty = True
+        cpus = node.cpus
+        while mask:  # each holder's bit, lowest first
+            low = mask & -mask
+            mask ^= low
+            if cpus[low.bit_length() - 1].hierarchy.invalidate(line):
+                dirty = True
         return dirty

@@ -34,15 +34,25 @@ class DirState(IntEnum):
     CLIENT_EXCL = 2
 
 
+#: The sharers of every directory line that has none: one shared set.
+NO_SHARERS: "frozenset[int]" = frozenset()
+
+
 class DirLine:
-    """Directory entry for one cache line."""
+    """Directory entry for one cache line.
+
+    ``sharers`` is :data:`NO_SHARERS` until a sharer is added, then a
+    real set until the protocol resets the line.  A set emptied by
+    ``discard`` is kept, never swapped for a fresh one: its iteration
+    order, the home's invalidation order, depends on its history.
+    """
 
     __slots__ = ("state", "owner", "sharers")
 
     def __init__(self) -> None:
         self.state = DirState.HOME_EXCL
         self.owner = -1
-        self.sharers: "set[int]" = set()
+        self.sharers: "set[int] | frozenset[int]" = NO_SHARERS
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "DirLine(%s, owner=%d, sharers=%r)" % (
@@ -72,13 +82,13 @@ class DirectoryCache:
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._keys: "OrderedDict[tuple[int, int], None]" = OrderedDict()
+        self._keys: "OrderedDict[int, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def access(self, gpage: int, line_in_page: int) -> bool:
         """Touch the entry for (gpage, line); returns True on a hit."""
-        key = (gpage, line_in_page)
+        key = gpage << 32 | line_in_page  # no page has 2**32 lines
         if key in self._keys:
             self._keys.move_to_end(key)
             self.hits += 1

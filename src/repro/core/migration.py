@@ -18,7 +18,7 @@ the majority of them, the home migrates to that node.
 
 from __future__ import annotations
 
-from repro.core.directory import DirState
+from repro.core.directory import NO_SHARERS, DirState
 from repro.core.finegrain import Tag
 from repro.core.modes import PageMode
 from repro.interconnect.messages import MessageKind
@@ -124,7 +124,10 @@ class MigrationManager:
                     old_tags.set(lip, Tag.SHARED)
                 new_tags.set(lip, Tag.SHARED)
             elif dl.state == DirState.SHARED:
-                dl.sharers.add(old_home_id)
+                if dl.sharers is NO_SHARERS:
+                    dl.sharers = {old_home_id}
+                else:
+                    dl.sharers.add(old_home_id)
                 dl.sharers.discard(new_home_id)
                 if old_tags is not None:
                     old_tags.set(lip, Tag.SHARED)

@@ -207,20 +207,20 @@ class ResultCache:
 
         ``metrics`` is None when the entry was stored by a run without
         metrics collection (the snapshot is an optional rider — its
-        absence never invalidates the entry).
+        absence never invalidates the entry).  An entry that cannot be
+        read back is a miss: the cell runs again and overwrites it.
         """
         try:
             with open(self._path(spec.cache_key())) as fh:
                 entry = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None, None
-        if entry.get("schema") != CACHE_SCHEMA:
-            self.misses += 1
-            return None, None
-        self.hits += 1
-        return (MachineStats.from_dict(entry["stats"]),
-                entry.get("metrics"))
+            if entry["schema"] == CACHE_SCHEMA:
+                stats = MachineStats.from_dict(entry["stats"])
+                self.hits += 1
+                return stats, entry.get("metrics")
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+        self.misses += 1
+        return None, None
 
     def store(self, spec: ExperimentSpec, stats: MachineStats,
               metrics: "dict[str, object] | None" = None) -> None:

@@ -17,7 +17,6 @@ line-within-page``), which are node-local in PRISM.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from enum import IntEnum
 
 from repro.sim.config import CacheConfig
@@ -40,13 +39,12 @@ _MODIFIED = LineState.MODIFIED
 class Cache:
     """One level of set-associative, LRU, write-back cache.
 
-    Alongside the per-set LRU maps the cache keeps ``flat``, a single
-    ``line -> state`` dict over every resident line.  ``flat`` carries
-    no LRU information — the per-set OrderedDicts remain authoritative
-    for replacement — but it lets the simulator's front-line fast path
-    resolve the dominant hit case with one dict probe instead of a
-    method-call chain, and it makes :meth:`peek`/``in`` O(1) without a
-    set-index computation.
+    Each set's LRU order is a short list of its resident lines, least
+    recently used first.  ``flat``, a single ``line -> state`` dict over
+    every resident line, is the only store of line state: the
+    simulator's front-line fast path resolves the dominant hit case
+    with one ``flat`` probe, and a hit on the line already at the end
+    of its set's list leaves the list alone.
     """
 
     __slots__ = ("num_sets", "associativity", "_sets", "flat")
@@ -54,9 +52,8 @@ class Cache:
     def __init__(self, cfg: CacheConfig) -> None:
         self.num_sets = cfg.num_sets
         self.associativity = cfg.associativity
-        self._sets: "list[OrderedDict[int, LineState]]" = [
-            OrderedDict() for _ in range(self.num_sets)]
-        #: line -> state mirror of every resident line (all sets).
+        self._sets: "list[list[int]]" = [[] for _ in range(self.num_sets)]
+        #: line -> state of every resident line (all sets).
         self.flat: "dict[int, LineState]" = {}
 
     def lookup(self, line: int) -> LineState:
@@ -64,31 +61,28 @@ class Cache:
         state = self.flat.get(line)
         if state is None:
             return LineState.INVALID
-        self._sets[line % self.num_sets].move_to_end(line)
+        lru = self._sets[line % self.num_sets]
+        if lru[-1] != line:
+            lru.remove(line)
+            lru.append(line)
         return state
-
-    def peek(self, line: int) -> LineState:
-        """State of ``line`` without touching LRU."""
-        return self.flat.get(line, LineState.INVALID)
 
     def insert(self, line: int, state: LineState) -> "tuple[int, LineState] | None":
         """Insert ``line`` (must not be present); returns the evicted
         ``(line, state)`` if the set overflowed, else ``None``."""
-        cache_set = self._sets[line % self.num_sets]
+        lru = self._sets[line % self.num_sets]
         victim = None
-        if len(cache_set) >= self.associativity:
-            victim = cache_set.popitem(last=False)
-            del self.flat[victim[0]]
-        cache_set[line] = state
+        if len(lru) >= self.associativity:
+            vline = lru.pop(0)
+            victim = (vline, self.flat.pop(vline))
+        lru.append(line)
         self.flat[line] = state
         return victim
 
     def set_state(self, line: int, state: LineState) -> None:
         """Change the state of a resident line (no LRU touch)."""
-        cache_set = self._sets[line % self.num_sets]
-        if line not in cache_set:
+        if line not in self.flat:
             raise KeyError("line %d not resident" % line)
-        cache_set[line] = state
         self.flat[line] = state
 
     def remove(self, line: int) -> LineState:
@@ -96,12 +90,12 @@ class Cache:
         state = self.flat.pop(line, None)
         if state is None:
             return LineState.INVALID
-        del self._sets[line % self.num_sets][line]
+        self._sets[line % self.num_sets].remove(line)
         return state
 
     def resident_lines(self) -> "list[int]":
         """Every line currently resident (all sets)."""
-        return [line for cache_set in self._sets for line in cache_set]
+        return [line for lru in self._sets for line in lru]
 
     def __contains__(self, line: int) -> bool:
         return line in self.flat
@@ -115,42 +109,30 @@ class NodePresence:
 
     The bus snooping logic (sibling supply, sibling invalidation) and
     the controller's intervention paths consult this instead of probing
-    every CPU's caches.  Only residency is tracked; per-CPU states are
-    read from the hierarchies on the (infrequent) paths that need them.
+    every CPU's caches.  Only residency is tracked, as presence bits:
+    ``_holders`` maps a cached line to an int with bit ``local_id`` set
+    per CPU caching it (any number of CPUs), and an uncached line to
+    nothing.  Per-CPU states are read from the hierarchies on the
+    (infrequent) paths that need them; no reader depends on bit order.
     """
 
     __slots__ = ("_holders",)
 
     def __init__(self) -> None:
-        self._holders: "dict[int, set[int]]" = {}
-
-    def add(self, line: int, local_cpu: int) -> None:
-        """Record that ``local_cpu`` now caches ``line``."""
-        holders = self._holders.get(line)
-        if holders is None:
-            self._holders[line] = {local_cpu}
-        else:
-            holders.add(local_cpu)
+        self._holders: "dict[int, int]" = {}
 
     def remove(self, line: int, local_cpu: int) -> None:
         """Record that ``local_cpu`` dropped ``line``."""
-        holders = self._holders.get(line)
-        if holders is None:
-            return
-        holders.discard(local_cpu)
-        if not holders:
-            del self._holders[line]
+        mask = self._holders.get(line, 0) & ~(1 << local_cpu)
+        if mask:
+            self._holders[line] = mask
+        else:
+            self._holders.pop(line, None)
 
     def holders(self, line: int) -> "set[int]":
         """Local CPUs caching ``line``."""
-        return self._holders.get(line, _EMPTY_SET)
-
-    def any_holder(self, line: int) -> bool:
-        """Does any local CPU cache ``line``?"""
-        return line in self._holders
-
-
-_EMPTY_SET: "frozenset[int]" = frozenset()
+        mask = self._holders.get(line, 0)
+        return {cid for cid in range(mask.bit_length()) if mask >> cid & 1}
 
 
 class CacheHierarchy:
@@ -168,24 +150,6 @@ class CacheHierarchy:
     def __init__(self, l1_cfg: CacheConfig, l2_cfg: CacheConfig) -> None:
         self.l1 = Cache(l1_cfg)
         self.l2 = Cache(l2_cfg)
-
-    # -- lookups -------------------------------------------------------
-
-    def probe(self, line: int) -> "tuple[str, LineState]":
-        """Where ``line`` lives: ('l1'|'l2'|'miss', state).
-
-        An L2-only hit is promoted into L1 (possibly spilling an L1
-        victim back to L2, which is free under inclusion since the L2
-        copy is still resident).
-        """
-        state = self.l1.lookup(line)
-        if state != LineState.INVALID:
-            return "l1", state
-        state = self.l2.lookup(line)
-        if state == LineState.INVALID:
-            return "miss", LineState.INVALID
-        self._promote_to_l1(line, state)
-        return "l2", state
 
     def state(self, line: int) -> LineState:
         """Machine-visible state of ``line`` in this hierarchy."""
@@ -210,26 +174,25 @@ class CacheHierarchy:
         """
         lost = ()
         l1, l2 = self.l1, self.l2
-        cache_set = l2._sets[line % l2.num_sets]
-        if len(cache_set) >= l2.associativity:
-            vline, vstate = cache_set.popitem(last=False)
-            del l2.flat[vline]
+        lru = l2._sets[line % l2.num_sets]
+        if len(lru) >= l2.associativity:
+            vline = lru.pop(0)
+            vstate = l2.flat.pop(vline)
             l1_state = l1.flat.pop(vline, None)  # inclusion
             if l1_state is not None:
-                del l1._sets[vline % l1.num_sets][vline]
+                l1._sets[vline % l1.num_sets].remove(vline)
                 if l1_state == _MODIFIED:
                     vstate = _MODIFIED
             lost = [(vline, vstate)]
-        cache_set[line] = state
+        lru.append(line)
         l2.flat[line] = state
-        cache_set = l1._sets[line % l1.num_sets]
-        if len(cache_set) >= l1.associativity:
-            vline, vstate = cache_set.popitem(last=False)
-            del l1.flat[vline]
+        lru = l1._sets[line % l1.num_sets]
+        if len(lru) >= l1.associativity:
+            vline = lru.pop(0)
             # Inclusion: L2 still holds the line; merge dirtiness down.
-            if vstate == _MODIFIED:
+            if l1.flat.pop(vline) == _MODIFIED:
                 l2.set_state(vline, _MODIFIED)
-        cache_set[line] = state
+        lru.append(line)
         l1.flat[line] = state
         return lost
 
@@ -241,11 +204,9 @@ class CacheHierarchy:
         l1, l2 = self.l1, self.l2
         if line in l1.flat:
             l1.flat[line] = _MODIFIED
-            l1._sets[line % l1.num_sets][line] = _MODIFIED
         if line not in l2.flat:  # pragma: no cover - inclusion
             raise KeyError("write_hit on non-resident line %d" % line)
         l2.flat[line] = _MODIFIED
-        l2._sets[line % l2.num_sets][line] = _MODIFIED
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line``; returns True if a dirty copy was lost."""
@@ -253,7 +214,7 @@ class CacheHierarchy:
         for cache in (self.l1, self.l2):
             state = cache.flat.pop(line, None)
             if state is not None:
-                del cache._sets[line % cache.num_sets][line]
+                cache._sets[line % cache.num_sets].remove(line)
                 if state == _MODIFIED:
                     dirty = True
         return dirty
@@ -270,18 +231,16 @@ class CacheHierarchy:
                 if state == _MODIFIED:
                     dirty = True
                 cache.flat[line] = _SHARED
-                cache._sets[line % cache.num_sets][line] = _SHARED
         return dirty
 
     def _promote_to_l1(self, line: int, state: LineState) -> None:
         # Cache.insert inlined (same replacement): this
         # runs on every L2 hit.
         l1 = self.l1
-        cache_set = l1._sets[line % l1.num_sets]
-        if len(cache_set) >= l1.associativity:
-            vline, vstate = cache_set.popitem(last=False)
-            del l1.flat[vline]
-            if vstate == _MODIFIED:
+        lru = l1._sets[line % l1.num_sets]
+        if len(lru) >= l1.associativity:
+            vline = lru.pop(0)
+            if l1.flat.pop(vline) == _MODIFIED:
                 self.l2.set_state(vline, _MODIFIED)
-        cache_set[line] = state
+        lru.append(line)
         l1.flat[line] = state

@@ -586,13 +586,16 @@ class Machine:
         line = frame * self._lpp + lip
 
         # Front-line cache probe: one flat-dict lookup resolves the
-        # dominant L1-hit case; the per-set LRU touch keeps the
-        # replacement behaviour identical to Cache.lookup.
+        # dominant L1-hit case; the per-set LRU touch (none when the
+        # line is already MRU) is Cache.lookup's.
         hierarchy = cpu.hierarchy
         l1 = hierarchy.l1
         state = l1.flat.get(line)
         if state is not None:
-            l1._sets[line % l1.num_sets].move_to_end(line)
+            lru = l1._sets[line % l1.num_sets]
+            if lru[-1] != line:
+                lru.remove(line)
+                lru.append(line)
             cpu.stats.l1_hits += 1
             if is_write and state != _MODIFIED:
                 if state == _EXCLUSIVE:
@@ -600,11 +603,14 @@ class Machine:
                 else:
                     return self._upgrade(cpu, frame, lip, line, now)
             return now + self._lat_l1_hit
-        # The L2 half of CacheHierarchy.probe, inlined the same way.
+        # The L2 lookup, inlined the same way.
         l2 = hierarchy.l2
         state = l2.flat.get(line)
         if state is not None:
-            l2._sets[line % l2.num_sets].move_to_end(line)
+            lru = l2._sets[line % l2.num_sets]
+            if lru[-1] != line:
+                lru.remove(line)
+                lru.append(line)
             hierarchy._promote_to_l1(line, state)
             cpu.stats.l2_hits += 1
             if is_write and state != _MODIFIED:
@@ -716,12 +722,8 @@ class Machine:
             raise RuntimeError("access to frame in mode %s" % mode.name)
 
         lost = cpu.hierarchy.fill(line, fill_state)
-        # NodePresence.add inlined.
-        holders = node.presence._holders.get(line)
-        if holders is None:
-            node.presence._holders[line] = {cpu.local_id}
-        else:
-            holders.add(cpu.local_id)
+        holders = node.presence._holders
+        holders[line] = holders.get(line, 0) | 1 << cpu.local_id
         if lost:
             self._handle_lost(node, cpu, lost, t)
         if remote:
@@ -755,18 +757,20 @@ class Machine:
         res.busy_cycles += self._lat_bus_request
         res.acquisitions += 1
         dirty_sibling = None
-        holders = node.presence._holders.get(line)
-        if holders:
-            # CacheHierarchy.state read off the flat mirrors: the L1
-            # state, when resident, is the CPU's state.
-            for cid in holders:
-                hierarchy = node.cpus[cid].hierarchy
-                state = hierarchy.l1.flat.get(line)
-                if state is None:
-                    state = hierarchy.l2.flat.get(line)
-                if state == _MODIFIED:
-                    dirty_sibling = cid
-                    break
+        mask = node.presence._holders.get(line, 0)
+        # Each holder's bit, lowest first; CacheHierarchy.state read off
+        # the flat mirrors: the L1 state, when resident, is the CPU's.
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            cid = low.bit_length() - 1
+            hierarchy = node.cpus[cid].hierarchy
+            state = hierarchy.l1.flat.get(line)
+            if state is None:
+                state = hierarchy.l2.flat.get(line)
+            if state == _MODIFIED:
+                dirty_sibling = cid
+                break
         if dirty_sibling is not None:
             if tracer is not None:
                 tracer.add("intervention", "mem", node.node_id, t,
@@ -807,19 +811,28 @@ class Machine:
         return t
 
     def _invalidate_siblings(self, node: Node, cpu: Cpu, line: int) -> None:
-        holders = node.presence._holders.get(line)
-        if not holders:
+        holders = node.presence._holders
+        mask = holders.get(line, 0)
+        keep = 1 << cpu.local_id
+        others = mask & ~keep
+        if not others:
             return
-        keep = cpu.local_id
-        for cid in list(holders):
-            if cid != keep:
-                node.cpus[cid].hierarchy.invalidate(line)
-                node.presence.remove(line, cid)
+        while others:  # each sibling's bit, lowest first
+            low = others & -others
+            others ^= low
+            node.cpus[low.bit_length() - 1].hierarchy.invalidate(line)
+        if mask & keep:
+            holders[line] = keep
+        else:
+            del holders[line]
 
     def _max_sibling_state(self, node: Node, line: int) -> LineState:
         best = _INVALID
-        for cid in node.presence._holders.get(line, ()):
-            state = node.cpus[cid].hierarchy.state(line)
+        mask = node.presence._holders.get(line, 0)
+        while mask:  # each holder's bit, lowest first
+            low = mask & -mask
+            mask ^= low
+            state = node.cpus[low.bit_length() - 1].hierarchy.state(line)
             if state > best:
                 best = state
         return best

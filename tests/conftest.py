@@ -4,10 +4,25 @@ from __future__ import annotations
 
 import pytest
 
+from repro.mem.cache import LineState
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.machine import Machine
 
 GAP = 1_000_000
+
+
+def probe(h, line):
+    """Where ``line`` lives in cache hierarchy ``h``, as the machine's
+    reference path finds it: ('l1'|'l2'|'miss', state), an L2 hit
+    promoted into L1."""
+    state = h.l1.lookup(line)
+    if state != LineState.INVALID:
+        return "l1", state
+    state = h.l2.lookup(line)
+    if state == LineState.INVALID:
+        return "miss", state
+    h._promote_to_l1(line, state)
+    return "l2", state
 
 
 def protocol_config(**overrides) -> MachineConfig:

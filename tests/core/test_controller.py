@@ -288,8 +288,8 @@ class TestFlushClientPage:
         assert list(entry.tags) == [Tag.EXCLUSIVE, Tag.EXCLUSIVE,
                                     Tag.SHARED, Tag.SHARED] + [Tag.INVALID] * 4
         assert node.presence.holders(base) == {0, 1}
-        assert not node.presence.any_holder(base + 1)
-        assert not node.presence.any_holder(base + 3)
+        assert base + 1 not in node.presence._holders
+        assert base + 3 not in node.presence._holders
         writebacks = node.stats.writebacks_remote
 
         owned = node.controller.flush_client_page(entry, h.clock)
@@ -308,7 +308,7 @@ class TestFlushClientPage:
         for cpu in node.cpus:
             for lip in range(8):
                 assert cpu.hierarchy.state(base + lip) == LineState.INVALID
-        assert not any(node.presence.any_holder(base + lip)
+        assert not any(base + lip in node.presence._holders
                        for lip in range(8))
 
 

@@ -123,6 +123,27 @@ class TestResultCache:
         fresh.run(spec())
         assert (fresh.cache_hits, fresh.cache_misses) == (0, 1)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda entry: [entry],                            # not an object
+        lambda entry: {k: v for k, v in entry.items() if k != "stats"},
+        lambda entry: dict(entry, stats={
+            k: v for k, v in entry["stats"].items() if k != "nodes"}),
+    ], ids=["not-an-object", "no-stats", "truncated-stats"])
+    def test_malformed_entry_is_a_miss_and_overwritten(self, tmp_path,
+                                                        corrupt):
+        import json
+        cache_dir = str(tmp_path / "cache")
+        first = Session(cache_dir=cache_dir).run(spec())
+        (path,) = (tmp_path / "cache").rglob("*.json")
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        fresh = Session(cache_dir=cache_dir)
+        again = fresh.run(spec())
+        assert (fresh.cache_hits, fresh.cache_misses) == (0, 1)
+        assert again.stats.to_dict() == first.stats.to_dict()
+        warm = Session(cache_dir=cache_dir)        # the entry was rewritten
+        warm.run(spec())
+        assert (warm.cache_hits, warm.cache_misses) == (1, 0)
+
 
 class TestMetricsCollection:
     def test_collect_metrics_attaches_snapshot(self):

@@ -27,7 +27,7 @@ def populated():
 
 def test_detects_stale_presence(populated):
     h, page = populated
-    h.node(0).presence.add(4242, 0)
+    h.node(0).presence._holders[4242] = 1 << 0
     assert any("stale presence" in p for p in check_machine(h.machine))
 
 
@@ -38,6 +38,20 @@ def test_detects_presence_cache_mismatch(populated):
     cpu = h.machine.cpus[h.cpu_on_node(0)]
     cpu.hierarchy.invalidate(line)   # cache dropped, presence kept
     assert any("presence" in p for p in check_machine(h.machine))
+
+
+@pytest.mark.parametrize("bit", [1, 5])
+def test_detects_one_corrupted_presence_bit(populated, bit):
+    """A presence mask with one extra bit set -- a sibling that holds
+    nothing, or a CPU the node does not have -- is reported."""
+    h, page = populated
+    entry = h.entry_at(0, page)
+    line = entry.frame * h.machine.config.lines_per_page
+    holders = h.node(0).presence._holders
+    assert holders[line] == 1 << h.machine.cpus[h.cpu_on_node(0)].local_id
+    holders[line] ^= 1 << bit
+    problems = check_machine(h.machine)
+    assert any("presence" in p and "line %d" % line in p for p in problems)
 
 
 def test_detects_broken_reverse_map(populated):
@@ -82,7 +96,8 @@ def test_detects_double_modified(populated):
     line0 = entry0.frame * lpp + 1
     cpu0 = h.machine.cpus[h.cpu_on_node(0)]
     cpu0.hierarchy.fill(line0, LineState.MODIFIED)
-    h.node(0).presence.add(line0, 0)
+    holders = h.node(0).presence._holders
+    holders[line0] = holders.get(line0, 0) | 1 << 0
     entry0.tags.set(1, Tag.EXCLUSIVE)
     problems = check_machine(h.machine)
     assert any("MODIFIED" in p or "also hold copies" in p

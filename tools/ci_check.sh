@@ -233,6 +233,30 @@ if rss > CEILING:
              "ceiling")
 EOF
 
+echo "== serving-memory ceiling: serving --quick peak_rss_mb =="
+# Per-line bookkeeping is ints and short lists (presence bitmasks, one
+# shared empty sharer set, packed directory-cache keys, list LRU sets).
+# When the ceiling was set, ten runs of
+# `bench/run.py --quick --seconds 0 --workload serving` on a shared
+# 2-vCPU x86-64 host (CPython 3.11) read peak_rss_mb 42.86-43.02 MB.
+# Three runs with a container per line read 45.11-45.22 MB, which this
+# ceiling does not catch at the quick size;
+# tests/sim/test_line_bookkeeping.py bounds those with tracemalloc.
+# The ceiling is 1.15 x their maximum (43.02 MB): 1.15 is one plus the
+# 0.15 peak_rss_mb bound in BENCHMARK.json.
+python3 - <<'EOF'
+import json
+import sys
+
+CEILING = 49.47
+result = json.load(open("bench/results/smoke/serving-seed0-quick.json"))
+rss = result["metrics"]["peak_rss_mb"]["value"]
+print("serving peak_rss_mb %.2f MB (ceiling %.2f MB)" % (rss, CEILING))
+if rss > CEILING:
+    sys.exit("FAIL: serving peak_rss_mb is above the serving-memory "
+             "ceiling")
+EOF
+
 echo "== benchmark tests =="
 python3 -m pytest bench/tests -q
 
