@@ -14,12 +14,11 @@ slice of a shared sample array and increments shared bucket counters
 under per-bucket locks, then a reduction phase reads all buckets.
 """
 
-import numpy as np
-
 from repro import Machine, MachineConfig
 from repro.harness.runner import derive_page_cache_caps
 from repro.workloads.base import (SharedArray, Workload, barrier, compute,
                                   lock, unlock)
+from repro.workloads.rng import RandomState
 
 
 class HistogramWorkload(Workload):
@@ -42,12 +41,13 @@ class HistogramWorkload(Workload):
                                    elem_bytes=8)
         self.counts = SharedArray(layout, key=2, num_elems=self.buckets,
                                   elem_bytes=32)
-        rng = np.random.RandomState(self.seed)
+        # The same draws numpy.random.RandomState(seed).randint makes.
+        rng = RandomState(self.seed)
         self._bucket_of = rng.randint(0, self.buckets, self.n)
 
     def generator(self, cpu_id: int, num_cpus: int):
         mine = self.block_range(self.n, cpu_id, num_cpus)
-        buckets = self._bucket_of[mine.start:mine.stop].tolist()
+        buckets = self._bucket_of[mine.start:mine.stop]
         for i, bucket in zip(mine, buckets):
             yield self.samples.read(i)
             yield compute(5)

@@ -18,7 +18,7 @@ class MemoryBus:
     """The memory bus of one node."""
 
     __slots__ = ("node_id", "address_path", "data_path", "lat",
-                 "transactions", "retries")
+                 "transactions")
 
     def __init__(self, node_id: int, lat: LatencyModel) -> None:
         self.node_id = node_id
@@ -26,7 +26,6 @@ class MemoryBus:
         self.address_path = Resource("node%d.bus.addr" % node_id)
         self.data_path = Resource("node%d.bus.data" % node_id)
         self.transactions = 0
-        self.retries = 0
 
     # request, transfer and NodeMemory.write spell out Resource.acquire
     # (same FCFS arithmetic and counters): each runs at least once per
@@ -52,12 +51,6 @@ class MemoryBus:
         res.busy_cycles += duration
         res.acquisitions += 1
         return end
-
-    def retry(self, now: int) -> int:
-        """A bus retry (e.g. fine-grain tag in Transit).  Charged as an
-        extra address phase."""
-        self.retries += 1
-        return self.address_path.acquire(now, self.lat.bus_request)
 
 
 class NodeMemory:

@@ -41,10 +41,12 @@ class Cache:
 
     Each set's LRU order is a short list of its resident lines, least
     recently used first.  ``flat``, a single ``line -> state`` dict over
-    every resident line, is the only store of line state: the
-    simulator's front-line fast path resolves the dominant hit case
-    with one ``flat`` probe, and a hit on the line already at the end
-    of its set's list leaves the list alone.
+    every resident line, is the only store of line state.  The machine
+    and :class:`CacheHierarchy` work on both directly: the simulator's
+    front-line fast path resolves the dominant hit case with one
+    ``flat`` probe and moves the line to the end of its set's list
+    (nothing to do when it is already there), and an insert into a full
+    set evicts the list's first line.
     """
 
     __slots__ = ("num_sets", "associativity", "_sets", "flat")
@@ -56,42 +58,11 @@ class Cache:
         #: line -> state of every resident line (all sets).
         self.flat: "dict[int, LineState]" = {}
 
-    def lookup(self, line: int) -> LineState:
-        """State of ``line``; touches LRU on hit."""
-        state = self.flat.get(line)
-        if state is None:
-            return LineState.INVALID
-        lru = self._sets[line % self.num_sets]
-        if lru[-1] != line:
-            lru.remove(line)
-            lru.append(line)
-        return state
-
-    def insert(self, line: int, state: LineState) -> "tuple[int, LineState] | None":
-        """Insert ``line`` (must not be present); returns the evicted
-        ``(line, state)`` if the set overflowed, else ``None``."""
-        lru = self._sets[line % self.num_sets]
-        victim = None
-        if len(lru) >= self.associativity:
-            vline = lru.pop(0)
-            victim = (vline, self.flat.pop(vline))
-        lru.append(line)
-        self.flat[line] = state
-        return victim
-
     def set_state(self, line: int, state: LineState) -> None:
         """Change the state of a resident line (no LRU touch)."""
         if line not in self.flat:
             raise KeyError("line %d not resident" % line)
         self.flat[line] = state
-
-    def remove(self, line: int) -> LineState:
-        """Remove ``line``; returns its previous state (INVALID if absent)."""
-        state = self.flat.pop(line, None)
-        if state is None:
-            return LineState.INVALID
-        self._sets[line % self.num_sets].remove(line)
-        return state
 
     def resident_lines(self) -> "list[int]":
         """Every line currently resident (all sets)."""
@@ -129,11 +100,6 @@ class NodePresence:
         else:
             self._holders.pop(line, None)
 
-    def holders(self, line: int) -> "set[int]":
-        """Local CPUs caching ``line``."""
-        mask = self._holders.get(line, 0)
-        return {cid for cid in range(mask.bit_length()) if mask >> cid & 1}
-
 
 class CacheHierarchy:
     """Inclusive L1/L2 pair for one CPU.
@@ -168,8 +134,8 @@ class CacheHierarchy:
         L2 victims (with their merged L1 dirtiness) that the node must
         write back (if MODIFIED) and deregister — or ``()`` if none.
 
-        Both inserts are :meth:`Cache.insert` spelled out inline (same
-        LRU replacement) — fill runs once per miss and the call
+        Both inserts are spelled out inline on ``flat`` and ``_sets``
+        (LRU replacement) — fill runs once per miss and the call
         overhead was measurable.
         """
         lost = ()
@@ -196,7 +162,7 @@ class CacheHierarchy:
         l1.flat[line] = state
         return lost
 
-    # Below: Cache.set_state / Cache.remove spelled out on each level.
+    # Below: state changes and removals spelled out on each level.
 
     def write_hit(self, line: int) -> None:
         """Mark a resident line MODIFIED in L1 (and L2 for inclusion
@@ -234,7 +200,7 @@ class CacheHierarchy:
         return dirty
 
     def _promote_to_l1(self, line: int, state: LineState) -> None:
-        # Cache.insert inlined (same replacement): this
+        # The L1 insert inlined (same replacement as fill): this
         # runs on every L2 hit.
         l1 = self.l1
         lru = l1._sets[line % l1.num_sets]

@@ -586,8 +586,8 @@ class Machine:
         line = frame * self._lpp + lip
 
         # Front-line cache probe: one flat-dict lookup resolves the
-        # dominant L1-hit case; the per-set LRU touch (none when the
-        # line is already MRU) is Cache.lookup's.
+        # dominant L1-hit case; a hit moves the line to the end of its
+        # set's LRU list (nothing to do when it is already there).
         hierarchy = cpu.hierarchy
         l1 = hierarchy.l1
         state = l1.flat.get(line)

@@ -4,7 +4,7 @@ Barnes-Hut computes gravitational forces by traversing a spatial tree:
 nearby bodies are visited individually, distant regions are
 approximated by their cells' centres of mass.  We reproduce that access
 structure with a real spatial decomposition built at setup (uniform
-grid binning with numpy): each body's interaction list contains the
+grid binning): each body's interaction list contains the
 individual bodies of its own and adjacent cells (irregular, scattered
 reads across other CPUs' bodies) and the summarized cells for the rest
 of space (heavily reused upper-"tree" data — the classic Barnes locality
@@ -24,6 +24,7 @@ from __future__ import annotations
 from repro.workloads.base import (PrivateArray, SharedArray, Workload,
                                   barrier, coalesce_stream, compute,
                                   lock, unlock)
+from repro.workloads.rng import RandomState
 
 BODY_BYTES = 64   # position + velocity + mass (2 cache lines)
 ACC_BYTES = 32    # acceleration vector (1 cache line)
@@ -66,20 +67,22 @@ class BarnesWorkload(Workload):
 
         # Real spatial decomposition: cluster the bodies (Plummer-ish
         # clumping) and bin them into the uniform cell grid.
-        import numpy as np
-
-        rng = np.random.RandomState(self.seed)
-        centers = rng.rand(8, 3)
-        pos = (centers[rng.randint(0, 8, n)]
-               + rng.randn(n, 3) * 0.08) % 1.0
-        cell_idx = ((pos * d).astype(np.int64).clip(0, d - 1)
-                    @ np.array([d * d, d, 1], dtype=np.int64))
+        rng = RandomState(self.seed)
+        centers = rng.random_sample(8 * 3)
+        picks = rng.randint(0, 8, n)
+        noise = rng.randn(n * 3)
+        cell_idx = []
+        for body, pick in enumerate(picks):
+            cell = 0
+            for axis in range(3):
+                p = (centers[3 * pick + axis]
+                     + noise[3 * body + axis] * 0.08) % 1.0
+                cell = cell * d + min(int(p * d), d - 1)
+            cell_idx.append(cell)
         # Reorder bodies by cell (the spatial reordering real Barnes-Hut
         # codes perform): neighbours in space become neighbours in the
         # body array, which is what gives the page cache its locality.
-        order = np.argsort(cell_idx, kind="stable")
-        pos = pos[order]
-        cell_idx = cell_idx[order]
+        cell_idx.sort()
         self._cell_of_body = cell_idx
 
         # Bodies per cell, and each body's interaction list — the
@@ -88,7 +91,7 @@ class BarnesWorkload(Workload):
         # cell nodes, everything farther as supercell (parent) nodes.
         # Only non-empty cells appear, like real BH nodes.
         members: "dict[int, list[int]]" = {}
-        for body, cell in enumerate(cell_idx.tolist()):
+        for body, cell in enumerate(cell_idx):
             members.setdefault(cell, []).append(body)
         nonempty = sorted(members)
         self._body_lists: "list[list[int]]" = []
@@ -103,7 +106,7 @@ class BarnesWorkload(Workload):
 
         max_near = 32
         for body in range(n):
-            cx, cy, cz = coords[int(cell_idx[body])]
+            cx, cy, cz = coords[cell_idx[body]]
             near_bodies: "list[int]" = []
             mid_cells: "list[int]" = []
             far_supers: "set[int]" = set()
@@ -130,7 +133,7 @@ class BarnesWorkload(Workload):
         bodies, accels, cells = self.bodies, self.accels, self.cells
         scratch = self.scratch[cpu_id]
         mine = self.block_range(self.n, cpu_id, num_cpus)
-        cell_of = self._cell_of_body.tolist()
+        cell_of = self._cell_of_body
         bid = 0
         for _ in range(self.iterations):
             # 1. Cell-summary build (tree construction analogue).

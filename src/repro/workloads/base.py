@@ -165,7 +165,7 @@ COALESCE_CHUNK = 64
 def coalesce(addrs, writes):
     """Fuse a stretch of references into maximal constant-stride runs.
 
-    ``addrs`` and ``writes`` are equal-length arrays: reference ``i``
+    ``addrs`` and ``writes`` are equal-length sequences: reference ``i``
     loads (or, where ``writes[i]`` is true, stores) ``addrs[i]``.  The
     ops are the ones :func:`coalesce_stream` yields for the same single
     ops — same-kind runs grown greedily from the left, lone references
@@ -173,57 +173,34 @@ def coalesce(addrs, writes):
     reference-for-reference identical to one yielding the singles; only
     the op count the simulator iterates over shrinks.
 
-    The runs are found here, once, with array arithmetic, and kept as
-    compact per-op arrays (kind, base, stride, count); the returned
-    iterator builds the op tuples from them in lists of at most
-    :data:`COALESCE_CHUNK` ops.  Joined, the lists are the whole op
+    The ops come in lists of at most :data:`COALESCE_CHUNK` ops, built
+    as the caller consumes them; joined, the lists are the whole op
     list.
     """
-    import numpy as np
-
-    addrs = np.asarray(addrs, dtype=np.int64)
-    writes = np.asarray(writes, dtype=bool)
-    n = len(addrs)
-    if n == 0:
-        return iter(())
-    # Link j joins reference j to j + 1.  A run can take link j only if
-    # both ends are the same kind (``same``); it must if the link
-    # repeats its predecessor's stride inside a same-kind stretch
-    # (``cont``).  Any other same-kind link is taken exactly when the
-    # run ending at reference j did not take link j - 1, so between two
-    # "anchor" links (``cont`` -> taken, not ``same`` -> not taken) the
-    # taken flag alternates.
-    stride = np.diff(addrs)
-    same = writes[1:] == writes[:-1]
-    cont = np.zeros(n - 1, dtype=bool)
-    cont[1:] = same[1:] & same[:-1] & (stride[1:] == stride[:-1])
-    anchor = cont | ~same
-    link = np.arange(n - 1)
-    last = np.maximum.accumulate(np.where(anchor, link, -1))
-    taken = np.where(anchor, cont,
-                     (cont[last] & (last >= 0)) ^ ((link - last) & 1 == 1))
-    starts = np.flatnonzero(np.concatenate(([True], ~taken)))
-    counts = np.diff(np.append(starts, n)).astype(np.int32)
-    kinds = writes[starts]
-    ops = np.where(counts > 1,
-                   np.where(kinds, OP_WRITE_RUN, OP_READ_RUN),
-                   np.where(kinds, OP_WRITE, OP_READ)).astype(np.int8)
-    # A lone reference has no stride; a run's stride is its first step.
-    strides = np.where(counts > 1, np.append(stride, 0)[starts], 0)
-    if -(1 << 31) <= strides.min() and strides.max() < 1 << 31:
-        strides = strides.astype(np.int32)
-    return _op_chunks(ops, addrs[starts], strides, counts)
-
-
-def _op_chunks(kinds, bases, strides, counts):
-    """The op tuples of :func:`coalesce`'s per-op arrays, in lists of
-    at most :data:`COALESCE_CHUNK` ops."""
-    for lo in range(0, len(kinds), COALESCE_CHUNK):
-        hi = lo + COALESCE_CHUNK
-        yield [(op, base) if count == 1 else (op, base, step, count)
-               for op, base, step, count in zip(
-                   kinds[lo:hi].tolist(), bases[lo:hi].tolist(),
-                   strides[lo:hi].tolist(), counts[lo:hi].tolist())]
+    run_of = {OP_READ: OP_READ_RUN, OP_WRITE: OP_WRITE_RUN}
+    chunk = []
+    kind = base = prev = stride = None
+    count = 0
+    for addr, write in zip(addrs, writes):
+        k = OP_WRITE if write else OP_READ
+        if k == kind and (count == 1 or addr - prev == stride):
+            if count == 1:
+                stride = addr - prev
+            prev = addr
+            count += 1
+            continue
+        if count:
+            chunk.append((kind, base) if count == 1 else
+                         (run_of[kind], base, stride, count))
+            if len(chunk) == COALESCE_CHUNK:
+                yield chunk
+                chunk = []
+        kind, base, prev, count = k, addr, addr, 1
+    if count:
+        chunk.append((kind, base) if count == 1 else
+                     (run_of[kind], base, stride, count))
+    if chunk:
+        yield chunk
 
 
 def coalesce_stream(ops):

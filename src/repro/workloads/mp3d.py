@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.workloads.base import (SharedArray, Workload, barrier,
                                   coalesce_stream, compute)
+from repro.workloads.rng import RandomState
 
 PARTICLE_BYTES = 64
 CELL_BYTES = 32
@@ -50,27 +51,42 @@ class Mp3dWorkload(Workload):
                                  elem_bytes=CELL_BYTES)
 
         # Real free-flight trajectories through the wind tunnel.
-        import numpy as np
-
-        rng = np.random.RandomState(self.seed)
-        pos = rng.rand(self.n, 3) * np.array([nx, ny, nz])
-        vel = rng.randn(self.n, 3) * 0.4 + np.array([1.2, 0.0, 0.0])
-        dims = np.array([nx, ny, nz], dtype=float)
-        self._visits: "list[np.ndarray]" = []
-        for _ in range(self.iterations):
-            pos = pos + vel
-            # Reflect at the walls; wrap in the streamwise direction.
-            for axis in (1, 2):
-                over = pos[:, axis] > dims[axis]
-                under = pos[:, axis] < 0
-                pos[over, axis] = 2 * dims[axis] - pos[over, axis]
-                pos[under, axis] = -pos[under, axis]
-                vel[over | under, axis] *= -1
-            pos[:, 0] %= dims[0]
-            cell = (pos.astype(np.int64).clip([0, 0, 0],
-                                              [nx - 1, ny - 1, nz - 1])
-                    @ np.array([ny * nz, nz, 1], dtype=np.int64))
-            self._visits.append(cell)
+        n = self.n
+        rng = RandomState(self.seed)
+        start = rng.random_sample(n * 3)
+        kick = rng.randn(n * 3)
+        self._visits: "list[list[int]]" = [[] for _ in range(self.iterations)]
+        for p in range(n):
+            x = start[3 * p] * nx
+            y = start[3 * p + 1] * ny
+            z = start[3 * p + 2] * nz
+            # The streamwise drift is added to every axis (0.0 off-axis),
+            # as the original vector sum did.
+            vx = kick[3 * p] * 0.4 + 1.2
+            vy = kick[3 * p + 1] * 0.4 + 0.0
+            vz = kick[3 * p + 2] * 0.4 + 0.0
+            for visits in self._visits:
+                x += vx
+                y += vy
+                z += vz
+                # Reflect at the walls; wrap in the streamwise direction.
+                if y > ny:
+                    y = 2.0 * ny - y
+                    vy = -vy
+                elif y < 0:
+                    y = -y
+                    vy = -vy
+                if z > nz:
+                    z = 2.0 * nz - z
+                    vz = -vz
+                elif z < 0:
+                    z = -z
+                    vz = -vz
+                x %= nx
+                visits.append(
+                    min(int(x), nx - 1) * (ny * nz)
+                    + min(max(int(y), 0), ny - 1) * nz
+                    + min(max(int(z), 0), nz - 1))
 
     def generator(self, cpu_id: int, num_cpus: int):
         # Run-coalesced view of the kernel's stream: op-for-op
@@ -82,7 +98,7 @@ class Mp3dWorkload(Workload):
         mine = self.block_range(self.n, cpu_id, num_cpus)
         bid = 0
         for step in range(self.iterations):
-            visits = self._visits[step][mine.start:mine.stop].tolist()
+            visits = self._visits[step][mine.start:mine.stop]
             for p, cell in zip(mine, visits):
                 # Move: read/update the particle record.
                 yield particles.read(p)

@@ -12,8 +12,8 @@
    destination array, the classic remote-traffic generator of RADIX.
 
 The keys are real random integers and the scatter targets are the real
-sorted positions (computed with numpy at setup), so the address stream
-has the genuine all-to-all structure.
+sorted positions (computed at setup), so the address stream has the
+genuine all-to-all structure.
 
 Paper data set: 1M integer keys, radix 1K.  Default here: 64K keys,
 radix 256, 2 passes over 16-bit keys.
@@ -21,8 +21,11 @@ radix 256, 2 passes over 16-bit keys.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.workloads.base import (PrivateArray, SharedArray, Workload,
                                   barrier, coalesce_stream, compute)
+from repro.workloads.rng import RandomState
 
 INT_BYTES = 4
 
@@ -58,21 +61,23 @@ class RadixWorkload(Workload):
         self.local_hist = [PrivateArray(layout, radix, INT_BYTES)
                            for _ in range(num_cpus)]
 
-        # Compute the real per-pass permutations with numpy.
-        import numpy as np
-
-        rng = np.random.RandomState(self.seed)
-        keys = rng.randint(0, 1 << (self.passes * self.digit_bits), size=n,
-                           dtype=np.int64)
+        # Compute the real per-pass permutations: each pass sorts the
+        # keys stably by its digit.
+        keys = RandomState(self.seed).randint(
+            0, 1 << (self.passes * self.digit_bits), n)
+        #: per pass, ``(digits, dest)``: each key's digit and the slot
+        #: the pass scatters it to.
         self._pass_plans = []
-        current = keys
         for p in range(self.passes):
-            digits = (current >> (p * self.digit_bits)) & (self.radix - 1)
-            order = np.argsort(digits, kind="stable")
-            dest = np.empty(n, dtype=np.int64)
-            dest[order] = np.arange(n)
+            shift = p * self.digit_bits
+            digits = array("q", [(key >> shift) & (radix - 1)
+                                 for key in keys])
+            order = sorted(range(n), key=digits.__getitem__)
+            dest = array("q", [0]) * n
+            for slot, i in enumerate(order):
+                dest[i] = slot
             self._pass_plans.append((digits, dest))
-            current = current[order]
+            keys = [keys[i] for i in order]
 
     def generator(self, cpu_id: int, num_cpus: int):
         # Run-coalesced view of the kernel's stream: op-for-op
@@ -88,8 +93,8 @@ class RadixWorkload(Workload):
         bid = 0
         for p, (digits, dest) in enumerate(self._pass_plans):
             a, b = (src, dst) if p % 2 == 0 else (dst, src)
-            dest_list = dest[block.start:block.stop].tolist()
-            digit_list = digits[block.start:block.stop].tolist()
+            dest_list = dest[block.start:block.stop]
+            digit_list = digits[block.start:block.stop]
             # 1. Local histogram.
             for r in range(0, radix, 8):
                 yield lhist.write(r)

@@ -49,10 +49,13 @@ and runs are byte-identical to an untapped machine.
 
 from __future__ import annotations
 
-from itertools import chain
+from array import array
+from bisect import bisect_left
+from itertools import accumulate, chain
 
 from repro.workloads.base import (SharedArray, Workload, barrier, coalesce,
                                   coalesce_stream, compute, lock, unlock)
+from repro.workloads.rng import RandomState
 
 LINE_BYTES = 32
 
@@ -91,37 +94,34 @@ class ZipfianStream:
         self.churn_interval = churn_interval
         self.drift = drift
         self.seed = seed
-        import numpy as np
-
-        weights = 1.0 / np.arange(1, num_keys + 1, dtype=np.float64) ** skew
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        self._cdf = cdf
-        self._perm = np.random.RandomState(seed).permutation(num_keys)
-        self._uniforms = np.random.RandomState(seed)
+        weights = [1.0 / float(rank) ** skew
+                   for rank in range(1, num_keys + 1)]
+        cdf = list(accumulate(weights))
+        total = cdf[-1]
+        self._cdf = [c / total for c in cdf]
+        self._perm = RandomState(seed).permutation(num_keys)
+        self._uniforms = RandomState(seed)
         self._drawn = 0
 
-    def ranks(self, count: int) -> np.ndarray:
+    def ranks(self, count: int) -> "list[int]":
         """Popularity ranks (0 = hottest) of the next ``count``
         requests; advances the stream exactly like :meth:`sample`."""
-        import numpy as np
+        cdf = self._cdf
+        return [bisect_left(cdf, u)
+                for u in self._uniforms.random_sample(count)]
 
-        u = self._uniforms.random_sample(count)
-        return np.searchsorted(self._cdf, u, side="left")
-
-    def sample(self, count: int) -> np.ndarray:
+    def sample(self, count: int) -> "list[int]":
         """Keys of the next ``count`` requests, churn/drift applied.
         Every key is in ``[0, num_keys)`` by construction."""
-        import numpy as np
-
         start = self._drawn
         ranks = self.ranks(count)
         self._drawn = start + count
-        if self.churn_interval and self.drift:
-            epoch = (np.arange(start, start + count) // self.churn_interval)
-        else:
-            epoch = np.zeros(count, dtype=np.int64)
-        return (self._perm[ranks] + epoch * self.drift) % self.num_keys
+        perm, num_keys = self._perm, self.num_keys
+        if not (self.churn_interval and self.drift):
+            return [perm[rank] for rank in ranks]
+        interval, drift = self.churn_interval, self.drift
+        return [(perm[rank] + (start + i) // interval * drift) % num_keys
+                for i, rank in enumerate(ranks)]
 
 
 class ServingTap:
@@ -243,36 +243,34 @@ class KvStoreWorkload(Workload):
         stream = ZipfianStream(self.num_keys, skew=self.skew,
                                churn_interval=self.churn_interval,
                                drift=self.drift, seed=self.seed)
-        import numpy as np
-
-        flips = np.random.RandomState(self.seed + 1)
+        flips = RandomState(self.seed + 1)
         per_batch = self.requests_per_cpu // self.batches
+        #: per-cpu, per-batch ``(keys, gets)``: each request's key, and
+        #: a flag per request that is 1 for a get and 0 for a put.
         self._plans = []
         for _cpu in range(num_cpus):
             self._plans.append(
                 [(stream.sample(per_batch),
-                  flips.random_sample(per_batch) < self.get_fraction)
+                  flips.below(per_batch, self.get_fraction))
                  for _ in range(self.batches)])
         # Per request: the shard's index line, then the value's
         # ``value_lines`` lines (a get reads them, a put writes them).
         nshards, vl = self.num_shards, self.value_lines
-        shard_base = np.array([arr.vbase for arr in self.shards])
-        value_step = np.arange(vl) * LINE_BYTES
-        #: per-cpu, per-batch ``(addresses, write flags)`` arrays.
-        self._batches = []
-        for plan in self._plans:
-            batches = []
-            for keys, gets in plan:
-                shard = keys % nshards
-                addrs = np.empty((len(keys), 1 + vl), dtype=np.int64)
-                addrs[:, 0] = self.index.vbase + shard * LINE_BYTES
-                addrs[:, 1:] = (shard_base[shard]
-                                + keys // nshards * vl * LINE_BYTES
-                                )[:, None] + value_step
-                writes = np.zeros(addrs.shape, dtype=bool)
-                writes[:, 1:] = ~gets[:, None]
-                batches.append((addrs.ravel(), writes.ravel()))
-            self._batches.append(batches)
+        key_addrs = []
+        for key in range(self.num_keys):
+            shard = key % nshards
+            value = (self.shards[shard].vbase
+                     + key // nshards * vl * LINE_BYTES)
+            key_addrs.append([self.index.vbase + shard * LINE_BYTES]
+                             + [value + i * LINE_BYTES for i in range(vl)])
+        get_writes, put_writes = bytes(1 + vl), b"\0" + b"\1" * vl
+        #: per-cpu, per-batch ``(addresses, write flags)``.
+        self._batches = [
+            [(array("q", chain.from_iterable([key_addrs[key]
+                                              for key in keys])),
+              b"".join([get_writes if get else put_writes for get in gets]))
+             for keys, gets in plan]
+            for plan in self._plans]
 
     def generator(self, cpu_id: int, num_cpus: int):
         return chain.from_iterable(self._batch_ops(cpu_id))
@@ -295,7 +293,7 @@ class KvStoreWorkload(Workload):
         for cpu in range(len(machine.cpus)):
             schedule = []
             for _keys, gets in self._plans[cpu]:
-                schedule.extend(get if g else put for g in gets.tolist())
+                schedule.extend(get if g else put for g in gets)
             schedules.append(schedule)
         ServingTap(machine, schedules)
 

@@ -30,10 +30,13 @@ Patterns:
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 
-from repro.workloads.base import (SharedArray, Workload, barrier, coalesce,
-                                  compute)
+from repro.sim.ops import OP_READ, OP_READ_RUN, OP_WRITE, OP_WRITE_RUN
+from repro.workloads.base import (COALESCE_CHUNK, SharedArray, Workload,
+                                  barrier, coalesce, compute)
+from repro.workloads.rng import RandomState
 
 LINE_BYTES = 32
 
@@ -98,20 +101,15 @@ class SyntheticWorkload(Workload):
         self.array = SharedArray(layout, key=9100, num_elems=self.num_lines,
                                  elem_bytes=LINE_BYTES)
         self._num_cpus = num_cpus
-        import numpy as np
-
-        rng = np.random.RandomState(self.seed)
+        rng = RandomState(self.seed)
         #: per-cpu, per-iteration seeded draws ``(line offsets, write
         #: flags)``, either ``None`` where the pattern draws none; the
-        #: line indices themselves are built one iteration at a time.
+        #: references themselves are built one iteration at a time.
         self._draws = [[self._draw(cpu, it, rng)
                         for it in range(self.iterations)]
                        for cpu in range(num_cpus)]
 
     # -- pattern planners -------------------------------------------------
-
-    def _writes(self, rng, count: int) -> np.ndarray:
-        return rng.rand(count) < self.write_fraction
 
     def _block_refs(self, cpu: int) -> int:
         refs = self.refs_per_cpu_per_iter
@@ -127,36 +125,35 @@ class SyntheticWorkload(Workload):
     def _draw(self, cpu: int, it: int, rng):
         """The RNG draws of one CPU's iteration, in draw order: line
         offsets (stored as int32: they index the shared array), then
-        write flags."""
-        import numpy as np
-
+        write flags (``bytes``, 1 for a store)."""
         if self.pattern == "block":
             refs = self._block_refs(cpu)
-            offsets = (rng.randint(0, self._span(), refs).astype(np.int32)
+            offsets = (array("i", rng.randint(0, self._span(), refs))
                        if self.random_order else None)
-            return offsets, self._writes(rng, refs)
+            return offsets, rng.below(refs, self.write_fraction)
         if self.pattern == "random":
             refs = self.refs_per_cpu_per_iter
-            return (rng.randint(0, self.num_lines, refs).astype(np.int32),
-                    self._writes(rng, refs))
+            return (array("i", rng.randint(0, self.num_lines, refs)),
+                    rng.below(refs, self.write_fraction))
         if self.pattern == "reuse_vs_stream" and it % 2 == 0:
-            return None, self._writes(rng, self.refs_per_cpu_per_iter)
+            return None, rng.below(self.refs_per_cpu_per_iter,
+                                   self.write_fraction)
         return None, None
 
-    def _plan_block(self, cpu, it, offsets, writes):
-        import numpy as np
+    # Each planner returns one CPU's iteration as op chunks: a sweep
+    # (``_sweep``) where the lines repeat in laps, else the coalesced
+    # ``(addresses, write flags)``.
 
+    def _plan_block(self, cpu, it, offsets, writes):
         base = cpu * (self.num_lines // self._num_cpus)
         if offsets is None:
-            offsets = np.arange(len(writes)) % self._span()
-        return base + offsets, writes
+            return self._sweep(base, self._span(), writes)
+        return coalesce(self._addrs(base + o for o in offsets), writes)
 
     def _plan_random(self, cpu, it, offsets, writes):
-        return offsets, writes
+        return coalesce(self._addrs(offsets), writes)
 
     def _plan_migratory(self, cpu, it, offsets, writes):
-        import numpy as np
-
         # A pool of "objects" (4 lines each); each iteration every CPU
         # read-modify-writes the objects of a rotating slice, so every
         # object is owned by each CPU in turn.
@@ -164,34 +161,75 @@ class SyntheticWorkload(Workload):
         obj_lines = 4
         num_objects = self.num_lines // obj_lines
         per_cpu = max(1, num_objects // num_cpus)
-        slice_id = (cpu + it) % num_cpus
-        objs = np.arange(per_cpu) + slice_id * per_cpu
-        lines = (objs[:, None] * obj_lines
-                 + np.arange(obj_lines)).ravel() % self.num_lines
-        # RMW: every reference pair is a read then a write.
-        return np.repeat(lines, 2), np.tile([False, True], len(lines))
+        first = (cpu + it) % num_cpus * per_cpu * obj_lines
+        lines = [line % self.num_lines
+                 for line in range(first, first + per_cpu * obj_lines)]
+        # RMW: every line is read, then written.
+        return coalesce(self._addrs(line for line in lines
+                                    for _rmw in range(2)),
+                        b"\0\1" * len(lines))
 
     def _plan_producer_consumer(self, cpu, it, offsets, writes):
-        import numpy as np
-
         num_cpus = self._num_cpus
         per_cpu = self.num_lines // num_cpus
         span = self._span()
         if it % 2 == 0:                                        # produce
-            return cpu * per_cpu + np.arange(span), np.ones(span, dtype=bool)
-        upstream = ((cpu - 1) % num_cpus) * per_cpu + np.arange(span)
-        return upstream, np.zeros(span, dtype=bool)
+            return self._sweep(cpu * per_cpu, span, b"\1" * span)
+        upstream = (cpu - 1) % num_cpus * per_cpu
+        return self._sweep(upstream, span, bytes(span))
 
     def _plan_reuse_vs_stream(self, cpu, it, offsets, writes):
-        import numpy as np
-
         per_cpu = self.num_lines // self._num_cpus
         hot_span = max(1, per_cpu // 4)
         base = cpu * per_cpu
         if it % 2 == 0:
-            return base + (np.arange(len(writes)) % hot_span), writes
-        stream = base + hot_span + np.arange(per_cpu - hot_span)
-        return stream, np.zeros(len(stream), dtype=bool)
+            return self._sweep(base, hot_span, writes)
+        cold_span = per_cpu - hot_span
+        if cold_span <= 0:
+            return ()
+        return self._sweep(base + hot_span, cold_span, bytes(cold_span))
+
+    def _addrs(self, lines) -> "array[int]":
+        """Virtual addresses of shared-array ``lines``."""
+        vbase, step = self.array.vbase, self.array.elem_bytes
+        return array("q", [vbase + line * step for line in lines])
+
+    def _sweep(self, first: int, span: int, writes: bytes):
+        """Op chunks of laps over lines ``first .. first + span - 1``:
+        reference ``i`` touches line ``first + i % span`` and is a store
+        where ``writes[i]`` is 1.
+
+        Expanded, the ops are the references :func:`coalesce` would get;
+        each same-kind stretch of a lap is one run, found with
+        ``bytes.find``, so no per-reference list is built.  (Where a
+        lone reference ends one lap and the next lap starts with the
+        same kind, :func:`coalesce` would fuse the two across the wrap;
+        here they stay two ops.  The references are the same.)
+        """
+        step = self.array.elem_bytes
+        vbase = self.array.vbase + first * step
+        n = len(writes)
+        chunk = []
+        for lap in range(0, n, span):
+            end = min(lap + span, n)
+            i = lap
+            while i < end:
+                write = writes[i]
+                stop = writes.find(1 - write, i, end)
+                if stop < 0:
+                    stop = end
+                addr = vbase + (i - lap) * step
+                if stop - i == 1:
+                    chunk.append((OP_WRITE if write else OP_READ, addr))
+                else:
+                    chunk.append((OP_WRITE_RUN if write else OP_READ_RUN,
+                                  addr, step, stop - i))
+                if len(chunk) == COALESCE_CHUNK:
+                    yield chunk
+                    chunk = []
+                i = stop
+        if chunk:
+            yield chunk
 
     # -- generator ---------------------------------------------------------
 
@@ -201,21 +239,9 @@ class SyntheticWorkload(Workload):
         return chain.from_iterable(self._iteration_ops(cpu_id))
 
     def _iteration_ops(self, cpu_id: int):
-        for bid, (offsets, writes) in enumerate(self._draws[cpu_id]):
-            # coalesce() expands back to exactly the per-line sequence,
-            # so the reference stream (and stats) are unchanged.  The
-            # iteration's arrays are call arguments, not locals: only
-            # coalesce's compact per-op arrays outlive the call.
-            yield from coalesce(*self._references(cpu_id, bid, offsets,
-                                                  writes))
-            yield (compute(50), barrier(bid))
-
-    def _references(self, cpu: int, it: int, offsets, writes):
-        """``(addresses, write flags)`` of one CPU's iteration."""
-        import numpy as np
-
         plan = getattr(self, "_plan_" + self.pattern)
-        lines, writes = plan(cpu, it, offsets, writes)
-        array = self.array
-        return (array.vbase + np.asarray(lines, dtype=np.int64)
-                * array.elem_bytes), writes
+        for bid, (offsets, writes) in enumerate(self._draws[cpu_id]):
+            # The chunks expand back to exactly the per-line sequence,
+            # so the reference stream (and stats) are unchanged.
+            yield from plan(cpu_id, bid, offsets, writes)
+            yield (compute(50), barrier(bid))

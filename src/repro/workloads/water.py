@@ -12,8 +12,8 @@ cell-list (spatial) force evaluation.  Per timestep:
 3. update: each CPU integrates its own molecules.
 
 ``WaterNsqWorkload`` evaluates all O(n^2 / 2) pairs;
-``WaterSpatialWorkload`` bins molecules into cells at setup (for real,
-with numpy) and evaluates only pairs in neighbouring cells.
+``WaterSpatialWorkload`` bins molecules into cells at setup (for real)
+and evaluates only pairs in neighbouring cells.
 
 Paper data sets: 512 molecules, 3 iterations for both.  Defaults here:
 256 (nsquared) / 512 (spatial) molecules, 2 iterations.
@@ -24,6 +24,7 @@ from __future__ import annotations
 from repro.workloads.base import (PrivateArray, SharedArray, Workload,
                                   barrier, coalesce_stream, compute,
                                   lock, unlock)
+from repro.workloads.rng import RandomState
 
 MOLECULE_BYTES = 128  # positions/velocities/forces of the 3 atoms
 FORCE_BYTES = 32
@@ -135,14 +136,12 @@ class WaterSpatialWorkload(_WaterBase):
     def setup(self, layout, num_cpus: int) -> None:
         super().setup(layout, num_cpus)
         d = self.cells_per_dim
-        import numpy as np
-
-        rng = np.random.RandomState(self.seed)
-        pos = rng.rand(self.n, 3)
-        cell = (pos * d).astype(np.int64).clip(0, d - 1)
-        cell_id = cell @ np.array([d * d, d, 1], dtype=np.int64)
+        pos = RandomState(self.seed).random_sample(self.n * 3)
         members: "dict[int, list[int]]" = {}
-        for mol, c in enumerate(cell_id.tolist()):
+        for mol in range(self.n):
+            c = 0
+            for p in pos[3 * mol:3 * mol + 3]:
+                c = c * d + min(int(p * d), d - 1)
             members.setdefault(c, []).append(mol)
         pairs: "list[tuple[int, int]]" = []
         per_mol = {m: 0 for m in range(self.n)}

@@ -11,14 +11,61 @@ from repro.sim.machine import Machine
 GAP = 1_000_000
 
 
+# The machine and CacheHierarchy work on a cache's ``flat`` dict and
+# per-set ``_sets`` LRU lists inline; these helpers spell out the same
+# per-level operations for tests and reference models.
+
+def lookup(cache, line):
+    """State of ``line`` in one cache level; a hit moves the line to
+    the end of its set's LRU list, as the machine's reference path
+    does."""
+    state = cache.flat.get(line)
+    if state is None:
+        return LineState.INVALID
+    lru = cache._sets[line % cache.num_sets]
+    if lru[-1] != line:
+        lru.remove(line)
+        lru.append(line)
+    return state
+
+
+def insert(cache, line, state):
+    """Install a missing ``line``; returns the evicted ``(line, state)``
+    if its set was full (the least recently used line), else ``None``."""
+    lru = cache._sets[line % cache.num_sets]
+    victim = None
+    if len(lru) >= cache.associativity:
+        vline = lru.pop(0)
+        victim = (vline, cache.flat.pop(vline))
+    lru.append(line)
+    cache.flat[line] = state
+    return victim
+
+
+def remove(cache, line):
+    """Drop ``line`` from one level; returns its previous state
+    (INVALID if absent)."""
+    state = cache.flat.pop(line, None)
+    if state is None:
+        return LineState.INVALID
+    cache._sets[line % cache.num_sets].remove(line)
+    return state
+
+
+def holders(presence, line):
+    """Local CPU ids whose bits are set in ``line``'s presence mask."""
+    mask = presence._holders.get(line, 0)
+    return {cid for cid in range(mask.bit_length()) if mask >> cid & 1}
+
+
 def probe(h, line):
     """Where ``line`` lives in cache hierarchy ``h``, as the machine's
     reference path finds it: ('l1'|'l2'|'miss', state), an L2 hit
     promoted into L1."""
-    state = h.l1.lookup(line)
+    state = lookup(h.l1, line)
     if state != LineState.INVALID:
         return "l1", state
-    state = h.l2.lookup(line)
+    state = lookup(h.l2, line)
     if state == LineState.INVALID:
         return "miss", state
     h._promote_to_l1(line, state)

@@ -12,7 +12,7 @@ from repro.core.finegrain import Tag
 from repro.mem.cache import LineState
 from repro.sim.invariants import check_machine
 
-from tests.conftest import Harness
+from tests.conftest import Harness, holders
 
 
 def coherent(h):
@@ -287,7 +287,7 @@ class TestFlushClientPage:
         base = entry.frame * 8
         assert list(entry.tags) == [Tag.EXCLUSIVE, Tag.EXCLUSIVE,
                                     Tag.SHARED, Tag.SHARED] + [Tag.INVALID] * 4
-        assert node.presence.holders(base) == {0, 1}
+        assert holders(node.presence, base) == {0, 1}
         assert base + 1 not in node.presence._holders
         assert base + 3 not in node.presence._holders
         writebacks = node.stats.writebacks_remote

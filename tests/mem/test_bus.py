@@ -23,12 +23,6 @@ def test_bus_address_and_data_paths_independent():
     assert t == lat.bus_data
 
 
-def test_bus_retry_counts():
-    bus = MemoryBus(0, LatencyModel())
-    bus.retry(0)
-    assert bus.retries == 1
-
-
 def test_memory_read_write_occupancy():
     lat = LatencyModel()
     mem = NodeMemory(0, lat)

@@ -5,7 +5,7 @@ import pytest
 from repro.mem.cache import Cache, CacheHierarchy, LineState, NodePresence
 from repro.sim.config import CacheConfig
 
-from tests.conftest import probe
+from tests.conftest import holders, insert, lookup, probe, remove
 
 
 def small_cache(size=128, line=32, assoc=2):
@@ -13,18 +13,22 @@ def small_cache(size=128, line=32, assoc=2):
 
 
 class TestCache:
+    """The per-level LRU operations the machine inlines, through the
+    ``tests.conftest`` helpers that spell them out (and that the
+    reference-model tests build on)."""
+
     def test_miss_then_hit(self):
         c = small_cache()
-        assert c.lookup(5) == LineState.INVALID
-        c.insert(5, LineState.SHARED)
-        assert c.lookup(5) == LineState.SHARED
+        assert lookup(c, 5) == LineState.INVALID
+        insert(c, 5, LineState.SHARED)
+        assert lookup(c, 5) == LineState.SHARED
 
     def test_insert_evicts_lru(self):
         c = small_cache()  # 2 sets, 2-way
-        c.insert(0, LineState.SHARED)   # set 0
-        c.insert(2, LineState.SHARED)   # set 0
-        c.lookup(0)                     # 0 is now MRU
-        victim = c.insert(4, LineState.SHARED)  # set 0 overflows
+        insert(c, 0, LineState.SHARED)   # set 0
+        insert(c, 2, LineState.SHARED)   # set 0
+        lookup(c, 0)                     # 0 is now MRU
+        victim = insert(c, 4, LineState.SHARED)  # set 0 overflows
         assert victim == (2, LineState.SHARED)
         assert 0 in c
         assert 4 in c
@@ -32,10 +36,10 @@ class TestCache:
 
     def test_different_sets_do_not_conflict(self):
         c = small_cache()
-        c.insert(0, LineState.SHARED)
-        c.insert(1, LineState.SHARED)  # set 1
-        c.insert(2, LineState.SHARED)
-        assert c.insert(3, LineState.SHARED) is None
+        insert(c, 0, LineState.SHARED)
+        insert(c, 1, LineState.SHARED)  # set 1
+        insert(c, 2, LineState.SHARED)
+        assert insert(c, 3, LineState.SHARED) is None
         assert len(c) == 4
 
     def test_set_state_requires_residency(self):
@@ -45,14 +49,14 @@ class TestCache:
 
     def test_remove_returns_state(self):
         c = small_cache()
-        c.insert(7, LineState.MODIFIED)
-        assert c.remove(7) == LineState.MODIFIED
-        assert c.remove(7) == LineState.INVALID
+        insert(c, 7, LineState.MODIFIED)
+        assert remove(c, 7) == LineState.MODIFIED
+        assert remove(c, 7) == LineState.INVALID
 
     def test_resident_lines(self):
         c = small_cache()
-        c.insert(0, LineState.SHARED)
-        c.insert(3, LineState.EXCLUSIVE)
+        insert(c, 0, LineState.SHARED)
+        insert(c, 3, LineState.EXCLUSIVE)
         assert sorted(c.resident_lines()) == [0, 3]
 
     def test_geometry_validation(self):
@@ -73,7 +77,7 @@ class TestHierarchy:
     def test_l2_hit_promotes_to_l1(self):
         h = self.make()
         h.fill(0, LineState.SHARED)
-        h.l1.remove(0)  # simulate L1-only eviction
+        remove(h.l1, 0)  # simulate L1-only eviction
         level, state = probe(h, 0)
         assert level == "l2"
         assert 0 in h.l1  # promoted
@@ -139,13 +143,13 @@ class TestNodePresence:
     def test_remove_clears_bits(self):
         p = NodePresence()
         p._holders[10] = 1 << 0 | 1 << 9    # CPUs 0 and 9 (wide node)
-        assert p.holders(10) == {0, 9}
+        assert holders(p, 10) == {0, 9}
         p.remove(10, 0)
         assert p._holders[10] == 1 << 9
-        assert p.holders(10) == {9}
+        assert holders(p, 10) == {9}
         p.remove(10, 9)
         assert 10 not in p._holders      # no entry for an uncached line
-        assert p.holders(10) == set()
+        assert holders(p, 10) == set()
 
     def test_remove_absent_is_noop(self):
         p = NodePresence()
@@ -159,4 +163,4 @@ def test_holders_reads_any_width_mask(ids):
     p = NodePresence()
     for cid in ids:
         p._holders[7] = p._holders.get(7, 0) | 1 << cid
-    assert p.holders(7) == set(ids)
+    assert holders(p, 7) == set(ids)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import Cache, CacheHierarchy, LineState
+from repro.mem.cache import CacheHierarchy, LineState
 from repro.sim.config import CacheConfig
 
 from tests.conftest import probe
@@ -51,33 +51,6 @@ class ReferenceCache:
 
     def remove(self, line):
         return self.sets[line % self.num_sets].pop(line, LineState.INVALID)
-
-
-@st.composite
-def cache_ops(draw):
-    return draw(st.lists(
-        st.one_of(
-            st.tuples(st.just("lookup"), LINES),
-            st.tuples(st.just("insert"), LINES, STATES),
-            st.tuples(st.just("remove"), LINES),
-        ),
-        min_size=1, max_size=200))
-
-
-@given(cache_ops())
-@settings(max_examples=200, deadline=None)
-def test_cache_matches_reference_model(ops):
-    cache = Cache(CacheConfig(256, 32, 2))  # 4 sets, 2-way
-    ref = ReferenceCache(4, 2)
-    for op in ops:
-        if op[0] == "lookup":
-            assert cache.lookup(op[1]) == ref.lookup(op[1])
-        elif op[0] == "insert":
-            _, line, state = op
-            if ref.peek(line) == LineState.INVALID:
-                assert cache.insert(line, state) == ref.insert(line, state)
-        else:
-            assert cache.remove(op[1]) == ref.remove(op[1])
 
 
 @given(st.lists(st.tuples(LINES, st.booleans()), min_size=1, max_size=300))

@@ -1,15 +1,18 @@
 """Property tests for the array coalescer.
 
-``coalesce(addrs, writes)`` finds run ops with array arithmetic;
-``coalesce_stream`` is the per-op reference that walks the same single
-ops one by one.  On any stretch of references — zero strides, negative
-strides, repeated addresses, kind changes anywhere — the two must emit
-the same op list, and that list must expand back to the input.
-``coalesce`` hands its op list out in chunks of at most
+``coalesce(addrs, writes)`` fuses a stretch of references given as two
+sequences; ``coalesce_stream`` is the per-op reference that walks the
+same single ops one by one.  On any stretch of references — zero
+strides, negative strides, repeated addresses, kind changes anywhere —
+the two must emit the same op list, and that list must expand back to
+the input.  ``coalesce`` hands its op list out in chunks of at most
 ``COALESCE_CHUNK`` ops; the chunks are slices of that one list.
 """
 
-import numpy as np
+import random
+from array import array
+from itertools import accumulate
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,31 +28,35 @@ _STEP = st.one_of(st.sampled_from((0, 8, 8, -8, 32)),
 def references(draw):
     steps = draw(st.lists(_STEP, min_size=0, max_size=64))
     start = draw(st.integers(min_value=0, max_value=1 << 40))
-    addrs = np.cumsum([start] + steps, dtype=np.int64)[:len(steps)]
-    writes = np.array(draw(st.lists(st.booleans(), min_size=len(steps),
-                                    max_size=len(steps))), dtype=bool)
+    addrs = list(accumulate([start] + steps))[:len(steps)]
+    writes = draw(st.lists(st.booleans(), min_size=len(steps),
+                           max_size=len(steps)))
     return addrs, writes
 
 
 @st.composite
 def long_references(draw):
-    """Stretches several chunks long: seeded steps and kinds, each
-    repeating its predecessor with a drawn probability, so runs of
-    every length occur."""
-    rng = np.random.RandomState(draw(st.integers(0, 2 ** 32 - 1)))
+    """Stretches several chunks long, as the workloads pass them (an
+    ``array('q')`` of addresses, ``bytes`` of write flags): seeded
+    steps and kinds, each repeating its predecessor with a drawn
+    probability, so runs of every length occur."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(2 * COALESCE_CHUNK, 8 * COALESCE_CHUNK))
 
-    def sticky(values):
-        # Forward-fill: where ``keep`` is set, repeat the previous value.
-        keep = rng.rand(n) < draw(st.floats(0.0, 0.9))
-        keep[0] = False
-        source = np.maximum.accumulate(np.where(keep, 0, np.arange(n)))
-        return values[source]
+    def sticky(draw_value):
+        # Where ``keep`` is drawn, repeat the previous value.
+        keep = draw(st.floats(0.0, 0.9))
+        values = [draw_value()]
+        for _ in range(n - 1):
+            values.append(values[-1] if rng.random() < keep
+                          else draw_value())
+        return values
 
-    # 1 << 33: a run whose stride does not fit the compact int32 array.
-    steps = sticky(rng.choice([0, 8, -8, 32, 4096, -4095, 1 << 33], n))
-    addrs = draw(st.integers(1 << 20, 1 << 40)) + np.cumsum(steps)
-    return addrs.astype(np.int64), sticky(rng.rand(n) < 0.3)
+    # 1 << 33: a stride past 32 bits.
+    steps = sticky(lambda: rng.choice([0, 8, -8, 32, 4096, -4095, 1 << 33]))
+    start = draw(st.integers(1 << 20, 1 << 40))
+    writes = bytes(sticky(lambda: rng.random() < 0.3))
+    return array("q", accumulate(steps, initial=start))[1:], writes
 
 
 def joined(chunks):
@@ -58,7 +65,7 @@ def joined(chunks):
 
 def singles(addrs, writes):
     return [(OP_WRITE if w else OP_READ, a)
-            for a, w in zip(addrs.tolist(), writes.tolist())]
+            for a, w in zip(addrs, writes)]
 
 
 @settings(max_examples=400, deadline=None)

@@ -9,7 +9,6 @@ expansion.
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.modes import PageMode
@@ -122,9 +121,8 @@ class TestRunOpEquivalence:
 def _coalesce_refs(refs):
     """coalesce() over ``(OP_READ|OP_WRITE, addr)`` single ops, its
     chunks joined."""
-    chunks = coalesce(
-        np.array([addr for _kind, addr in refs], dtype=np.int64),
-        np.array([kind == OP_WRITE for kind, _addr in refs]))
+    chunks = coalesce([addr for _kind, addr in refs],
+                      [kind == OP_WRITE for kind, _addr in refs])
     return [op for chunk in chunks for op in chunk]
 
 

@@ -1,11 +1,11 @@
-"""Cold start: numpy and multiprocessing load only where they are used.
+"""Cold start: numpy never loads, and multiprocessing only where used.
 
-Importing numpy costs about as much as the rest of a ``repro`` launch,
-yet only the workloads that build their inputs with it (barnes, mp3d,
-radix, water, kvstore, the synthetic loop) call it, each in its
-``setup``.  ``multiprocessing`` is needed only for a ``jobs > 1`` pool.
-Each case runs in a fresh interpreter, because this test process has
-long since loaded both modules.
+Importing numpy costs about as much as the rest of a ``repro`` launch.
+The workloads draw their seeded inputs from the standard library
+(``repro.workloads.rng``), so no workload loads it, in ``setup`` or
+while it yields ops.  ``multiprocessing`` is needed only for a
+``jobs > 1`` pool.  Each case runs in a fresh interpreter, because this
+test process may long since have loaded both modules.
 """
 
 import json
@@ -49,14 +49,19 @@ assert execute_spec(ExperimentSpec("fft", "scoma", preset="tiny")).stats
     assert _loaded_after(script) == []
 
 
-def test_a_numpy_workload_loads_numpy_in_setup():
+def test_no_workload_loads_numpy_in_setup_or_its_first_ops():
     script = """
-import sys
 from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
-from repro.workloads import make_workload
+from repro.workloads import ALL_APPLICATIONS, make_workload
+from repro.workloads.synthetic import PATTERNS, SyntheticWorkload
 
-workload = make_workload("radix", "tiny")
-assert "numpy" not in sys.modules
-workload.setup(AddressSpaceLayout(GlobalIpcServer(4, 1024), 1024), 4)
+workloads = [make_workload(app, "tiny") for app in ALL_APPLICATIONS]
+workloads += [SyntheticWorkload(pattern, shared_kb=16, random_order=True)
+              for pattern in PATTERNS]
+workloads.append(SyntheticWorkload("block", shared_kb=16))
+for workload in workloads:
+    workload.setup(AddressSpaceLayout(GlobalIpcServer(4, 1024), 1024), 4)
+    for cpu in range(4):
+        assert next(iter(workload.generator(cpu, 4)))
 """
-    assert _loaded_after(script) == ["numpy"]
+    assert _loaded_after(script) == []

@@ -2,7 +2,6 @@
 
 import tracemalloc
 
-import numpy  # noqa: F401  (its import is not the workload's memory)
 import pytest
 
 from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
@@ -10,6 +9,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.invariants import check_machine
 from repro.sim.ops import OP_BARRIER, OP_READ, OP_WRITE, expand_op
+from repro.workloads.base import COALESCE_CHUNK, coalesce
 from repro.workloads.synthetic import PATTERNS, SyntheticWorkload
 
 NUM_CPUS = 8
@@ -126,10 +126,13 @@ def test_runs_coherently_on_a_machine(pattern):
 
 def test_op_streams_stay_bounded_on_the_paper_geometry():
     # hot-32x8's workload on 32 x 8 CPUs, no simulation: setup plus the
-    # first op of every CPU.  setup keeps only the seeded draws and
-    # each generator one iteration's compact arrays and one op chunk.
-    # Measured: 7.0 MiB (29.9 MiB when setup built every iteration's
-    # line indices and each generator a whole iteration's op tuples).
+    # first op of every CPU.  setup keeps only the seeded draws (write
+    # flags as bytes), and each generator builds its sweep's ops from
+    # them one chunk at a time, with no per-reference list.
+    # Measured: 3.0 MiB; 7.0 MiB when each generator first built its
+    # iteration's addresses as an array('q') (or as numpy arrays), and
+    # 29.9 MiB when setup built every iteration's line indices and each
+    # generator a whole iteration's op tuples.
     num_cpus = 256
     wl = SyntheticWorkload("block", shared_kb=256,
                            refs_per_cpu_per_iter=2000, iterations=2, seed=0)
@@ -144,4 +147,38 @@ def test_op_streams_stay_bounded_on_the_paper_geometry():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert grown < 12 * 2 ** 20, "%.1f MiB" % (grown / 2 ** 20)
+    assert grown < 5 * 2 ** 20, "%.1f MiB" % (grown / 2 ** 20)
+
+
+@pytest.mark.parametrize("imbalance", [0.0, 0.6, 2.5])
+@pytest.mark.parametrize("sweep_fraction, refs", [
+    (1.0, 256),     # span 128: two whole laps
+    (1.0, 200),     # a lap and a part
+    (0.5, 192),     # span 64: three whole laps
+    (0.39, 101),    # span 49
+    (0.05, 20),     # span 6
+    (0.01, 9),      # span 1: every reference is its own lap
+])
+def test_block_sweep_expands_like_coalesce(imbalance, sweep_fraction,
+                                           refs):
+    # The sweep's ops come straight from the write flags, one per
+    # same-kind stretch of a lap; expanded, they must be the references
+    # coalesce fuses from the per-reference addresses.
+    wl = SyntheticWorkload("block", shared_kb=32,
+                           sweep_fraction=sweep_fraction,
+                           refs_per_cpu_per_iter=refs, iterations=2,
+                           imbalance=imbalance, write_fraction=0.4)
+    wl.setup(AddressSpaceLayout(GlobalIpcServer(4, 1024), 1024), NUM_CPUS)
+    span = wl._span()
+    per_cpu = wl.num_lines // NUM_CPUS
+    for cpu in range(NUM_CPUS):
+        for it, (offsets, writes) in enumerate(wl._draws[cpu]):
+            assert offsets is None and isinstance(writes, bytes)
+            addrs = [wl.array.addr(cpu * per_cpu + i % span)
+                     for i in range(len(writes))]
+            want = list(expanded(op for chunk in coalesce(addrs, writes)
+                                 for op in chunk))
+            chunks = list(wl._plan_block(cpu, it, None, writes))
+            assert all(0 < len(chunk) <= COALESCE_CHUNK for chunk in chunks)
+            assert list(expanded(op for chunk in chunks
+                                 for op in chunk)) == want

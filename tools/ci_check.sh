@@ -192,7 +192,8 @@ EOF
 
 echo "== cold-start ceiling: chaos --quick setup_s =="
 # tests/test_cold_start.py keeps numpy and multiprocessing out of a
-# plain launch; this catches any other heavy import that creeps in.
+# plain launch and numpy out of every workload; this catches any other
+# heavy import that creeps in.
 # When the ceiling was set, ten runs of
 # `bench/run.py --quick --seconds 0 --workload chaos` on a shared
 # 2-vCPU x86-64 host (CPython 3.11) read setup_s 0.140-0.211 s.
@@ -235,25 +236,50 @@ EOF
 
 echo "== serving-memory ceiling: serving --quick peak_rss_mb =="
 # Per-line bookkeeping is ints and short lists (presence bitmasks, one
-# shared empty sharer set, packed directory-cache keys, list LRU sets).
+# shared empty sharer set, packed directory-cache keys, list LRU sets),
+# and the workloads draw their inputs without numpy.
 # When the ceiling was set, ten runs of
 # `bench/run.py --quick --seconds 0 --workload serving` on a shared
-# 2-vCPU x86-64 host (CPython 3.11) read peak_rss_mb 42.86-43.02 MB.
-# Three runs with a container per line read 45.11-45.22 MB, which this
-# ceiling does not catch at the quick size;
-# tests/sim/test_line_bookkeeping.py bounds those with tracemalloc.
-# The ceiling is 1.15 x their maximum (43.02 MB): 1.15 is one plus the
+# 2-vCPU x86-64 host (CPython 3.11) read peak_rss_mb 27.17-27.44 MB
+# (42.75-42.88 MB while kvstore imported numpy; 45.11-45.22 MB with a
+# container per line as well).  tests/sim/test_line_bookkeeping.py
+# bounds the per-line bookkeeping with tracemalloc.
+# The ceiling is 1.15 x their maximum (27.44 MB): 1.15 is one plus the
 # 0.15 peak_rss_mb bound in BENCHMARK.json.
 python3 - <<'EOF'
 import json
 import sys
 
-CEILING = 49.47
+CEILING = 31.56
 result = json.load(open("bench/results/smoke/serving-seed0-quick.json"))
 rss = result["metrics"]["peak_rss_mb"]["value"]
 print("serving peak_rss_mb %.2f MB (ceiling %.2f MB)" % (rss, CEILING))
 if rss > CEILING:
     sys.exit("FAIL: serving peak_rss_mb is above the serving-memory "
+             "ceiling")
+EOF
+
+echo "== sweep-memory ceiling: hot-32x8 --quick peak_rss_mb =="
+# The synthetic workload keeps only its seeded draws, builds each
+# sweep's ops from the write flags and imports no numpy.
+# When the ceiling was set, ten runs of
+# `bench/run.py --quick --seconds 0 --workload hot-32x8` on a shared
+# 2-vCPU x86-64 host (CPython 3.11) read peak_rss_mb 32.46-32.75 MB
+# (48.20-48.23 MB while it imported numpy).
+# tests/workloads/test_synthetic.py bounds the sweep's own memory with
+# tracemalloc.
+# The ceiling is 1.15 x their maximum (32.75 MB): 1.15 is one plus the
+# 0.15 peak_rss_mb bound in BENCHMARK.json.
+python3 - <<'EOF'
+import json
+import sys
+
+CEILING = 37.66
+result = json.load(open("bench/results/smoke/hot-32x8-seed0-quick.json"))
+rss = result["metrics"]["peak_rss_mb"]["value"]
+print("hot-32x8 peak_rss_mb %.2f MB (ceiling %.2f MB)" % (rss, CEILING))
+if rss > CEILING:
+    sys.exit("FAIL: hot-32x8 peak_rss_mb is above the sweep-memory "
              "ceiling")
 EOF
 
