@@ -9,7 +9,7 @@ message against handing the same data off through coherent shared
 memory (write-invalidate + remote miss, per Table 1).
 """
 
-from repro.kernel.msgqueue import MessageChannel, shared_memory_handoff_cost
+from repro.kernel.msgqueue import MessageChannel
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 
@@ -37,8 +37,9 @@ def main() -> int:
     print("sent 8 tasks over a command-mode channel, received: %r"
           % received)
     print("sender-side cost per message: %d cycles" % costs[-1])
+    lat = machine.config.latency
     print("coherent shared-memory handoff of one line:  %d cycles"
-          % shared_memory_handoff_cost(machine))
+          % (lat.expected_2party_write_shared + lat.expected_remote_clean))
     print("command frames consumed: 1 per endpoint, no coherence traffic")
     assert received == list(range(8))
     return 0

@@ -11,7 +11,7 @@ plan, a run must either
   terminated, survivors unharmed.
 
 It must never *hang* (caught by the simulated-time deadline /
-:class:`~repro.sim.machine.DeadlineExceeded`) and never *silently
+:class:`~repro.faults.injector.DeadlineExceeded`) and never *silently
 corrupt* (caught by the SC checker).  :func:`run_chaos` runs one
 (test, plan, seed) triple and classifies it; :class:`ChaosCampaign`
 samples many plans from one seed and aggregates — same seed, same
@@ -25,15 +25,12 @@ from dataclasses import dataclass
 import random
 
 from repro.core.controller import NodeFailedError
-from repro.faults.injector import FaultInjector, RetryPolicy
+from repro.faults.injector import DeadlineExceeded, FaultInjector, RetryPolicy
 from repro.faults.plan import FaultPlan
 from repro.obs import tracing
-from repro.obs.events import EventSink
-from repro.sim.machine import DeadlineExceeded, Machine
-from repro.verify.checker import check_history
+from repro.sim.machine import Machine
 from repro.verify.litmus import LITMUS_SUITE, LitmusTest, LitmusWorkload
-from repro.verify.runner import _bind_registers
-from repro.verify.tracker import ValueTracker
+from repro.verify.runner import History
 
 
 class Verdict:
@@ -106,16 +103,18 @@ def run_chaos(test: LitmusTest, plan: FaultPlan, seed: int = 0,
     injected into it.  Tracing is passive: verdicts and fault stats are
     identical either way.
     """
-    sink = EventSink(capacity=100_000)
-    injector = FaultInjector(plan, seed=seed, retry=retry, sink=sink)
+    injector = FaultInjector(plan, seed=seed, retry=retry,
+                             deadline=deadline)
     # An aborted run leaves its transaction open: unwind it (tagged)
     # before the collector's scope closes.
     scope = tracing.collecting(seed=seed) if trace else nullcontext()
     with scope as collector:
         try:
             machine = Machine(test.build_config(), policy=test.policy,
-                              faults=injector, deadline=deadline)
-            tracker = ValueTracker(machine, sink)
+                              faults=injector)
+            history = History(machine)
+            # Injected faults land in the same history as the values.
+            injector.sink = history.sink
             # Litmus tests run as LitmusWorkload; scenario-style tests
             # (the serving family's 2PC transactions) supply their own
             # workload via a duck-typed make_workload() hook.
@@ -146,7 +145,7 @@ def run_chaos(test: LitmusTest, plan: FaultPlan, seed: int = 0,
                     detail = ("machine raised %s: %s"
                               % (type(exc).__name__, exc))
             finally:
-                tracker.detach()
+                history.tracker.detach()
         finally:
             if collector is not None:
                 collector.unwind("run aborted")
@@ -154,20 +153,12 @@ def run_chaos(test: LitmusTest, plan: FaultPlan, seed: int = 0,
     # The checks read the history and the machine; close it after them.
     try:
         violations = []
-        if sink.dropped:
-            violations.append("history truncated: %d events dropped"
-                              % sink.dropped)
-        violations += check_history(sink.events, machine._line_shift)
-        checker = getattr(test, "check", None)
-        if checker is not None:
-            # Scenario-level invariants over the recorded history (e.g. 2PC
-            # atomicity: no data apply before its commit decision).
-            violations += checker(sink.events, machine)
-        if verdict == Verdict.COMPLETED_SC and test.forbidden is not None:
-            registers = _bind_registers(test, sink.events)
-            if test.forbidden(registers):
-                violations.append("forbidden outcome: registers %r"
-                                  % (registers,))
+        outcome = (verdict == Verdict.COMPLETED_SC
+                   and test.forbidden is not None)
+        registers = history.judge(test, violations, bind=outcome)
+        if outcome and test.forbidden(registers):
+            violations.append("forbidden outcome: registers %r"
+                              % (registers,))
         if violations:
             # Even a clean failure must leave an SC prefix behind; a bad
             # history always escalates to CORRUPT.

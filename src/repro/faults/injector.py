@@ -16,28 +16,33 @@ models the bounded-retransmission protocol by charging the sender the
 the hop, up to ``max_retries`` times.  Exhausted retries raise
 :class:`UnreachableNodeError` (a clean
 :class:`~repro.core.controller.NodeFailedError`); a drop with
-retransmission *disabled* raises
-:class:`~repro.sim.machine.DeadlineExceeded`, because a protocol
-without timeouts would simply wait forever — that asymmetry is what the
-chaos campaign's mutation self-test checks.
+retransmission *disabled* raises :class:`DeadlineExceeded`, because a
+protocol without timeouts would simply wait forever — that asymmetry is
+what the chaos campaign's mutation self-test checks.
 
 Determinism: the injector owns a dedicated ``random.Random(seed)``.
 Fault verdicts consume randomness only for hops a live rule actually
 covers, and nothing here touches the machine's workload RNGs, so a run
 under an *empty* plan is byte-identical to a run with no injector at
 all.  Without an injector none of this code runs: no ``send`` probe is
-registered, and the event loop's checks are gated on ``faults is not
-None``.
+registered, and the event loop pops its heap with heapq's own
+functions.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from repro.core.controller import UnreachableNodeError
 from repro.interconnect.messages import MessageKind, SequenceTracker
 from repro.interconnect.network import Network
-from repro.sim.machine import DeadlineExceeded
+
+
+class DeadlineExceeded(RuntimeError):
+    """The run passed the injector's simulated-time deadline, or a lost
+    message would make a requester wait forever: the chaos hang oracle
+    (a resilient protocol finishes or fails cleanly before then)."""
 
 
 class RetryPolicy:
@@ -102,19 +107,21 @@ class FaultInjector:
 
     Construct one per run (it accumulates per-run state: RNG position,
     sequence numbers, applied failures, counters) and hand it to
-    ``Machine(..., faults=injector)``; the machine attaches it and
-    checks it from the event loop.  ``sink`` is an optional
+    ``Machine(..., faults=injector)``; the machine attaches it and pops
+    its event heap through :meth:`admit`.  ``sink`` is an optional
     :class:`~repro.obs.events.EventSink` receiving one ``fault_inject``
-    event per injected fault.
+    event per injected fault.  ``deadline`` bounds the run in simulated
+    cycles (``None``: unbounded).
     """
 
     def __init__(self, plan, seed: int = 0, retry: "RetryPolicy | None" = None,
-                 sink=None) -> None:
+                 sink=None, deadline: "int | None" = None) -> None:
         self.plan = plan
         self.seed = seed
         self.rng = random.Random(seed)
         self.retry = retry if retry is not None else RetryPolicy()
         self.sink = sink
+        self.deadline = deadline
         self.stats = FaultStats()
         self.seqs = SequenceTracker()
         self._machine = None
@@ -122,11 +129,9 @@ class FaultInjector:
         self._partitions = tuple(plan.partitions)
         self._failures = sorted(plan.failures, key=lambda f: f.at)
         self._failure_idx = 0
-        self._pauses_by_node: "dict[int, tuple]" = {}
+        self._pauses_by_node: "dict[int, list]" = {}
         for pause in plan.pauses:
-            self._pauses_by_node.setdefault(pause.node, [])
-        for pause in plan.pauses:
-            self._pauses_by_node[pause.node].append(pause)
+            self._pauses_by_node.setdefault(pause.node, []).append(pause)
         self._dup_pending = False
 
     # -- machine wiring ----------------------------------------------------
@@ -145,9 +150,35 @@ class FaultInjector:
                 raise ValueError("partition names a node outside the "
                                  "%d-node machine" % num_nodes)
         self._machine = machine
+        self._key_shift = machine._key_shift
+        self._node_of_cpu = [cpu.node.node_id for cpu in machine.cpus]
         machine.probes.add("send", self._send)
 
     # -- event-loop hooks --------------------------------------------------
+
+    def admit(self, pop, heap: "list[int]", *item) -> int:
+        """``pop(heap, *item)`` for the event loop, each key checked in
+        order: the deadline, scheduled failures due by its time, then
+        its CPU's node's pause windows.  A paused CPU is requeued at its
+        release time and the key that comes back is checked in turn."""
+        shift = self._key_shift
+        mask = (1 << shift) - 1
+        deadline = self.deadline
+        key = pop(heap, *item)
+        while True:
+            t = key >> shift
+            if deadline is not None and t > deadline:
+                raise DeadlineExceeded(
+                    "simulated-time deadline %d exceeded at cycle %d"
+                    % (deadline, t))
+            self.on_tick(self._machine, t)
+            cid = key & mask
+            release = self.release_time(self._node_of_cpu[cid], t)
+            if release <= t:
+                return key
+            # The CPU's node is paused: it stalls until the pause window
+            # ends, then resumes.
+            key = heapq.heappushpop(heap, release << shift | cid)
 
     def on_tick(self, machine, now: int) -> None:
         """Apply any scheduled hard failures due by ``now``."""
@@ -161,11 +192,8 @@ class FaultInjector:
 
     def release_time(self, node: int, now: int) -> int:
         """Earliest time ``node`` is responsive again (``now`` if live)."""
-        pauses = self._pauses_by_node.get(node)
-        if not pauses:
-            return now
         release = now
-        for pause in pauses:
+        for pause in self._pauses_by_node.get(node, ()):
             if pause.start <= release < pause.end:
                 release = pause.end
         return release

@@ -160,11 +160,3 @@ class MessageChannel:
     def pending(self) -> int:
         """Messages queued at the receiver."""
         return len(self._queue)
-
-
-def shared_memory_handoff_cost(machine) -> int:
-    """The cost the channel competes against: handing one line of data
-    through coherent shared memory (producer write-invalidate + consumer
-    remote miss), per Table 1."""
-    lat = machine.config.latency
-    return lat.expected_2party_write_shared + lat.expected_remote_clean

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 from repro.core.controller import CoherenceController
@@ -106,17 +107,6 @@ class Node:
         self.kernel: "NodeKernel | None" = None  # set by the machine
 
 
-class DeadlineExceeded(RuntimeError):
-    """The run passed its simulated-time deadline.
-
-    Raised by the event loop when ``Machine(deadline=...)`` is set and a
-    CPU's clock crosses it, and by the fault plane when a lost message
-    would make a requester wait forever.  The chaos harness
-    (``repro.faults.campaign``) uses it as the hang oracle: a resilient
-    protocol either finishes or fails cleanly before any sane deadline.
-    """
-
-
 @dataclass
 class RunResult:
     """Outcome of one workload run."""
@@ -138,11 +128,13 @@ class RunResult:
 class Machine:
     """A simulated PRISM machine."""
 
+    #: The event loop's heap pops; a fault plane wraps both (``__init__``).
+    _heappop, _heappushpop = heapq.heappop, heapq.heappushpop
+
     def __init__(self, config: "MachineConfig | None" = None,
                  policy: "PageModePolicy | str" = "scoma",
                  page_cache_override: "list[int] | None" = None,
-                 schedule=None, faults=None,
-                 deadline: "int | None" = None) -> None:
+                 schedule=None, faults=None) -> None:
         """Build a machine.
 
         ``page_cache_override`` gives a per-node client page-cache
@@ -157,13 +149,9 @@ class Machine:
         orderings.  ``None`` (the default) is the unperturbed schedule
         and costs the hot path nothing.
 
-        ``faults`` takes a :class:`~repro.faults.injector.FaultInjector`
-        (or a bare :class:`~repro.faults.plan.FaultPlan`, wrapped with
-        the default seed) and routes every inter-node hop through the
-        fault plane; ``deadline`` bounds the run in simulated cycles
-        (:class:`DeadlineExceeded` past it — the chaos hang oracle).
-        Both default to ``None``, which keeps the fault-free fast paths
-        and byte-identical results.
+        ``faults`` takes a :class:`~repro.faults.injector.FaultInjector`,
+        which judges every inter-node hop and every key the event loop
+        pops; ``None`` (the default) keeps the fault-free fast paths.
         """
         self.config = config if config is not None else MachineConfig()
         if isinstance(policy, str):
@@ -181,16 +169,8 @@ class Machine:
         self.schedule = schedule
         if schedule is not None:
             schedule.reset()
-        #: Optional fault plane (``repro.faults``), a ``send`` probe.  A
-        #: bare FaultPlan is wrapped in an injector.
-        if faults is not None:
-            from repro.faults.injector import FaultInjector
-            from repro.faults.plan import FaultPlan
-            if isinstance(faults, FaultPlan):
-                faults = FaultInjector(faults)
+        #: Optional fault plane (``repro.faults``).
         self.faults = faults
-        #: Simulated-cycle budget; None = unbounded.
-        self.deadline = deadline
         #: The observers, read once here and never looked up again:
         #: every component below the machine takes its handles from
         #: these two, so a registry or collector installed after the
@@ -268,6 +248,9 @@ class Machine:
 
         if faults is not None:
             faults.attach(self)
+            # The per-key checks, around the event loop's heap pops.
+            self._heappop = partial(faults.admit, heapq.heappop)
+            self._heappushpop = partial(faults.admit, heapq.heappushpop)
 
         # Causal tracing: opt-in like obs.  With no collector installed
         # no span probe is registered and simulated results are
@@ -385,24 +368,20 @@ class Machine:
         lock; a CPU still runnable hands off with one fused
         ``heappushpop``, which equals a push followed by a pop.
 
-        With a fault plan or a deadline, every key taken from the heap
-        is checked first: the deadline, scheduled node failures
-        (``faults.on_tick``) and pause windows, which requeue the CPU at
-        its release time.
+        Both pops are heapq's own, or with a fault plane
+        ``partial(faults.admit, pop)``, which checks each key first
+        (deadline, failures, pauses); the loop body is the same.
         """
         cpus = self.cpus
         shift = self._key_shift
         mask = (1 << shift) - 1
         heap = self._new_heap()
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        faults = self.faults
-        deadline = self.deadline
-        guarded = faults is not None or deadline is not None
         # Hot locals, resolved once per run.  Access probes are bound
         # on the instance as one composed chain by now, so the chain
         # (or the plain method, with none registered) is what gets
         # bound here.
+        heappop = self._heappop
+        heappushpop = self._heappushpop
         access = self._access
         ref_gap = self._ref_gap
         while heap:
@@ -410,20 +389,6 @@ class Machine:
             while True:
                 t = key >> shift
                 cid = key & mask
-                if guarded:
-                    if deadline is not None and t > deadline:
-                        raise DeadlineExceeded(
-                            "simulated-time deadline %d exceeded at cycle %d"
-                            % (deadline, t))
-                    if faults is not None:
-                        faults.on_tick(self, t)
-                        release = faults.release_time(
-                            cpus[cid].node.node_id, t)
-                        if release > t:
-                            # The CPU's node is paused: it stalls until
-                            # the pause window ends, then resumes.
-                            key = heappushpop(heap, release << shift | cid)
-                            continue
                 cpu = cpus[cid]
                 if cpu.done:
                     break

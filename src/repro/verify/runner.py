@@ -63,31 +63,25 @@ def run_litmus(test: LitmusTest,
     machine = Machine(test.build_config(), policy=test.policy,
                       schedule=schedule)
     try:
-        sink = EventSink(capacity=100_000)
-        tracker = ValueTracker(machine, sink)
-        invariant_problems: "list[str]" = []
+        history = History(machine)
+        violations: "list[str]" = []
         if check_invariants:
             install_barrier_checks(machine)
         workload = LitmusWorkload(test)
         try:
             machine.run(workload)
         except InvariantViolation as exc:
-            invariant_problems = exc.problems
+            violations = list(exc.problems)
         except RuntimeError as exc:
             # Protocol errors and engine deadlocks are conformance failures
             # too — a mutation may crash the machine instead of corrupting
             # values, and the suite must report that, not die.
-            invariant_problems = ["machine raised %s: %s"
-                                  % (type(exc).__name__, exc)]
+            violations = ["machine raised %s: %s"
+                          % (type(exc).__name__, exc)]
         finally:
-            tracker.detach()
+            history.tracker.detach()
 
-        violations = list(invariant_problems)
-        if sink.dropped:
-            violations.append("history truncated: %d events dropped"
-                              % sink.dropped)
-        violations += check_history(sink.events, machine._line_shift)
-        registers = _bind_registers(test, sink.events)
+        registers = history.judge(test, violations)
         if test.forbidden is not None and not violations:
             if test.forbidden(registers):
                 violations.append("forbidden outcome: registers %r"
@@ -96,6 +90,30 @@ def run_litmus(test: LitmusTest,
                             violations=violations, registers=registers)
     finally:
         machine.close()
+
+
+class History:
+    """A litmus run's value history: tapped before the run (detach
+    ``tracker`` after it), then judged."""
+
+    def __init__(self, machine) -> None:
+        self.machine = machine
+        self.sink = EventSink(capacity=100_000)
+        self.tracker = ValueTracker(machine, self.sink)
+
+    def judge(self, test, violations: "list[str]", bind: bool = True):
+        """Append the truncation line, the SC checker's findings and the
+        test's own ``check`` findings (2PC atomicity, say) to
+        ``violations``; return the bound registers if ``bind``."""
+        sink = self.sink
+        if sink.dropped:
+            violations.append("history truncated: %d events dropped"
+                              % sink.dropped)
+        violations += check_history(sink.events, self.machine._line_shift)
+        check = getattr(test, "check", None)
+        if check is not None:
+            violations += check(sink.events, self.machine)
+        return _bind_registers(test, sink.events) if bind else None
 
 
 def _bind_registers(test: LitmusTest, events) -> "tuple[tuple[int, ...], ...]":

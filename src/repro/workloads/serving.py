@@ -266,10 +266,12 @@ class KvStoreWorkload(Workload):
         get_writes, put_writes = bytes(1 + vl), b"\0" + b"\1" * vl
         #: per-cpu, per-batch ``(addresses, write flags)``.
         self._batches = [
-            [(array("q", chain.from_iterable([key_addrs[key]
-                                              for key in keys])),
-              b"".join([get_writes if get else put_writes for get in gets]))
-             for keys, gets in plan]
+            [
+                (array("q", chain.from_iterable([key_addrs[key]
+                                                  for key in keys])),
+                 b"".join([get_writes if get else put_writes
+                           for get in gets]))
+                for keys, gets in plan]
             for plan in self._plans]
 
     def generator(self, cpu_id: int, num_cpus: int):

@@ -105,9 +105,9 @@ class SyntheticWorkload(Workload):
         #: per-cpu, per-iteration seeded draws ``(line offsets, write
         #: flags)``, either ``None`` where the pattern draws none; the
         #: references themselves are built one iteration at a time.
-        self._draws = [[self._draw(cpu, it, rng)
-                        for it in range(self.iterations)]
-                       for cpu in range(num_cpus)]
+        self._draws = [
+            [self._draw(cpu, it, rng) for it in range(self.iterations)]
+            for cpu in range(num_cpus)]
 
     # -- pattern planners -------------------------------------------------
 

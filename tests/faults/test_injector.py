@@ -6,17 +6,17 @@ import pytest
 
 from repro.core.controller import NodeFailedError, UnreachableNodeError
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.faults.injector import DeadlineExceeded
 from repro.obs import tracing
 from repro.sim.config import tiny_config
-from repro.sim.machine import DeadlineExceeded, Machine
+from repro.sim.machine import Machine
 from repro.workloads import make_workload
 
 pytestmark = pytest.mark.faults
 
 
-def run_fft(faults=None, deadline=None, policy="scoma"):
-    machine = Machine(tiny_config(), policy=policy, faults=faults,
-                      deadline=deadline)
+def run_fft(faults=None, policy="scoma"):
+    machine = Machine(tiny_config(), policy=policy, faults=faults)
     result = machine.run(make_workload("fft", preset="tiny"))
     return machine, result
 
@@ -26,10 +26,6 @@ class TestTransparency:
         _, baseline = run_fft()
         _, with_plane = run_fft(faults=FaultInjector(FaultPlan(), seed=3))
         assert with_plane.stats.to_dict() == baseline.stats.to_dict()
-
-    def test_bare_plan_is_wrapped(self):
-        machine, _ = run_fft(faults=FaultPlan())
-        assert isinstance(machine.faults, FaultInjector)
 
     def test_plan_node_ids_validated_against_machine(self):
         plan = FaultPlan().fail_node(99, at=0)
@@ -139,11 +135,12 @@ class TestScheduledFailure:
 class TestDeadline:
     def test_deadline_cuts_off_a_run(self):
         with pytest.raises(DeadlineExceeded, match="deadline"):
-            run_fft(deadline=1_000)
+            run_fft(faults=FaultInjector(FaultPlan(), deadline=1_000))
 
     def test_generous_deadline_is_invisible(self):
         _, baseline = run_fft()
-        _, guarded = run_fft(deadline=10 ** 12)
+        _, guarded = run_fft(
+            faults=FaultInjector(FaultPlan(), deadline=10 ** 12))
         assert guarded.stats.to_dict() == baseline.stats.to_dict()
 
 

@@ -53,20 +53,24 @@ def test_stats_match_the_committed_golden_fixture(golden, recomputed):
 
 
 def test_guarded_event_loop_matches_the_committed_golden_fixture(golden):
-    """An empty fault plan and an unreachable deadline switch on the
-    event loop's per-key guard checks (deadline, fault ticks, pause
-    windows); over the whole matrix they must change nothing."""
-    from repro.faults.plan import FaultPlan
+    """A fault plane with an empty plan and an unreachable deadline
+    pops the event heap through its per-key checks (deadline, fault
+    ticks, pause windows); over the whole matrix they must change
+    nothing."""
+    from repro.faults import FaultInjector, FaultPlan
     recomputed = _load_update_golden().compute_golden(
-        faults=FaultPlan(), deadline=10 ** 12)
-    _assert_matches(golden, recomputed, "the guarded event loop")
+        faults=lambda: FaultInjector(FaultPlan(), deadline=10 ** 12))
+    _assert_matches(golden, recomputed, "the fault plane's heap pops")
 
 
 def test_deadline_inside_the_run_still_raises():
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults.injector import DeadlineExceeded
     from repro.sim.config import tiny_config
-    from repro.sim.machine import DeadlineExceeded, Machine
+    from repro.sim.machine import Machine
     from repro.workloads import make_workload
-    machine = Machine(tiny_config(), policy="scoma", deadline=50000)
+    machine = Machine(tiny_config(), policy="scoma",
+                      faults=FaultInjector(FaultPlan(), deadline=50000))
     with pytest.raises(DeadlineExceeded) as excinfo:
         machine.run(make_workload("fft", preset="tiny"))
     assert str(excinfo.value) == (

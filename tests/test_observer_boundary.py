@@ -3,7 +3,9 @@ installed observers, and the model layers never import them.
 
 ``Machine.__init__`` reads ``obs.current()`` and ``tracing.current()``
 once; everything below it takes ``machine.registry`` and
-``machine.tracer``.  An AST walk over ``src/repro`` keeps it that way.
+``machine.tracer``.  The fault plane sits outside the machine the same
+way: the machine is handed an injector and never imports
+``repro.faults``.  An AST walk over ``src/repro`` keeps it that way.
 """
 
 import ast
@@ -16,6 +18,9 @@ SRC = Path(repro.__file__).resolve().parent
 #: Model layers that must not import anything from ``repro.obs``.
 MODEL_LAYERS = ("core", "kernel", "mem", "interconnect")
 
+#: Layers that must not import anything from ``repro.faults``.
+FAULT_FREE_LAYERS = ("sim",) + MODEL_LAYERS
+
 
 def _modules(*parts):
     root = SRC.joinpath(*parts)
@@ -23,18 +28,30 @@ def _modules(*parts):
         yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def _imports_obs(node):
+def _imports(node, package):
+    """True if ``node`` imports ``repro.<package>`` or anything in it."""
+    full = "repro." + package
     if isinstance(node, ast.Import):
-        return any(alias.name == "repro.obs"
-                   or alias.name.startswith("repro.obs.")
+        return any(alias.name == full or alias.name.startswith(full + ".")
                    for alias in node.names)
     if isinstance(node, ast.ImportFrom):
         module = node.module or ""
-        if module == "repro.obs" or module.startswith("repro.obs."):
+        if module == full or module.startswith(full + "."):
             return True
-        return module == "repro" and any(alias.name == "obs"
+        return module == "repro" and any(alias.name == package
                                          for alias in node.names)
     return False
+
+
+def _offenders(layers, package):
+    found = []
+    for layer in layers:
+        for path, tree in _modules(layer):
+            for node in ast.walk(tree):
+                if _imports(node, package):
+                    found.append("%s:%d" % (path.relative_to(SRC),
+                                            node.lineno))
+    return found
 
 
 class _CurrentCalls(ast.NodeVisitor):
@@ -61,14 +78,11 @@ class _CurrentCalls(ast.NodeVisitor):
 
 
 def test_model_layers_import_nothing_from_obs():
-    offenders = []
-    for layer in MODEL_LAYERS:
-        for path, tree in _modules(layer):
-            for node in ast.walk(tree):
-                if _imports_obs(node):
-                    offenders.append("%s:%d" % (path.relative_to(SRC),
-                                                node.lineno))
-    assert offenders == []
+    assert _offenders(MODEL_LAYERS, "obs") == []
+
+
+def test_machine_and_model_layers_import_nothing_from_faults():
+    assert _offenders(FAULT_FREE_LAYERS, "faults") == []
 
 
 def test_only_machine_init_reads_the_installed_observers():

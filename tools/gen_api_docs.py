@@ -200,8 +200,9 @@ forwarding hints so survivors fail fast with
 plans from one seed and runs the litmus suite under them; every run
 must complete sequentially consistent or fail cleanly
 (`NodeFailedError`) — never hang (simulated-time deadline), never
-silently corrupt (SC checker).  With no plan installed the fault plane
-costs one pointer test and results are byte-identical.  Run it with
+silently corrupt (SC checker).  Without an injector neither a hop
+nor a scheduler turn tests for the fault plane, and results are
+byte-identical.  Run it with
 `repro chaos --seed S [--rounds N] [--plan FILE] [--no-retry]`; all
 injector activity surfaces as `faults.*` counters and `fault_inject` /
 `node_fail` structured events.  See [FAULTS.md](FAULTS.md) for the

@@ -19,12 +19,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "integration" / "golden_tiny_stats.json"
 
 
-def compute_golden(**machine_kwargs) -> "dict[str, dict]":
+def compute_golden(faults=None) -> "dict[str, dict]":
     """Simulate every (app, policy) cell at the tiny preset.
 
-    ``machine_kwargs`` go to every machine built (for example an empty
-    ``faults`` plan and an unreachable ``deadline``, which must not
-    change any cell either).
+    ``faults``, if given, makes a fresh fault plane for every machine
+    built (for example an empty plan with an unreachable deadline,
+    which must not change any cell either).
     """
     from repro.core.policies import POLICY_NAMES
     from repro.sim.config import tiny_config
@@ -35,9 +35,12 @@ def compute_golden(**machine_kwargs) -> "dict[str, dict]":
     for app in ALL_APPLICATIONS:
         for policy in POLICY_NAMES:
             machine = Machine(tiny_config(), policy=policy,
-                              **machine_kwargs)
-            machine.run(make_workload(app, preset="tiny"))
-            cells["%s/%s" % (app, policy)] = machine.stats.to_dict()
+                              faults=faults() if faults else None)
+            try:
+                machine.run(make_workload(app, preset="tiny"))
+                cells["%s/%s" % (app, policy)] = machine.stats.to_dict()
+            finally:
+                machine.close()
     return cells
 
 
