@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "JSONL (forces an uncached, in-process run)")
     run.add_argument("--metrics-out", metavar="FILE", default=None,
                      help="write the run's metrics snapshot as JSON "
-                          "(forces an uncached, in-process run)")
+                          "(implies --metrics; a cached entry with a "
+                          "snapshot serves it)")
     run.add_argument("--check-invariants", action="store_true",
                      help="walk machine-wide coherence invariants at "
                           "every barrier release and fail loudly on a "
@@ -233,41 +234,56 @@ def _session_from_args(args, verbose: bool = True):
     cache_dir = None if args.no_cache else args.cache_dir
     progress = CampaignProgress() if verbose else None
     return Session(jobs=args.jobs, cache_dir=cache_dir, progress=progress,
-                   collect_metrics=getattr(args, "metrics", False))
+                   collect_metrics=(args.metrics
+                                    or bool(getattr(args, "metrics_out",
+                                                    None))))
 
 
 def cmd_run(args) -> int:
     """``repro run``: one workload under one policy.
 
-    ``--trace-out`` / ``--metrics-out`` switch to an instrumented
-    in-process run (tracing needs the live machine); the printed stats
-    stay identical either way.
+    ``--trace-out`` and ``--check-invariants`` observe the live machine,
+    so they run the cell in-process through the runner's ``attach``
+    seam and neither read nor fill the result cache; every other run
+    goes through the session.  The printed stats are identical either
+    way.
     """
-    from repro.harness.session import ExperimentSpec
+    from repro.harness.session import ExperimentSpec, execute_spec
     config = MachineConfig(page_cache_frames=args.page_cache,
                            enable_migration=args.migration)
     session = _session_from_args(args, verbose=False)
     spec = ExperimentSpec(args.workload, args.policy,
                           preset=args.preset, config=config)
-    if args.check_invariants:
-        return _run_with_invariants(args, spec)
-    if args.trace_out or args.metrics_out:
+    note = ""
+    if args.trace_out or args.check_invariants:
         from repro.obs import EventSink
+        from repro.sim.invariants import InvariantViolation
         sink = EventSink() if args.trace_out else None
-        result = session.run_instrumented(spec, sink=sink)
+        try:
+            result = execute_spec(
+                spec, session.collect_metrics,
+                attach=_live_observers(args.check_invariants, sink))
+        except InvariantViolation as exc:
+            print("INVARIANT VIOLATION at cycle %d (%s / %s):"
+                  % (exc.when, spec.workload, spec.policy))
+            for problem in exc.problems:
+                print("  %s" % problem)
+            return 1
+        if args.check_invariants:
+            note = " [invariants checked at every barrier]"
     else:
         result = session.run(spec)
+        if session.cache_hits:
+            note = " [cached]"
     print("%s / %s (%s preset)%s"
-          % (args.workload, args.policy, args.preset,
-             " [cached]" if session.cache_hits else ""))
+          % (args.workload, args.policy, args.preset, note))
     for key, value in result.stats.summary().items():
         print("  %-22s %s" % (key, value))
-    metrics = getattr(result, "metrics", None)
-    if metrics:
+    if result.metrics:
         # Serving workloads under --metrics report request latency
         # quantiles and the throughput curve next to the stats.
         from repro.workloads.serving import serving_summary
-        for line in serving_summary(metrics):
+        for line in serving_summary(result.metrics):
             print("  %s" % line)
     if args.trace_out:
         written = sink.write_jsonl(args.trace_out)
@@ -280,30 +296,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_with_invariants(args, spec) -> int:
-    """``repro run --check-invariants``: an uncached in-process run
-    with machine-wide coherence invariant walks at every barrier
-    release.  A violation aborts the run and reports every problem the
-    walk found."""
-    from repro.sim.invariants import InvariantViolation, \
-        install_barrier_checks
-    from repro.sim.machine import Machine
-    from repro.workloads import make_workload
-    machine = Machine(spec.resolved_config(), policy=spec.policy)
-    install_barrier_checks(machine)
-    try:
-        result = machine.run(make_workload(spec.workload, spec.preset))
-    except InvariantViolation as exc:
-        print("INVARIANT VIOLATION at cycle %d (%s / %s):"
-              % (exc.when, spec.workload, spec.policy))
-        for problem in exc.problems:
-            print("  %s" % problem)
-        return 1
-    print("%s / %s (%s preset) [invariants checked at every barrier]"
-          % (args.workload, args.policy, args.preset))
-    for key, value in result.stats.summary().items():
-        print("  %-22s %s" % (key, value))
-    return 0
+def _live_observers(check_invariants: bool, sink):
+    """The ``attach`` hook of ``run --check-invariants`` (coherence
+    invariant walks at every barrier release) and ``--trace-out``
+    (events into ``sink``)."""
+    def attach(machine) -> None:
+        if check_invariants:
+            from repro.sim.invariants import install_barrier_checks
+            install_barrier_checks(machine)
+        if sink is not None:
+            from repro.sim.trace import TraceRecorder
+            # Never exited: closing the machine empties its probes.
+            TraceRecorder(machine, sink=sink).__enter__()
+    return attach
 
 
 def cmd_verify(args) -> int:
@@ -485,31 +490,20 @@ def cmd_compare(args) -> int:
 def cmd_metrics(args) -> int:
     """``repro metrics``: per-policy telemetry for one workload.
 
-    Reads metrics snapshots from the result cache; cells without a
-    cached snapshot are re-simulated in-process with telemetry on (and
-    the refreshed entry stored back, so the next invocation is free).
+    Runs the cells through a metrics-collecting session: a cached
+    entry with a snapshot serves its cell, and a cell without one is
+    re-simulated and its entry overwritten, so the next invocation is
+    free.
     """
     from repro.harness.session import ExperimentSpec, Session
     from repro.harness.tables import metrics_table
-    from repro.sim.machine import RunResult
 
     policies = args.policy if args.policy else ["scoma", "lanuma"]
     cache_dir = None if args.no_cache else args.cache_dir
-    session = Session(cache_dir=cache_dir)
-    results = []
-    for policy in policies:
-        spec = ExperimentSpec(args.workload, policy, preset=args.preset)
-        result = None
-        if session.cache is not None:
-            stats, metrics = session.cache.load_with_metrics(spec)
-            if stats is not None and metrics is not None:
-                result = RunResult(workload=spec.workload,
-                                   policy=spec.policy,
-                                   config=spec.resolved_config(),
-                                   stats=stats, metrics=metrics)
-        if result is None:
-            result = session.run_instrumented(spec)
-        results.append(result)
+    session = Session(cache_dir=cache_dir, collect_metrics=True)
+    results = session.run_suite(
+        ExperimentSpec(args.workload, policy, preset=args.preset)
+        for policy in policies)
     if args.filter is not None or args.format != "table":
         return _emit_metric_rows(_metric_rows(results, args.filter),
                                  args.format)
@@ -634,13 +628,12 @@ def cmd_trace(args) -> int:
     latency).  ``--out`` / ``--chrome`` export the retained spans.
     """
     from repro.harness.report import TextTable
+    from repro.harness.session import ExperimentSpec, execute_spec
     from repro.obs import tracing
-    from repro.sim.machine import Machine
-    from repro.workloads import make_workload
 
     with tracing.collecting(seed=args.seed) as collector:
-        machine = Machine(policy=args.policy)
-        machine.run(make_workload(args.workload, args.preset))
+        execute_spec(ExperimentSpec(args.workload, args.policy,
+                                    preset=args.preset))
 
     print("%s / %s (%s preset, seed %d): %d transactions, %d spans"
           % (args.workload, args.policy, args.preset, args.seed,

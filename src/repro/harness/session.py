@@ -123,13 +123,42 @@ class ExperimentSpec:
         return "%s/%s" % (self.workload, self.policy)
 
 
-def execute_spec(spec: ExperimentSpec) -> RunResult:
-    """Run one spec in-process (no cache, no pool)."""
+def execute_spec(spec: ExperimentSpec, collect_metrics: bool = False,
+                 trace_cells: bool = False, attach=None) -> RunResult:
+    """The one cell runner: build, observe, run and close a cell's machine.
+
+    ``collect_metrics`` runs the cell under a fresh
+    :func:`repro.obs.collecting` registry and puts the snapshot on
+    ``RunResult.metrics``.  ``trace_cells`` (implies metrics) also
+    installs a :class:`~repro.obs.tracing.TraceCollector` seeded with
+    the spec seed, so the snapshot carries the ``trace.*`` roll-ups
+    (per-segment critical-path histograms).  ``attach`` is the seam for
+    observers that need the live machine: it is called with the built
+    machine before the run (``repro run --trace-out`` and
+    ``--check-invariants`` use it).  None of these changes the
+    statistics; the machine is closed whatever happens.
+    """
+    if collect_metrics or trace_cells:
+        from repro.obs import tracing
+        with obs.collecting() as registry:
+            wall = registry.histogram("harness.cell_wall_seconds",
+                                      buckets=obs.TIME_BUCKETS_SECONDS)
+            begin = time.perf_counter()
+            if trace_cells:
+                with tracing.collecting(seed=spec.seed):
+                    result = execute_spec(spec, attach=attach)
+            else:
+                result = execute_spec(spec, attach=attach)
+            wall.observe(time.perf_counter() - begin)
+        result.metrics = registry.to_dict()
+        return result
     override = (list(spec.page_cache_override)
                 if spec.page_cache_override is not None else None)
     machine = Machine(spec.resolved_config(), policy=spec.policy,
                       page_cache_override=override)
     try:
+        if attach is not None:
+            attach(machine)
         return machine.run(make_workload(spec.workload, spec.preset))
     finally:
         machine.close()
@@ -142,38 +171,16 @@ def _worker_run(payload: "dict[str, object]",
 
     Takes and returns plain dicts so the worker handoff goes through
     the exact same serialization as the result cache — a parallel run
-    cannot diverge from a sequential one by construction.
-
-    ``collect_metrics`` is deliberately *not* part of the payload: it
-    does not affect the simulation result, so it must not perturb the
-    cache key.  When set, the cell runs under a fresh
-    :func:`repro.obs.collecting` registry and the snapshot rides along
-    as ``out["metrics"]``.  ``trace_cells`` (implies metrics) also
-    installs a :class:`~repro.obs.tracing.TraceCollector` seeded with
-    the spec seed, so the snapshot carries the ``trace.*`` roll-ups
-    (per-segment critical-path histograms); like metrics collection it
-    never changes the statistics or the cache key.
+    cannot diverge from a sequential one by construction.  The two
+    observer flags are deliberately *not* part of the payload: they do
+    not affect the simulation result, so they must not perturb the
+    cache key.
     """
     started = time.perf_counter()
-    spec = ExperimentSpec.from_payload(payload)
-    if collect_metrics or trace_cells:
-        from repro.obs import tracing
-        with obs.collecting() as registry:
-            wall = registry.histogram("harness.cell_wall_seconds",
-                                      buckets=obs.TIME_BUCKETS_SECONDS)
-            begin = time.perf_counter()
-            if trace_cells:
-                with tracing.collecting(seed=spec.seed):
-                    result = execute_spec(spec)
-            else:
-                result = execute_spec(spec)
-            wall.observe(time.perf_counter() - begin)
-        metrics = registry.to_dict()
-    else:
-        result = execute_spec(spec)
-        metrics = None
+    result = execute_spec(ExperimentSpec.from_payload(payload),
+                          collect_metrics, trace_cells)
     return {"stats": result.stats.to_dict(),
-            "metrics": metrics,
+            "metrics": result.metrics,
             "seconds": time.perf_counter() - started}
 
 
@@ -196,27 +203,33 @@ class ResultCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
 
-    def load(self, spec: ExperimentSpec) -> "MachineStats | None":
-        """The cached stats for ``spec``, or None on a miss."""
-        return self.load_with_metrics(spec)[0]
-
     def load_with_metrics(
-            self, spec: ExperimentSpec
+            self, spec: ExperimentSpec, collect_metrics: bool = False,
+            trace_cells: bool = False
     ) -> "tuple[MachineStats | None, dict[str, object] | None]":
         """Cached ``(stats, metrics snapshot)`` for ``spec``.
 
-        ``metrics`` is None when the entry was stored by a run without
-        metrics collection (the snapshot is an optional rider — its
-        absence never invalidates the entry).  An entry that cannot be
-        read back is a miss: the cell runs again and overwrites it.
+        An entry serves a request only if it holds what was asked for:
+        with ``collect_metrics`` it must carry a snapshot, with
+        ``trace_cells`` a snapshot with the ``trace.*`` roll-ups.  A
+        plain lookup takes any entry, snapshot or not.  An entry that
+        falls short, or cannot be read back, is a miss: the cell runs
+        again and overwrites it.
         """
         try:
             with open(self._path(spec.cache_key())) as fh:
                 entry = json.load(fh)
             if entry["schema"] == CACHE_SCHEMA:
                 stats = MachineStats.from_dict(entry["stats"])
-                self.hits += 1
-                return stats, entry.get("metrics")
+                metrics = entry.get("metrics")
+                if metrics is None:
+                    short = collect_metrics or trace_cells
+                else:
+                    short = trace_cells and not any(
+                        key.startswith("trace.") for key in metrics["gauges"])
+                if not short:
+                    self.hits += 1
+                    return stats, metrics
         except (OSError, ValueError, KeyError, TypeError):
             pass
         self.misses += 1
@@ -273,7 +286,7 @@ class _Scheduler:
         cache = self._session.cache
         collect = self._session.collect_metrics
         trace = self._session.trace_cells
-        stats, metrics = (cache.load_with_metrics(spec)
+        stats, metrics = (cache.load_with_metrics(spec, collect, trace)
                           if cache is not None else (None, None))
         if stats is not None:
             self._events.put((tag, spec, stats, metrics, True, 0.0, None))
@@ -338,13 +351,14 @@ class Session:
     ``collect_metrics`` makes every simulated cell run under a fresh
     :mod:`repro.obs` registry; the snapshot lands on
     ``RunResult.metrics`` and rides along in the result cache.  It does
-    not change cache keys or statistics — cached cells keep whatever
-    snapshot (possibly none) they were stored with.  ``trace_cells``
+    not change cache keys or statistics.  ``trace_cells``
     additionally runs each simulated cell under a causal trace
     collector so the snapshot includes the ``trace.*`` critical-path
     roll-ups (this is what feeds the ``repro top`` segment column);
     it implies metrics collection and is equally invisible to the
-    statistics and the cache key.
+    statistics and the cache key.  A cached cell serves a session only
+    if its entry holds what the session collects; otherwise the cell
+    runs again and its entry is overwritten.
     """
 
     def __init__(self, jobs: int = 1, cache_dir: "str | None" = None,
@@ -487,41 +501,3 @@ class Session:
         hook = getattr(self.progress, "cell_metrics", None)
         if hook is not None:
             hook(spec.workload, spec.policy, metrics)
-
-    def run_instrumented(self, spec: ExperimentSpec, sink=None,
-                         trace_kinds=None) -> RunResult:
-        """Run one cell in-process with full telemetry.
-
-        Always collects a metrics snapshot (stored back into the cache,
-        refreshing any snapshot-less entry for the same spec — last
-        writer wins).  ``sink`` takes a
-        :class:`repro.obs.events.EventSink`; when given, the run is also
-        traced (``trace_kinds`` restricts the recorded event classes as
-        in :class:`repro.sim.trace.TraceRecorder`).  Tracing needs the
-        live machine, so this path never *serves* from the cache.
-        """
-        from repro.sim.trace import TraceRecorder
-
-        override = (list(spec.page_cache_override)
-                    if spec.page_cache_override is not None else None)
-        with obs.collecting() as registry:
-            wall = registry.histogram("harness.cell_wall_seconds",
-                                      buckets=obs.TIME_BUCKETS_SECONDS)
-            begin = time.perf_counter()
-            machine = Machine(spec.resolved_config(), policy=spec.policy,
-                              page_cache_override=override)
-            try:
-                workload = make_workload(spec.workload, spec.preset)
-                if sink is not None:
-                    with TraceRecorder(machine, kinds=trace_kinds,
-                                       sink=sink):
-                        result = machine.run(workload)
-                else:
-                    result = machine.run(workload)
-            finally:
-                machine.close()
-            wall.observe(time.perf_counter() - begin)
-        result.metrics = registry.to_dict()
-        if self.cache is not None:
-            self.cache.store(spec, result.stats, result.metrics)
-        return result

@@ -11,8 +11,6 @@ DESIGN.md section 2).  Every parameter is overridable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 from repro.sim.latency import LatencyModel, paper_latency_model
@@ -158,18 +156,6 @@ class MachineConfig:
         data["l2"] = CacheConfig.from_dict(data["l2"])
         data["latency"] = LatencyModel.from_dict(data["latency"])
         return cls(**data)
-
-    def config_hash(self) -> str:
-        """A stable content hash of this configuration.
-
-        Two configs hash equal iff every *result-affecting* field
-        (including nested cache geometry and latency components) is
-        equal; the hash is stable across processes and Python versions,
-        making it usable as an on-disk cache-key component.
-        """
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def default_config(**overrides) -> MachineConfig:

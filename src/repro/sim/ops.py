@@ -41,18 +41,3 @@ OP_NAMES = {
     OP_READ_RUN: "read_run",
     OP_WRITE_RUN: "write_run",
 }
-
-
-def expand_op(op):
-    """Expand one op into its per-reference equivalent (a list of ops).
-
-    Run ops unroll into ``count`` single-reference ops; every other op
-    is returned as-is.  Used by analysis tooling and the block-op
-    equivalence tests — the machine itself expands runs inline.
-    """
-    kind = op[0]
-    if kind == OP_READ_RUN or kind == OP_WRITE_RUN:
-        single = OP_READ if kind == OP_READ_RUN else OP_WRITE
-        _, base, stride, count = op
-        return [(single, base + i * stride) for i in range(count)]
-    return [op]

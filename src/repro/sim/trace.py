@@ -46,16 +46,21 @@ class TraceRecorder:
         self.machine = machine
         self.kinds = set(kinds) if kinds is not None else set(KINDS)
         self.sink = sink if sink is not None else EventSink()
-        self._probes = [(kind, getattr(self, "_" + kind))
-                        for kind in KINDS if kind in self.kinds]
+
+    def _probes(self) -> "list[tuple[str, object]]":
+        # Built on each call, never stored: a list of bound methods on
+        # ``self`` would be a reference cycle that keeps the recorder,
+        # and with it a closed machine, alive until a cyclic GC.
+        return [(kind, getattr(self, "_" + kind))
+                for kind in KINDS if kind in self.kinds]
 
     def __enter__(self) -> "TraceRecorder":
-        for kind, probe in self._probes:
+        for kind, probe in self._probes():
             self.machine.probes.add(kind, probe)
         return self
 
     def __exit__(self, *exc) -> None:
-        for kind, probe in self._probes:
+        for kind, probe in self._probes():
             self.machine.probes.remove(kind, probe)
 
     # -- probes --------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro.mem.cache import LineState
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.machine import Machine
+from repro.sim.ops import OP_READ, OP_READ_RUN, OP_WRITE, OP_WRITE_RUN
 
 GAP = 1_000_000
 
@@ -56,6 +57,21 @@ def holders(presence, line):
     """Local CPU ids whose bits are set in ``line``'s presence mask."""
     mask = presence._holders.get(line, 0)
     return {cid for cid in range(mask.bit_length()) if mask >> cid & 1}
+
+
+def expand_op(op):
+    """Expand one op into its per-reference equivalent (a list of ops).
+
+    Run ops unroll into ``count`` single-reference ops; every other op
+    is returned as-is.  The machine expands runs inline; the block-op
+    equivalence tests compare against this reference expansion.
+    """
+    kind = op[0]
+    if kind == OP_READ_RUN or kind == OP_WRITE_RUN:
+        single = OP_READ if kind == OP_READ_RUN else OP_WRITE
+        _, base, stride, count = op
+        return [(single, base + i * stride) for i in range(count)]
+    return [op]
 
 
 def probe(h, line):

@@ -84,6 +84,20 @@ def test_metrics_command(tmp_path, capsys):
     assert "Per-cell telemetry" in capsys.readouterr().out
 
 
+def test_run_metrics_over_plain_cache_reports_serving(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    base = ["run", "kvstore", "--preset", "tiny", "--cache-dir", cache]
+    assert main(base) == 0
+    plain = capsys.readouterr().out
+    assert "p50=" not in plain
+    # The plain entry has no snapshot, so it cannot serve --metrics.
+    assert main(base + ["--metrics"]) == 0
+    metered = capsys.readouterr().out
+    assert "p50=" in metered
+    assert "[cached]" not in metered
+    assert metered.startswith(plain)
+
+
 def test_microbench_command(capsys):
     assert main(["microbench"]) == 0
     out = capsys.readouterr().out

@@ -38,6 +38,12 @@ class TestExperimentSpec:
         assert base.cache_key() != spec(seed=7).cache_key()
         assert (base.cache_key()
                 != spec(config=tiny_config(tlb_entries=16)).cache_key())
+        # Nested latency fields count too.
+        from dataclasses import replace
+
+        from repro.sim.latency import LatencyModel
+        slow_pit = replace(tiny_config(), latency=LatencyModel(pit_access=10))
+        assert base.cache_key() != spec(config=slow_pit).cache_key()
 
     def test_payload_round_trip(self):
         s = spec(policy="scoma-70", page_cache_override=(3, 4))
@@ -173,20 +179,50 @@ class TestMetricsCollection:
         again = Session(cache_dir=cache_dir).run(spec(policy="lanuma"))
         assert again.metrics is None
 
-    def test_run_instrumented_traces_and_stores(self, tmp_path):
+    def test_attach_observes_the_live_machine(self):
         from repro.obs import EventSink, validate_event
-        cache_dir = str(tmp_path / "cache")
-        session = Session(cache_dir=cache_dir)
+        from repro.sim.trace import TraceRecorder
         sink = EventSink()
-        result = session.run_instrumented(spec(), sink=sink)
+        result = execute_spec(
+            spec(), collect_metrics=True,
+            attach=lambda machine: TraceRecorder(machine,
+                                                 sink=sink).__enter__())
         assert result.metrics is not None
         assert sink.emitted > 0
         for event in sink.events[:50]:
             validate_event(event)
-        # Identical to an uninstrumented run, and cached for next time.
+        # Identical to an unobserved run.
         assert result.stats.to_dict() == execute_spec(spec()).stats.to_dict()
-        warm = Session(cache_dir=cache_dir).run(spec())
-        assert warm.metrics is not None
+
+    def test_metrics_session_reruns_entry_without_snapshot(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        Session(cache_dir=cache_dir).run(spec())       # stored, no snapshot
+        metered = Session(cache_dir=cache_dir, collect_metrics=True)
+        result = metered.run(spec())
+        assert (metered.cache_hits, metered.cache_misses) == (0, 1)
+        assert result.metrics is not None
+        warm = Session(cache_dir=cache_dir, collect_metrics=True)
+        assert warm.run(spec()).metrics is not None     # entry overwritten
+        assert (warm.cache_hits, warm.cache_misses) == (1, 0)
+
+    def test_trace_session_reruns_entry_without_rollups(self, tmp_path):
+        def rollups(metrics):
+            return [k for k in metrics["gauges"] if k.startswith("trace.")]
+
+        cache_dir = str(tmp_path / "cache")
+        stored = Session(cache_dir=cache_dir, collect_metrics=True).run(spec())
+        assert stored.metrics is not None and rollups(stored.metrics) == []
+        traced = Session(cache_dir=cache_dir, trace_cells=True)
+        result = traced.run(spec())
+        assert (traced.cache_hits, traced.cache_misses) == (0, 1)
+        assert rollups(result.metrics)
+        warm = Session(cache_dir=cache_dir, trace_cells=True)
+        assert rollups(warm.run(spec()).metrics)        # entry overwritten
+        assert (warm.cache_hits, warm.cache_misses) == (1, 0)
+        # A metrics session takes the traced entry: it holds more.
+        metered = Session(cache_dir=cache_dir, collect_metrics=True)
+        metered.run(spec())
+        assert (metered.cache_hits, metered.cache_misses) == (1, 0)
 
     def test_parallel_metrics_match_sequential(self):
         def deterministic(snapshot):

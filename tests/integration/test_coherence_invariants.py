@@ -52,7 +52,8 @@ def test_reference_conservation():
     machine = Machine(repro.tiny_config(), policy="scoma")
     wl = make_workload("lu", "tiny")
     result = machine.run(wl)
-    from repro.sim.ops import OP_READ, OP_WRITE, expand_op
+    from repro.sim.ops import OP_READ, OP_WRITE
+    from tests.conftest import expand_op
     expected = 0
     wl2 = make_workload("lu", "tiny")
     wl2.setup(machine.layout.__class__(

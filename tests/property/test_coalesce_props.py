@@ -16,8 +16,9 @@ from itertools import accumulate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.ops import OP_READ, OP_WRITE, expand_op
+from repro.sim.ops import OP_READ, OP_WRITE
 from repro.workloads.base import COALESCE_CHUNK, coalesce, coalesce_stream
+from tests.conftest import expand_op
 
 #: Address steps that make runs (0, +-8, 32) and break them (anything).
 _STEP = st.one_of(st.sampled_from((0, 8, 8, -8, 32)),

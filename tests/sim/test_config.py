@@ -78,15 +78,3 @@ def test_to_dict_survives_json():
     cfg = tiny_config()
     rehydrated = json.loads(json.dumps(cfg.to_dict()))
     assert MachineConfig.from_dict(rehydrated) == cfg
-
-
-def test_config_hash_stable_and_field_sensitive():
-    assert tiny_config().config_hash() == tiny_config().config_hash()
-    assert (tiny_config().config_hash()
-            != tiny_config(tlb_entries=16).config_hash())
-    # Nested latency fields count too.
-    from dataclasses import replace
-
-    from repro.sim.latency import LatencyModel
-    dram = replace(tiny_config(), latency=LatencyModel(pit_access=10))
-    assert dram.config_hash() != tiny_config().config_hash()

@@ -17,11 +17,11 @@ from repro.kernel.frames import IMAGINARY_BASE
 from repro.sim.config import tiny_config
 from repro.sim.engine import LockTable
 from repro.sim.machine import Machine
-from repro.sim.ops import (OP_READ, OP_READ_RUN, OP_WRITE, OP_WRITE_RUN,
-                           expand_op)
+from repro.sim.ops import OP_READ, OP_READ_RUN, OP_WRITE, OP_WRITE_RUN
 from repro.workloads import make_workload
 from repro.workloads.base import Workload, coalesce
 from repro.workloads.synthetic import SyntheticWorkload
+from tests.conftest import expand_op
 
 
 def run_stats(workload_factory, policy):

@@ -16,7 +16,8 @@ from repro import obs
 from repro.core.controller import CoherenceController
 from repro.core.migration import MigrationManager
 from repro.faults import FaultPlan, run_chaos
-from repro.harness.session import ExperimentSpec, Session
+from repro.harness.cli import main
+from repro.harness.session import Session
 from repro.interconnect.network import Network
 from repro.kernel.vm import NodeKernel
 from repro.obs import tracing
@@ -122,9 +123,24 @@ def test_campaign_cells_are_freed():
     _assert_freed(_campaign)
 
 
-def test_instrumented_cell_is_freed():
-    spec = ExperimentSpec("fft", "scoma", preset="tiny")
-    _assert_freed(lambda: Session(jobs=1).run_instrumented(spec))
+def _cli(*argv):
+    def job():
+        assert main(list(argv)) == 0
+    return job
+
+
+def test_trace_command_is_freed(capsys):
+    _assert_freed(_cli("trace", "fft", "--preset", "tiny"))
+
+
+def test_run_check_invariants_is_freed(capsys):
+    _assert_freed(_cli("run", "fft", "--preset", "tiny", "--no-cache",
+                       "--check-invariants"))
+
+
+def test_run_trace_out_is_freed(tmp_path, capsys):
+    _assert_freed(_cli("run", "fft", "--preset", "tiny", "--no-cache",
+                       "--trace-out", str(tmp_path / "trace.jsonl")))
 
 
 def test_litmus_check_is_freed():

@@ -12,10 +12,10 @@ is only a test oracle: without it these tests skip.
 import pytest
 
 from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
-from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_READ, OP_WRITE,
-                           expand_op)
+from repro.sim.ops import OP_BARRIER, OP_COMPUTE, OP_READ, OP_WRITE
 from repro.workloads import make_workload
 from repro.workloads.synthetic import PATTERNS, SyntheticWorkload
+from tests.conftest import expand_op
 
 np = pytest.importorskip("numpy")
 

@@ -16,9 +16,10 @@ from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
 from repro.sim.config import tiny_config
 from repro.sim.machine import Machine
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
-                           OP_UNLOCK, OP_WRITE, expand_op)
+                           OP_UNLOCK, OP_WRITE)
 from repro.workloads import SERVING_APPLICATIONS, make_workload
 from repro.workloads.serving import ZipfianStream
+from tests.conftest import expand_op
 
 NUM_CPUS = 8
 PAGE = 1024

@@ -8,9 +8,10 @@ from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.invariants import check_machine
-from repro.sim.ops import OP_BARRIER, OP_READ, OP_WRITE, expand_op
+from repro.sim.ops import OP_BARRIER, OP_READ, OP_WRITE
 from repro.workloads.base import COALESCE_CHUNK, coalesce
 from repro.workloads.synthetic import PATTERNS, SyntheticWorkload
+from tests.conftest import expand_op
 
 NUM_CPUS = 8
 

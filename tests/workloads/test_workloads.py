@@ -9,8 +9,9 @@ import pytest
 
 from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
-                           OP_UNLOCK, OP_WRITE, expand_op)
+                           OP_UNLOCK, OP_WRITE)
 from repro.workloads import APPLICATIONS, make_workload
+from tests.conftest import expand_op
 
 NUM_CPUS = 8
 PAGE = 1024

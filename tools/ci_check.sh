@@ -144,6 +144,16 @@ grep -q 'p50=' "$workdir/kv.txt" || {
     echo "FAIL: kvstore --metrics reported no request latency" >&2
     exit 1
 }
+# A plain run fills a cache entry without a metrics snapshot; that
+# entry must not serve a later --metrics run (no silent downgrade).
+python -m repro run kvstore --preset tiny --cache-dir "$workdir/kvcache" \
+    > /dev/null
+python -m repro run kvstore --preset tiny --cache-dir "$workdir/kvcache" \
+    --metrics > "$workdir/kv-warm.txt"
+grep -q 'p50=' "$workdir/kv-warm.txt" || {
+    echo "FAIL: a plain cache entry served kvstore --metrics" >&2
+    exit 1
+}
 # One seeded 2PC chaos round, twice: verdicts must be acceptable and
 # the reports byte-identical.
 python -m repro chaos --test txn2pc --seed 11 --rounds 2 \

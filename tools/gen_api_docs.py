@@ -123,9 +123,12 @@ snapshot = registry.to_dict()          # JSON-safe, stable key order
 * **Campaign telemetry** — `Session(collect_metrics=True)` snapshots a
   fresh registry around every simulated cell; the snapshot lands on
   `RunResult.metrics` and rides along in the result cache (it is *not*
-  part of the cache key).  `Session.run_instrumented(spec, sink=...)`
-  runs one cell in-process with metrics and, optionally, a structured
-  event trace.  Render with `repro.harness.tables.metrics_table` or
+  part of the cache key).  A cached entry serves a session only if it
+  holds what the session collects.  `execute_spec` is the one cell
+  runner: it builds, observes, runs and closes every harness cell's
+  machine, and its `attach` hook takes the observers that need the
+  live machine (an event recorder, the barrier invariant walks).
+  Render with `repro.harness.tables.metrics_table` or
   export with `repro.harness.export.save_metrics` (`metrics.json`).
 * **Probe bus** — every observer of a machine registers callables on
   `machine.probes` (`repro.sim.probes`) at a fixed set of points:
