@@ -16,7 +16,7 @@ Quickstart::
     print(result.stats.summary())
 """
 
-from repro.core.modes import PageMode, parse_mode
+from repro.core.modes import PageMode
 from repro.core.policies import POLICY_NAMES, PageModePolicy, make_policy
 from repro.sim.config import (CacheConfig, MachineConfig, default_config,
                               paper_scale_config, tiny_config)
@@ -32,5 +32,5 @@ __all__ = [
     "MachineConfig", "MachineStats", "PAPER_TABLE1", "POLICY_NAMES",
     "PRESET_NAMES", "PageMode", "PageModePolicy", "RunResult",
     "default_config", "make_policy", "make_workload", "paper_latency_model",
-    "paper_scale_config", "parse_mode", "tiny_config",
+    "paper_scale_config", "tiny_config",
 ]

@@ -122,13 +122,6 @@ class Directory:
         """Directory of ``gpage``, if homed here."""
         return self._pages.get(gpage)
 
-    def line(self, gpage: int, line_in_page: int) -> "DirLine | None":
-        """One line's directory entry, if the page is homed here."""
-        page = self._pages.get(gpage)
-        if page is None:
-            return None
-        return page.lines[line_in_page]
-
     def remove_page(self, gpage: int) -> DirectoryPage:
         """Detach a page's directory (page-out or home migration)."""
         return self._pages.pop(gpage)

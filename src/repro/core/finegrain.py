@@ -59,11 +59,6 @@ class FineGrainTags:
         the Invalid count to pick demotion victims)."""
         return self.tags.count(int(tag))
 
-    def lines_in(self, tag: Tag) -> "list[int]":
-        """Line indices currently in ``tag`` state."""
-        value = int(tag)
-        return [i for i, t in enumerate(self.tags) if t == value]
-
     def __len__(self) -> int:
         return len(self.tags)
 

@@ -49,28 +49,8 @@ class PageMode(IntEnum):
         return self in (PageMode.LOCAL, PageMode.SCOMA)
 
     @property
-    def is_imaginary(self) -> bool:
-        """Is this the imaginary (LA-NUMA) frame kind?"""
-        return self == PageMode.LANUMA
-
-    @property
     def is_remote_backed(self) -> bool:
         """Is the frame's data held at the (remote) home — i.e. no
         local page-cache copy exists for the controller to consult?"""
         return self in (PageMode.LANUMA, PageMode.CCNUMA)
 
-
-def parse_mode(name: str) -> PageMode:
-    """Parse a mode name like ``"scoma"`` or ``"la-numa"``."""
-    key = name.strip().lower().replace("-", "").replace("_", "")
-    table = {
-        "local": PageMode.LOCAL,
-        "scoma": PageMode.SCOMA,
-        "lanuma": PageMode.LANUMA,
-        "command": PageMode.COMMAND,
-        "ccnuma": PageMode.CCNUMA,
-    }
-    try:
-        return table[key]
-    except KeyError:
-        raise ValueError("unknown page mode %r" % name) from None

@@ -18,7 +18,7 @@ invalidations arriving at client nodes take the hash path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.finegrain import FineGrainTags, Tag
 from repro.core.modes import PageMode
@@ -45,10 +45,6 @@ class PitEntry:
     #: Optional capability list for the memory-firewall extension; None
     #: means "no filtering".
     allowed_writers: "set[int] | None" = None
-
-    def touch(self, line_in_page: int) -> None:
-        """Mark a line as accessed (Table 3 utilization probe)."""
-        self.touched |= 1 << line_in_page
 
     def touched_lines(self) -> int:
         """How many distinct lines were ever accessed."""

@@ -186,10 +186,6 @@ class ChaosReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def verdicts(self) -> "list[str]":
-        """Per-run verdicts in campaign order (the reproducibility key)."""
-        return [r.verdict for r in self.runs]
-
     def summary(self) -> str:
         """Stable multi-line report: every run, then the tally."""
         counts: "dict[str, int]" = {}

@@ -12,12 +12,11 @@ See EXPERIMENTS.md for the paper-vs-measured record produced with the
 
 from __future__ import annotations
 
-from repro.harness.figures import figure7_ascii, figure7_series, figure7_table
+from repro.harness.figures import figure7_ascii, figure7_table
 from repro.harness.compare import (CampaignDiff, Delta,
                                    compare_campaigns)
-from repro.harness.export import (campaign_to_dict, figure7_csv,
-                                  load_campaign, metrics_to_dict,
-                                  result_to_dict, runs_csv, save_campaign,
+from repro.harness.export import (campaign_to_dict, load_campaign,
+                                  metrics_to_dict, save_campaign,
                                   save_metrics, suite_to_dict)
 from repro.harness.report import CampaignProgress
 from repro.harness.runner import (PAPER_POLICIES, SuiteResult,
@@ -70,10 +69,9 @@ __all__ = [
     "ExperimentSpec", "PAPER_POLICIES", "ResultCache", "Session",
     "SuiteResult", "SweepResult", "compare_campaigns",
     "cache_fraction_sweep", "campaign_to_dict", "derive_page_cache_caps",
-    "figure7_ascii", "figure7_csv", "figure7_series", "figure7_table",
+    "figure7_ascii", "figure7_table",
     "load_campaign", "metrics_table", "metrics_to_dict",
-    "pit_sensitivity", "render_sweep", "result_to_dict",
-    "run_paper_evaluation",
-    "runs_csv", "save_campaign", "save_metrics", "suite_to_dict",
+    "pit_sensitivity", "render_sweep", "run_paper_evaluation",
+    "save_campaign", "save_metrics", "suite_to_dict",
     "table1", "table2", "table3", "table4", "table5",
 ]

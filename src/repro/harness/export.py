@@ -1,7 +1,6 @@
-"""Result persistence: serialize runs and campaigns to JSON / CSV.
+"""Result persistence: serialize campaigns and metrics to JSON.
 
-``result_to_dict`` flattens one :class:`~repro.sim.machine.RunResult`;
-``suite_to_dict`` covers a policy suite; ``save_campaign`` /
+``suite_to_dict`` flattens a policy suite; ``save_campaign`` /
 ``load_campaign`` persist a whole Figure 7 campaign so EXPERIMENTS.md
 numbers can be re-rendered without re-simulating.
 """
@@ -11,29 +10,6 @@ from __future__ import annotations
 import json
 
 from repro.sim.machine import RunResult
-from repro.sim.stats import field_dict
-
-
-def result_to_dict(result: RunResult) -> "dict[str, object]":
-    """Flatten a run result (config geometry + headline + per-node)."""
-    stats = result.stats
-    cfg = result.config
-    return {
-        "workload": result.workload,
-        "policy": result.policy,
-        "config": {
-            "num_nodes": cfg.num_nodes,
-            "cpus_per_node": cfg.cpus_per_node,
-            "page_bytes": cfg.page_bytes,
-            "line_bytes": cfg.line_bytes,
-            "l1_bytes": cfg.l1.size_bytes,
-            "l2_bytes": cfg.l2.size_bytes,
-            "page_cache_frames": cfg.page_cache_frames,
-        },
-        "summary": stats.summary(),
-        "nodes": [field_dict(n) for n in stats.nodes],
-        "cpus": [field_dict(c) for c in stats.cpus],
-    }
 
 
 def suite_to_dict(suite) -> "dict[str, object]":
@@ -90,31 +66,3 @@ def save_metrics(results: "list[RunResult]", path: str) -> None:
     with open(path, "w") as fh:
         json.dump(metrics_to_dict(results), fh, indent=2, sort_keys=True)
 
-
-def figure7_csv(suites) -> str:
-    """Figure 7's series as CSV (one row per application)."""
-    policies = sorted({p for s in suites.values() for p in s.results})
-    lines = ["application," + ",".join(policies)]
-    for app, suite in suites.items():
-        cells = [app]
-        for policy in policies:
-            if policy in suite.results:
-                cells.append("%.4f" % suite.normalized_time(policy))
-            else:
-                cells.append("")
-        lines.append(",".join(cells))
-    return "\n".join(lines)
-
-
-def runs_csv(results: "list[RunResult]") -> str:
-    """Headline stats of many runs as CSV."""
-    if not results:
-        return ""
-    keys = sorted(results[0].stats.summary())
-    lines = ["workload,policy," + ",".join(keys)]
-    for result in results:
-        summary = result.stats.summary()
-        lines.append(",".join(
-            [result.workload, result.policy]
-            + [str(summary[k]) for k in keys]))
-    return "\n".join(lines)

@@ -2,8 +2,8 @@
 
 The paper's Figure 7 plots, for each application, the execution time of
 the six page-mode policies normalized to SCOMA (the infinite-page-cache
-optimum).  ``figure7`` returns both the numeric series and an ASCII bar
-rendering.
+optimum).  ``figure7_table`` renders the numbers and ``figure7_ascii``
+the bars.
 """
 
 from __future__ import annotations
@@ -11,16 +11,6 @@ from __future__ import annotations
 from repro.harness import paperdata
 from repro.harness.report import TextTable
 from repro.harness.runner import PAPER_POLICIES
-
-
-def figure7_series(suites) -> "dict[str, dict[str, float]]":
-    """{app: {policy: normalized_time}} with SCOMA = 1.0."""
-    series: "dict[str, dict[str, float]]" = {}
-    for app, suite in suites.items():
-        series[app] = {}
-        for policy in suite.results:
-            series[app][policy] = suite.normalized_time(policy)
-    return series
 
 
 def figure7_table(suites) -> TextTable:

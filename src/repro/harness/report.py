@@ -120,10 +120,3 @@ def _numeric(text: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def ratio(ours: float, paper: float) -> str:
-    """Format an ours-vs-paper ratio for shape comparison."""
-    if paper == 0:
-        return "n/a"
-    return "%.2fx" % (ours / paper)

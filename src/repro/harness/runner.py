@@ -8,10 +8,7 @@ and reuses them for every capped policy.
 
 Experiments are run through the
 :class:`~repro.harness.session.ExperimentSpec` +
-:class:`~repro.harness.session.Session` API (the free functions
-``run_one`` / ``run_suite`` / ``run_all_suites`` that used to live
-here were deprecated in the parallel-harness change and have been
-removed).
+:class:`~repro.harness.session.Session` API.
 """
 
 from __future__ import annotations

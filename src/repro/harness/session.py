@@ -118,10 +118,6 @@ class ExperimentSpec:
                                sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def label(self) -> str:
-        """Short human-readable cell name for progress lines."""
-        return "%s/%s" % (self.workload, self.policy)
-
 
 def execute_spec(spec: ExperimentSpec, collect_metrics: bool = False,
                  trace_cells: bool = False, attach=None) -> RunResult:

@@ -84,10 +84,6 @@ class SequenceTracker:
         self._accepted[link] = seq
         return True
 
-    def seen(self, src: int, dst: int, seq: int) -> bool:
-        """Would :meth:`accept` reject this stamp? (no side effects)."""
-        return seq <= self._accepted.get((src, dst), -1)
-
 
 class MessageLog:
     """Per-node counters of protocol messages sent, by kind."""

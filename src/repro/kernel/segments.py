@@ -16,7 +16,7 @@ robin across the nodes, as in the paper's experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.interconnect.messages import MessageKind, MessageLog
 
@@ -78,10 +78,6 @@ class GlobalIpcServer:
             raise KeyError("no global segment with gsid %d" % gsid)
         seg.attach_count += 1
         return seg
-
-    def segment(self, gsid: int) -> "GlobalSegment | None":
-        """Look a segment up by GSID."""
-        return self._segments_by_gsid.get(gsid)
 
     def home_of(self, gpage: int) -> int:
         """Static home node of a global page: round robin (section 4.2)."""
@@ -155,8 +151,3 @@ class AddressSpaceLayout:
     def is_mapped(self, vpage: int) -> bool:
         """Is ``vpage`` inside any attached region?"""
         return vpage in self._vpage_to_gpage or vpage in self._private_vpages
-
-    @property
-    def total_shared_pages(self) -> int:
-        """Shared (globally backed) pages in the layout."""
-        return len(self._vpage_to_gpage)

@@ -290,66 +290,6 @@ class NodeKernel:
             self.node.stats.mode_demotions += 1
         return now + cost
 
-    def page_out_home(self, gpage: int, now: int) -> int:
-        """Page a *home* page out (section 3.3's home-node page-out).
-
-        The home requests every client to page out its copy and write
-        modified data back, waits for all acknowledgements, writes the
-        page "to disk", and removes the translation.  Returns the
-        completion time.
-        """
-        node = self.node
-        dir_page = node.directory.page(gpage)
-        if dir_page is None:
-            raise KeyError("gpage %d is not homed at node %d"
-                           % (gpage, node.node_id))
-        machine = self.machine
-        lat = self.lat
-
-        # Ask every client to page out; their flushes write dirty data
-        # back and clear the directory.  The home blocks on the acks.
-        last_ack = now
-        for client_id in sorted(dir_page.clients):
-            client = machine.nodes[client_id]
-            node.msglog.record(MessageKind.PAGE_OUT_REQ)
-            arrival = machine.network.send(node.node_id, client_id, now,
-                                           MessageKind.PAGE_OUT_REQ)
-            entry = client.pit.entry_for_gpage(gpage)
-            done = arrival + lat.pageout_kernel
-            if entry is not None:
-                done = client.kernel.page_out_client(entry.frame, arrival)
-            client.msglog.record(MessageKind.PAGE_OUT_ACK)
-            ack = machine.network.send(client_id, node.node_id, done,
-                                       MessageKind.PAGE_OUT_ACK)
-            if ack > last_ack:
-                last_ack = ack
-        dir_page.clients.clear()
-
-        # Reset any home-page-status flags (section 3.3): clients must
-        # contact us again on their next fault.
-        for other in machine.nodes:
-            if other.node_id != node.node_id:
-                node.msglog.record(MessageKind.STATUS_RESET)
-                other.kernel.home_status.discard(gpage)
-
-        # Flush home CPU caches, tear down translations, free the frame.
-        frame = dir_page.home_frame
-        entry = node.pit.entry_or_none(frame)
-        base = frame * machine.config.lines_per_page
-        for lip in range(machine.config.lines_per_page):
-            node.controller._drop_local_copies(base + lip)
-        vpage = self._vpage_of_frame.pop(frame, None)
-        if vpage is not None:
-            self.page_table.pop(vpage, None)
-            for cpu in node.cpus:
-                cpu.tlb.invalidate(vpage)
-        node.pit.remove(frame)
-        machine.retire_frame_utilization(entry)
-        node.directory.remove_page(gpage)
-        node.pools.free(frame)
-        node.stats.home_page_outs += 1
-        return last_ack + lat.pageout_kernel
-
     def note_lanuma_refetch(self, entry) -> None:
         """Count a remote fetch on a LA-NUMA page; queue a promotion if
         the policy supports it and the page is refetch-heavy

@@ -57,8 +57,9 @@ class NodeMemory:
     """Local DRAM of one node, as a latency/occupancy model.
 
     Data contents are not simulated — only residency and timing.  The
-    memory services uncached reads for Local and S-COMA frames and
-    absorbs write-backs.
+    memory services uncached reads for Local and S-COMA frames (the
+    machine's miss path charges them on ``port`` inline) and absorbs
+    write-backs.
     """
 
     __slots__ = ("node_id", "port", "lat", "reads", "writes")
@@ -69,11 +70,6 @@ class NodeMemory:
         self.port = Resource("node%d.dram" % node_id)
         self.reads = 0
         self.writes = 0
-
-    def read(self, now: int) -> int:
-        """Uncached line read from local DRAM; returns completion time."""
-        self.reads += 1
-        return self.port.acquire(now, self.lat.local_memory)
 
     def write(self, now: int) -> int:
         """Line write-back into local DRAM.  Write-backs are buffered in

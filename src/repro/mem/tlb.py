@@ -15,13 +15,14 @@ from collections import OrderedDict
 class Tlb:
     """Fully-associative LRU TLB of ``entries`` translations.
 
-    ``last_vpage``/``last_frame`` memoize the most recent translation
-    as plain attributes, so the simulator's reference loop resolves the
-    dominant same-page case without a method call.  The memo is only
-    ever a copy of the MRU entry: :meth:`lookup`/:meth:`insert` refresh
-    it and :meth:`invalidate`/:meth:`flush` clear it, so consulting it
-    is indistinguishable (including final LRU order) from calling
-    :meth:`lookup`.
+    The machine's reference path looks translations up inline: a hit
+    on ``_map`` moves the page to the MRU end.  ``last_vpage`` and
+    ``last_frame`` memoize the most recent translation as plain
+    attributes, so that path resolves the dominant same-page case
+    without a dict lookup.  The memo is only ever a copy of the MRU
+    entry: a hit and :meth:`insert` refresh it and :meth:`invalidate`
+    clears it, so consulting it is indistinguishable (including final
+    LRU order) from a lookup.
     """
 
     __slots__ = ("entries", "_map", "last_vpage", "last_frame")
@@ -33,16 +34,6 @@ class Tlb:
         self._map: "OrderedDict[int, int]" = OrderedDict()
         self.last_vpage = -1
         self.last_frame = -1
-
-    def lookup(self, vpage: int) -> "int | None":
-        """Frame backing ``vpage``, or ``None`` on a TLB miss."""
-        frame = self._map.get(vpage)
-        if frame is None:
-            return None
-        self._map.move_to_end(vpage)
-        self.last_vpage = vpage
-        self.last_frame = frame
-        return frame
 
     def insert(self, vpage: int, frame: int) -> None:
         """Install a translation, evicting the LRU entry if full."""
@@ -61,11 +52,6 @@ class Tlb:
         if vpage == self.last_vpage:
             self.last_vpage = -1
         return self._map.pop(vpage, None) is not None
-
-    def flush(self) -> None:
-        """Drop every translation."""
-        self.last_vpage = -1
-        self._map.clear()
 
     def __contains__(self, vpage: int) -> bool:
         return vpage in self._map

@@ -6,7 +6,7 @@ Three substrates, all strictly opt-in:
   log-bucket histograms and bounded time series, organized as labeled
   families in a :class:`MetricsRegistry`;
 * **Events** (:mod:`repro.obs.events`) — a typed, ordered, ring-buffered
-  structured-event sink with JSONL/CSV export and schema validation;
+  structured-event sink with JSONL export and schema validation;
 * **Causal tracing** (:mod:`repro.obs.tracing`) — span trees following
   each coherence transaction end to end, with deterministic ids, an
   exact critical-path latency breakdown, and JSONL / Chrome trace
@@ -43,13 +43,13 @@ from repro.obs.registry import (LATENCY_BUCKETS_CYCLES,
                                 TIME_BUCKETS_SECONDS, Counter, Gauge,
                                 Histogram, MetricsRegistry, Series,
                                 find_metrics, metric_key, parse_key,
-                                quantile, series_quantile)
+                                quantile)
 
 __all__ = [
     "EVENT_SCHEMA", "EventSink", "LATENCY_BUCKETS_CYCLES",
     "TIME_BUCKETS_SECONDS", "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "Series", "collecting", "current", "find_metrics",
-    "metric_key", "parse_key", "quantile", "series_quantile",
+    "metric_key", "parse_key", "quantile",
     "validate_event", "validate_jsonl",
 ]
 

@@ -6,7 +6,7 @@ race detection over DSM event logs — needs).  Every event is a plain
 dict carrying a process-monotonic sequence number and a ``kind`` from
 :data:`EVENT_SCHEMA`; the sink is a bounded ring buffer (oldest events
 are overwritten, with an accurate ``dropped`` count) and exports JSONL
-(one event per line, sorted keys) or CSV (one section per kind).
+(one event per line, sorted keys).
 
 This is the one event store of the simulator.  Producers:
 :class:`~repro.sim.trace.TraceRecorder`, whose ``machine.probes``
@@ -84,11 +84,6 @@ class EventSink:
         """The retained events, oldest first."""
         return list(self._buffer)
 
-    @property
-    def emitted(self) -> int:
-        """Total events ever emitted (retained + dropped)."""
-        return self._seq
-
     def summary(self) -> "dict[str, int]":
         """Retained-event counts by kind, plus the dropped count."""
         counts: "dict[str, int]" = {}
@@ -110,20 +105,6 @@ class EventSink:
             if text:
                 fh.write(text + "\n")
         return len(self._buffer)
-
-    def to_csv(self) -> str:
-        """Retained events as CSV, one section per event kind."""
-        lines = []
-        for kind in sorted(EVENT_SCHEMA):
-            events = [e for e in self._buffer if e["kind"] == kind]
-            if not events:
-                continue
-            fields = ["seq"] + sorted(EVENT_SCHEMA[kind])
-            lines.append("# %s" % kind)
-            lines.append(",".join(fields))
-            for event in events:
-                lines.append(",".join(str(event.get(f, "")) for f in fields))
-        return "\n".join(lines)
 
 
 def validate_event(event: "dict[str, object]",

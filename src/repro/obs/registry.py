@@ -25,7 +25,6 @@ registry is installed — the hot path pays one ``None`` check.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import ceil
 
 #: Default latency buckets (cycles): log2 scale from 1 to 64Ki.  Covers
 #: L1 hits (1-2 cy) through contended multi-party faults (tens of
@@ -291,23 +290,3 @@ def quantile(hist: "dict[str, object]", q: float):
             return bound
     return buckets[-1]
 
-
-def series_quantile(points: "list[list]", q: float):
-    """Exact q-quantile of a series snapshot's sample values.
-
-    ``points`` is the ``[[time, value], ...]`` list of a
-    :class:`Series` snapshot.  Nearest-rank on the sorted values:
-    an empty series reports 0, a single sample reports that sample,
-    and all-equal samples report the common value at every q.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1], got %r" % q)
-    values = sorted(p[1] for p in points)
-    if not values:
-        return 0
-    rank = int(ceil(q * len(values)))
-    if rank < 1:
-        rank = 1
-    if rank > len(values):
-        rank = len(values)
-    return values[rank - 1]

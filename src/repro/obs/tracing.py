@@ -103,10 +103,6 @@ class Span:
         self.end = end
         self.attrs = attrs
 
-    @property
-    def duration(self):
-        return self.end - self.begin
-
     def to_dict(self) -> dict:
         """JSON-safe dict matching :data:`SPAN_SCHEMA` (hex ids)."""
         return {

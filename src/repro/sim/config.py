@@ -120,18 +120,9 @@ class MachineConfig:
             raise ValueError("L2 must be at least as large as L1 (inclusive)")
 
     @property
-    def num_cpus(self) -> int:
-        """Total processors (nodes x CPUs per node)."""
-        return self.num_nodes * self.cpus_per_node
-
-    @property
     def lines_per_page(self) -> int:
         """Cache lines per page (the fine-grain tag count)."""
         return self.page_bytes // self.line_bytes
-
-    def with_policy_limits(self, page_cache_frames: "int | None") -> "MachineConfig":
-        """Copy of this config with a different page-cache capacity."""
-        return replace(self, page_cache_frames=page_cache_frames)
 
     def to_dict(self) -> "dict[str, object]":
         """The full configuration as nested plain dicts (JSON-safe).

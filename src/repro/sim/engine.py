@@ -44,10 +44,6 @@ class Resource:
         self.acquisitions += 1
         return end
 
-    def peek_wait(self, now: int) -> int:
-        """Cycles a request arriving at ``now`` would wait before use."""
-        return self.next_free - now if self.next_free > now else 0
-
     def utilization(self, total_cycles: int) -> float:
         """Busy fraction of the resource over ``total_cycles``.
 
@@ -134,11 +130,6 @@ class SchedulePerturbation:
         value = self.net_jitter[self._hop % len(self.net_jitter)]
         self._hop += 1
         return value
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when the schedule perturbs nothing."""
-        return not any(self.cpu_offsets) and not any(self.net_jitter)
 
     @classmethod
     def random(cls, rng, num_cpus: int, max_cpu_skew: int = 2000,
@@ -253,6 +244,3 @@ class LockTable:
         del self._holder[lock_id]
         return None
 
-    def holder(self, lock_id: int) -> "int | None":
-        """The CPU currently holding ``lock_id``, if any."""
-        return self._holder.get(lock_id)

@@ -119,11 +119,6 @@ class RunResult:
     #: ``repro.obs``), or None when observability was disabled.
     metrics: "dict[str, object] | None" = None
 
-    @property
-    def execution_cycles(self) -> int:
-        """Wall-clock cycles of the parallel phase."""
-        return self.stats.execution_cycles
-
 
 class Machine:
     """A simulated PRISM machine."""
@@ -529,8 +524,8 @@ class Machine:
             # exact.
             frame = tlb.last_frame
         else:
-            # Tlb.lookup spelled out inline (same LRU touch and memo
-            # refresh) — one call less per new-page reference.
+            # The TLB lookup, inline: a hit moves the page to the MRU
+            # end and refreshes the memo.
             frame = tlb._map.get(vpage)
             if frame is not None:
                 tlb._map.move_to_end(vpage)

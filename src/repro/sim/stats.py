@@ -44,6 +44,10 @@ class NodeStats:
     page_faults_local_home: int = 0
     page_faults_remote_home: int = 0
     client_page_outs: int = 0
+    # Always 0: home pages stay resident under every evaluated policy,
+    # and section 3.3's home page-out is not modelled.  Kept, with
+    # pit_lookups below, because the benchmark digests hash
+    # MachineStats.to_dict() against the frozen bench/reference.
     home_page_outs: int = 0
     mode_demotions: int = 0      # S-COMA frame converted to LA-NUMA mode
     mode_promotions: int = 0     # LA-NUMA page converted back to S-COMA
@@ -62,6 +66,8 @@ class NodeStats:
     interventions_received: int = 0
 
     # PIT.
+    # Never incremented: the live count is node.pit.lookups.  Kept for
+    # the MachineStats.to_dict() digests (see home_page_outs).
     pit_lookups: int = 0
     pit_hash_lookups: int = 0
 

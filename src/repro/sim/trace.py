@@ -13,7 +13,7 @@ and node failures.  Tracing is opt-in — an ``access`` probe sits on
 the per-reference path, so expect a run to slow down while recording.
 
 The sink is the one event store: a bounded ring buffer with monotonic
-sequence numbers, an exact ``dropped`` count and JSONL/CSV export — the
+sequence numbers, an exact ``dropped`` count and JSONL export — the
 substrate behind the CLI's ``run --trace-out FILE``::
 
     from repro.obs.events import EventSink
@@ -95,23 +95,3 @@ class TraceRecorder:
 
     def _node_fail(self, node_id, now):
         self.sink.emit("node_fail", time=now, node=node_id)
-
-    # -- reporting -----------------------------------------------------------
-
-    def accesses(self) -> "list[dict]":
-        """The retained access events, in order."""
-        return [e for e in self.sink.events if e["kind"] == "access"]
-
-    def latency_histogram(self, buckets=(2, 15, 100, 700, 2500)) -> "dict[str, int]":
-        """Bucket access latencies (cycles): hits, L2, local, remote,
-        fault-ish, contended."""
-        labels = ["<=%d" % b for b in buckets] + [">%d" % buckets[-1]]
-        hist = dict.fromkeys(labels, 0)
-        for event in self.accesses():
-            for bound, label in zip(buckets, labels):
-                if event["latency"] <= bound:
-                    hist[label] += 1
-                    break
-            else:
-                hist[labels[-1]] += 1
-        return hist

@@ -66,11 +66,6 @@ class Thread:
         """Planned store values, in program order."""
         return tuple(op[2] for op in self.ops if op[0] == "st")
 
-    @property
-    def num_loads(self) -> int:
-        """Loads (= registers) this thread binds."""
-        return sum(1 for op in self.ops if op[0] == "ld")
-
 
 @dataclass(frozen=True)
 class LitmusTest:

@@ -64,11 +64,6 @@ class SharedArray:
         return (OP_WRITE_RUN, self.vbase + index * self.elem_bytes,
                 stride * self.elem_bytes, count)
 
-    @property
-    def size_bytes(self) -> int:
-        """Total segment size."""
-        return self.num_elems * self.elem_bytes
-
 
 class PrivateArray:
     """A per-CPU private array (node-local memory, Local-mode frames)."""
@@ -81,10 +76,6 @@ class PrivateArray:
         self.elem_bytes = elem_bytes
         self.num_elems = num_elems
 
-    def addr(self, index: int) -> int:
-        """Virtual address of element ``index``."""
-        return self.vbase + index * self.elem_bytes
-
     def read(self, index: int) -> "tuple[int, int]":
         """A load op for element ``index``."""
         return (OP_READ, self.vbase + index * self.elem_bytes)
@@ -92,20 +83,6 @@ class PrivateArray:
     def write(self, index: int) -> "tuple[int, int]":
         """A store op for element ``index``."""
         return (OP_WRITE, self.vbase + index * self.elem_bytes)
-
-    def read_run(self, index: int, count: int,
-                 stride: int = 1) -> "tuple[int, int, int, int]":
-        """A block-load op: ``count`` loads starting at element
-        ``index``, ``stride`` elements apart."""
-        return (OP_READ_RUN, self.vbase + index * self.elem_bytes,
-                stride * self.elem_bytes, count)
-
-    def write_run(self, index: int, count: int,
-                  stride: int = 1) -> "tuple[int, int, int, int]":
-        """A block-store op: ``count`` stores starting at element
-        ``index``, ``stride`` elements apart."""
-        return (OP_WRITE_RUN, self.vbase + index * self.elem_bytes,
-                stride * self.elem_bytes, count)
 
 
 class Workload:

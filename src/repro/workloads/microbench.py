@@ -88,12 +88,6 @@ class LatencyProbe:
 
     # -- Table 1 probes ---------------------------------------------------
 
-    def probe_l1_hit(self) -> int:
-        """A plain L1 hit (1 cycle)."""
-        vaddr = self.private.vbase
-        self.access(0, vaddr)          # fault + cold miss
-        return self.access(0, vaddr)   # L1 hit
-
     def probe_l2_hit(self) -> int:
         """L1 miss, L2 hit: evict a line from L1 (2-way) with two
         same-L1-set lines from other pages, then re-access it."""

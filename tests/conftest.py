@@ -12,9 +12,10 @@ from repro.sim.ops import OP_READ, OP_READ_RUN, OP_WRITE, OP_WRITE_RUN
 GAP = 1_000_000
 
 
-# The machine and CacheHierarchy work on a cache's ``flat`` dict and
-# per-set ``_sets`` LRU lists inline; these helpers spell out the same
-# per-level operations for tests and reference models.
+# The machine and CacheHierarchy work inline on a cache's ``flat`` dict
+# and per-set ``_sets`` LRU lists, a TLB's ``_map`` and a node memory's
+# ``port``; these helpers spell out the same operations for tests and
+# reference models.
 
 def lookup(cache, line):
     """State of ``line`` in one cache level; a hit moves the line to
@@ -51,6 +52,32 @@ def remove(cache, line):
         return LineState.INVALID
     cache._sets[line % cache.num_sets].remove(line)
     return state
+
+
+def memory_read(memory, now):
+    """Uncached line read from a node's DRAM at the latency model's
+    ``local_memory``; returns the completion time."""
+    memory.reads += 1
+    return memory.port.acquire(now, memory.lat.local_memory)
+
+
+def tlb_lookup(tlb, vpage):
+    """Frame backing ``vpage``, or ``None`` on a TLB miss; a hit makes
+    the page MRU and refreshes the memo, as the machine's reference
+    path does."""
+    frame = tlb._map.get(vpage)
+    if frame is None:
+        return None
+    tlb._map.move_to_end(vpage)
+    tlb.last_vpage = vpage
+    tlb.last_frame = frame
+    return frame
+
+
+def tlb_flush(tlb):
+    """Drop every translation."""
+    tlb.last_vpage = -1
+    tlb._map.clear()
 
 
 def holders(presence, line):
@@ -174,7 +201,7 @@ class Harness:
     def dir_line(self, page_index: int, lip: int):
         gpage = self.gpage(page_index)
         home = self.machine.nodes[self.machine.dynamic_home_of(gpage)]
-        return home.directory.line(gpage, lip)
+        return home.directory.page(gpage).lines[lip]
 
 
 @pytest.fixture

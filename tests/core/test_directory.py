@@ -9,8 +9,8 @@ def test_create_and_lookup():
     d = Directory(0, lines_per_page=4, cache_entries=8)
     page = d.create_page(10, home_frame=3)
     assert d.page(10) is page
-    assert d.line(10, 2).state == DirState.HOME_EXCL
-    assert d.line(11, 0) is None
+    assert page.lines[2].state == DirState.HOME_EXCL
+    assert d.page(11) is None
     assert 10 in d
     assert len(d) == 1
 
@@ -32,7 +32,7 @@ def test_remove_and_adopt_moves_state():
     dst.adopt_page(moved, home_frame=7)
     assert 10 not in src
     assert dst.page(10).home_frame == 7
-    assert dst.line(10, 1).sharers == {2}
+    assert dst.page(10).lines[1].sharers == {2}
 
 
 def test_adopt_duplicate_rejected():

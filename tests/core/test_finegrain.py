@@ -27,13 +27,6 @@ def test_count():
     assert tags.count(Tag.TRANSIT) == 1
 
 
-def test_lines_in():
-    tags = FineGrainTags(6)
-    tags.set(1, Tag.SHARED)
-    tags.set(4, Tag.SHARED)
-    assert tags.lines_in(Tag.SHARED) == [1, 4]
-
-
 def test_len_and_iter():
     tags = FineGrainTags(12)
     assert len(tags) == 12

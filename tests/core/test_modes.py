@@ -1,8 +1,6 @@
 """Unit tests for page frame modes."""
 
-import pytest
-
-from repro.core.modes import PageMode, parse_mode
+from repro.core.modes import PageMode
 
 
 def test_globality():
@@ -17,17 +15,4 @@ def test_reality():
     assert PageMode.LOCAL.is_real
     assert PageMode.SCOMA.is_real
     assert not PageMode.LANUMA.is_real
-    assert PageMode.LANUMA.is_imaginary
 
-
-def test_parse_mode_variants():
-    assert parse_mode("scoma") == PageMode.SCOMA
-    assert parse_mode("S-COMA") == PageMode.SCOMA
-    assert parse_mode("la_numa") == PageMode.LANUMA
-    assert parse_mode("LA-NUMA") == PageMode.LANUMA
-    assert parse_mode("ccnuma") == PageMode.CCNUMA
-
-
-def test_parse_mode_unknown():
-    with pytest.raises(ValueError):
-        parse_mode("coma")

@@ -126,8 +126,9 @@ class TestServingCampaign:
         first = ChaosCampaign(seed=11, rounds=4, tests=tests).run()
         second = ChaosCampaign(seed=11, rounds=4, tests=tests).run()
         assert first.summary() == second.summary()
-        assert first.verdicts() == second.verdicts()
-        assert all(v in Verdict.ACCEPTABLE for v in first.verdicts()), \
+        verdicts = [r.verdict for r in first.runs]
+        assert verdicts == [r.verdict for r in second.runs]
+        assert all(v in Verdict.ACCEPTABLE for v in verdicts), \
             first.summary()
 
     def test_scenarios_registry(self):

@@ -1,14 +1,11 @@
 """Tests for result serialization."""
 
-import json
-
 import pytest
 
 import repro
-from repro.harness.export import (campaign_to_dict, figure7_csv,
-                                  load_campaign, result_to_dict, runs_csv,
+from repro.harness.export import (campaign_to_dict, load_campaign,
                                   save_campaign, suite_to_dict)
-from repro.harness.session import ExperimentSpec, Session
+from repro.harness.session import Session
 
 
 @pytest.fixture(scope="module")
@@ -16,17 +13,6 @@ def suite():
     return Session().run_workload_suite(
         "water-spa", policies=("scoma", "lanuma"), preset="tiny",
         config=repro.tiny_config())
-
-
-def test_result_round_trips_through_json(suite):
-    flat = result_to_dict(suite.results["scoma"])
-    blob = json.dumps(flat)
-    back = json.loads(blob)
-    assert back["workload"] == "water-spa"
-    assert back["policy"] == "scoma"
-    assert back["summary"]["execution_cycles"] > 0
-    assert len(back["nodes"]) == 2
-    assert len(back["cpus"]) == 4
 
 
 def test_suite_to_dict(suite):
@@ -43,22 +29,3 @@ def test_save_and_load_campaign(suite, tmp_path):
     assert back["water-spa"]["policies"]["lanuma"]["execution_cycles"] > 0
     assert back == campaign_to_dict({"water-spa": suite})
 
-
-def test_figure7_csv(suite):
-    csv = figure7_csv({"water-spa": suite})
-    lines = csv.splitlines()
-    assert lines[0] == "application,lanuma,scoma"
-    assert lines[1].startswith("water-spa,")
-
-
-def test_runs_csv():
-    result = Session().run(ExperimentSpec("water-spa", "scoma",
-                                          preset="tiny",
-                                          config=repro.tiny_config()))
-    csv = runs_csv([result])
-    assert csv.splitlines()[0].startswith("workload,policy,")
-    assert "water-spa,scoma," in csv
-
-
-def test_runs_csv_empty():
-    assert runs_csv([]) == ""

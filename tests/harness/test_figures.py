@@ -1,15 +1,14 @@
 """Coverage for the Figure 7 renderers (repro.harness.figures).
 
 Builds a real two-app campaign at the tiny preset, then smoke-renders
-every figure form — numeric series, text table, ASCII bars — and writes
+every figure form — text table, ASCII bars — and writes
 the rendered artifacts to a temp dir, asserting each lands on disk
 non-empty.
 """
 
 import pytest
 
-from repro.harness.figures import (figure7_ascii, figure7_series,
-                                   figure7_table)
+from repro.harness.figures import figure7_ascii, figure7_table
 from repro.harness.session import Session
 
 APPS = ("fft", "lu")
@@ -23,13 +22,13 @@ def suites():
 
 
 def test_series_is_normalized_to_scoma(suites):
-    series = figure7_series(suites)
-    assert set(series) == set(APPS)
+    assert set(suites) == set(APPS)
     for app in APPS:
-        assert set(series[app]) == set(POLICIES)
-        assert series[app]["scoma"] == 1.0
-        for value in series[app].values():
-            assert value > 0.0
+        suite = suites[app]
+        assert set(suite.results) == set(POLICIES)
+        assert suite.normalized_time("scoma") == 1.0
+        for policy in POLICIES:
+            assert suite.normalized_time(policy) > 0.0
 
 
 def test_table_renders_every_app_row(suites):
@@ -52,10 +51,6 @@ def test_ascii_chart_draws_bars_for_every_app(suites):
 
 def test_rendered_figures_land_on_disk(suites, tmp_path):
     outputs = {
-        "figure7_series.txt": "\n".join(
-            "%s %s %.4f" % (app, policy, value)
-            for app, row in sorted(figure7_series(suites).items())
-            for policy, value in sorted(row.items())),
         "figure7_table.txt": figure7_table(suites).render(),
         "figure7_ascii.txt": figure7_ascii(suites),
     }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.report import TextTable, ratio
+from repro.harness.report import TextTable
 
 
 def test_basic_render():
@@ -43,8 +43,3 @@ def test_str_equals_render():
     table = TextTable("T", ["a"])
     table.add_row(1)
     assert str(table) == table.render()
-
-
-def test_ratio_formatting():
-    assert ratio(150, 100) == "1.50x"
-    assert ratio(1, 0) == "n/a"

@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.harness.figures import figure7_ascii, figure7_series, figure7_table
+from repro.harness.figures import figure7_ascii, figure7_table
 from repro.harness.runner import CAPPED_POLICIES, derive_page_cache_caps
 from repro.harness.session import ExperimentSpec, Session
 from repro.harness.tables import table1, table2, table3, table4, table5
@@ -64,8 +64,7 @@ def test_capped_policies_list():
 
 
 def test_figure7_outputs(suites):
-    series = figure7_series(suites)
-    assert series["fft"]["scoma"] == 1.0
+    assert suites["fft"].normalized_time("scoma") == 1.0
     text = figure7_ascii(suites)
     assert "fft" in text and "dyn-lru" in text
     table = figure7_table(suites)

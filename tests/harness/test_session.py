@@ -188,7 +188,7 @@ class TestMetricsCollection:
             attach=lambda machine: TraceRecorder(machine,
                                                  sink=sink).__enter__())
         assert result.metrics is not None
-        assert sink.emitted > 0
+        assert sink.events
         for event in sink.events[:50]:
             validate_event(event)
         # Identical to an unobserved run.

@@ -2,6 +2,8 @@
 geometries far from the default (line size, page size, node counts,
 asymmetric caches)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim.config import CacheConfig, MachineConfig
@@ -36,7 +38,7 @@ def test_geometry(name, policy):
     cfg = GEOMETRIES[name]
     cap = 4 if policy == "dyn-lru" else None
     machine = Machine(
-        cfg.with_policy_limits(cap) if cap else cfg, policy=policy)
+        replace(cfg, page_cache_frames=cap) if cap else cfg, policy=policy)
     result = machine.run(make_workload("water-spa", "tiny"))
     assert result.stats.execution_cycles > 0
     assert check_machine(machine) == []

@@ -61,9 +61,12 @@ def test_layout_regions_do_not_overlap(ipc):
 
 def test_total_shared_pages(ipc):
     layout = AddressSpaceLayout(ipc, page_bytes=256)
-    layout.attach_shared(key=1, size_bytes=1024)
-    layout.attach_shared(key=2, size_bytes=256)
-    assert layout.total_shared_pages == 5
+    regions = [layout.attach_shared(key=1, size_bytes=1024),
+               layout.attach_shared(key=2, size_bytes=256)]
+    gpages = {layout.gpage_of(region.vbase // 256 + i)
+              for region in regions
+              for i in range(region.size_bytes // 256)}
+    assert len(gpages) == 5 and None not in gpages
 
 
 def test_oversize_reuse_rejected(ipc):

@@ -3,6 +3,8 @@
 from repro.mem.bus import MemoryBus, NodeMemory
 from repro.sim.latency import LatencyModel
 
+from tests.conftest import memory_read
+
 
 def test_bus_request_occupancy():
     lat = LatencyModel()
@@ -26,7 +28,7 @@ def test_bus_address_and_data_paths_independent():
 def test_memory_read_write_occupancy():
     lat = LatencyModel()
     mem = NodeMemory(0, lat)
-    t = mem.read(0)
+    t = memory_read(mem, 0)
     assert t == lat.local_memory
     t2 = mem.write(0)  # serialized behind the read
     assert t2 == lat.local_memory + lat.local_memory // 2

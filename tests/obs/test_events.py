@@ -20,7 +20,7 @@ def test_emit_assigns_monotonic_seq_and_kind():
                        mode="SCOMA", remote_home=True)
     assert (first["seq"], second["seq"]) == (0, 1)
     assert first["kind"] == "access"
-    assert sink.emitted == 2
+    assert len(sink.events) == 2
     assert sink.summary() == {"access": 1, "fault": 1, "dropped": 0}
 
 
@@ -35,7 +35,7 @@ def test_ring_buffer_keeps_newest_and_counts_drops():
     for t in range(10):
         access(sink, t)
     assert sink.dropped == 7
-    assert sink.emitted == 10
+    assert len(sink.events) + sink.dropped == 10
     assert [e["seq"] for e in sink.events] == [7, 8, 9]
 
 
@@ -79,15 +79,6 @@ def test_validate_event_checks_fields_and_types():
         validate_event(dict(good, demoted=1))
     with pytest.raises(ValueError, match="bad seq"):
         validate_event(dict(good, seq=-1))
-
-
-def test_csv_export_sections_per_kind():
-    sink = EventSink()
-    access(sink)
-    sink.emit("pageout", time=2, node=0, frame=1, demoted=False)
-    csv = sink.to_csv()
-    assert "# access" in csv and "# pageout" in csv
-    assert "seq,cpu,latency,time,vaddr,write" in csv
 
 
 def test_schema_covers_all_trace_event_kinds():

@@ -145,19 +145,3 @@ def test_quantile_edge_cases_are_defined_not_raised():
     hist.observe(3)
     assert hist.quantile(0.0) == hist.quantile(1.0) == 4
 
-
-def test_series_quantile_edge_cases():
-    from repro.obs import series_quantile
-
-    assert series_quantile([], 0.5) == 0
-    assert series_quantile([[10, 7]], 0.0) == 7
-    assert series_quantile([[10, 7]], 1.0) == 7
-    allequal = [[t, 3] for t in range(5)]
-    for q in (0.0, 0.5, 1.0):
-        assert series_quantile(allequal, q) == 3
-    spread = [[t, v] for t, v in enumerate((5, 1, 9, 3, 7))]
-    assert series_quantile(spread, 0.0) == 1
-    assert series_quantile(spread, 0.5) == 5
-    assert series_quantile(spread, 1.0) == 9
-    with pytest.raises(ValueError):
-        series_quantile(spread, 2.0)

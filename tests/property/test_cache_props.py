@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.mem.cache import CacheHierarchy, LineState
 from repro.sim.config import CacheConfig
 
-from tests.conftest import probe
+from tests.conftest import probe, tlb_lookup
 
 LINES = st.integers(min_value=0, max_value=63)
 STATES = st.sampled_from([LineState.SHARED, LineState.EXCLUSIVE,
@@ -99,10 +99,10 @@ def test_tlb_never_exceeds_capacity_and_keeps_mru(vpages, entries):
     from repro.mem.tlb import Tlb
     tlb = Tlb(entries)
     for vp in vpages:
-        if tlb.lookup(vp) is None:
+        if tlb_lookup(tlb, vp) is None:
             tlb.insert(vp, vp * 10)
         assert len(tlb) <= entries
-    assert tlb.lookup(vpages[-1]) == vpages[-1] * 10
+    assert tlb_lookup(tlb, vpages[-1]) == vpages[-1] * 10
 
 
 class ReferenceHierarchy:

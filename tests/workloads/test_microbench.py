@@ -32,7 +32,9 @@ def test_remote_rows_within_2pct(measured, row):
 
 def test_l1_hit_is_single_cycle():
     probe = LatencyProbe()
-    assert probe.probe_l1_hit() == 1
+    vaddr = probe.private.vbase
+    probe.access(0, vaddr)          # fault + cold miss
+    assert probe.access(0, vaddr) == 1
 
 
 def test_ordering_invariants(measured):

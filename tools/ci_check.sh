@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests + a 2-worker mini-campaign smoke test.
+# CI gate: every check a change must pass, in order, stopping at the
+# first failure.
 #
 # Usage: tools/ci_check.sh [extra pytest args...]
 #
-# The smoke test runs a real two-application campaign through the
-# parallel scheduler twice against a throwaway cache directory: the
-# first pass exercises the multiprocessing pool end-to-end, the second
-# must be served entirely from the result cache and its rendered output
-# must be byte-identical to the first.
+# The steps: tier-1 tests (with the 80% coverage floor when pytest-cov
+# is installed); the reach audit (tools/reach.py: every src/ function is
+# called by a job or listed with a reason); a 2-worker mini-campaign run
+# cold and then warm from the result cache, byte-identical; the
+# observability, causal-tracing, live-dashboard and serving smokes; the
+# exact tracing-overhead gate; the litmus suite and a fixed-seed fuzz
+# run; reproducible chaos campaigns, plain and traced; the benchmark
+# smoke and its exact gate against tools/bench_reference; the
+# wall-clock, cold-start and memory ceilings; and the benchmark's own
+# tests.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +30,13 @@ else
     echo "pytest-cov not installed; skipping the 80% coverage floor"
     python -m pytest -x -q "$@"
 fi
+
+echo "== reach audit: every src/ function is called by a job =="
+# Needs no package, so it runs with or without pytest-cov.  An unreached
+# function must be deleted or listed, with a reason, in
+# tools/reach_allowlist.txt; a listed function that a job now calls, or
+# that is gone, must leave the list.
+python tools/reach.py
 
 echo "== 2-worker mini-campaign smoke test =="
 workdir=$(mktemp -d)
@@ -105,7 +118,7 @@ assert "= duration" in report, "trace report lost the sum==duration check"
 print("tracing smoke: %d spans validated, chrome export OK" % spans)
 EOF
 
-echo "== tracing overhead gate (hot loop, 15% tolerance) =="
+echo "== tracing overhead gate (hot loop, exact calls per reference) =="
 python tools/trace_overhead.py
 
 echo "== protocol conformance: litmus suite + fixed-seed fuzz smoke =="

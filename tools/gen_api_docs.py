@@ -99,7 +99,7 @@ suites = session.run_campaign(("fft", "lu"), preset="small")
 (counters, gauges, log-bucket latency histograms, bounded utilization
 time series, all organized as labeled families like
 `core.protocol_messages{kind=READ_REQ,node=3}`) plus a structured-event
-sink with JSONL/CSV export.  Both are strictly opt-in.  Install, then
+sink with JSONL export.  Both are strictly opt-in.  Install, then
 build: `Machine.__init__` reads the installed registry and trace
 collector once (`machine.registry`, `machine.tracer`) and every
 component below the machine takes its handles from there.  With none

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Gate the causal-tracing overhead on a hit-dominated hot loop.
 
-Times one cell best-of-``ROUNDS`` untraced, then again under a
-:class:`~repro.obs.tracing.TraceCollector`, and exits 1 when the
-traced run is more than ``TOLERANCE`` slower.  The tracer only opens
-spans on slow paths — cache hits never touch it — so the cell is a
-warmed-up block sweep whose working set fits in cache (miss rate
-under 1%) on a 2-node, 2-CPU machine.  A cold-miss cell would instead
-measure per-transaction span cost, which tracing makes no claim about.
+Counts the Python calls per simulated reference of one cell under
+``sys.setprofile``, untraced and then under a
+:class:`~repro.obs.tracing.TraceCollector`, and exits 1 when tracing
+adds more than ``LIMIT`` calls per reference.  The tracer only opens
+spans on slow paths -- cache hits never touch it -- so the cell is a
+warmed-up block sweep whose working set fits in cache (miss rate under
+1%) on a 2-node, 2-CPU machine: its few misses add a fraction of a
+call per reference, while a tracer hook on every hit adds at least
+one.  The count is exact, so the gate reads the same on any host.
 
 Usage::
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from contextlib import nullcontext
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -29,16 +30,21 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.workloads.synthetic import SyntheticWorkload
 
-#: Timed rounds per arm; the best (minimum) wall time of each is kept.
-ROUNDS = 5
-#: Allowed traced-over-untraced slowdown.
-TOLERANCE = 0.15
+#: Allowed extra Python calls per simulated reference under tracing.
+LIMIT = 0.5
 
 CELL = "block-hot/scoma"
 
 
-def one(traced: bool) -> float:
-    """Wall seconds of one run of the cell, optionally traced."""
+def calls_per_ref(traced: bool) -> float:
+    """Python calls per simulated reference of one run of the cell."""
+    calls = 0
+
+    def hook(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
     scope = tracing.collecting(seed=0) if traced else nullcontext()
     with scope as collector:
         machine = Machine(MachineConfig(num_nodes=2, cpus_per_node=2,
@@ -47,30 +53,28 @@ def one(traced: bool) -> float:
         workload = SyntheticWorkload("block", shared_kb=8,
                                      refs_per_cpu_per_iter=2000,
                                      iterations=20)
-        start = time.perf_counter()
-        machine.run(workload)
-        wall = time.perf_counter() - start
+        try:
+            sys.setprofile(hook)
+            try:
+                references = machine.run(workload).stats.references
+            finally:
+                sys.setprofile(None)
+        finally:
+            machine.close()
     if traced:
         assert collector.finished > 0
-    return wall
+    return calls / references
 
 
 def main() -> int:
-    # Interleave the two arms (after one discarded warm-up each) so
-    # slow host phases depress both equally; best-of filters the rest.
-    one(False), one(True)
-    plain, traced = [], []
-    for _ in range(ROUNDS):
-        plain.append(one(False))
-        traced.append(one(True))
-    plain, traced = min(plain), min(traced)
-    slowdown = traced / plain
-    print("== tracing overhead gate (tolerance %.0f%%) ==" % (TOLERANCE * 100))
-    print("  %-20s untraced %8.3fs  traced %8.3fs  (%+.1f%%)"
-          % (CELL, plain, traced, (slowdown - 1.0) * 100))
-    if slowdown > 1.0 + TOLERANCE:
-        print("trace overhead: traced run is %.0f%% slower than untraced "
-              "(limit %.0f%%)" % ((slowdown - 1.0) * 100, TOLERANCE * 100))
+    plain, traced = calls_per_ref(False), calls_per_ref(True)
+    added = traced - plain
+    print("== tracing overhead gate (limit +%.1f calls/ref) ==" % LIMIT)
+    print("  %-20s untraced %.3f  traced %.3f calls/ref  (%+.3f)"
+          % (CELL, plain, traced, added))
+    if added > LIMIT:
+        print("trace overhead: tracing adds %.3f Python calls per "
+              "reference (limit %.1f)" % (added, LIMIT))
         return 1
     print("trace overhead: OK")
     return 0
