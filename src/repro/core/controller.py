@@ -111,9 +111,6 @@ class CoherenceController:
         else:
             self._obs_fetch = None
             self._obs_messages = None
-        # Causal tracing handle (None when the machine has no collector;
-        # every span site below pays one pointer test).
-        self._tracer = machine.tracer
 
     # ------------------------------------------------------------------
     # Client side.
@@ -132,7 +129,7 @@ class CoherenceController:
         node = self.node
         machine = self.machine
         gpage = entry.gpage
-        tracer = self._tracer
+        marks = machine.probes.mark
         # TRANSIT and the final grant are written straight into the tag
         # bytes: neither is a transition to Invalid, the only kind that
         # must go through FineGrainTags.set.
@@ -148,8 +145,9 @@ class CoherenceController:
         res = self.resource
         occ = self._lat_dispatch if pit_free else self._lat_dispatch_pit
         start = res.next_free if res.next_free > now else now
-        if tracer is not None and start > now:
-            tracer.add("ctrl_queue", "queue", node.node_id, now, start)
+        if marks and start > now:
+            for mark in marks:
+                mark("ctrl_queue", "queue", node.node_id, now, start)
         t = start + occ
         res.next_free = t
         res.busy_cycles += occ
@@ -183,14 +181,13 @@ class CoherenceController:
             home_id = true_home
         home = machine.nodes[home_id]
 
-        home_span = (tracer.begin("home_service", "home", home_id, t,
-                                  gpage=gpage)
-                     if tracer is not None else None)
+        for mark in marks:
+            mark("home_service", "home", home_id, t, None, gpage=gpage)
         t, sender_id, granted_excl = home.controller.home_service(
             node.node_id, gpage, lip, want_excl, has_copy,
             entry.home_frame, t, pit_free)
-        if home_span is not None:
-            tracer.end(home_span, t)
+        for mark in marks:
+            mark("home_service", "home", home_id, None, t)
 
         # Cache the home frame number for future fast reverse
         # translation, and the confirmed dynamic home.
@@ -204,8 +201,9 @@ class CoherenceController:
         t = send(sender_id, node_id, t, _DATA_REPLY)
         occ = self._lat_dispatch
         start = res.next_free if res.next_free > t else t
-        if tracer is not None and start > t:
-            tracer.add("ctrl_queue", "queue", node_id, t, start)
+        if marks and start > t:
+            for mark in marks:
+                mark("ctrl_queue", "queue", node_id, t, start)
         t = start + occ
         res.next_free = t
         res.busy_cycles += occ
@@ -351,7 +349,6 @@ class CoherenceController:
             # Invalid after a client took the line away and returned
             # it, or a defensive re-grant).  Home memory is valid.
             t = memory.port.acquire(t, lat.local_memory)
-            memory.reads += 1
             if want_excl or not dl.sharers:
                 if home_tags is not None:
                     home_tags.tags[lip] = 2  # Tag.EXCLUSIVE
@@ -388,14 +385,14 @@ class CoherenceController:
             t += lat.intervention
             self._drop_local_copies(home_line)
 
-        # NodeMemory.read spelled out (same port arithmetic, counters).
+        # Resource.acquire on the DRAM port, spelled out (same
+        # arithmetic and counters).
         res = memory.port
         occ = lat.local_memory
         t = (res.next_free if res.next_free > t else t) + occ
         res.next_free = t
         res.busy_cycles += occ
         res.acquisitions += 1
-        memory.reads += 1
         if dirty_cpu is not None:
             # The pulled dirty data drains to memory from the write
             # buffer after the supply (off the critical path).
@@ -520,28 +517,27 @@ class CoherenceController:
             dl.sharers.difference_update(machine.failed_nodes)
         issue = t
         last_ack = t
-        tracer = self._tracer
+        marks = machine.probes.mark
         for s in sharers:
             issue = self.resource.acquire(issue, lat.inval_issue)
             node.msglog.record(_INVALIDATE)
-            inval_span = (tracer.begin("invalidate", "inval",
-                                       node.node_id, issue, target=s)
-                          if tracer is not None else None)
+            for mark in marks:
+                mark("invalidate", "inval", node.node_id, issue, None,
+                     target=s)
             arr = machine.network.send(node.node_id, s, issue,
                                        _INVALIDATE)
             ack_ready = machine.nodes[s].controller.handle_invalidate(
                 gpage, lip, arr)
             ack = machine.network.send(s, node.node_id, ack_ready,
                                        _ACK)
-            if inval_span is not None:
-                tracer.end(inval_span, ack)
+            for mark in marks:
+                mark("invalidate", "inval", node.node_id, None, ack)
             if ack > last_ack:
                 last_ack = ack
         if sharers:
             t = self.resource.acquire(last_ack, lat.ctrl_dispatch)
 
         t = node.memory.port.acquire(t, lat.local_memory)
-        node.memory.reads += 1
 
         if requester_is_home:
             dl.state = _HOME_EXCL

@@ -247,12 +247,11 @@ class FaultInjector:
                         "declaring node %d unreachable"
                         % (kind.name, src, dst, attempt + 1, dst))
                 t = injected + retry.timeout(attempt)
-                tracer = machine.tracer
-                if tracer is not None:
+                for mark in machine.probes.mark:
                     # The back-off window the requester sat on before
                     # this retransmission — the ``retry`` segment.
-                    tracer.add("retry:" + kind.name, "retry", src,
-                               injected, t, attempt=attempt + 1, dst=dst)
+                    mark("retry:" + kind.name, "retry", src, injected, t,
+                         attempt=attempt + 1, dst=dst)
                 attempt += 1
                 self.stats.retransmissions += 1
                 self._note("retransmit", kind, src, dst, t)
@@ -327,21 +326,17 @@ class FaultInjector:
 
     def _note(self, action: str, kind, src: int, dst: int, now: int) -> None:
         """Surface one fault as a ``faults.*`` counter in the machine's
-        registry and (optionally) an event.
-
-        With a trace collector on the machine the active transaction is
-        also annotated: a ``fault_<action>`` counter attr plus the
-        message kind the rule hit — a chaos failure's span tree says
-        what was injected into it.
+        registry, a zero-length ``fault:<action>`` mark (a chaos
+        failure's span tree says what was injected into it) and,
+        optionally, an event.
         """
         machine = self._machine
         if machine.registry is not None:
             machine.registry.counter("faults." + action,
                                      msg=kind.name).inc()
-        tracer = machine.tracer
-        if tracer is not None:
-            tracer.count("fault_" + action)
-            tracer.annotate(fault_msg=kind.name)
+        for mark in machine.probes.mark:
+            mark("fault:" + action, "network", src, now, now,
+                 msg=kind.name, dst=dst)
         if self.sink is not None:
             self.sink.emit("fault_inject", time=now, action=action,
                            msg=kind.name, src=src, dst=dst)

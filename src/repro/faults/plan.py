@@ -250,8 +250,11 @@ class FaultPlan:
                 .pause_node(2, start=10_000, end=20_000)
                 .fail_node(3, at=80_000))
 
-    An empty plan is free: the machine takes the exact fault-free fast
-    paths and produces byte-identical results.
+    An injector with an empty plan changes no result: the run is
+    byte-identical to one without an injector.  It is not free,
+    though: it still judges every inter-node hop and checks every key
+    the event loop pops.  Only a machine built without an injector
+    pays nothing for the fault plane.
     """
 
     message_rules: "list[MessageRule]" = field(default_factory=list)

@@ -399,19 +399,20 @@ def _print_chaos_traces(report) -> None:
 
     For each HUNG/CORRUPT round, prints the causal trace of the
     transaction that aborted (or, when none aborted, the slowest one)
-    — including the faults the injector annotated onto it."""
+    — including the ``fault:*`` marks of the faults injected into it."""
     from repro.obs import tracing
     for run in report.failures:
         collector = run.trace
         if collector is None:
             continue
-        traces = collector.errored() or collector.slowest(1)
+        slowest = collector.slowest(1)
+        trace = collector.aborted or (slowest[0] if slowest else None)
         print("\n%s %s seed=%d — causal trace of the failing transaction:"
               % (run.test.name, run.verdict, run.seed))
-        if not traces:
+        if trace is None:
             print("  (no transaction was in flight)")
             continue
-        print(tracing.format_tree(traces[-1]))
+        print(tracing.format_tree(trace))
 
 
 def cmd_suite(args) -> int:
@@ -638,9 +639,9 @@ def cmd_trace(args) -> int:
     print("%s / %s (%s preset, seed %d): %d transactions, %d spans"
           % (args.workload, args.policy, args.preset, args.seed,
              collector.finished, collector.span_count))
-    if collector.evicted:
-        print("  (ring kept the most recent %d traces; %d evicted)"
-              % (len(collector.traces), collector.evicted))
+    if collector.sink.dropped:
+        print("  (the store kept the most recent %d spans; %d dropped)"
+              % (len(collector.sink.events), collector.sink.dropped))
     rollup = collector.rollup()
     total = sum(entry["cycles"] for entry in rollup.values())
     table = TextTable("critical-path latency by segment",
@@ -654,7 +655,7 @@ def cmd_trace(args) -> int:
     print(table.render())
 
     for rank, trace in enumerate(collector.slowest(args.top), 1):
-        print("\n#%d  +%d cycles  trace %016x"
+        print("\n#%d  +%d cycles  trace %s"
               % (rank, trace.duration, trace.trace_id))
         print(tracing.format_tree(trace))
         parts = sorted(trace.breakdown.items(),
@@ -664,7 +665,7 @@ def cmd_trace(args) -> int:
                  sum(trace.breakdown.values()), trace.duration))
 
     if args.out:
-        written = collector.write_spans(args.out)
+        written = collector.sink.write_jsonl(args.out)
         print("\nwrote %d spans to %s" % (written, args.out))
     if args.chrome:
         events = collector.write_chrome(args.chrome)

@@ -96,11 +96,3 @@ class MessageLog:
     def record(self, kind: MessageKind, count: int = 1) -> None:
         """Count ``count`` sends of ``kind``."""
         self.sent[kind] = self.sent.get(kind, 0) + count
-
-    def total(self) -> int:
-        """All messages sent."""
-        return sum(self.sent.values())
-
-    def get(self, kind: MessageKind) -> int:
-        """Messages of one kind sent."""
-        return self.sent.get(kind, 0)

@@ -84,12 +84,14 @@ class MessageChannel:
             self.full_rejections += 1
             raise ChannelError("channel full (capacity %d)" % self.capacity)
         lat = self.lat
-        # Causal tracing: a send is its own root span; its context rides
-        # in the queue so the receive can link back across CPUs.
-        tracer = self.machine.tracer
-        span = (tracer.begin("channel_send", "msg", self.src.node_id, now,
-                             dst=self.dst.node_id)
-                if tracer is not None else None)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        # A send is its own root span; the receive's span carries the
+        # same ``seq``, which links the two across CPUs.
+        marks = self.machine.probes.mark
+        for mark in marks:
+            mark("channel_send", "msg", self.src.node_id, now, None,
+                 dst=self.dst.node_id, seq=seq)
         # Uncached stores of the payload into the command frame.
         t = self.src.bus.request(now)
         t = self.src.bus.transfer(t)
@@ -101,23 +103,18 @@ class MessageChannel:
                                             MessageKind.COMMAND)
         # Receiver-side controller deposits into the command frame
         # (off the sender's critical path).
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        context = tracer.context() if tracer is not None else None
         self.dst.controller.resource.acquire(arrival, lat.ctrl_dispatch)
-        self._queue.append((payload, arrival + lat.ctrl_dispatch, seq,
-                            context))
+        self._queue.append((payload, arrival + lat.ctrl_dispatch, seq))
         faults = getattr(self.machine, "faults", None)
         if faults is not None and faults.consume_duplicate():
             # The fault plane delivered this deposit twice: the copy
             # carries the same sequence number and is queued for real —
             # ``receive`` discards it (idempotent delivery).
             self.dst.controller.resource.acquire(arrival, lat.ctrl_dispatch)
-            self._queue.append((payload, arrival + lat.ctrl_dispatch, seq,
-                                context))
+            self._queue.append((payload, arrival + lat.ctrl_dispatch, seq))
         self.sends += 1
-        if span is not None:
-            tracer.end(span, t)
+        for mark in marks:
+            mark("channel_send", "msg", self.src.node_id, None, t)
         return t
 
     def receive(self, now: int) -> "tuple[object, int] | None":
@@ -130,7 +127,7 @@ class MessageChannel:
         t = self.dst.bus.request(now)
         t = self.dst.bus.transfer(t)
         while self._queue:
-            payload, ready, seq, context = self._queue[0]
+            payload, ready, seq = self._queue[0]
             if ready > now:
                 return None
             self._queue.popleft()
@@ -144,16 +141,13 @@ class MessageChannel:
                 continue
             self._last_accepted = seq
             self.receives += 1
-            if context is not None:
-                tracer = self.machine.tracer
-                if tracer is not None:
-                    # The receive belongs to the *receiver's* causal
-                    # chain; link back to the send rather than mutating
-                    # the sender's completed trace.
-                    tracer.add_root(
-                        "channel_recv", "msg", self.dst.node_id, ready, t,
-                        link_trace="%016x" % context[0],
-                        link_span="%016x" % context[1])
+            for mark in self.machine.probes.mark:
+                # The receive belongs to the *receiver's* causal chain:
+                # its own span (a root outside any transaction), linked
+                # to the send's by ``seq``.
+                mark("channel_recv", "msg", self.dst.node_id, ready, None,
+                     src=self.src.node_id, seq=seq)
+                mark("channel_recv", "msg", self.dst.node_id, None, t)
             return payload, t
         return None
 

@@ -69,8 +69,6 @@ class NodeKernel:
         else:
             self._obs_fault = None
             self._obs_pageout = None
-        # Causal-tracing handle (None when the machine has no collector).
-        self._tracer = machine.tracer
 
         #: Remote refetch counters for LA-NUMA pages (dyn-bidir).
         self.refetch_counts: "dict[int, int]" = {}
@@ -211,10 +209,9 @@ class NodeKernel:
             home_frame = home_node.kernel.ensure_home_mapping(gpage)
             home_node.kernel_resource.acquire(done, self.lat.fault_home_kernel)
             home_node.msglog.record(MessageKind.PAGE_IN_REPLY)
-            if self._tracer is not None:
-                self._tracer.add("page_in", "network", self.node.node_id,
-                                 done, done + self.lat.expected_fault_remote,
-                                 home=home)
+            for mark in self.machine.probes.mark:
+                mark("page_in", "network", self.node.node_id, done,
+                     done + self.lat.expected_fault_remote, home=home)
             done += self.lat.expected_fault_remote
             self.home_status.add(gpage)
             self.node.stats.page_faults_remote_home += 1

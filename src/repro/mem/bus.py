@@ -62,20 +62,17 @@ class NodeMemory:
     write-backs.
     """
 
-    __slots__ = ("node_id", "port", "lat", "reads", "writes")
+    __slots__ = ("node_id", "port", "lat")
 
     def __init__(self, node_id: int, lat: LatencyModel) -> None:
         self.node_id = node_id
         self.lat = lat
         self.port = Resource("node%d.dram" % node_id)
-        self.reads = 0
-        self.writes = 0
 
     def write(self, now: int) -> int:
         """Line write-back into local DRAM.  Write-backs are buffered in
         real hardware; we charge port occupancy but the caller normally
         does not put this on the critical path."""
-        self.writes += 1
         res = self.port
         duration = self.lat.local_memory // 2
         end = (res.next_free if res.next_free > now else now) + duration

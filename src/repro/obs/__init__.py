@@ -6,11 +6,12 @@ Three substrates, all strictly opt-in:
   log-bucket histograms and bounded time series, organized as labeled
   families in a :class:`MetricsRegistry`;
 * **Events** (:mod:`repro.obs.events`) — a typed, ordered, ring-buffered
-  structured-event sink with JSONL export and schema validation;
+  structured-event sink with JSONL export and schema validation: the
+  one store and the one validator;
 * **Causal tracing** (:mod:`repro.obs.tracing`) — span trees following
   each coherence transaction end to end, with deterministic ids, an
-  exact critical-path latency breakdown, and JSONL / Chrome trace
-  export.
+  exact critical-path latency breakdown, and JSONL (as ``span``
+  events in an event sink) / Chrome trace export.
 
 Install, then build: :func:`collecting` installs a registry for the
 duration of a ``with`` block, and ``Machine.__init__`` reads

@@ -1,19 +1,21 @@
-"""Structured event sink: typed, ordered, exportable simulation events.
+"""The one observation store: typed, ordered, exportable records.
 
 Complements the metrics registry: where metrics aggregate, events keep
 the *ordered stream* (the substrate later correctness tooling — e.g.
 race detection over DSM event logs — needs).  Every event is a plain
-dict carrying a process-monotonic sequence number and a ``kind`` from
+dict carrying a per-sink monotonic sequence number and a ``kind`` from
 :data:`EVENT_SCHEMA`; the sink is a bounded ring buffer (oldest events
 are overwritten, with an accurate ``dropped`` count) and exports JSONL
 (one event per line, sorted keys).
 
-This is the one event store of the simulator.  Producers:
-:class:`~repro.sim.trace.TraceRecorder`, whose ``machine.probes``
-emit machine events here (the CLI's ``run --trace-out`` wires that up
-end to end); the value tracker (:mod:`repro.verify.tracker`); and the
-fault injector.  Consumers validate with :func:`validate_event` /
-:func:`validate_jsonl`.
+This is the one store of the simulator, and a span is one more event
+kind.  Producers: :class:`~repro.sim.trace.TraceRecorder`, whose
+``machine.probes`` emit machine events here (the CLI's
+``run --trace-out`` wires that up end to end); the value tracker
+(:mod:`repro.verify.tracker`); the fault injector; and the causal
+tracer (:mod:`repro.obs.tracing`), which writes each finished
+transaction's spans as ``span`` events (``repro trace --out``).
+Consumers validate with :func:`validate_event` / :func:`validate_jsonl`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,22 @@ EVENT_SCHEMA: "dict[str, dict[str, type]]" = {
     "fault_inject": {"time": int, "action": str, "msg": str, "src": int,
                      "dst": int},
     "node_fail": {"time": int, "node": int},
+    # One span of a causal trace (``repro.obs.tracing``): hex ids, the
+    # parent's id ("" for the root), the critical-path ``segment`` it
+    # charges and its simulated-cycle window.
+    "span": {"trace": str, "span": str, "parent": str, "name": str,
+             "segment": str, "node": int, "cpu": int, "begin": int,
+             "end": int, "attrs": dict},
 }
+
+#: Segments a span can charge cycles to.  ``local`` is the root-span
+#: residual (bus protocol work on the requesting node not covered by
+#: any child span); ``queue`` covers waits on busy resources
+#: (controller dispatch, bus, DRAM port); ``mem`` is the data-supply
+#: phase of a locally-served miss (DRAM read or dirty-sibling cache
+#: intervention).
+SEGMENTS = ("local", "tlb", "fault", "pageout", "queue", "network",
+            "home", "inval", "retry", "msg", "mem")
 
 
 class EventSink:
@@ -83,14 +100,6 @@ class EventSink:
     def events(self) -> "list[dict]":
         """The retained events, oldest first."""
         return list(self._buffer)
-
-    def summary(self) -> "dict[str, int]":
-        """Retained-event counts by kind, plus the dropped count."""
-        counts: "dict[str, int]" = {}
-        for event in self._buffer:
-            counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-        counts["dropped"] = self.dropped
-        return counts
 
     # -- export ----------------------------------------------------------
 
@@ -152,17 +161,29 @@ def validate_event(event: "dict[str, object]",
             raise ValueError("%s event (seq %d) field %r: expected %s, "
                              "got %r" % (kind, seq, field, want.__name__,
                                          value))
+    if kind == "span":
+        if event["segment"] not in SEGMENTS:
+            raise ValueError("span (seq %d) has unknown segment %r"
+                             % (seq, event["segment"]))
+        if event["end"] < event["begin"]:
+            raise ValueError("span (seq %d) ends (%d) before it begins (%d)"
+                             % (seq, event["end"], event["begin"]))
 
 
 def validate_jsonl(path: str) -> int:
-    """Validate a JSONL trace file; returns the number of events.
+    """Validate a JSONL export; returns the number of events.
 
     Checks each line parses, conforms to the schema, and that sequence
     numbers are strictly increasing (gaps are fine — they mark ring
-    drops — but reordering is not).
+    drops — but reordering is not).  Spans must also be causally whole:
+    each trace has one root, written before its children, and every
+    parent id resolves within its trace.  The one exception is the
+    trace the ring cut: spans ahead of the first root of an export
+    whose first event is not seq 0 lost their root to a drop.
     """
     count = 0
     last_seq = -1
+    members: "dict[str, set[str]]" = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -175,9 +196,32 @@ def validate_jsonl(path: str) -> int:
                                  % (path, lineno, exc)) from None
             try:
                 validate_event(event, last_seq=last_seq)
+                if count == 0:
+                    cut = event["seq"] > 0
+                if event["kind"] == "span":
+                    _check_causal(event, members, cut)
+                    cut = cut and event["parent"] != ""
             except ValueError as exc:
                 raise ValueError("%s:%d: %s"
                                  % (path, lineno, exc)) from None
             last_seq = event["seq"]
             count += 1
     return count
+
+
+def _check_causal(span, members: "dict[str, set[str]]", cut: bool) -> None:
+    """Check one span against the spans of its trace seen so far;
+    ``cut`` accepts a child whose root the ring dropped."""
+    trace = span["trace"]
+    seen = members.get(trace)
+    if span["parent"] == "":
+        if seen is not None:
+            raise ValueError("second root in trace %s" % trace)
+        members[trace] = {span["span"]}
+    elif seen is not None:
+        if span["parent"] not in seen:
+            raise ValueError("parent %s not (yet) in trace %s"
+                             % (span["parent"], trace))
+        seen.add(span["span"])
+    elif not cut:
+        raise ValueError("child before root in trace %s" % trace)

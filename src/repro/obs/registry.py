@@ -14,12 +14,13 @@ level=l2}``).  Four metric kinds cover the simulator's needs:
 
 Snapshots (:meth:`MetricsRegistry.to_dict`) are plain JSON-safe dicts
 keyed by ``name{label=value,...}`` strings with sorted labels, so they
-hash and diff stably; :meth:`MetricsRegistry.from_dict` inverts them for
-offline rendering (``repro metrics``).
+hash and diff stably; ``repro metrics``, ``repro top`` and the campaign
+reports read them as they are, with :func:`find_metrics` and
+:func:`quantile`.
 
-Instrumented code should normally go through :mod:`repro.obs`'s
-module-level helpers, which degrade to shared no-op objects when no
-registry is installed — the hot path pays one ``None`` check.
+Instrumented code takes its metric handles from ``machine.registry``
+once, when it is built; with no registry installed that is ``None``,
+and each site pays one ``None`` test.
 """
 
 from __future__ import annotations
@@ -112,11 +113,6 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    def quantile(self, q: float):
-        """Approximate q-quantile (upper bound of the covering bucket)."""
-        return quantile({"buckets": list(self.buckets),
-                         "counts": self.counts, "count": self.count}, q)
-
 
 class Series:
     """A bounded time series of ``(time, value)`` samples.
@@ -199,7 +195,7 @@ class MetricsRegistry:
 
     def to_dict(self) -> "dict[str, object]":
         """JSON-safe snapshot of every metric (stable key order after a
-        ``sort_keys`` dump); invert with :meth:`from_dict`."""
+        ``sort_keys`` dump)."""
         return {
             "schema": SNAPSHOT_SCHEMA,
             "counters": {k: c.value for k, c in self._counters.items()},
@@ -212,27 +208,6 @@ class MetricsRegistry:
                            "points": [list(p) for p in s.points]}
                        for k, s in self._series.items()},
         }
-
-    @classmethod
-    def from_dict(cls, data: "dict[str, object]") -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`to_dict` output."""
-        registry = cls()
-        for key, value in data.get("counters", {}).items():
-            counter = registry._counters[key] = Counter()
-            counter.value = value
-        for key, value in data.get("gauges", {}).items():
-            gauge = registry._gauges[key] = Gauge()
-            gauge.value = value
-        for key, h in data.get("histograms", {}).items():
-            hist = registry._histograms[key] = Histogram(h["buckets"])
-            hist.counts = list(h["counts"])
-            hist.sum = h["sum"]
-            hist.count = h["count"]
-        for key, s in data.get("series", {}).items():
-            series = registry._series[key] = Series()
-            series.stride = s["stride"]
-            series.points = [list(p) for p in s["points"]]
-        return registry
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)

@@ -9,14 +9,16 @@ retransmit back-off), all stamped with *simulated* begin/end times so
 the reconstructed tree is a causal, cycle-accurate account of where the
 transaction's latency went.
 
-Like the rest of :mod:`repro.obs`, tracing is strictly opt-in.  With no
-collector installed every instrumentation site pays one pointer test
-(``if tracer is not None``) and simulated results are byte-identical to
-an uninstrumented run.  Install a collector with the :func:`collecting`
-context manager *before* constructing the :class:`~repro.sim.machine.
-Machine`: the machine reads :func:`current` once, keeps the collector
-as ``machine.tracer`` and attaches its root-span probes, and every
-component below the machine takes the collector from there::
+The model holds no tracer.  The collector registers probes on
+``machine.probes`` (:mod:`repro.sim.probes`): root spans around the
+``miss``, ``upgrade``, ``fault`` and ``pageout`` points, hop spans
+around ``send``, and :meth:`TraceCollector.mark` on the ``mark`` point,
+which the protocol steps fire for their inner intervals.  With no
+collector installed the ``mark`` point is an empty tuple, and simulated
+results are byte-identical to an uninstrumented run.  Install a
+collector with the :func:`collecting` context manager *before*
+constructing the :class:`~repro.sim.machine.Machine`: the machine reads
+:func:`current` once and attaches it::
 
     from repro.obs import tracing
 
@@ -27,46 +29,41 @@ component below the machine takes the collector from there::
         print(format_tree(trace))
         print(trace.breakdown)       # segment -> cycles, sums to duration
 
-Identifiers are **deterministic**: ``span_id`` mixes the collector seed
+Identifiers are **deterministic**: a span id mixes the collector seed
 with a per-node monotonic counter through a splitmix64-style finalizer
 (never wall clock), so two same-seed runs produce identical span trees
 — CI diffs the JSONL exports byte for byte.
 
 The critical-path analyzer (:func:`compute_breakdown`) partitions the
 root span's ``[begin, end)`` window into elementary intervals and
-charges each interval to the *innermost* covering span's segment kind,
-so the per-segment cycles of every trace sum exactly to the
-transaction's simulated latency, even when sibling spans overlap
-(invalidation fan-out).  Roll-ups land in the machine's
+charges each interval to the *innermost* covering span's segment, so
+the per-segment cycles of every trace sum exactly to the transaction's
+simulated latency, even when sibling spans overlap (invalidation
+fan-out).  Roll-ups land in the machine's
 :class:`~repro.obs.registry.MetricsRegistry` as
 ``trace.segment_cycles{segment=...,policy=...}`` histograms.
 
-Exports: :meth:`TraceCollector.write_spans` (JSONL, one span per line,
-validated by :func:`validate_spans_jsonl` against :data:`SPAN_SCHEMA`)
-and :meth:`TraceCollector.write_chrome` (Chrome / Perfetto
-``trace_event`` JSON; open it at ``ui.perfetto.dev``).  Timestamps are
+A span is a dict with the fields of the ``span`` kind of
+:data:`~repro.obs.events.EVENT_SCHEMA`.  Every finished transaction's
+spans go, root first, into :attr:`TraceCollector.sink`, an
+:class:`~repro.obs.events.EventSink` (the one bounded store): its JSONL
+export is validated by :func:`~repro.obs.events.validate_jsonl`, and
+:meth:`TraceCollector.write_chrome` renders it as Chrome / Perfetto
+``trace_event`` JSON (open it at ``ui.perfetto.dev``).  Timestamps are
 simulated cycles rendered in the viewer's microsecond field.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from contextlib import contextmanager
 from heapq import heappop, heappush
 
-#: Segment kinds the critical-path analyzer can charge cycles to.
-#: ``local`` is the root-span residual (bus protocol work on the
-#: requesting node not covered by any child span); ``queue`` covers
-#: waits on busy resources (controller dispatch, bus, DRAM port);
-#: ``mem`` is the data-supply phase of a locally-served miss (DRAM
-#: read or dirty-sibling cache intervention).
-SEGMENTS = ("local", "tlb", "fault", "pageout", "queue", "network",
-            "home", "inval", "retry", "msg", "mem")
+from repro.obs.events import EventSink
 
-#: Default bound on retained traces (oldest evicted first; the slowest
-#: transactions survive eviction in a separate top-N set).
-MAX_TRACES = 20_000
+#: Default bound on retained spans (the store drops the oldest first;
+#: the slowest transactions survive in a separate top-N set).
+MAX_SPANS = 50_000
 
 #: Default capacity of the slowest-transaction set.
 TOP_CAPACITY = 64
@@ -84,72 +81,29 @@ def _mix(*parts: int) -> int:
     return x ^ (x >> 31)
 
 
-class Span:
-    """One timed operation inside a trace (simulated-time begin/end)."""
-
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "kind",
-                 "node", "cpu", "begin", "end", "attrs")
-
-    def __init__(self, trace_id, span_id, parent_id, name, kind, node,
-                 cpu, begin, end, attrs):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.kind = kind
-        self.node = node
-        self.cpu = cpu
-        self.begin = begin
-        self.end = end
-        self.attrs = attrs
-
-    def to_dict(self) -> dict:
-        """JSON-safe dict matching :data:`SPAN_SCHEMA` (hex ids)."""
-        return {
-            "trace": "%016x" % self.trace_id,
-            "span": "%016x" % self.span_id,
-            "parent": "%016x" % self.parent_id if self.parent_id else "",
-            "name": self.name,
-            "kind": self.kind,
-            "node": self.node,
-            "cpu": self.cpu,
-            "begin": self.begin,
-            "end": self.end,
-            "attrs": self.attrs if self.attrs is not None else {},
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return ("Span(%s kind=%s node=%d [%s..%s])"
-                % (self.name, self.kind, self.node, self.begin, self.end))
-
-
 class Trace:
     """A completed transaction: root span plus its causal children."""
 
     __slots__ = ("trace_id", "spans", "error", "breakdown")
 
-    def __init__(self, trace_id: int):
+    def __init__(self, trace_id: str):
         self.trace_id = trace_id
-        self.spans: "list[Span]" = []
+        self.spans: "list[dict]" = []
         self.error = ""
-        #: segment kind -> cycles; computed once when the trace
-        #: completes, values sum exactly to :attr:`duration`.
+        #: segment -> cycles; computed once when the trace completes,
+        #: values sum exactly to :attr:`duration`.
         self.breakdown: "dict[str, int]" = {}
-
-    @property
-    def root(self) -> Span:
-        return self.spans[0]
 
     @property
     def duration(self):
         root = self.spans[0]
-        return root.end - root.begin
+        return root["end"] - root["begin"]
 
 
 def compute_breakdown(trace: Trace) -> "dict[str, int]":
     """Charge every cycle of the root window to the innermost span.
 
-    Partitions ``[root.begin, root.end)`` at every child boundary and
+    Partitions ``[root begin, root end)`` at every child boundary and
     attributes each elementary interval to the deepest covering span
     (ties: later begin, then later creation order).  Child windows are
     clipped to the root window, so the returned cycles **sum exactly**
@@ -158,66 +112,64 @@ def compute_breakdown(trace: Trace) -> "dict[str, int]":
     """
     spans = trace.spans
     root = spans[0]
-    lo, hi = root.begin, root.end
+    lo, hi = root["begin"], root["end"]
     if hi <= lo:
         return {}
-    by_id = {span.span_id: span for span in spans}
-    depths: "dict[int, int]" = {root.span_id: 0}
+    by_id = {span["span"]: span for span in spans}
+    depths: "dict[str, int]" = {root["span"]: 0}
 
-    def depth_of(span: Span) -> int:
-        known = depths.get(span.span_id)
+    def depth_of(span: dict) -> int:
+        known = depths.get(span["span"])
         if known is not None:
             return known
-        parent = by_id.get(span.parent_id)
+        parent = by_id.get(span["parent"])
         depth = 1 if parent is None else depth_of(parent) + 1
-        depths[span.span_id] = depth
+        depths[span["span"]] = depth
         return depth
 
     points = {lo, hi}
-    covers = []  # (depth, clipped_begin, order, clipped_end, kind)
+    covers = []  # (depth, clipped_begin, order, clipped_end, segment)
     for order, span in enumerate(spans):
         if order == 0:
             continue
-        begin = span.begin if span.begin > lo else lo
-        end = span.end if span.end < hi else hi
+        begin = span["begin"] if span["begin"] > lo else lo
+        end = span["end"] if span["end"] < hi else hi
         if end <= begin:
             continue
-        covers.append((depth_of(span), begin, order, end, span.kind))
+        covers.append((depth_of(span), begin, order, end, span["segment"]))
         points.add(begin)
         points.add(end)
     bounds = sorted(points)
     out: "dict[str, int]" = {}
     for left, right in zip(bounds, bounds[1:]):
         best_key = (0, lo, 0)
-        best_kind = root.kind
-        for depth, begin, order, end, kind in covers:
+        best_segment = root["segment"]
+        for depth, begin, order, end, segment in covers:
             if begin <= left and end >= right:
                 key = (depth, begin, order)
                 if key > best_key:
                     best_key = key
-                    best_kind = kind
-        out[best_kind] = out.get(best_kind, 0) + (right - left)
+                    best_segment = segment
+        out[best_segment] = out.get(best_segment, 0) + (right - left)
     return out
 
 
 def format_tree(trace: Trace) -> str:
     """Render a trace as an indented ascii span tree."""
-    children: "dict[int, list[Span]]" = {}
+    children: "dict[str, list[dict]]" = {}
     for span in trace.spans:
-        children.setdefault(span.parent_id, []).append(span)
+        children.setdefault(span["parent"], []).append(span)
     lines: "list[str]" = []
 
-    def walk(span: Span, depth: int) -> None:
-        attrs = ""
-        if span.attrs:
-            attrs = "  " + " ".join(
-                "%s=%s" % (key, span.attrs[key])
-                for key in sorted(span.attrs))
+    def walk(span: dict, depth: int) -> None:
+        attrs = span["attrs"]
+        tail = ("  " + " ".join("%s=%s" % (key, attrs[key])
+                                for key in sorted(attrs)) if attrs else "")
         lines.append("%s%-14s %-8s node%-3d [%s..%s] +%s%s"
-                     % ("  " * depth, span.name, span.kind, span.node,
-                        span.begin, span.end, span.end - span.begin,
-                        attrs))
-        for child in children.get(span.span_id, ()):
+                     % ("  " * depth, span["name"], span["segment"],
+                        span["node"], span["begin"], span["end"],
+                        span["end"] - span["begin"], tail))
+        for child in children.get(span["span"], ()):
             walk(child, depth + 1)
 
     walk(trace.spans[0], 0)
@@ -232,25 +184,26 @@ class TraceCollector:
     One collector serves one single-threaded simulation: transactions
     resolve atomically through synchronous call chains, so at most one
     root span is open at a time and the active-span *stack* mirrors the
-    call stack.  Completed traces land in a bounded ring (oldest
-    evicted first, counted in :attr:`evicted`); the slowest
-    transactions are additionally retained in a bounded top-N set, and
-    per-segment latency roll-ups are accumulated incrementally so
-    eviction never loses aggregate data.
+    call stack.  Completed traces' spans land in :attr:`sink`, a
+    bounded store (oldest spans dropped first, counted in its
+    ``dropped``); the slowest transactions are additionally retained in
+    a bounded top-N set, and per-segment latency roll-ups are
+    accumulated incrementally so dropping spans never loses aggregate
+    data.
     """
 
-    def __init__(self, seed: int = 0, max_traces: int = MAX_TRACES,
+    def __init__(self, seed: int = 0, max_spans: int = MAX_SPANS,
                  top: int = TOP_CAPACITY) -> None:
         self.seed = seed
-        self.max_traces = max_traces
         self.top_capacity = top
-        self.traces: "deque[Trace]" = deque()
+        self.sink = EventSink(capacity=max_spans)
         self.started = 0
         self.finished = 0
         self.span_count = 0
-        self.evicted = 0
         self.errors = 0
-        self._stack: "list[Span]" = []
+        #: The last transaction an exception aborted, or None.
+        self.aborted: "Trace | None" = None
+        self._stack: "list[dict]" = []
         self._open: "Trace | None" = None
         self._pending_tlb: "tuple | None" = None
         self._counters: "dict[int, int]" = {}
@@ -259,58 +212,56 @@ class TraceCollector:
         self._segments: "dict[str, list[int]]" = {}
         self._registry = None
         self._seg_hists: "dict[str, object]" = {}
+        self._gauges: "tuple | None" = None
         self._policy = ""
 
     # -- span lifecycle ----------------------------------------------------
 
-    def _new_id(self, node: int) -> "tuple[int, int]":
+    def _record(self, parent: "dict | None", name: str, kind: str,
+                node: int, cpu: int, begin, end, attrs: dict) -> dict:
+        """A new span of segment ``kind`` under ``parent``, or the root
+        of a new trace when ``parent`` is None."""
         slot = node + 1
         count = self._counters.get(slot, 0) + 1
         self._counters[slot] = count
-        return slot, count
-
-    def begin(self, name: str, kind: str, node: int, begin,
-              cpu: int = -1, **attrs) -> Span:
-        """Open a span at simulated time ``begin`` and push it on the
-        active stack (a new root when the stack is empty)."""
-        slot, count = self._new_id(node)
-        span_id = _mix(self.seed, slot, count)
-        stack = self._stack
-        if stack:
-            parent = stack[-1]
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        else:
-            trace_id = _mix(self.seed, slot, count, 0x7ACE)
-            parent_id = 0
+        if parent is None:
+            trace_id = "%016x" % _mix(self.seed, slot, count, 0x7ACE)
+            parent_id = ""
             self._open = Trace(trace_id)
             self.started += 1
-        span = Span(trace_id, span_id, parent_id, name, kind, node,
-                    cpu, begin, begin, attrs or None)
+        else:
+            trace_id = parent["trace"]
+            parent_id = parent["span"]
+        span = {"trace": trace_id,
+                "span": "%016x" % _mix(self.seed, slot, count),
+                "parent": parent_id, "name": name, "segment": kind,
+                "node": node, "cpu": cpu, "begin": begin, "end": end,
+                "attrs": attrs}
         self._open.spans.append(span)
-        stack.append(span)
         self.span_count += 1
+        return span
+
+    def begin(self, name: str, kind: str, node: int, begin,
+              cpu: int = -1, **attrs) -> dict:
+        """Open a span of segment ``kind`` at simulated time ``begin``
+        and push it on the active stack (a new root when the stack is
+        empty)."""
+        stack = self._stack
+        span = self._record(stack[-1] if stack else None, name, kind, node,
+                            cpu, begin, begin, attrs)
+        stack.append(span)
         pending = self._pending_tlb
         if pending is not None:
             self._pending_tlb = None
             # A TLB reload immediately preceded this root: stretch the
             # transaction window back to cover it and record it as the
             # first child, so the breakdown charges a ``tlb`` segment.
-            if parent_id == 0 and pending[1] == begin:
-                span.begin = pending[0]
-                span.end = pending[0]
+            if not span["parent"] and pending[1] == begin:
+                span["begin"] = span["end"] = pending[0]
                 self.add("tlb_reload", "tlb", node, pending[0], pending[1])
         return span
 
-    def note_tlb(self, begin, end) -> None:
-        """Stash the TLB-reload window the access path just charged.
-
-        Consumed by the next root span that opens exactly at ``end``
-        (the TLB miss that preceded a cache miss); discarded otherwise
-        (the reference hit in cache after the reload)."""
-        self._pending_tlb = (begin, end)
-
-    def end(self, span: Span, end) -> None:
+    def end(self, span: dict, end) -> None:
         """Close ``span`` at simulated time ``end``.
 
         Lenient pop-until-found: any spans opened after ``span`` that
@@ -320,7 +271,7 @@ class TraceCollector:
         stack = self._stack
         while stack:
             top = stack.pop()
-            top.end = end
+            top["end"] = end
             if top is span:
                 break
         if not stack and self._open is not None:
@@ -328,78 +279,38 @@ class TraceCollector:
             self._open = None
 
     def add(self, name: str, kind: str, node: int, begin, end,
-            cpu: int = -1, **attrs) -> "Span | None":
+            cpu: int = -1, **attrs) -> "dict | None":
         """Record an already-completed child of the active span.
 
         Returns ``None`` (and records nothing) when no transaction is
-        active — instrumentation sites call this unconditionally and
-        rootless work is simply not traced.
+        active: rootless work is simply not traced.
         """
         stack = self._stack
         if not stack:
             return None
-        parent = stack[-1]
-        slot, count = self._new_id(node)
-        span = Span(parent.trace_id, _mix(self.seed, slot, count),
-                    parent.span_id, name, kind, node, cpu, begin, end,
-                    attrs or None)
-        self._open.spans.append(span)
-        self.span_count += 1
-        return span
+        return self._record(stack[-1], name, kind, node, cpu, begin, end,
+                            attrs)
 
-    def add_root(self, name: str, kind: str, node: int, begin, end,
-                 cpu: int = -1, **attrs) -> Span:
-        """Record a standalone single-span trace (or, when a
-        transaction is active, a child of it).
+    def mark(self, name: str, kind: str, node: int, begin, end,
+             **attrs) -> None:
+        """The ``mark`` probe: one inner interval of a protocol step.
 
-        Used for cross-CPU message receives: the receive belongs to a
-        *different* causal chain than the send, so it gets its own
-        trace linked back to the sender via ``link_trace``/``link_span``
-        attrs rather than mutating the sender's completed trace.
+        ``[begin, end)`` is a completed child of the active span.
+        ``end=None`` opens a nested span (a root when no transaction is
+        active) that the next mark with ``begin=None`` closes at its
+        ``end``.  A completed mark outside any transaction records
+        nothing, except a TLB reload, which is held for the root that
+        opens when it ends.
         """
-        if self._stack:
-            return self.add(name, kind, node, begin, end, cpu=cpu, **attrs)
-        slot, count = self._new_id(node)
-        trace_id = _mix(self.seed, slot, count, 0x7ACE)
-        span = Span(trace_id, _mix(self.seed, slot, count), 0, name,
-                    kind, node, cpu, begin, end, attrs or None)
-        trace = Trace(trace_id)
-        trace.spans.append(span)
-        self.started += 1
-        self.span_count += 1
-        self._finish(trace)
-        return span
-
-    def annotate(self, **attrs) -> None:
-        """Merge attrs onto the innermost active span (no-op when no
-        transaction is active)."""
-        stack = self._stack
-        if not stack:
-            return
-        span = stack[-1]
-        if span.attrs is None:
-            span.attrs = dict(attrs)
-        else:
-            span.attrs.update(attrs)
-
-    def count(self, key: str, amount: int = 1) -> None:
-        """Increment a counter attr on the innermost active span."""
-        stack = self._stack
-        if not stack:
-            return
-        span = stack[-1]
-        if span.attrs is None:
-            span.attrs = {key: amount}
-        else:
-            span.attrs[key] = span.attrs.get(key, 0) + amount
-
-    def context(self) -> "tuple[int, int] | None":
-        """``(trace_id, span_id)`` of the innermost active span."""
-        stack = self._stack
-        if not stack:
-            return None
-        span = stack[-1]
-        return (span.trace_id, span.span_id)
+        if end is None:
+            self.begin(name, kind, node, begin, **attrs)
+        elif begin is None:
+            if self._stack:
+                self.end(self._stack[-1], end)
+        elif self._stack:
+            self.add(name, kind, node, begin, end, **attrs)
+        elif kind == "tlb":
+            self._pending_tlb = (begin, end)
 
     def unwind(self, error: str = "error") -> None:
         """Close all open spans after an exception escaped mid-
@@ -407,28 +318,25 @@ class TraceCollector:
 
         Open spans are closed at the latest simulated time the trace
         has seen, the root is tagged with the ``error`` attr, and the
-        (partial) trace is kept — chaos post-mortems want exactly the
-        tree of the transaction that hung.
+        (partial) trace is kept as :attr:`aborted` — chaos post-mortems
+        want exactly the tree of the transaction that hung.
         """
         stack = self._stack
         if not stack:
             return
         trace = self._open
-        latest = stack[0].begin
+        latest = stack[0]["begin"]
         for span in trace.spans:
-            if span.end > latest:
-                latest = span.end
+            if span["end"] > latest:
+                latest = span["end"]
         while stack:
             span = stack.pop()
-            if span.end < span.begin or span.end < latest:
-                span.end = latest if latest > span.begin else span.begin
+            if span["end"] < latest:
+                span["end"] = latest
         trace.error = error
-        root = trace.spans[0]
-        if root.attrs is None:
-            root.attrs = {"error": error}
-        else:
-            root.attrs["error"] = error
+        trace.spans[0]["attrs"]["error"] = error
         self.errors += 1
+        self.aborted = trace
         self._finish(trace)
         self._open = None
 
@@ -444,6 +352,9 @@ class TraceCollector:
             else:
                 entry[0] += cycles
                 entry[1] += 1
+        emit = self.sink.emit
+        for span in trace.spans:
+            emit("span", **span)
         registry = self._registry
         if registry is not None:
             hists = self._seg_hists
@@ -455,11 +366,13 @@ class TraceCollector:
                                               policy=self._policy)
                     hists[kind] = hist
                 hist.observe(cycles)
-        ring = self.traces
-        if len(ring) >= self.max_traces:
-            ring.popleft()
-            self.evicted += 1
-        ring.append(trace)
+            # The model never calls the collector, so the gauges follow
+            # each finished transaction (set in place: no calls).
+            transactions, spans, evicted, errors = self._gauges
+            transactions.value = self.finished
+            spans.value = self.span_count
+            evicted.value = self.sink.dropped
+            errors.value = self.errors
         heap = self._heap
         self._heap_seq += 1
         heappush(heap, (trace.duration, -self._heap_seq, trace))
@@ -469,39 +382,32 @@ class TraceCollector:
     # -- machine probes ----------------------------------------------------
 
     def attach(self, machine) -> None:
-        """Open root spans on a machine's slow paths.
+        """Trace a machine's transactions.
 
-        Registers span probes on the ``miss``, ``upgrade``, ``fault``
-        and ``pageout`` points of ``machine.probes``, and a hop-span
-        probe on ``send``.  The per-reference ``access`` point is left
-        alone — cache hits are never traced, which is what keeps the
-        traced-run overhead within the bench gate.  The ``trace.*``
-        roll-ups go to ``machine.registry``.
+        Registers root-span probes on the ``miss``, ``upgrade``,
+        ``fault`` and ``pageout`` points of ``machine.probes``, a
+        hop-span probe on ``send`` and :meth:`mark` on ``mark``.  The
+        per-reference ``access`` point is left alone — cache hits are
+        never traced, which is what keeps the traced-run overhead within
+        the bench gate.  The ``trace.*`` roll-ups and the
+        ``trace.transactions``/``spans``/``evicted``/``errors`` gauges
+        go to ``machine.registry``.
         """
-        self._registry = machine.registry
-        self._policy = machine.policy.name
-        for point, probe in self._span_probes():
+        registry = self._registry = machine.registry
+        policy = self._policy = machine.policy.name
+        if registry is not None:
+            self._gauges = tuple(
+                registry.gauge("trace." + name, policy=policy)
+                for name in ("transactions", "spans", "evicted", "errors"))
+        for point, probe in self._probes():
             machine.probes.add(point, probe)
 
-    def detach(self, machine) -> None:
-        """Undo :meth:`attach` and drop every handle on this collector.
-
-        Clears ``machine.tracer`` and the controllers' and kernels'
-        span handles taken from it, so no component records into this
-        collector any more."""
-        for point, probe in self._span_probes():
-            machine.probes.remove(point, probe)
-        machine.tracer = None
-        for node in machine.nodes:
-            node.controller._tracer = None
-            node.kernel._tracer = None
-
-    def _span_probes(self):
+    def _probes(self):
         return (("miss", self._miss), ("upgrade", self._upgrade),
                 ("fault", self._fault), ("pageout", self._pageout),
-                ("send", self._send))
+                ("send", self._send), ("mark", self.mark))
 
-    def _span(self, call, args, name, kind, node, begin, **attrs):
+    def _root(self, call, args, name, kind, node, begin, **attrs):
         """Run ``call(*args)`` inside a root span; an escaping exception
         unwinds the trace tagged with its type."""
         root = self.begin(name, kind, node, begin, **attrs)
@@ -515,21 +421,21 @@ class TraceCollector:
         return result
 
     def _miss(self, call, cpu, frame, lip, line, is_write, now):
-        return self._span(call, (cpu, frame, lip, line, is_write, now),
+        return self._root(call, (cpu, frame, lip, line, is_write, now),
                           "miss", "local", cpu.node.node_id, now,
                           cpu=cpu.cpu_id, write=int(is_write))
 
     def _upgrade(self, call, cpu, frame, lip, line, now):
-        return self._span(call, (cpu, frame, lip, line, now), "upgrade",
+        return self._root(call, (cpu, frame, lip, line, now), "upgrade",
                           "local", cpu.node.node_id, now, cpu=cpu.cpu_id,
                           write=1)
 
     def _fault(self, call, kernel, vpage, now):
-        return self._span(call, (vpage, now), "fault", "fault",
+        return self._root(call, (vpage, now), "fault", "fault",
                           kernel.node.node_id, now, vpage=vpage)
 
     def _pageout(self, call, kernel, frame, now, demote=False):
-        return self._span(call, (frame, now, demote), "page_out", "pageout",
+        return self._root(call, (frame, now, demote), "page_out", "pageout",
                           kernel.node.node_id, now, frame=frame)
 
     def _send(self, call, src, dst, now, kind):
@@ -546,62 +452,26 @@ class TraceCollector:
         items = sorted(self._heap, key=lambda item: (-item[0], -item[1]))
         return [item[2] for item in items[:n]]
 
-    def errored(self) -> "list[Trace]":
-        """Retained traces whose transaction aborted with an error."""
-        return [trace for trace in self.traces if trace.error]
-
     def rollup(self) -> "dict[str, dict[str, int]]":
         """Aggregate ``segment -> {"cycles", "count"}`` over *all*
         completed traces (eviction-proof)."""
         return {kind: {"cycles": entry[0], "count": entry[1]}
                 for kind, entry in sorted(self._segments.items())}
 
-    def publish(self, registry) -> None:
-        """Write summary gauges into a metrics registry."""
-        policy = self._policy
-        registry.gauge("trace.transactions", policy=policy).set(self.finished)
-        registry.gauge("trace.spans", policy=policy).set(self.span_count)
-        registry.gauge("trace.evicted", policy=policy).set(self.evicted)
-        registry.gauge("trace.errors", policy=policy).set(self.errors)
-
-    # -- export ------------------------------------------------------------
-
-    def to_spans_jsonl(self) -> str:
-        """All retained traces as JSONL, one span per line, roots
-        first within each trace (schema: :data:`SPAN_SCHEMA`)."""
-        lines = []
-        for trace in self.traces:
-            for span in trace.spans:
-                lines.append(json.dumps(span.to_dict(), sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_spans(self, path) -> int:
-        """Write the JSONL span export; returns the span count."""
-        text = self.to_spans_jsonl()
-        with open(path, "w") as fh:
-            fh.write(text)
-        return sum(len(trace.spans) for trace in self.traces)
-
-    def to_chrome(self) -> dict:
-        """Chrome / Perfetto ``trace_event`` JSON (complete events).
+    def write_chrome(self, path) -> int:
+        """Write the retained spans as Chrome / Perfetto
+        ``trace_event`` JSON (complete events); returns the event count.
 
         ``ts``/``dur`` carry simulated cycles in the viewer's
         microsecond field; ``pid`` is the node, ``tid`` the cpu.
         """
-        events = []
-        for trace in self.traces:
-            for span in trace.spans:
-                events.append({
-                    "name": span.name,
-                    "cat": span.kind,
-                    "ph": "X",
-                    "ts": span.begin,
-                    "dur": span.end - span.begin,
-                    "pid": span.node,
-                    "tid": span.cpu if span.cpu >= 0 else 0,
-                    "args": span.to_dict(),
-                })
-        return {
+        events = [{"name": span["name"], "cat": span["segment"],
+                   "ph": "X", "ts": span["begin"],
+                   "dur": span["end"] - span["begin"], "pid": span["node"],
+                   "tid": span["cpu"] if span["cpu"] >= 0 else 0,
+                   "args": span}
+                  for span in self.sink.events]
+        doc = {
             "traceEvents": events,
             "displayTimeUnit": "ns",
             "otherData": {
@@ -610,99 +480,10 @@ class TraceCollector:
                 "clock": "simulated cycles (rendered as us)",
             },
         }
-
-    def write_chrome(self, path) -> int:
-        """Write the Chrome trace JSON; returns the event count."""
-        doc = self.to_chrome()
         with open(path, "w") as fh:
             json.dump(doc, fh, sort_keys=True)
             fh.write("\n")
-        return len(doc["traceEvents"])
-
-
-#: JSONL span export schema: field name -> allowed types.  Exactly
-#: these fields, no extras; ``parent`` is "" for root spans.
-SPAN_SCHEMA = {
-    "trace": str,
-    "span": str,
-    "parent": str,
-    "name": str,
-    "kind": str,
-    "node": int,
-    "cpu": int,
-    "begin": (int, float),
-    "end": (int, float),
-    "attrs": dict,
-}
-
-
-def validate_span(span: dict) -> None:
-    """Validate one exported span dict against :data:`SPAN_SCHEMA`.
-
-    Raises ``ValueError`` on missing/extra fields, type mismatches,
-    unknown segment kinds or ``end < begin``.
-    """
-    if not isinstance(span, dict):
-        raise ValueError("span must be an object, got %r" % type(span))
-    missing = set(SPAN_SCHEMA) - set(span)
-    if missing:
-        raise ValueError("span missing field(s) %s" % sorted(missing))
-    extra = set(span) - set(SPAN_SCHEMA)
-    if extra:
-        raise ValueError("span has unexpected field(s) %s" % sorted(extra))
-    for field, types in SPAN_SCHEMA.items():
-        value = span[field]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError("span field %r has %r, expected %s"
-                             % (field, value, types))
-    if span["kind"] not in SEGMENTS:
-        raise ValueError("unknown span kind %r" % span["kind"])
-    if span["end"] < span["begin"]:
-        raise ValueError("span %s ends (%s) before it begins (%s)"
-                         % (span["span"], span["end"], span["begin"]))
-
-
-def validate_spans_jsonl(path) -> int:
-    """Validate a JSONL span export end to end; returns the span count.
-
-    Beyond per-span schema checks, verifies causal integrity: each
-    trace has exactly one root, the root appears before its children,
-    and every parent id resolves within its own trace.
-    """
-    count = 0
-    seen: "dict[str, set[str]]" = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                span = json.loads(line)
-            except ValueError as exc:
-                raise ValueError("line %d: bad JSON: %s" % (lineno, exc))
-            try:
-                validate_span(span)
-            except ValueError as exc:
-                raise ValueError("line %d: %s" % (lineno, exc))
-            trace = span["trace"]
-            members = seen.get(trace)
-            if span["parent"] == "":
-                if members is not None:
-                    raise ValueError(
-                        "line %d: second root in trace %s" % (lineno, trace))
-                seen[trace] = {span["span"]}
-            else:
-                if members is None:
-                    raise ValueError(
-                        "line %d: child before root in trace %s"
-                        % (lineno, trace))
-                if span["parent"] not in members:
-                    raise ValueError(
-                        "line %d: parent %s not (yet) in trace %s"
-                        % (lineno, span["parent"], trace))
-                members.add(span["span"])
-            count += 1
-    return count
+        return len(events)
 
 
 # -- the process-wide collector (read once per machine) -------------------
@@ -716,7 +497,7 @@ def current() -> "TraceCollector | None":
 
 
 @contextmanager
-def collecting(seed: int = 0, max_traces: int = MAX_TRACES,
+def collecting(seed: int = 0, max_spans: int = MAX_SPANS,
                top: int = TOP_CAPACITY):
     """Context manager: install a fresh collector, yield it, uninstall.
 
@@ -726,7 +507,7 @@ def collecting(seed: int = 0, max_traces: int = MAX_TRACES,
     global _COLLECTOR
     if _COLLECTOR is not None:
         raise RuntimeError("a trace collector is already installed")
-    _COLLECTOR = TraceCollector(seed=seed, max_traces=max_traces, top=top)
+    _COLLECTOR = TraceCollector(seed=seed, max_spans=max_spans, top=top)
     try:
         yield _COLLECTOR
     finally:

@@ -166,12 +166,11 @@ class Machine:
             schedule.reset()
         #: Optional fault plane (``repro.faults``).
         self.faults = faults
-        #: The observers, read once here and never looked up again:
-        #: every component below the machine takes its handles from
-        #: these two, so a registry or collector installed after the
-        #: machine is built sees nothing of its run.  None = off.
+        #: The metrics registry, read once here and never looked up
+        #: again: every component below the machine takes its handles
+        #: from it, so a registry installed after the machine is built
+        #: sees nothing of its run.  None = off.
         self.registry = obs.current()
-        self.tracer = tracing.current()
         cfg = self.config
         lat = cfg.latency
 
@@ -247,11 +246,12 @@ class Machine:
             self._heappop = partial(faults.admit, heapq.heappop)
             self._heappushpop = partial(faults.admit, heapq.heappushpop)
 
-        # Causal tracing: opt-in like obs.  With no collector installed
-        # no span probe is registered and simulated results are
-        # byte-identical.
-        if self.tracer is not None:
-            self.tracer.attach(self)
+        # Causal tracing: opt-in like obs, and read once here too.  With
+        # no collector installed no span probe is registered and
+        # simulated results are byte-identical.
+        collector = tracing.current()
+        if collector is not None:
+            collector.attach(self)
 
     # ------------------------------------------------------------------
     # Home lookup.
@@ -537,8 +537,9 @@ class Machine:
                 if frame is None:
                     frame, now = kernel.fault(vpage, now)
                 else:
-                    if self.tracer is not None:
-                        self.tracer.note_tlb(now, now + self._lat_tlb_miss)
+                    for mark in self.probes.mark:
+                        mark("tlb_reload", "tlb", cpu.node.node_id, now,
+                             now + self._lat_tlb_miss)
                     now += self._lat_tlb_miss
                     cpu.stats.tlb_misses += 1
                 tlb.insert(vpage, frame)
@@ -703,15 +704,16 @@ class Machine:
         """
         node = cpu.node
         bus = node.bus
-        tracer = self.tracer
+        marks = self.probes.mark
         # Address phase, data phase and DRAM port occupancy are inlined
         # Resource.acquire calls (same FCFS arithmetic) — this function
         # runs once per local miss and the call overhead was measurable.
         bus.transactions += 1
         res = bus.address_path
         start = res.next_free if res.next_free > now else now
-        if tracer is not None and start > now:
-            tracer.add("bus_wait", "queue", node.node_id, now, start)
+        if marks and start > now:
+            for mark in marks:
+                mark("bus_wait", "queue", node.node_id, now, start)
         t = start + self._lat_bus_request
         res.next_free = t
         res.busy_cycles += self._lat_bus_request
@@ -732,9 +734,9 @@ class Machine:
                 dirty_sibling = cid
                 break
         if dirty_sibling is not None:
-            if tracer is not None:
-                tracer.add("intervention", "mem", node.node_id, t,
-                           t + self._lat_intervention)
+            for mark in marks:
+                mark("intervention", "mem", node.node_id, t,
+                     t + self._lat_intervention)
             t += self._lat_intervention
             if entry.mode.is_remote_backed and not is_write:
                 # No local memory behind the frame: the dirty data is
@@ -743,23 +745,22 @@ class Machine:
             else:
                 node.memory.write(t)
         else:
-            memory = node.memory
-            res = memory.port
+            res = node.memory.port
             start = res.next_free if res.next_free > t else t
-            if tracer is not None:
+            for mark in marks:
                 if start > t:
-                    tracer.add("mem_wait", "queue", node.node_id, t, start)
-                tracer.add("dram", "mem", node.node_id, start,
-                           start + self._lat_serve_mem)
+                    mark("mem_wait", "queue", node.node_id, t, start)
+                mark("dram", "mem", node.node_id, start,
+                     start + self._lat_serve_mem)
             t = start + self._lat_serve_mem
             res.next_free = t
             res.busy_cycles += self._lat_serve_mem
             res.acquisitions += 1
-            memory.reads += 1
         res = bus.data_path
         start = res.next_free if res.next_free > t else t
-        if tracer is not None and start > t:
-            tracer.add("data_wait", "queue", node.node_id, t, start)
+        if marks and start > t:
+            for mark in marks:
+                mark("data_wait", "queue", node.node_id, t, start)
         t = start + self._lat_bus_data
         res.next_free = t
         res.busy_cycles += self._lat_bus_data
@@ -976,5 +977,3 @@ class Machine:
             round(1.0 - pit_hash / pit_lookups, 4) if pit_lookups else 1.0)
         registry.gauge("sim.execution_cycles").set(
             self.stats.execution_cycles)
-        if self.tracer is not None:
-            self.tracer.publish(registry)

@@ -4,7 +4,8 @@ Everything that watches a running :class:`~repro.sim.machine.Machine`
 — the trace recorder, the causal tracer, the value tracker, the serving
 metrics tap, the 2PC channel driver and the barrier invariant checks —
 registers callables on ``machine.probes`` instead of patching methods.
-The points are fixed:
+The model fires the points and holds no observer.  The points are
+fixed:
 
 ============  ================================================  ==========
 point         probe signature                                   returns
@@ -20,6 +21,7 @@ send          ``probe(call, src, dst, now, kind)``              arrival
 migrate       ``probe(gpage, old_home, new_home)``              --
 node_fail     ``probe(node_id, now)``                           --
 barrier       ``probe(release_time)``                           --
+mark          ``probe(name, kind, node, begin, end, **attrs)``  --
 ============  ================================================  ==========
 
 The first six are *wrapped* points.  A probe there receives ``call``,
@@ -41,16 +43,27 @@ looks ``_access`` up once per run, so register access probes before
 ``machine.run`` (or from a workload's ``add_probes`` hook, which the
 run calls after setup).
 
-The last three are *event* points: the machine calls each registered
-probe in order, after the event happened.  An empty point costs one
-loop over an empty tuple on a rare path.
+The last four are *event* points: the model calls each registered
+probe in order, after the event happened.  An empty point costs a
+truth test of, or a loop over, an empty tuple, and no call.
+
+``mark`` carries a protocol step's inner intervals: queue waits, the
+DRAM and intervention phases of a local miss, the home service and
+invalidation fan-out of a remote one, a TLB reload, a remote page-in,
+a retransmission back-off, a command-channel send or receive, and (as
+zero-length ``fault:<action>`` marks) each fault the fault plane
+injects.  ``kind`` is the critical-path segment the interval charges
+(``repro.obs.events.SEGMENTS``).  ``[begin, end)`` is a completed
+interval; ``end=None`` opens a nested one, which the next mark with
+``begin=None`` closes.  The machine (TLB reloads, local misses), the
+controllers, the kernels, the command channels and the fault plane
+fire it; the causal tracer (``repro.obs.tracing``) is its one
+consumer.
 
 This module is the only code that installs anything on a machine.  The
-exceptions left are the observer handles every component takes at
-construction from ``machine.registry`` and ``machine.tracer`` (the
-controllers' and kernels' metric and child-span handles among them):
-single attribute tests that count or mark spans inside protocol
-steps.
+exception left is the metric handles every component takes at
+construction from ``machine.registry``: single attribute tests that
+count inside protocol steps.
 ``Machine.close`` empties every point and drops the bound chains, using
 the method tables below.
 """
@@ -61,7 +74,7 @@ from functools import partial
 
 #: Every probe point, in the order of the table above.
 POINTS = ("access", "miss", "upgrade", "fault", "pageout", "send",
-          "migrate", "node_fail", "barrier")
+          "migrate", "node_fail", "barrier", "mark")
 
 #: Wrapped points: point -> the method its probes are composed around.
 _MACHINE_METHODS = {"access": "_access", "miss": "_miss",

@@ -1,9 +1,9 @@
 """Event tracing for the simulated machine.
 
-This is the *event* substrate ("what happened, in order"); the
-*causal* substrate ("why was this access slow") is
+This records "what happened, in order"; "why was this access slow" is
 :mod:`repro.obs.tracing`, which follows each coherence transaction as
-a span tree with a critical-path latency breakdown.
+a span tree with a critical-path latency breakdown.  Both keep what
+they saw in the same store, an :class:`~repro.obs.events.EventSink`.
 
 A :class:`TraceRecorder` registers probes on ``machine.probes`` (see
 :mod:`repro.sim.probes`) that emit structured events into an

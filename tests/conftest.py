@@ -57,8 +57,24 @@ def remove(cache, line):
 def memory_read(memory, now):
     """Uncached line read from a node's DRAM at the latency model's
     ``local_memory``; returns the completion time."""
-    memory.reads += 1
     return memory.port.acquire(now, memory.lat.local_memory)
+
+
+def event_counts(sink):
+    """Retained-event counts of an ``EventSink`` by kind, plus its
+    ``dropped`` count."""
+    counts = {}
+    for event in sink.events:
+        counts[event["kind"]] = counts.get(event["kind"], 0) + 1
+    counts["dropped"] = sink.dropped
+    return counts
+
+
+def detach(collector, machine):
+    """Undo ``collector.attach(machine)``: remove its probes, so nothing
+    of the machine records into it any more."""
+    for point, probe in collector._probes():
+        machine.probes.remove(point, probe)
 
 
 def tlb_lookup(tlb, vpage):

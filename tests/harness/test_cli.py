@@ -169,8 +169,8 @@ def test_trace_command(tmp_path, capsys):
     assert "critical-path latency by segment" in out
     assert "#1" in out and "#2" in out and "#3" not in out
     assert "sum" in out and "= duration" in out
-    from repro.obs.tracing import validate_spans_jsonl
-    assert validate_spans_jsonl(spans) > 0
+    from repro.obs import validate_jsonl
+    assert validate_jsonl(spans) > 0
     import json
     doc = json.loads(chrome.read_text())
     assert doc["traceEvents"]

@@ -9,7 +9,7 @@ import pytest
 from repro.core.controller import NodeFailedError
 from repro.sim.invariants import check_machine
 
-from tests.conftest import Harness
+from tests.conftest import Harness, event_counts
 
 
 @pytest.fixture
@@ -175,4 +175,4 @@ def test_trace_recorder_records_node_fail():
         h.machine.fail_node(2, now=2_000)   # no-op, no second event
     assert trace.sink.events == [
         {"seq": 0, "kind": "node_fail", "time": 1_234, "node": 2}]
-    assert trace.sink.summary()["node_fail"] == 1
+    assert event_counts(trace.sink)["node_fail"] == 1

@@ -32,5 +32,5 @@ def test_memory_read_write_occupancy():
     assert t == lat.local_memory
     t2 = mem.write(0)  # serialized behind the read
     assert t2 == lat.local_memory + lat.local_memory // 2
-    assert mem.reads == 1
-    assert mem.writes == 1
+    assert mem.port.acquisitions == 2
+    assert mem.port.busy_cycles == t2

@@ -1,13 +1,15 @@
 """Observers are read once, when the machine is built.
 
-``Machine.__init__`` takes the installed metrics registry and trace
-collector as ``machine.registry`` / ``machine.tracer``; every component
-below the machine (controllers, kernels, command channels, the fault
-plane, the serving tap) takes its handles from there.  So observers
-installed after the build see nothing of the run, and observers
-installed before it see all of it: the digests below pin the whole
-metrics snapshot and span export of one faulted txn2pc run, the
-``faults.*`` counters and the command-channel spans included.
+``Machine.__init__`` takes the installed metrics registry as
+``machine.registry`` and attaches the installed trace collector's
+probes; every component below the machine (controllers, kernels,
+command channels, the fault plane, the serving tap) takes its metric
+handles from the registry and fires the ``mark`` probe point.  So
+observers installed after the build see nothing of the run, and
+observers installed before it see all of it: the digests below pin the
+whole metrics snapshot and span export of one faulted txn2pc run, the
+``faults.*`` counters, the command-channel spans and the fault marks
+included.
 """
 
 import hashlib
@@ -23,9 +25,9 @@ from repro.workloads.serving import chaos_scenarios
 #: sha256 of the sorted-key metrics snapshot (``host.*`` wall-clock
 #: gauges dropped) and of the span JSONL of :func:`_build_and_run`.
 METRICS_SHA256 = (
-    "75a7babc6228aa72da2df1f2582a12dc188274b3bf41487c4fd54d1e6e8f609a")
+    "e52e8b38d74a45584cbb4584fe3692f56450c67e91fc715293e3a3343c11b80a")
 SPANS_SHA256 = (
-    "ec6f8baf8d9ba3ea3b3ea8a0bd852eba27b60bf3c856755049e1fa28ba4d1a92")
+    "a66b7fc82072471a21e197066494a62ffaea82ec2a8e778b08aa32ebddc314ee")
 
 
 def _build():
@@ -65,7 +67,7 @@ def test_observers_installed_before_build_see_the_whole_run():
             tracing.collecting(seed=5) as collector:
         machine, workload = _build()
         assert machine.registry is registry
-        assert machine.tracer is collector
+        assert collector.mark in machine.probes.mark
         machine.run(workload)
     snap = _snapshot(registry)
     counters = snap["counters"]
@@ -73,9 +75,10 @@ def test_observers_installed_before_build_see_the_whole_run():
     assert sum(value for key, value in counters.items()
                if key.startswith("faults.retransmit")) == 88
     assert counters["serving.requests{op=txn}"] == 8
-    spans = collector.to_spans_jsonl()
+    spans = collector.sink.to_jsonl()
     assert spans.count('"channel_send"') == 24
     assert spans.count('"channel_recv"') == 24
     assert spans.count('"retry"') == 88
+    assert spans.count('"fault:drop"') == 88
     assert _sha256(json.dumps(snap, sort_keys=True)) == METRICS_SHA256
     assert _sha256(spans) == SPANS_SHA256

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.events import (EVENT_SCHEMA, EventSink, validate_event,
                               validate_jsonl)
+from tests.conftest import event_counts
 
 
 def access(sink, seq_time=0):
@@ -21,7 +22,7 @@ def test_emit_assigns_monotonic_seq_and_kind():
     assert (first["seq"], second["seq"]) == (0, 1)
     assert first["kind"] == "access"
     assert len(sink.events) == 2
-    assert sink.summary() == {"access": 1, "fault": 1, "dropped": 0}
+    assert event_counts(sink) == {"access": 1, "fault": 1, "dropped": 0}
 
 
 def test_unknown_kind_rejected():

@@ -8,15 +8,15 @@ from repro import obs
 from repro.core.controller import NodeFailedError
 from repro.kernel.msgqueue import MessageChannel
 from repro.obs import tracing
-from repro.obs.tracing import (SEGMENTS, Span, Trace, TraceCollector,
-                               compute_breakdown, format_tree,
-                               validate_span, validate_spans_jsonl)
+from repro.obs.events import SEGMENTS, validate_event, validate_jsonl
+from repro.obs.tracing import (Trace, TraceCollector, compute_breakdown,
+                               format_tree)
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.probes import POINTS
 from repro.workloads import make_workload
 from repro.workloads.serving import chaos_scenarios
-from tests.conftest import Harness
+from tests.conftest import Harness, detach
 
 
 def _run_traced(seed=0, workload="fft", policy="scoma", **collector_kw):
@@ -26,21 +26,19 @@ def _run_traced(seed=0, workload="fft", policy="scoma", **collector_kw):
     return collector, result
 
 
+def _traces(collector):
+    """The collector's retained slowest traces."""
+    return collector.slowest(collector.top_capacity)
+
+
 # -- breakdown ------------------------------------------------------------
-
-
-def _span(collector, name, kind, begin, end, parent=None):
-    """Hand-build a closed span inside the collector's open trace."""
-    span = collector.begin(name, kind, 0, begin)
-    span.end = end
-    return span
 
 
 def test_breakdown_root_only():
     collector = TraceCollector()
     root = collector.begin("miss", "local", 0, 100)
     collector.end(root, 160)
-    (trace,) = collector.traces
+    (trace,) = _traces(collector)
     assert trace.breakdown == {"local": 60}
 
 
@@ -50,7 +48,7 @@ def test_breakdown_child_clipped_and_residual():
     collector.add("hop", "network", 0, 10, 30)
     collector.add("late", "queue", 0, 90, 150)   # clipped to [90, 100)
     collector.end(root, 100)
-    (trace,) = collector.traces
+    (trace,) = _traces(collector)
     assert trace.breakdown == {"local": 70, "network": 20, "queue": 10}
     assert sum(trace.breakdown.values()) == trace.duration
 
@@ -61,7 +59,7 @@ def test_breakdown_overlapping_siblings_later_begin_wins():
     collector.add("a", "network", 0, 10, 50)
     collector.add("b", "queue", 0, 40, 60)       # overlaps [40, 50)
     collector.end(root, 100)
-    (trace,) = collector.traces
+    (trace,) = _traces(collector)
     assert trace.breakdown == {"local": 50, "network": 30, "queue": 20}
     assert sum(trace.breakdown.values()) == trace.duration
 
@@ -73,14 +71,15 @@ def test_breakdown_deeper_span_beats_shallower():
     collector.add("inv", "inval", 1, 30, 40)     # grandchild of root
     collector.end(home, 60)
     collector.end(root, 100)
-    (trace,) = collector.traces
+    (trace,) = _traces(collector)
     assert trace.breakdown == {"local": 60, "home": 30, "inval": 10}
     assert sum(trace.breakdown.values()) == trace.duration
 
 
 def test_breakdown_empty_window():
-    trace = Trace(1)
-    trace.spans.append(Span(1, 2, 0, "r", "local", 0, -1, 5, 5, None))
+    trace = Trace("1")
+    trace.spans.append({"span": "2", "parent": "", "segment": "local",
+                        "begin": 5, "end": 5})
     assert compute_breakdown(trace) == {}
 
 
@@ -94,30 +93,41 @@ def test_add_without_active_transaction_returns_none():
     assert collector.started == 0
 
 
-def test_add_root_standalone_and_as_child():
+def test_mark_outside_a_transaction_opens_its_own_trace():
     collector = TraceCollector()
-    span = collector.add_root("recv", "msg", 1, 5, 9, link_trace="ab")
-    assert span.parent_id == 0
+    collector.mark("recv", "msg", 1, 5, None, seq=3)
+    collector.mark("recv", "msg", 1, None, 9)
     assert collector.finished == 1
-    assert collector.traces[0].breakdown == {"msg": 4}
+    (trace,) = _traces(collector)
+    assert trace.spans[0]["parent"] == ""
+    assert trace.spans[0]["attrs"] == {"seq": 3}
+    assert trace.breakdown == {"msg": 4}
+    # Inside a transaction the same marks nest a child span.
     root = collector.begin("miss", "local", 0, 0)
-    child = collector.add_root("recv", "msg", 1, 1, 2)
-    assert child.parent_id == root.span_id
+    collector.mark("recv", "msg", 1, 1, None)
+    collector.mark("hop", "network", 1, 1, 2)
+    collector.mark("recv", "msg", 1, None, 3)
     collector.end(root, 10)
     assert collector.finished == 2
+    recv, hop = _traces(collector)[0].spans[1:]
+    assert recv["parent"] == root["span"]
+    assert hop["parent"] == recv["span"]
+    assert recv["end"] == 3
 
 
-def test_annotate_and_count_merge_attrs():
+def test_fault_mark_is_a_zero_length_child():
     collector = TraceCollector()
-    collector.annotate(ignored=1)                # no-op: nothing active
-    collector.count("ignored")
+    collector.mark("fault:drop", "network", 0, 4, 4, msg="ACK")  # no-op
     root = collector.begin("miss", "local", 0, 0)
-    collector.annotate(fault_msg="ACK")
-    collector.count("fault_drop")
-    collector.count("fault_drop", 2)
+    collector.mark("fault:drop", "network", 0, 4, 4, msg="ACK", dst=1)
     collector.end(root, 10)
-    assert root.attrs["fault_msg"] == "ACK"
-    assert root.attrs["fault_drop"] == 3
+    assert collector.span_count == 2
+    (trace,) = _traces(collector)
+    fault = trace.spans[1]
+    assert (fault["name"], fault["begin"], fault["end"]) == (
+        "fault:drop", 4, 4)
+    assert fault["attrs"] == {"msg": "ACK", "dst": 1}
+    assert trace.breakdown == {"local": 10}     # zero cycles charged
 
 
 def test_unwind_keeps_partial_trace_with_error():
@@ -127,48 +137,59 @@ def test_unwind_keeps_partial_trace_with_error():
     collector.add("hop", "network", 1, 120, 150)
     collector.unwind("DeadlineExceeded")
     assert collector.errors == 1
-    (trace,) = collector.errored()
+    trace = collector.aborted
     assert trace.error == "DeadlineExceeded"
-    assert trace.root.attrs["error"] == "DeadlineExceeded"
+    assert trace.spans[0]["attrs"]["error"] == "DeadlineExceeded"
     for span in trace.spans:
-        assert span.end >= span.begin
+        assert span["end"] >= span["begin"]
     assert sum(trace.breakdown.values()) == trace.duration
     collector.unwind()                           # idempotent when empty
     assert collector.errors == 1
     assert "transaction aborted" in format_tree(trace)
 
 
-def test_ring_eviction_preserves_rollup():
-    collector = TraceCollector(max_traces=2)
+def _two_span_trace(collector, begin, end):
+    root = collector.begin("r", "msg", 0, begin)
+    collector.add("hop", "network", 0, begin, end)
+    collector.end(root, end)
+
+
+def test_ring_eviction_preserves_rollup(tmp_path):
+    collector = TraceCollector(max_spans=3)
     for i in range(5):
-        collector.add_root("r", "msg", 0, i, i + 1)
-    assert len(collector.traces) == 2
-    assert collector.evicted == 3
+        _two_span_trace(collector, i, i + 1)
+    assert len(collector.sink.events) == 3
+    assert collector.sink.dropped == 7
     assert collector.finished == 5
-    assert collector.rollup() == {"msg": {"cycles": 5, "count": 5}}
+    assert collector.rollup() == {"network": {"cycles": 5, "count": 5}}
+    # The ring cut the fourth trace's root: its child still validates.
+    path = tmp_path / "spans.jsonl"
+    collector.sink.write_jsonl(path)
+    assert validate_jsonl(path) == 3
 
 
 def test_top_heap_keeps_slowest():
     collector = TraceCollector(top=2)
     for duration in (5, 1, 9, 3):
-        collector.add_root("r", "msg", 0, 0, duration)
+        _two_span_trace(collector, 0, duration)
     durations = [t.duration for t in collector.slowest(10)]
     assert durations == [9, 5]
 
 
-def test_note_tlb_consumed_only_by_adjacent_root():
+def test_tlb_mark_consumed_only_by_adjacent_root():
     collector = TraceCollector()
-    collector.note_tlb(90, 100)
+    collector.mark("tlb_reload", "tlb", 0, 90, 100)
     root = collector.begin("miss", "local", 0, 100)
     collector.end(root, 160)
-    (trace,) = collector.traces
-    assert trace.root.begin == 90                # stretched back
+    (trace,) = _traces(collector)
+    assert trace.spans[0]["begin"] == 90         # stretched back
     assert trace.breakdown == {"local": 60, "tlb": 10}
     # A stale window (root opens later) is discarded.
-    collector.note_tlb(200, 210)
+    collector.mark("tlb_reload", "tlb", 0, 200, 210)
     root = collector.begin("miss", "local", 0, 300)
     collector.end(root, 320)
-    assert collector.traces[-1].breakdown == {"local": 20}
+    assert collector.rollup() == {"local": {"cycles": 80, "count": 2},
+                                  "tlb": {"cycles": 10, "count": 1}}
 
 
 def test_deterministic_ids_per_seed():
@@ -177,7 +198,7 @@ def test_deterministic_ids_per_seed():
         root = collector.begin("miss", "local", 3, 0)
         collector.add("hop", "network", 3, 1, 2)
         collector.end(root, 10)
-        return collector.to_spans_jsonl()
+        return collector.sink.to_jsonl()
 
     assert build(7) == build(7)
     assert build(7) != build(8)
@@ -188,9 +209,7 @@ def test_module_install_current_context():
     with tracing.collecting(seed=1) as collector:
         assert tracing.current() is collector
         assert collector.seed == 1
-        assert collector.context() is None  # nothing open yet
         root = collector.begin("miss", "local", 0, 0)
-        assert collector.context() == (root.trace_id, root.span_id)
         with pytest.raises(RuntimeError):
             with tracing.collecting():
                 pass
@@ -203,19 +222,20 @@ def test_module_install_current_context():
 
 
 def _good_span():
-    return {"trace": "%016x" % 1, "span": "%016x" % 2, "parent": "",
-            "name": "miss", "kind": "local", "node": 0, "cpu": -1,
-            "begin": 0, "end": 10, "attrs": {}}
+    return {"seq": 0, "kind": "span", "trace": "%016x" % 1,
+            "span": "%016x" % 2, "parent": "", "name": "miss",
+            "segment": "local", "node": 0, "cpu": -1, "begin": 0, "end": 10,
+            "attrs": {}}
 
 
 def test_validate_span_accepts_good_span():
-    validate_span(_good_span())
+    validate_event(_good_span())
 
 
 @pytest.mark.parametrize("mutate", [
-    lambda s: s.pop("kind"),                       # missing field
+    lambda s: s.pop("segment"),                    # missing field
     lambda s: s.update(extra=1),                   # unknown field
-    lambda s: s.update(kind="bogus"),              # unknown segment
+    lambda s: s.update(segment="bogus"),           # unknown segment
     lambda s: s.update(end=-5),                    # ends before begin
     lambda s: s.update(node=True),                 # bool is not int
     lambda s: s.update(trace=123),                 # wrong type
@@ -224,32 +244,37 @@ def test_validate_span_rejects(mutate):
     span = _good_span()
     mutate(span)
     with pytest.raises(ValueError):
-        validate_span(span)
+        validate_event(span)
+
+
+def _write(path, *spans):
+    path.write_text("".join(json.dumps(dict(span, seq=seq)) + "\n"
+                            for seq, span in enumerate(spans)))
 
 
 def test_validate_spans_jsonl_causal_integrity(tmp_path):
     path = tmp_path / "spans.jsonl"
     root = _good_span()
     child = dict(_good_span(), span="%016x" % 3, parent="%016x" % 2,
-                 kind="network")
-    path.write_text("\n".join(json.dumps(s) for s in (root, child)) + "\n")
-    assert validate_spans_jsonl(path) == 2
+                 segment="network")
+    _write(path, root, child)
+    assert validate_jsonl(path) == 2
 
     # Child before its root is a causal-order violation.
-    path.write_text("\n".join(json.dumps(s) for s in (child, root)) + "\n")
+    _write(path, child, root)
     with pytest.raises(ValueError, match="child before root"):
-        validate_spans_jsonl(path)
+        validate_jsonl(path)
 
     # A second root in the same trace is a structural violation.
-    path.write_text("\n".join(json.dumps(s) for s in (root, root)) + "\n")
+    _write(path, root, root)
     with pytest.raises(ValueError, match="second root"):
-        validate_spans_jsonl(path)
+        validate_jsonl(path)
 
     # Dangling parent ids are caught too.
     orphan = dict(child, parent="%016x" % 99)
-    path.write_text("\n".join(json.dumps(s) for s in (root, orphan)) + "\n")
+    _write(path, root, orphan)
     with pytest.raises(ValueError, match="not \\(yet\\) in trace"):
-        validate_spans_jsonl(path)
+        validate_jsonl(path)
 
 
 # -- machine integration --------------------------------------------------
@@ -265,14 +290,14 @@ def test_traced_run_stats_byte_identical_to_plain_run():
 
 def test_untraced_machine_has_no_tracer():
     machine = Machine(MachineConfig(), policy="scoma")
-    assert machine.tracer is None
+    assert machine.probes.mark == ()
     assert machine.probes.send == ()
     assert "_hop" not in vars(machine.network)
 
 
 def test_traced_run_breakdowns_sum_and_are_diverse():
     collector, _ = _run_traced()
-    for trace in collector.traces:
+    for trace in _traces(collector):
         assert sum(trace.breakdown.values()) == trace.duration
     for trace in collector.slowest(5):
         assert len(trace.breakdown) >= 3
@@ -284,14 +309,14 @@ def test_traced_run_breakdowns_sum_and_are_diverse():
 def test_same_seed_runs_export_identical_spans():
     first, _ = _run_traced(seed=3)
     second, _ = _run_traced(seed=3)
-    assert first.to_spans_jsonl() == second.to_spans_jsonl()
+    assert first.sink.to_jsonl() == second.sink.to_jsonl()
 
 
 def test_span_export_validates(tmp_path):
     collector, _ = _run_traced()
     path = tmp_path / "spans.jsonl"
-    written = collector.write_spans(path)
-    assert validate_spans_jsonl(path) == written == collector.span_count
+    written = collector.sink.write_jsonl(path)
+    assert validate_jsonl(path) == written == collector.span_count
 
 
 def test_chrome_export_structure(tmp_path):
@@ -303,7 +328,7 @@ def test_chrome_export_structure(tmp_path):
     for event in doc["traceEvents"][:50]:
         assert event["ph"] == "X"
         assert event["dur"] >= 0
-        validate_span(event["args"])
+        validate_event(event["args"])
 
 
 def test_registry_receives_segment_histograms_and_gauges():
@@ -326,7 +351,7 @@ def test_detach_restores_machine_fast_path():
         machine = Machine(MachineConfig(), policy="scoma")
         assert machine.probes.miss
         assert machine.probes.send
-        collector.detach(machine)
+        detach(collector, machine)
         machine.run(make_workload("fft", "tiny"))
         assert collector.started == 0
     for point in POINTS:
@@ -337,7 +362,7 @@ def test_detach_restores_machine_fast_path():
     scenario = chaos_scenarios()["txn2pc"]
     with tracing.collecting() as collector:
         machine = Machine(scenario.build_config(), policy=scenario.policy)
-        collector.detach(machine)
+        detach(collector, machine)
         machine.run(scenario.make_workload())
         assert collector.started == 0
         assert collector.span_count == 0
@@ -351,10 +376,10 @@ def test_exception_inside_a_span_probe_unwinds_with_its_type():
         h.machine.fail_node(2)
         with pytest.raises(NodeFailedError):
             h.read(h.cpu_on_node(0), h.vaddr(page, 1))
-    (trace,) = collector.errored()
+    trace = collector.aborted
     assert trace.error == "NodeFailedError"
-    assert trace.root.name == "miss"
-    assert trace.root.attrs["error"] == "NodeFailedError"
+    assert trace.spans[0]["name"] == "miss"
+    assert trace.spans[0]["attrs"]["error"] == "NodeFailedError"
 
 
 def test_message_channel_links_send_and_recv():
@@ -363,10 +388,10 @@ def test_message_channel_links_send_and_recv():
         channel = MessageChannel(machine, src_node=0, dst_node=1)
         channel.send({"k": 1}, now=0)
         assert channel.receive(now=50_000) is not None
-    names = {trace.root.name: trace for trace in collector.traces}
-    assert "channel_send" in names
-    assert "channel_recv" in names
-    send = names["channel_send"].root
-    recv = names["channel_recv"].root
-    assert recv.attrs["link_trace"] == "%016x" % send.trace_id
-    assert recv.attrs["link_span"] == "%016x" % send.span_id
+    roots = {span["name"]: span for span in collector.sink.events
+             if not span["parent"]}
+    send, recv = roots["channel_send"], roots["channel_recv"]
+    assert send["trace"] != recv["trace"]
+    # (src, dst, seq) names the message on both sides.
+    assert send["attrs"] == {"dst": 1, "seq": 0}
+    assert recv["attrs"] == {"src": 0, "seq": 0}

@@ -49,6 +49,6 @@ def test_breakdown_sums_to_duration_for_arbitrary_trees(data):
         hi = data.draw(st.integers(lo, begin + duration + 100))
         collector.add("child", data.draw(kinds), 0, lo, hi)
     collector.end(root, begin + duration)
-    (trace,) = collector.traces
+    (trace,) = collector.slowest()
     assert sum(trace.breakdown.values()) == duration
     assert trace.breakdown == compute_breakdown(trace)

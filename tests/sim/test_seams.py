@@ -39,7 +39,7 @@ def counting(point, calls):
             calls.append(args)
             return call(*args)
     else:
-        def probe(*args):
+        def probe(*args, **attrs):
             calls.append(args)
     return probe
 
@@ -100,6 +100,12 @@ def test_probe_point_fires(point):
         assert len(calls) == machine.stats.page_faults
     elif point == "send":
         assert len(calls) == machine.network.messages
+    elif point == "mark":
+        # Every nested interval a step opens (end=None) it closes
+        # (begin=None).
+        opens = sum(1 for args in calls if args[4] is None)
+        closes = sum(1 for args in calls if args[3] is None)
+        assert opens == closes > 0
 
 
 def test_intra_node_send_fires_no_probe_and_draws_no_jitter():

@@ -7,6 +7,7 @@ from repro.obs.events import EventSink
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceRecorder
 from repro.workloads import make_workload
+from tests.conftest import event_counts
 
 
 def run_traced(policy="scoma", kinds=None, cap=None, migration=False):
@@ -25,7 +26,7 @@ def of_kind(trace, kind):
 
 def test_records_accesses_and_faults():
     machine, trace = run_traced(kinds={"access", "fault"})
-    summary = trace.sink.summary()
+    summary = event_counts(trace.sink)
     assert summary["access"] == machine.stats.references
     assert summary["fault"] == machine.stats.page_faults
     assert summary["dropped"] == 0

@@ -2,10 +2,12 @@
 installed observers, and the model layers never import them.
 
 ``Machine.__init__`` reads ``obs.current()`` and ``tracing.current()``
-once; everything below it takes ``machine.registry`` and
-``machine.tracer``.  The fault plane sits outside the machine the same
-way: the machine is handed an injector and never imports
-``repro.faults``.  An AST walk over ``src/repro`` keeps it that way.
+once; everything below it takes ``machine.registry`` and fires probe
+points, and no layer of the model holds a tracer: the collector's
+spans come from the ``mark`` point.  The fault plane sits outside the
+machine the same way: the machine is handed an injector and never
+imports ``repro.faults``.  An AST walk over ``src/repro`` keeps it that
+way.
 """
 
 import ast
@@ -20,6 +22,9 @@ MODEL_LAYERS = ("core", "kernel", "mem", "interconnect")
 
 #: Layers that must not import anything from ``repro.faults``.
 FAULT_FREE_LAYERS = ("sim",) + MODEL_LAYERS
+
+#: Layers that fire the ``mark`` probe point and hold no tracer.
+TRACER_FREE_LAYERS = ("sim", "faults") + MODEL_LAYERS
 
 
 def _modules(*parts):
@@ -83,6 +88,21 @@ def test_model_layers_import_nothing_from_obs():
 
 def test_machine_and_model_layers_import_nothing_from_faults():
     assert _offenders(FAULT_FREE_LAYERS, "faults") == []
+
+
+def test_model_layers_hold_no_tracer():
+    """No name or attribute of the model mentions a tracer: no
+    ``machine.tracer`` read, no ``_tracer`` handle, no local alias."""
+    found = []
+    for layer in TRACER_FREE_LAYERS:
+        for path, tree in _modules(layer):
+            for node in ast.walk(tree):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else getattr(node, "id", ""))
+                if "tracer" in name:
+                    found.append("%s:%d %s" % (path.relative_to(SRC),
+                                               node.lineno, name))
+    assert found == []
 
 
 def test_only_machine_init_reads_the_installed_observers():

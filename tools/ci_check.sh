@@ -10,7 +10,8 @@
 # cold and then warm from the result cache, byte-identical; the
 # observability, causal-tracing, live-dashboard and serving smokes; the
 # exact tracing-overhead gate; the litmus suite and a fixed-seed fuzz
-# run; reproducible chaos campaigns, plain and traced; the benchmark
+# run; reproducible chaos campaigns, plain and traced, sampled and under
+# a plan that injects from cycle 0; the benchmark
 # smoke and its exact gate against tools/bench_reference; the
 # wall-clock, cold-start and memory ceilings; and the benchmark's own
 # tests.
@@ -107,9 +108,9 @@ import json
 import sys
 
 workdir = sys.argv[1]
-from repro.obs.tracing import validate_spans_jsonl
+from repro.obs import validate_jsonl
 
-spans = validate_spans_jsonl(workdir + "/spans1.jsonl")
+spans = validate_jsonl(workdir + "/spans1.jsonl")
 assert spans > 0, "span export is empty"
 chrome = json.load(open(workdir + "/chrome.json"))
 assert chrome["traceEvents"], "chrome export has no trace events"
@@ -141,6 +142,48 @@ if ! diff -u "$workdir/chaos1.txt" "$workdir/chaos3.txt"; then
     echo "FAIL: tracing perturbs the chaos campaign" >&2
     exit 1
 fi
+# The sampled plans above may inject nothing, so the same check runs
+# under a plan whose rules are live from cycle 0: requests dropped,
+# every kind duplicated and delayed.
+python - "$workdir/plan.json" <<'EOF'
+import json
+import sys
+
+from repro.faults import FaultPlan
+
+plan = (FaultPlan().drop(0.2, kinds="requests").duplicate(0.3)
+        .delay(0.2, 40))
+with open(sys.argv[1], "w") as fh:
+    json.dump(plan.to_dict(), fh)
+EOF
+python -m repro chaos --seed 7 --rounds 4 --plan "$workdir/plan.json" \
+    > "$workdir/chaos-plan1.txt"
+python -m repro chaos --seed 7 --rounds 4 --plan "$workdir/plan.json" \
+    --trace > "$workdir/chaos-plan2.txt"
+if ! diff -u "$workdir/chaos-plan1.txt" "$workdir/chaos-plan2.txt"; then
+    echo "FAIL: tracing perturbs a faulted chaos campaign" >&2
+    exit 1
+fi
+# The verdicts above match; the fault plane's counters must too, and
+# the plan must really have injected.
+python - "$workdir/plan.json" <<'EOF'
+import json
+import sys
+
+from repro.faults import ChaosCampaign, FaultPlan
+
+plan = FaultPlan.from_dict(json.load(open(sys.argv[1])))
+plain, traced = (ChaosCampaign(seed=7, rounds=4, plan=plan,
+                               trace=trace).run() for trace in (False, True))
+stats = [run.fault_stats for run in plain.runs]
+assert stats == [run.fault_stats for run in traced.runs], \
+    "tracing changed the fault plane's stats"
+assert any(s.get("dropped") or s.get("retransmissions") for s in stats), \
+    "the faulted chaos check injected no drop: %s" % stats
+print("faulted chaos: %d drops, %d retransmissions, traced == untraced"
+      % (sum(s.get("dropped", 0) for s in stats),
+         sum(s.get("retransmissions", 0) for s in stats)))
+EOF
 
 echo "== live dashboard smoke =="
 python -m repro top --apps fft --preset tiny --no-cache > "$workdir/top.txt"

@@ -101,10 +101,11 @@ time series, all organized as labeled families like
 `core.protocol_messages{kind=READ_REQ,node=3}`) plus a structured-event
 sink with JSONL export.  Both are strictly opt-in.  Install, then
 build: `Machine.__init__` reads the installed registry and trace
-collector once (`machine.registry`, `machine.tracer`) and every
-component below the machine takes its handles from there.  With none
-installed those handles stay `None`, so the hot path pays one pointer
-test and results are byte-identical either way.
+collector once; every component below the machine takes its metric
+handles from `machine.registry` and fires probe points, and the
+collector's probes are attached there.  With none installed the
+handles stay `None` and the points stay empty, so the hot path pays
+one pointer test and results are byte-identical either way.
 
 ```python
 from repro import obs
@@ -132,18 +133,20 @@ snapshot = registry.to_dict()          # JSON-safe, stable key order
   export with `repro.harness.export.save_metrics` (`metrics.json`).
 * **Probe bus** — every observer of a machine registers callables on
   `machine.probes` (`repro.sim.probes`) at a fixed set of points:
-  `access`, `miss`, `upgrade`, `fault`, `pageout` (wrapped: a probe
-  gets the next callable and returns the result, possibly adjusted)
-  and `migrate`, `node_fail`, `barrier` (events).  Probes fire in
-  registration order; with none registered the machine runs its plain
-  methods.
-* **Structured events** — `repro.obs.events.EventSink` ring-buffers
-  typed events (`access`, `fault`, `pageout`, `migrate`, `node_fail`,
-  ... per `EVENT_SCHEMA`) with monotonic sequence numbers that survive
-  drops; `validate_event()` / `validate_jsonl()` check an exported
-  trace end to end (strict: unknown fields and non-monotonic sequence
-  numbers are rejected).  `repro.sim.trace.TraceRecorder` is a set of
-  probes that emit into a sink.
+  `access`, `miss`, `upgrade`, `fault`, `pageout`, `send` (wrapped: a
+  probe gets the next callable and returns the result, possibly
+  adjusted) and `migrate`, `node_fail`, `barrier`, `mark` (events;
+  `mark` carries a protocol step's inner intervals to the causal
+  tracer).  Probes fire in registration order; with none registered
+  the machine runs its plain methods.
+* **Structured events** — `repro.obs.events.EventSink`, the one store,
+  ring-buffers typed events (`access`, `fault`, `pageout`, `migrate`,
+  `node_fail`, `span`, ... per `EVENT_SCHEMA`) with monotonic sequence
+  numbers that survive drops; `validate_event()` / `validate_jsonl()`
+  check an exported trace end to end (strict: unknown fields and
+  non-monotonic sequence numbers are rejected, and spans must be
+  causally whole).  `repro.sim.trace.TraceRecorder` is a set of probes
+  that emit into a sink.
 * **Causal tracing** — `repro.obs.tracing.TraceCollector` follows each
   coherence transaction end-to-end as a span tree (miss/upgrade/fault
   roots; queue-wait, network-hop, home-service, invalidation-fan-out,
@@ -151,9 +154,9 @@ snapshot = registry.to_dict()          # JSON-safe, stable key order
   stamps.  `compute_breakdown` charges every cycle of a transaction to
   exactly one critical-path segment (the per-trace segment cycles sum
   to the transaction latency), roll-ups land in the metrics registry
-  as `trace.segment_cycles{segment=...,policy=...}`, and exports go
-  out as schema-validated JSONL spans or Chrome/Perfetto
-  `trace_event` JSON.
+  as `trace.segment_cycles{segment=...,policy=...}`, and each finished
+  transaction's spans go to the collector's `sink` as `span` events,
+  exported as JSONL or Chrome/Perfetto `trace_event` JSON.
 * **CLI** — `repro trace <workload>` records a traced run, prints the
   campaign-wide latency attribution and the `--top N` slowest
   transactions as span trees, and exports with `--out` / `--chrome`;

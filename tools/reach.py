@@ -129,25 +129,29 @@ def _bench_pass(name: str, workdir: str):
     return job
 
 
-def _write_plan(path: str):
+def _write_plan(path: str, sampled: bool):
+    """A job that writes a fault plan file: a sampled one, or the one
+    ``tools/ci_check.sh`` writes, whose rules are live from cycle 0."""
     def job():
         from repro.faults import FaultPlan
-        plan = FaultPlan.sample(random.Random(0), num_nodes=4)
+        if sampled:
+            plan = FaultPlan.sample(random.Random(0), num_nodes=4)
+        else:
+            plan = (FaultPlan().drop(0.2, kinds="requests").duplicate(0.3)
+                    .delay(0.2, 40))
         with open(path, "w") as fh:
             json.dump(plan.to_dict(), fh)
-    job.__name__ = "write a sampled fault plan"
+    job.__name__ = "write a %s fault plan" % ("sampled" if sampled
+                                               else "live")
     return job
 
 
-def _validate(kind: str, path: str):
+def _validate(path: str):
     def job():
-        if kind == "events":
-            from repro.obs import validate_jsonl as validate
-        else:
-            from repro.obs.tracing import validate_spans_jsonl as validate
-        if validate(path) <= 0:
+        from repro.obs import validate_jsonl
+        if validate_jsonl(path) <= 0:
             raise RuntimeError("%s is empty" % path)
-    job.__name__ = "validate %s %s" % (kind, os.path.basename(path))
+    job.__name__ = "validate " + os.path.basename(path)
     return job
 
 
@@ -159,6 +163,7 @@ def jobs(work: str) -> list:
              "--jobs", "1", "--cache-dir", cache)
     saved = [os.path.join(work, "campaign%d.json" % i) for i in (1, 2)]
     plan = os.path.join(work, "plan.json")
+    live_plan = os.path.join(work, "live-plan.json")
     return [
         # tools/ci_check.sh
         _repro("evaluate", *tiny2),
@@ -166,15 +171,19 @@ def jobs(work: str) -> list:
         _repro("run", "fft", "--preset", "tiny", "--no-cache",
                "--trace-out", os.path.join(work, "trace.jsonl"),
                "--metrics-out", os.path.join(work, "metrics.json")),
-        _validate("events", os.path.join(work, "trace.jsonl")),
+        _validate(os.path.join(work, "trace.jsonl")),
         _repro("trace", "fft", "--preset", "tiny", "--seed", "3",
                "--top", "3", "--out", os.path.join(work, "spans.jsonl"),
                "--chrome", os.path.join(work, "chrome.json")),
-        _validate("spans", os.path.join(work, "spans.jsonl")),
+        _validate(os.path.join(work, "spans.jsonl")),
         _repro("verify", "--suite", "litmus"),
         _repro("verify", "--fuzz", "40", "--seed", "0"),
         _repro("chaos", "--seed", "7", "--rounds", "4"),
         _repro("chaos", "--seed", "7", "--rounds", "4", "--trace"),
+        _write_plan(live_plan, sampled=False),
+        _repro("chaos", "--seed", "7", "--rounds", "4", "--plan", live_plan),
+        _repro("chaos", "--seed", "7", "--rounds", "4", "--plan", live_plan,
+               "--trace"),
         _repro("top", "--apps", "fft", "--preset", "tiny", "--no-cache"),
         _repro("run", "kvstore", "--preset", "tiny", "--no-cache",
                "--metrics"),
@@ -200,7 +209,7 @@ def jobs(work: str) -> list:
                "--check-invariants"),
         _repro("run", "txn2pc", "--preset", "tiny", "--no-cache",
                "--metrics"),
-        _write_plan(plan),
+        _write_plan(plan, sampled=True),
         _repro("chaos", "--plan", plan, "--rounds", "2"),
         # bench/passes.py
         *(_bench_pass(name, work)
