@@ -101,16 +101,6 @@ class CoherenceController:
         lat = self.lat
         self._lat_dispatch = lat.ctrl_dispatch
         self._lat_dispatch_pit = lat.ctrl_dispatch + lat.pit_access
-        # Pre-resolved observability handles from the machine's registry
-        # (None when disabled, so the protocol paths pay one attribute
-        # test each).
-        registry = machine.registry
-        if registry is not None:
-            self._obs_fetch = registry.histogram("core.fetch_latency_cycles")
-            self._obs_messages = registry.counter("core.remote_transactions")
-        else:
-            self._obs_fetch = None
-            self._obs_messages = None
 
     # ------------------------------------------------------------------
     # Client side.
@@ -230,9 +220,6 @@ class CoherenceController:
             node.stats.remote_misses += 1
             if entry.mode == _LANUMA:
                 node.kernel.note_lanuma_refetch(entry)
-        if self._obs_fetch is not None:
-            self._obs_fetch.observe(t - now)
-            self._obs_messages.inc()
         return t
 
     def _reroute(self, entry, stale_home: int, true_home: int, t: int) -> int:
@@ -302,9 +289,6 @@ class CoherenceController:
         # nodes not on the page's writer list (section 3.2).
         if want_excl and not node.pit.write_allowed(entry.frame, requester):
             node.stats.wild_writes_blocked += 1
-            registry = self.machine.registry
-            if registry is not None:
-                registry.counter("core.wild_writes_blocked").inc()
             raise WildWriteError(
                 "node %d may not write gpage %d (home %d firewall)"
                 % (requester, gpage, node.node_id))

@@ -158,7 +158,5 @@ class MigrationManager:
         new_home.stats.homes_migrated_in += 1
         machine.nodes[static_id].msglog.record(MessageKind.MIGRATE_ACK, 2)
         self.migrations += 1
-        if machine.registry is not None:
-            machine.registry.counter("core.migrations").inc()
         for probe in machine.probes.migrate:
             probe(gpage, old_home_id, new_home_id)

@@ -68,24 +68,9 @@ class PageModePolicy:
         return PageMode.SCOMA
 
     def on_cache_full(self, kernel, gpage: int) -> FullCacheAction:
+        """What a client fault on ``gpage`` does when ``kernel``'s page
+        cache is full (the ``cache_full`` probe point)."""
         raise NotImplementedError
-
-    def decide_cache_full(self, kernel, gpage: int) -> FullCacheAction:
-        """Run :meth:`on_cache_full` and publish the outcome as a
-        ``core.cache_full_actions{policy,action}`` counter (action is
-        "lanuma", "demote", or "evict")."""
-        action = self.on_cache_full(kernel, gpage)
-        if action.kind == "lanuma":
-            outcome = "lanuma"
-        elif action.demote:
-            outcome = "demote"
-        else:
-            outcome = "evict"
-        registry = kernel.machine.registry
-        if registry is not None:
-            registry.counter("core.cache_full_actions",
-                             policy=self.name, action=outcome).inc()
-        return action
 
     def __repr__(self) -> str:
         return "%s()" % type(self).__name__

@@ -108,21 +108,23 @@ class FaultInjector:
     Construct one per run (it accumulates per-run state: RNG position,
     sequence numbers, applied failures, counters) and hand it to
     ``Machine(..., faults=injector)``; the machine attaches it and pops
-    its event heap through :meth:`admit`.  ``sink`` is an optional
-    :class:`~repro.obs.events.EventSink` receiving one ``fault_inject``
-    event per injected fault.  ``deadline`` bounds the run in simulated
-    cycles (``None``: unbounded).
+    its event heap through :meth:`admit`.  ``deadline`` bounds the run
+    in simulated cycles (``None``: unbounded).
     """
 
     def __init__(self, plan, seed: int = 0, retry: "RetryPolicy | None" = None,
-                 sink=None, deadline: "int | None" = None) -> None:
+                 deadline: "int | None" = None) -> None:
         self.plan = plan
         self.seed = seed
         self.rng = random.Random(seed)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.sink = sink
+        #: Optional sink of ``fault_inject`` events (a chaos run's).
+        self.sink = None
         self.deadline = deadline
         self.stats = FaultStats()
+        #: Faults per ``(action, message kind)``, kept out of
+        #: ``FaultStats``, whose ``to_dict`` the chaos digests hash.
+        self.noted: "dict[tuple[str, str], int]" = {}
         self.seqs = SequenceTracker()
         self._machine = None
         self._rules = tuple(plan.message_rules)
@@ -286,8 +288,6 @@ class FaultInjector:
             self._dup_pending = False
             self.seqs.accept(src, dst, stamp)
             self.stats.dedup_drops += 1
-            if machine.registry is not None:
-                machine.registry.counter("faults.dedup_drops").inc()
         return arrival
 
     def consume_duplicate(self) -> bool:
@@ -301,9 +301,6 @@ class FaultInjector:
         """Record a receiver-side dedup performed outside the injector
         (the command channel's queued-payload path)."""
         self.stats.dedup_drops += 1
-        registry = self._machine.registry
-        if registry is not None:
-            registry.counter("faults.dedup_drops").inc()
 
     # -- internals ---------------------------------------------------------
 
@@ -325,16 +322,12 @@ class FaultInjector:
         return None, 0
 
     def _note(self, action: str, kind, src: int, dst: int, now: int) -> None:
-        """Surface one fault as a ``faults.*`` counter in the machine's
-        registry, a zero-length ``fault:<action>`` mark (a chaos
-        failure's span tree says what was injected into it) and,
-        optionally, an event.
+        """Surface one fault as a count in :attr:`noted`, a zero-length
+        ``fault:<action>`` mark and, optionally, an event.
         """
-        machine = self._machine
-        if machine.registry is not None:
-            machine.registry.counter("faults." + action,
-                                     msg=kind.name).inc()
-        for mark in machine.probes.mark:
+        key = (action, kind.name)
+        self.noted[key] = self.noted.get(key, 0) + 1
+        for mark in self._machine.probes.mark:
             mark("fault:" + action, "network", src, now, now,
                  msg=kind.name, dst=dst)
         if self.sink is not None:

@@ -282,7 +282,7 @@ def cmd_run(args) -> int:
     if result.metrics:
         # Serving workloads under --metrics report request latency
         # quantiles and the throughput curve next to the stats.
-        from repro.workloads.serving import serving_summary
+        from repro.obs.metrics import serving_summary
         for line in serving_summary(result.metrics):
             print("  %s" % line)
     if args.trace_out:
@@ -305,7 +305,7 @@ def _live_observers(check_invariants: bool, sink):
             from repro.sim.invariants import install_barrier_checks
             install_barrier_checks(machine)
         if sink is not None:
-            from repro.sim.trace import TraceRecorder
+            from repro.obs.recorder import TraceRecorder
             # Never exited: closing the machine empties its probes.
             TraceRecorder(machine, sink=sink).__enter__()
     return attach

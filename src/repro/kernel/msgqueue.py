@@ -98,9 +98,17 @@ class MessageChannel:
         # The controller picks the command up and injects the message.
         t = self.src.controller.resource.acquire(t, lat.ctrl_dispatch)
         self.src.msglog.record(MessageKind.COMMAND)
-        arrival = self.machine.network.send(self.src.node_id,
-                                            self.dst.node_id, t,
-                                            MessageKind.COMMAND)
+        try:
+            arrival = self.machine.network.send(self.src.node_id,
+                                                self.dst.node_id, t,
+                                                MessageKind.COMMAND)
+        except BaseException as exc:
+            # Abort the open span: the next transaction must not nest
+            # under it.
+            for mark in marks:
+                mark("channel_send", "msg", self.src.node_id, None, None,
+                     error=type(exc).__name__)
+            raise
         # Receiver-side controller deposits into the command frame
         # (off the sender's critical path).
         self.dst.controller.resource.acquire(arrival, lat.ctrl_dispatch)

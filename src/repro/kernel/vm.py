@@ -55,21 +55,6 @@ class NodeKernel:
         #: resident at their home.
         self.home_status: "set[int]" = set()
 
-        # Pre-resolved metric handles from the machine's registry (None
-        # when disabled, so the fault path pays one `is not None` test).
-        registry = machine.registry
-        if registry is not None:
-            self._obs_fault = {
-                kind: registry.histogram("kernel.fault_service_cycles",
-                                         kind=kind)
-                for kind in ("private", "home", "client")}
-            self._obs_pageout = {
-                False: registry.counter("kernel.page_outs", demote="false"),
-                True: registry.counter("kernel.page_outs", demote="true")}
-        else:
-            self._obs_fault = None
-            self._obs_pageout = None
-
         #: Remote refetch counters for LA-NUMA pages (dyn-bidir).
         self.refetch_counts: "dict[int, int]" = {}
         #: Frames queued for promotion to S-COMA mode; drained by the
@@ -113,24 +98,16 @@ class NodeKernel:
                 % (vpage, self.node.node_id))
         gpage = layout.gpage_of(vpage)
         if gpage is None:
-            frame, done = self._fault_private(vpage, now)
-            kind = "private"
-        else:
-            home = self.machine.dynamic_home_of(gpage)
-            if home in self.machine.failed_nodes:
-                from repro.core.controller import NodeFailedError
-                raise NodeFailedError(
-                    "page-in of gpage %d needs failed home node %d"
-                    % (gpage, home))
-            if home == self.node.node_id:
-                frame, done = self._fault_home(vpage, gpage, now)
-                kind = "home"
-            else:
-                frame, done = self._fault_client(vpage, gpage, home, now)
-                kind = "client"
-        if self._obs_fault is not None:
-            self._obs_fault[kind].observe(done - now)
-        return frame, done
+            return self._fault_private(vpage, now)
+        home = self.machine.dynamic_home_of(gpage)
+        if home in self.machine.failed_nodes:
+            from repro.core.controller import NodeFailedError
+            raise NodeFailedError(
+                "page-in of gpage %d needs failed home node %d"
+                % (gpage, home))
+        if home == self.node.node_id:
+            return self._fault_home(vpage, gpage, now)
+        return self._fault_client(vpage, gpage, home, now)
 
     def _fault_private(self, vpage: int, now: int) -> "tuple[int, int]":
         frame = self.node.pools.alloc_real()
@@ -186,7 +163,7 @@ class NodeKernel:
         done = now
 
         if mode == PageMode.SCOMA and pools.page_cache_full():
-            action = self.policy.decide_cache_full(self, gpage)
+            action = self.policy.on_cache_full(self, gpage)
             if action.kind == "lanuma":
                 mode = PageMode.LANUMA
             else:
@@ -280,8 +257,6 @@ class NodeKernel:
         self.node.pools.free(frame, client_scoma=is_scoma)
         if is_scoma:
             self.node.stats.client_page_outs += 1
-        if self._obs_pageout is not None:
-            self._obs_pageout[demote].inc()
         if demote:
             self.page_mode_override[gpage] = PageMode.LANUMA
             self.node.stats.mode_demotions += 1

@@ -14,12 +14,11 @@ Three substrates, all strictly opt-in:
   events in an event sink) / Chrome trace export.
 
 Install, then build: :func:`collecting` installs a registry for the
-duration of a ``with`` block, and ``Machine.__init__`` reads
-:func:`current` once, keeping the result as ``machine.registry``.
-Everything below the machine takes its handles from there, so a
-registry installed after the machine is built records nothing from its
-run, and with none installed every instrumentation site pays one
-``None`` test::
+duration of a ``with`` block, and ``Machine.__init__`` calls
+:func:`attach` once, registering the installed registry
+(:mod:`repro.obs.metrics`) and trace collector on its probe points.
+An observer installed later records nothing of that machine's run,
+and with none installed no probe is registered::
 
     from repro import obs
 
@@ -28,10 +27,8 @@ run, and with none installed every instrumentation site pays one
         machine.run(workload)
     snapshot = registry.to_dict()
 
-The campaign harness does exactly this around each cell when a
-:class:`~repro.harness.session.Session` is created with
-``collect_metrics=True``, and stores the snapshot in the result cache
-next to the cell's statistics.
+The campaign harness does this around each cell of a
+``Session(collect_metrics=True)``.
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ from repro.obs.registry import (LATENCY_BUCKETS_CYCLES,
 __all__ = [
     "EVENT_SCHEMA", "EventSink", "LATENCY_BUCKETS_CYCLES",
     "TIME_BUCKETS_SECONDS", "Counter", "Gauge", "Histogram",
-    "MetricsRegistry", "Series", "collecting", "current", "find_metrics",
-    "metric_key", "parse_key", "quantile",
+    "MetricsRegistry", "Series", "attach", "collecting", "current",
+    "find_metrics", "metric_key", "parse_key", "quantile",
     "validate_event", "validate_jsonl",
 ]
 
@@ -61,6 +58,15 @@ _REGISTRY: "MetricsRegistry | None" = None
 def current() -> "MetricsRegistry | None":
     """The installed registry, or None."""
     return _REGISTRY
+
+
+def attach(machine) -> None:
+    """Register the installed registry and collector on a machine."""
+    registry, collector = _REGISTRY, tracing.current()
+    if registry is not None:
+        metrics.attach(registry, machine)
+    if collector is not None:
+        collector.attach(machine)
 
 
 @contextmanager
@@ -77,3 +83,7 @@ def collecting(registry: "MetricsRegistry | None" = None):
         yield _REGISTRY
     finally:
         _REGISTRY = previous
+
+
+# Imported last: the collector reads the installed registry from here.
+from repro.obs import metrics, tracing  # noqa: E402

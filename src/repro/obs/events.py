@@ -9,7 +9,7 @@ are overwritten, with an accurate ``dropped`` count) and exports JSONL
 (one event per line, sorted keys).
 
 This is the one store of the simulator, and a span is one more event
-kind.  Producers: :class:`~repro.sim.trace.TraceRecorder`, whose
+kind.  Producers: :class:`~repro.obs.recorder.TraceRecorder`, whose
 ``machine.probes`` emit machine events here (the CLI's
 ``run --trace-out`` wires that up end to end); the value tracker
 (:mod:`repro.verify.tracker`); the fault injector; and the causal

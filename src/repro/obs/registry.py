@@ -18,9 +18,7 @@ hash and diff stably; ``repro metrics``, ``repro top`` and the campaign
 reports read them as they are, with :func:`find_metrics` and
 :func:`quantile`.
 
-Instrumented code takes its metric handles from ``machine.registry``
-once, when it is built; with no registry installed that is ``None``,
-and each site pays one ``None`` test.
+A machine's probe points feed it (:mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ which the protocol steps fire for their inner intervals.  With no
 collector installed the ``mark`` point is an empty tuple, and simulated
 results are byte-identical to an uninstrumented run.  Install a
 collector with the :func:`collecting` context manager *before*
-constructing the :class:`~repro.sim.machine.Machine`: the machine reads
-:func:`current` once and attaches it::
+constructing the :class:`~repro.sim.machine.Machine`, which attaches
+it through ``repro.obs.attach``::
 
     from repro.obs import tracing
 
@@ -39,7 +39,7 @@ root span's ``[begin, end)`` window into elementary intervals and
 charges each interval to the *innermost* covering span's segment, so
 the per-segment cycles of every trace sum exactly to the transaction's
 simulated latency, even when sibling spans overlap (invalidation
-fan-out).  Roll-ups land in the machine's
+fan-out).  Roll-ups land in the installed
 :class:`~repro.obs.registry.MetricsRegistry` as
 ``trace.segment_cycles{segment=...,policy=...}`` histograms.
 
@@ -59,6 +59,7 @@ import json
 from contextlib import contextmanager
 from heapq import heappop, heappush
 
+from repro import obs
 from repro.obs.events import EventSink
 
 #: Default bound on retained spans (the store drops the oldest first;
@@ -298,15 +299,18 @@ class TraceCollector:
         ``[begin, end)`` is a completed child of the active span.
         ``end=None`` opens a nested span (a root when no transaction is
         active) that the next mark with ``begin=None`` closes at its
-        ``end``.  A completed mark outside any transaction records
+        ``end``; both ``None`` unwinds the transaction with the mark's
+        ``error``.  A completed mark outside any transaction records
         nothing, except a TLB reload, which is held for the root that
         opens when it ends.
         """
-        if end is None:
-            self.begin(name, kind, node, begin, **attrs)
-        elif begin is None:
-            if self._stack:
+        if begin is None:
+            if end is None:
+                self.unwind(attrs.get("error", "error"))
+            elif self._stack:
                 self.end(self._stack[-1], end)
+        elif end is None:
+            self.begin(name, kind, node, begin, **attrs)
         elif self._stack:
             self.add(name, kind, node, begin, end, **attrs)
         elif kind == "tlb":
@@ -384,16 +388,13 @@ class TraceCollector:
     def attach(self, machine) -> None:
         """Trace a machine's transactions.
 
-        Registers root-span probes on the ``miss``, ``upgrade``,
-        ``fault`` and ``pageout`` points of ``machine.probes``, a
-        hop-span probe on ``send`` and :meth:`mark` on ``mark``.  The
-        per-reference ``access`` point is left alone — cache hits are
-        never traced, which is what keeps the traced-run overhead within
-        the bench gate.  The ``trace.*`` roll-ups and the
-        ``trace.transactions``/``spans``/``evicted``/``errors`` gauges
-        go to ``machine.registry``.
+        Registers root-span probes on ``miss``, ``upgrade``, ``fault``
+        and ``pageout``, a hop-span probe on ``send`` and :meth:`mark`
+        on ``mark``; never on ``access``, so cache hits cost nothing.
+        The ``trace.*`` roll-ups and gauges go to the installed metrics
+        registry, if any.
         """
-        registry = self._registry = machine.registry
+        registry = self._registry = obs.current()
         policy = self._policy = machine.policy.name
         if registry is not None:
             self._gauges = tuple(

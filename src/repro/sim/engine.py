@@ -65,20 +65,6 @@ class Resource:
         return "Resource(%r, next_free=%d)" % (self.name, self.next_free)
 
 
-def sample_utilization(registry, resources, now: int) -> None:
-    """Record each resource's cumulative busy fraction at ``now`` into a
-    per-resource time series (``sim.resource_utilization{resource=...}``).
-
-    The machine calls this at epoch boundaries (barrier releases) when a
-    metrics registry is installed, turning the end-of-run
-    ``resource_report()`` scalar into a utilization curve over the run.
-    """
-    for resource in resources:
-        registry.series("sim.resource_utilization",
-                        resource=resource.name).sample(
-            now, round(resource.utilization(now), 4))
-
-
 class SchedulePerturbation:
     """Bounded, deterministic perturbation of the simulator's schedule.
 

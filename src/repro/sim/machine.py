@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import partial
-from time import perf_counter
 
 from repro.core.controller import CoherenceController
 from repro.core.directory import Directory, DirState
@@ -35,13 +34,13 @@ from repro.mem.bus import MemoryBus, NodeMemory
 from repro.mem.cache import CacheHierarchy, LineState, NodePresence
 from repro.mem.tlb import Tlb
 from repro import obs
-from repro.obs import tracing
 from repro.sim.config import MachineConfig
-from repro.sim.engine import Barrier, LockTable, Resource, sample_utilization
+from repro.sim.engine import Barrier, LockTable, Resource
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
                            OP_READ_RUN, OP_UNLOCK, OP_WRITE, OP_WRITE_RUN)
-from repro.sim.probes import (_KERNEL_METHODS, _MACHINE_METHODS,
-                              _NETWORK_METHODS, POINTS, Probes)
+from repro.sim.probes import (_CONTROLLER_METHODS, _KERNEL_METHODS,
+                              _MACHINE_METHODS, _NETWORK_METHODS,
+                              _POLICY_METHODS, POINTS, Probes)
 from repro.sim.stats import CpuStats, MachineStats, NodeStats
 
 # Hoisted line states and page modes: the reference fast path compares
@@ -166,11 +165,6 @@ class Machine:
             schedule.reset()
         #: Optional fault plane (``repro.faults``).
         self.faults = faults
-        #: The metrics registry, read once here and never looked up
-        #: again: every component below the machine takes its handles
-        #: from it, so a registry installed after the machine is built
-        #: sees nothing of its run.  None = off.
-        self.registry = obs.current()
         cfg = self.config
         lat = cfg.latency
 
@@ -221,7 +215,6 @@ class Machine:
 
         self.locks = LockTable(cost=lat.lock_cost)
         self._barriers: "dict[int, Barrier]" = {}
-        self._ref_gap = 3
         #: The probe bus (``repro.sim.probes``): every observer of the
         #: machine registers here.
         self.probes = Probes(self)
@@ -236,6 +229,9 @@ class Machine:
             self.probes.add("send", jitter)
         #: Nodes that have fail-stopped (section 3.3 failure model).
         self.failed_nodes: "set[int]" = set()
+        #: What the last ``fail_node`` scrubbed from the survivors:
+        #: (sharer entries pruned, dynamic-home hints reset).
+        self.last_scrub = (0, 0)
         self.stats = MachineStats(
             nodes=[n.stats for n in self.nodes],
             cpus=[c.stats for c in self.cpus])
@@ -246,12 +242,8 @@ class Machine:
             self._heappop = partial(faults.admit, heapq.heappop)
             self._heappushpop = partial(faults.admit, heapq.heappushpop)
 
-        # Causal tracing: opt-in like obs, and read once here too.  With
-        # no collector installed no span probe is registered and
-        # simulated results are byte-identical.
-        collector = tracing.current()
-        if collector is not None:
-            collector.attach(self)
+        # The installed observers register their probes now or never.
+        obs.attach(self)
 
     # ------------------------------------------------------------------
     # Home lookup.
@@ -274,41 +266,13 @@ class Machine:
         if self.probes.machine is None:
             raise RuntimeError("a closed machine cannot run again")
         workload.setup(self.layout, len(self.cpus))
-        # A workload that observes its own run (the serving metrics
-        # tap, the 2PC channel driver) registers probes once its
-        # segments exist and before any op executes.
+        # A workload that observes its own run (the 2PC channel
+        # driver) registers probes once its segments exist and before
+        # any op executes.
         add_probes = getattr(workload, "add_probes", None)
         if add_probes is not None:
             add_probes(self)
-        if self.registry is not None:
-            hist = self.registry.histogram("sim.access_latency_cycles",
-                                           policy=self.policy.name)
-
-            def access_latency(call, cpu, vaddr, is_write, now):
-                done = call(cpu, vaddr, is_write, now)
-                hist.observe(done - now)
-                return done
-            # Registered after the workload's probes, so outermost: it
-            # observes the completion the whole chain returns.
-            self.probes.add("access", access_latency)
-        # Instructions executed around each memory reference (address
-        # arithmetic, loop control) — keeps issue rates realistic for an
-        # in-order CPU instead of back-to-back memory operations.
-        self._ref_gap = getattr(workload, "cycles_per_ref", 3)
-        for cpu in self.cpus:
-            cpu.gen = workload.generator(cpu.cpu_id, len(self.cpus))
-        start = perf_counter()
-        self._event_loop()
-        wall = perf_counter() - start
-        self._finalize()
-        if self.registry is not None:
-            # Host-side throughput, next to the simulated telemetry:
-            # how fast the host chewed through this run's references.
-            self.registry.gauge("host.wall_seconds").set(round(wall, 6))
-            self.registry.gauge("host.refs_per_sec").set(
-                round(self.stats.references / wall, 1) if wall > 0 else 0.0)
-        return RunResult(workload=workload.name, policy=self.policy.name,
-                         config=self.config, stats=self.stats)
+        return self._run(workload)
 
     def close(self) -> None:
         """Free the simulated model once its results have been read.
@@ -337,6 +301,8 @@ class Machine:
             vars(self).pop(method, None)
         for method in _NETWORK_METHODS.values():
             vars(self.network).pop(method, None)
+        for method in _POLICY_METHODS.values():
+            vars(self.policy).pop(method, None)
         probes.machine = None
         self.migration.machine = None
         if self.faults is not None:
@@ -344,6 +310,8 @@ class Machine:
         for node in self.nodes:
             node.machine = None
             controller = node.controller
+            for method in _CONTROLLER_METHODS.values():
+                vars(controller).pop(method, None)
             controller.node = controller.machine = None
             kernel = node.kernel
             for method in _KERNEL_METHODS.values():
@@ -353,8 +321,9 @@ class Machine:
                 cpu.node = None
                 cpu.gen = None
 
-    def _event_loop(self) -> None:
-        """The scheduler: run CPUs in (time, cpu_id) order to completion.
+    def _run(self, workload) -> RunResult:
+        """The scheduler: run the set-up ``workload``'s CPUs in (time,
+        cpu_id) order to completion (the ``run`` probe point).
 
         Heap entries are packed ints, ``time << shift | cpu_id`` (see
         ``_key_shift``), so ordering is exactly (time, cpu_id).  Each
@@ -368,6 +337,12 @@ class Machine:
         (deadline, failures, pauses); the loop body is the same.
         """
         cpus = self.cpus
+        # Instructions executed around each memory reference (address
+        # arithmetic, loop control) — keeps issue rates realistic for an
+        # in-order CPU instead of back-to-back memory operations.
+        ref_gap = getattr(workload, "cycles_per_ref", 3)
+        for cpu in cpus:
+            cpu.gen = workload.generator(cpu.cpu_id, len(cpus))
         shift = self._key_shift
         mask = (1 << shift) - 1
         heap = self._new_heap()
@@ -378,7 +353,6 @@ class Machine:
         heappop = self._heappop
         heappushpop = self._heappushpop
         access = self._access
-        ref_gap = self._ref_gap
         while heap:
             key = heappop(heap)
             while True:
@@ -467,6 +441,9 @@ class Machine:
             raise RuntimeError(
                 "deadlock: CPUs %r blocked with empty event heap "
                 "(mismatched barriers or locks in the workload?)" % stuck)
+        self._finalize()
+        return RunResult(workload=workload.name, policy=self.policy.name,
+                         config=self.config, stats=self.stats)
 
     def _new_heap(self) -> "list[int]":
         """The event heap at the start of a run: every CPU's packed key
@@ -492,8 +469,6 @@ class Machine:
         if released is not None:
             for rcid, rtime in released:
                 self._wake(rcid, rtime)
-            if self.registry is not None:
-                self._sample_epoch(released[0][1])
             for probe in self.probes.barrier:
                 probe(released[0][1])
 
@@ -885,14 +860,7 @@ class Machine:
                         entry.dynamic_home = true_home
                         entry.home_frame = None
                         hints_reset += 1
-        registry = self.registry
-        if registry is not None:
-            registry.counter("sim.node_failures", node=str(node_id)).inc()
-            registry.gauge("sim.failed_nodes").set(len(self.failed_nodes))
-            if sharers_pruned or hints_reset:
-                registry.counter("sim.failover_sharers_pruned").inc(
-                    sharers_pruned)
-                registry.counter("sim.failover_hints_reset").inc(hints_reset)
+        self.last_scrub = (sharers_pruned, hints_reset)
         for probe in self.probes.node_fail:
             probe(node_id, now)
 
@@ -939,41 +907,3 @@ class Machine:
                 self.retire_frame_utilization(entry)
             self.stats.directory_cache_hits += node.directory.cache.hits
             self.stats.directory_cache_misses += node.directory.cache.misses
-        if self.registry is not None:
-            self._publish_final_metrics()
-
-    # ------------------------------------------------------------------
-    # Observability (active only with a metrics registry installed).
-    # ------------------------------------------------------------------
-
-    def _sample_epoch(self, now: int) -> None:
-        """Per-epoch telemetry, taken at each barrier release: resource
-        utilization curves and page-cache occupancy per node."""
-        sample_utilization(self.registry, self.shared_resources(), now)
-        for node in self.nodes:
-            self.registry.series("kernel.page_cache_frames",
-                                 node=node.node_id).sample(
-                now, node.pools.client_scoma_in_use)
-
-    def _publish_final_metrics(self) -> None:
-        """End-of-run roll-ups: protocol message mix, PIT traffic and
-        hit ratio, frame-pool occupancy gauges."""
-        registry = self.registry
-        pit_lookups = pit_hash = 0
-        for node in self.nodes:
-            for kind in sorted(node.msglog.sent, key=lambda k: k.name):
-                registry.counter("core.protocol_messages",
-                                 kind=kind.name).inc(node.msglog.sent[kind])
-            pit_lookups += node.pit.lookups
-            pit_hash += node.pit.hash_lookups
-            registry.gauge("core.pit_fast_ratio", node=node.node_id).set(
-                round(node.pit.fast_ratio(), 4))
-            for pool, value in node.pools.occupancy().items():
-                registry.gauge("kernel.frame_pool." + pool,
-                               node=node.node_id).set(value)
-        registry.counter("core.pit_lookups").inc(pit_lookups)
-        registry.counter("core.pit_hash_lookups").inc(pit_hash)
-        registry.gauge("core.pit_fast_ratio").set(
-            round(1.0 - pit_hash / pit_lookups, 4) if pit_lookups else 1.0)
-        registry.gauge("sim.execution_cycles").set(
-            self.stats.execution_cycles)

@@ -1,21 +1,25 @@
 """The probe bus: one typed registry of observation points per machine.
 
 Everything that watches a running :class:`~repro.sim.machine.Machine`
-— the trace recorder, the causal tracer, the value tracker, the serving
-metrics tap, the 2PC channel driver and the barrier invariant checks —
-registers callables on ``machine.probes`` instead of patching methods.
+— the trace recorder, the causal tracer, the metrics registry, the
+value tracker, the 2PC channel driver and the barrier invariant checks
+— registers callables on ``machine.probes`` instead of patching methods.
 The model fires the points and holds no observer.  The points are
 fixed:
 
 ============  ================================================  ==========
 point         probe signature                                   returns
 ============  ================================================  ==========
+run           ``probe(call, workload)``                         result
 access        ``probe(call, cpu, vaddr, is_write, now)``        completion
 miss          ``probe(call, cpu, frame, lip, line, is_write,    completion
               now)``
 upgrade       ``probe(call, cpu, frame, lip, line, now)``       completion
+fetch         ``probe(call, entry, lip, want_excl, has_copy,    completion
+              now)``
 fault         ``probe(call, kernel, vpage, now)``               ``(frame,
                                                                 done)``
+cache_full    ``probe(call, kernel, gpage)``                    action
 pageout       ``probe(call, kernel, frame, now, demote=False)`` completion
 send          ``probe(call, src, dst, now, kind)``              arrival
 migrate       ``probe(gpage, old_home, new_home)``              --
@@ -24,48 +28,37 @@ barrier       ``probe(release_time)``                           --
 mark          ``probe(name, kind, node, begin, end, **attrs)``  --
 ============  ================================================  ==========
 
-The first six are *wrapped* points.  A probe there receives ``call``,
+The first nine are *wrapped* points.  A probe there receives ``call``,
 the next callable in the chain (for the kernel points already bound to
 ``kernel``), calls it with the point's own arguments and returns its
 result — possibly adjusted: the 2PC driver adds the channel broadcast
 to an access's completion time, and the schedule's jitter probe adds
 extra flight cycles to a hop's arrival.  The registry composes the
-chain in registration order, the first probe innermost, so the code
-after ``call`` runs in the order the probes were added and each probe
-gets the result the previous one returned.  The composed chain is bound
-on the owner instance (the machine, every node kernel, or the network),
-so the machine code calls the chain exactly where it called the plain
-method; with no probe registered the instance attribute is absent and
-the plain method runs with no test at all.  ``send`` is composed around
-``Network._hop``, which ``Network.send`` calls only for an inter-node
-hop, so an intra-node send fires no probe.  ``Machine._event_loop``
-looks ``_access`` up once per run, so register access probes before
-``machine.run`` (or from a workload's ``add_probes`` hook, which the
-run calls after setup).
+chain in registration order, the first probe innermost, and binds it
+on the owner instance (the machine, every node controller or kernel,
+the policy, or the network), so the model calls the chain exactly
+where it called the plain method; with no probe registered the plain
+method runs with no test at all.  ``send`` wraps ``Network._hop``,
+which only an inter-node hop reaches.  ``run`` wraps the scheduler,
+``Machine._run``, which ``machine.run`` calls after the workload's
+setup and ``add_probes`` hook, and which looks ``_access`` up once:
+register access probes before it, or from a run probe.
 
 The last four are *event* points: the model calls each registered
 probe in order, after the event happened.  An empty point costs a
 truth test of, or a loop over, an empty tuple, and no call.
+``mark`` carries a protocol step's inner intervals (queue waits, DRAM,
+home service, invalidation fan-out, TLB reloads, page-ins, retry
+back-offs, channel sends and receives, and a zero-length
+``fault:<action>`` per injected fault) to the causal tracer.  ``kind``
+is the critical-path segment the interval charges; ``[begin, end)`` is
+a completed interval, ``end=None`` opens a nested one, which the next
+mark with ``begin=None`` closes (both ``None``, with an ``error``
+attr: aborts it).
 
-``mark`` carries a protocol step's inner intervals: queue waits, the
-DRAM and intervention phases of a local miss, the home service and
-invalidation fan-out of a remote one, a TLB reload, a remote page-in,
-a retransmission back-off, a command-channel send or receive, and (as
-zero-length ``fault:<action>`` marks) each fault the fault plane
-injects.  ``kind`` is the critical-path segment the interval charges
-(``repro.obs.events.SEGMENTS``).  ``[begin, end)`` is a completed
-interval; ``end=None`` opens a nested one, which the next mark with
-``begin=None`` closes.  The machine (TLB reloads, local misses), the
-controllers, the kernels, the command channels and the fault plane
-fire it; the causal tracer (``repro.obs.tracing``) is its one
-consumer.
-
-This module is the only code that installs anything on a machine.  The
-exception left is the metric handles every component takes at
-construction from ``machine.registry``: single attribute tests that
-count inside protocol steps.
-``Machine.close`` empties every point and drops the bound chains, using
-the method tables below.
+This module is the only code that installs anything on a machine; the
+model holds no observer.  ``Machine.close`` empties every point and
+drops the bound chains, using the method tables below.
 """
 
 from __future__ import annotations
@@ -73,13 +66,16 @@ from __future__ import annotations
 from functools import partial
 
 #: Every probe point, in the order of the table above.
-POINTS = ("access", "miss", "upgrade", "fault", "pageout", "send",
-          "migrate", "node_fail", "barrier", "mark")
+POINTS = ("run", "access", "miss", "upgrade", "fetch", "fault",
+          "cache_full", "pageout", "send", "migrate", "node_fail",
+          "barrier", "mark")
 
 #: Wrapped points: point -> the method its probes are composed around.
-_MACHINE_METHODS = {"access": "_access", "miss": "_miss",
+_MACHINE_METHODS = {"run": "_run", "access": "_access", "miss": "_miss",
                     "upgrade": "_upgrade"}
+_CONTROLLER_METHODS = {"fetch": "fetch"}
 _KERNEL_METHODS = {"fault": "fault", "pageout": "page_out_client"}
+_POLICY_METHODS = {"cache_full": "on_cache_full"}
 _NETWORK_METHODS = {"send": "_hop"}
 
 
@@ -120,10 +116,15 @@ class Probes:
         machine = self.machine
         if point in _MACHINE_METHODS:
             _bind(machine, _MACHINE_METHODS[point], probes, ())
+        elif point in _CONTROLLER_METHODS:
+            for node in machine.nodes:
+                _bind(node.controller, _CONTROLLER_METHODS[point], probes, ())
         elif point in _KERNEL_METHODS:
             for node in machine.nodes:
                 _bind(node.kernel, _KERNEL_METHODS[point], probes,
                       (node.kernel,))
+        elif point in _POLICY_METHODS:
+            _bind(machine.policy, _POLICY_METHODS[point], probes, ())
         elif point in _NETWORK_METHODS:
             _bind(machine.network, _NETWORK_METHODS[point], probes, ())
 

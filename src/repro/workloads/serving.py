@@ -34,17 +34,12 @@ one chunk of op tuples at a time.  ``txn2pc`` interleaves locks,
 barriers and compute with a few references per phase and keeps the
 per-op :func:`~repro.workloads.base.coalesce_stream`.
 
-Serving metrics come from :class:`ServingTap`: when the machine carries
-a metrics registry the workloads register an ``access`` probe on
-``machine.probes`` (:mod:`repro.sim.probes`) that measures each
-request's simulated latency first-access-to-last-completion and
-publishes ``serving.request_latency_cycles{op=...}`` histograms,
-``serving.requests{op=...}`` counters, a ``serving.requests_total``
-gauge and a cumulative
-``serving.completed_requests`` time series (the throughput curve —
-its slope before/during/after an injected node failure is the
-degradation story).  With no registry on the machine nothing attaches
-and runs are byte-identical to an untapped machine.
+Serving metrics: each workload states its request plan
+(``request_plan``, the ops each CPU's requests take, in issue order),
+and with a metrics registry installed the registry's serving tap
+(:func:`repro.obs.metrics.serving_tap`) measures each request's
+simulated latency against it.  The workloads hold no registry, and with
+none installed runs are byte-identical to an untapped machine.
 """
 
 from __future__ import annotations
@@ -122,71 +117,6 @@ class ZipfianStream:
         interval, drift = self.churn_interval, self.drift
         return [(perm[rank] + (start + i) // interval * drift) % num_keys
                 for i, rank in enumerate(ranks)]
-
-
-class ServingTap:
-    """Per-request latency/throughput metrics from an ``access`` probe.
-
-    ``schedules[cpu]`` is that CPU's request plan as ``(kind,
-    accesses)`` pairs, in issue order; the tap counts the CPU's
-    references against the plan and, when a request's last access
-    resolves, observes ``completion - first_access_issue`` into
-    ``serving.request_latency_cycles{op=kind}`` and samples the
-    cumulative completed-request count into
-    ``serving.completed_requests`` and the ``serving.requests_total``
-    gauge.
-    """
-
-    def __init__(self, machine, schedules) -> None:
-        registry = machine.registry
-        if registry is None:
-            raise RuntimeError("ServingTap needs a machine with a registry")
-        self.machine = machine
-        self._schedules = schedules
-        n = len(machine.cpus)
-        self._pos = [0] * n
-        self._left = [schedules[c][0][1] if schedules[c] else 0
-                      for c in range(n)]
-        self._begin = [-1] * n
-        self._registry = registry
-        self._hist = {}
-        self._counter = {}
-        self._series = registry.series("serving.completed_requests")
-        self._total = registry.gauge("serving.requests_total")
-        self._completed = 0
-        machine.probes.add("access", self._on_access)
-
-    def _on_access(self, call, cpu, vaddr: int, is_write: bool,
-                   now: int) -> int:
-        done = call(cpu, vaddr, is_write, now)
-        cid = cpu.cpu_id
-        sched = self._schedules[cid]
-        pos = self._pos[cid]
-        if pos >= len(sched):
-            return done
-        if self._begin[cid] < 0:
-            self._begin[cid] = now
-        left = self._left[cid] - 1
-        if left:
-            self._left[cid] = left
-            return done
-        kind = sched[pos][0]
-        hist = self._hist.get(kind)
-        if hist is None:
-            hist = self._hist[kind] = self._registry.histogram(
-                "serving.request_latency_cycles", op=kind)
-            self._counter[kind] = self._registry.counter(
-                "serving.requests", op=kind)
-        hist.observe(done - self._begin[cid])
-        self._counter[kind].inc()
-        self._completed += 1
-        self._total.set(self._completed)
-        self._series.sample(done, self._completed)
-        pos += 1
-        self._pos[cid] = pos
-        self._begin[cid] = -1
-        self._left[cid] = sched[pos][1] if pos < len(sched) else 0
-        return done
 
 
 class KvStoreWorkload(Workload):
@@ -284,20 +214,15 @@ class KvStoreWorkload(Workload):
 
     # -- serving metrics ---------------------------------------------------
 
-    def add_probes(self, machine) -> None:
-        """Machine hook: attach the serving tap when metrics are on."""
-        if machine.registry is None:
-            return
+    def request_plan(self, num_cpus: int):
+        """Per CPU, its requests as ``(op, accesses)`` in issue order."""
         per_req = 1 + self.value_lines
         # One shared tuple per request kind, not one per request.
         get, put = ("get", per_req), ("put", per_req)
-        schedules = []
-        for cpu in range(len(machine.cpus)):
-            schedule = []
-            for _keys, gets in self._plans[cpu]:
-                schedule.extend(get if g else put for g in gets)
-            schedules.append(schedule)
-        ServingTap(machine, schedules)
+        return [
+            [get if g else put for _keys, gets in self._plans[cpu]
+             for g in gets]
+            for cpu in range(num_cpus)]
 
 
 class Txn2pcWorkload(Workload):
@@ -403,18 +328,18 @@ class Txn2pcWorkload(Workload):
 
     # -- serving metrics & chaos taps --------------------------------------
 
-    def _tap_schedules(self, num_cpus: int):
+    def request_plan(self, num_cpus: int):
+        """Per CPU, its transactions as ``(op, accesses)`` in issue
+        order."""
         coord = ("txn", (1 + 2 + num_cpus + 1 + 1 + self.apply_lines))
         part = ("participant", (2 + 1 + self.apply_lines))
         return [[coord if c == 0 else part] * self.txns
                 for c in range(num_cpus)]
 
     def add_probes(self, machine) -> None:
-        """Machine hook: chaos channel driver and/or serving tap."""
+        """Machine hook: the chaos channel driver."""
         if self.use_command_channels:
             TwoPhaseChannelDriver(machine, self)
-        if machine.registry is not None:
-            ServingTap(machine, self._tap_schedules(len(machine.cpus)))
 
 
 class TwoPhaseChannelDriver:
@@ -590,29 +515,3 @@ def chaos_scenarios() -> "dict[str, Txn2pcScenario]":
         "txn2pc-wide": Txn2pcScenario(name="txn2pc-wide", num_nodes=4,
                                       cpus_per_node=2, txns=6),
     }
-
-
-def serving_summary(snapshot: "dict[str, object]") -> "list[str]":
-    """Human-readable serving lines from one metrics snapshot.
-
-    Returns ``[]`` when the snapshot carries no serving metrics, so
-    callers can print unconditionally.
-    """
-    from repro.obs import find_metrics, quantile
-    lines = []
-    for labels, hist in find_metrics(snapshot.get("histograms", {}),
-                                     "serving.request_latency_cycles"):
-        lines.append(
-            "serving %-12s %6d requests  p50=%-6d p99=%-6d cycles"
-            % (labels.get("op", "?"), hist["count"],
-               quantile(hist, 0.50), quantile(hist, 0.99)))
-    for _labels, series in find_metrics(snapshot.get("series", {}),
-                                        "serving.completed_requests"):
-        points = series.get("points") or []
-        if points:
-            end_time, total = points[-1]
-            rate = 1000.0 * total / end_time if end_time else 0.0
-            lines.append(
-                "serving throughput    %6d requests in %d cycles "
-                "(%.2f req/kcycle)" % (total, end_time, rate))
-    return lines

@@ -181,7 +181,7 @@ class TestMetricsCollection:
 
     def test_attach_observes_the_live_machine(self):
         from repro.obs import EventSink, validate_event
-        from repro.sim.trace import TraceRecorder
+        from repro.obs.recorder import TraceRecorder
         sink = EventSink()
         result = execute_spec(
             spec(), collect_metrics=True,

@@ -168,7 +168,7 @@ def test_fail_node_is_idempotent():
 
 
 def test_trace_recorder_records_node_fail():
-    from repro.sim.trace import TraceRecorder
+    from repro.obs.recorder import TraceRecorder
     h = Harness()
     with TraceRecorder(h.machine, kinds={"node_fail"}) as trace:
         h.machine.fail_node(2, now=1_234)

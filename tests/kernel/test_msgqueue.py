@@ -145,3 +145,23 @@ class TestFaultPlane:
         channel.send("plain", now=0)
         assert channel.receive(now=1_000_000)[0] == "plain"
         assert channel.dedup_drops == 0
+
+
+def test_a_send_to_a_failed_node_aborts_its_span():
+    """A send whose hop raises must not leave its ``channel_send``
+    span open for the next transaction to nest under: the collector
+    unwinds it and counts the trace as aborted."""
+    from repro.core.controller import UnreachableNodeError
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.obs import tracing
+    with tracing.collecting() as collector:
+        machine = Machine(MachineConfig(num_nodes=4, cpus_per_node=1),
+                          faults=FaultInjector(FaultPlan(), seed=0))
+        channel = MessageChannel(machine, src_node=0, dst_node=1)
+        machine.fail_node(1)
+        with pytest.raises(UnreachableNodeError):
+            channel.send("lost", now=0)
+    assert collector._stack == []
+    assert collector.errors == 1
+    assert collector.aborted.spans[0]["name"] == "channel_send"
+    assert collector.aborted.error == "UnreachableNodeError"

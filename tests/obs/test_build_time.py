@@ -1,10 +1,10 @@
 """Observers are read once, when the machine is built.
 
-``Machine.__init__`` takes the installed metrics registry as
-``machine.registry`` and attaches the installed trace collector's
-probes; every component below the machine (controllers, kernels,
-command channels, the fault plane, the serving tap) takes its metric
-handles from the registry and fires the ``mark`` probe point.  So
+``Machine.__init__`` makes one ``repro.obs.attach`` call, which
+registers the installed metrics registry's and trace collector's
+probes; the model below the machine (controllers, kernels, command
+channels, the fault plane, the serving workloads) holds neither and
+only fires probe points.  So
 observers installed after the build see nothing of the run, and
 observers installed before it see all of it: the digests below pin the
 whole metrics snapshot and span export of one faulted txn2pc run, the
@@ -66,7 +66,8 @@ def test_observers_installed_before_build_see_the_whole_run():
     with obs.collecting() as registry, \
             tracing.collecting(seed=5) as collector:
         machine, workload = _build()
-        assert machine.registry is registry
+        assert [probe.__module__ for probe in machine.probes.run] == [
+            "repro.obs.metrics"]
         assert collector.mark in machine.probes.mark
         machine.run(workload)
     snap = _snapshot(registry)

@@ -86,5 +86,5 @@ def test_schema_covers_all_trace_event_kinds():
     # The schema may define more kinds than the trace recorder produces
     # (the verification tap emits "read"/"write"), but every trace kind
     # must have a schema entry.
-    from repro.sim.trace import KINDS
+    from repro.obs.recorder import KINDS
     assert set(KINDS) <= set(EVENT_SCHEMA)

@@ -5,6 +5,8 @@ results either way (the satellite acceptance checks for ``repro.obs``).
 import json
 import time
 
+import pytest
+
 from repro import obs
 from repro.harness.session import ExperimentSpec, execute_spec
 
@@ -30,13 +32,12 @@ def test_machine_resolves_no_handles_without_registry():
     from repro.workloads import make_workload
     machine = Machine(repro.tiny_config(), policy="scoma")
     machine.run(make_workload("fft", "tiny"))
-    assert machine.registry is None
-    assert machine.probes.access == ()
+    assert machine.probes.run == machine.probes.access == ()
     kernel = machine.nodes[0].kernel
-    assert kernel._obs_fault is None
-    assert kernel._obs_pageout is None
+    assert "fault" not in vars(kernel)
+    assert "page_out_client" not in vars(kernel)
     controller = machine.nodes[0].controller
-    assert controller._obs_fetch is None
+    assert "fetch" not in vars(controller)
 
 
 def test_access_latency_histogram_is_the_outermost_access_probe():
@@ -120,3 +121,37 @@ def test_cache_full_actions_counted_for_capped_policy():
     assert demotes == sum(n.mode_demotions for n in result.stats.nodes)
     pageouts = snap["counters"].get("kernel.page_outs{demote=true}", 0)
     assert pageouts == demotes
+
+
+def test_a_run_that_raises_keeps_its_wild_write_count():
+    """The firewall's counter is rolled up from the model's stats even
+    when the blocked write ends the run."""
+    from repro.core.controller import WildWriteError
+    from repro.sim.ops import OP_WRITE
+    from repro.workloads.base import Workload
+    from tests.conftest import Harness
+
+    class WildWrite(Workload):
+        name = "wild-write"
+
+        def __init__(self, cpu, vaddr):
+            super().__init__()
+            self.cpu, self.vaddr = cpu, vaddr
+
+        def setup(self, layout, num_cpus):
+            pass  # writes into the harness's region
+
+        def generator(self, cpu_id, num_cpus):
+            return iter([(OP_WRITE, self.vaddr)] if cpu_id == self.cpu
+                        else [])
+
+    with obs.collecting() as registry:
+        h = Harness()
+        page = h.page_homed_at(1)
+        vaddr = h.vaddr(page, 0)
+        h.write(h.cpu_on_node(0), vaddr)
+        h.entry_at(1, page).allowed_writers = {0}
+        with pytest.raises(WildWriteError):
+            h.machine.run(WildWrite(h.cpu_on_node(2), vaddr))
+    counters = registry.to_dict()["counters"]
+    assert counters["core.wild_writes_blocked"] == 1

@@ -34,7 +34,8 @@ def counting(point, calls):
         def probe(call, kernel, *args, **kwargs):
             calls.append(args)
             return call(*args, **kwargs)
-    elif point in ("access", "miss", "upgrade", "send"):
+    elif point in ("run", "access", "miss", "upgrade", "fetch",
+                   "cache_full", "send"):
         def probe(call, *args):
             calls.append(args)
             return call(*args)
@@ -64,7 +65,7 @@ def scoma70_spec():
 def drive_point(point, calls):
     """Register a counting probe on ``point`` and run something that
     must fire it; returns the machine."""
-    if point == "pageout":
+    if point in ("pageout", "cache_full"):
         spec = scoma70_spec()
         machine = build(spec)
         machine.probes.add(point, counting(point, calls))
@@ -94,8 +95,13 @@ def test_probe_point_fires(point):
     calls = []
     machine = drive_point(point, calls)
     assert calls, "probe point %r never fired" % point
-    if point == "access":
+    if point == "run":
+        assert len(calls) == 1
+    elif point == "access":
         assert len(calls) == machine.stats.references
+    elif point == "fetch":
+        assert len(calls) == sum(n.remote_misses + n.remote_upgrades
+                                 for n in machine.stats.nodes)
     elif point == "fault":
         assert len(calls) == machine.stats.page_faults
     elif point == "send":

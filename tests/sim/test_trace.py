@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.obs.events import EventSink
 from repro.sim.machine import Machine
-from repro.sim.trace import TraceRecorder
+from repro.obs.recorder import TraceRecorder
 from repro.workloads import make_workload
 from tests.conftest import event_counts
 

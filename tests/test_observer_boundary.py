@@ -1,13 +1,15 @@
-"""The observer boundary: the machine is the only reader of the
-installed observers, and the model layers never import them.
+"""The observer boundary: the model fires probe points and holds no
+observer.
 
-``Machine.__init__`` reads ``obs.current()`` and ``tracing.current()``
-once; everything below it takes ``machine.registry`` and fires probe
-points, and no layer of the model holds a tracer: the collector's
-spans come from the ``mark`` point.  The fault plane sits outside the
-machine the same way: the machine is handed an injector and never
-imports ``repro.faults``.  An AST walk over ``src/repro`` keeps it that
-way.
+``Machine.__init__`` makes one call into ``repro.obs``, ``obs.attach``,
+which registers the installed metrics registry and trace collector on
+the machine's probe points; only ``repro.obs`` reads what is
+installed.  No layer of the model imports ``repro.obs`` or holds a
+registry or a tracer: the collector's spans come from the ``mark``
+point, every metric from a probe or a counter the model keeps.  The
+fault plane sits outside the machine the same way: the machine is
+handed an injector and never imports ``repro.faults``.  An AST walk
+over ``src/repro`` keeps it that way.
 """
 
 import ast
@@ -17,8 +19,17 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent
 
-#: Model layers that must not import anything from ``repro.obs``.
+#: Layers below the machine.
 MODEL_LAYERS = ("core", "kernel", "mem", "interconnect")
+
+#: Layers that must not import anything from ``repro.obs`` and hold no
+#: registry: the model, the fault plane and the workloads.
+OBSERVER_FREE_LAYERS = MODEL_LAYERS + ("faults", "workloads")
+
+#: The one module of those layers that imports ``repro.obs``: the chaos
+#: driver, which builds machines the way the harness does and installs
+#: a trace collector around a traced run.
+CHAOS_DRIVER = ("faults/campaign.py", "from repro.obs import tracing")
 
 #: Layers that must not import anything from ``repro.faults``.
 FAULT_FREE_LAYERS = ("sim",) + MODEL_LAYERS
@@ -59,6 +70,21 @@ def _offenders(layers, package):
     return found
 
 
+def _names(layers, word):
+    """Every name or attribute of ``layers`` that contains ``word``."""
+    found = []
+    for layer in layers:
+        for path, tree in _modules(layer):
+            for node in ast.walk(tree):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else getattr(node, "id", None)
+                        or getattr(node, "arg", None) or "")
+                if word in name:
+                    found.append("%s:%d %s" % (path.relative_to(SRC),
+                                               node.lineno, name))
+    return found
+
+
 class _CurrentCalls(ast.NodeVisitor):
     """Collects every ``current()`` call with its enclosing scope."""
 
@@ -82,8 +108,38 @@ class _CurrentCalls(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+class _ObsUses(_CurrentCalls):
+    """Collects every ``repro.obs`` import and every ``obs.*`` call
+    with its enclosing scope."""
+
+    def visit_Import(self, node):
+        if _imports(node, "obs"):
+            self.found.append((".".join(self.scope), ast.unparse(node)))
+
+    visit_ImportFrom = visit_Import
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute)
+                and getattr(func.value, "id", None) == "obs"):
+            self.found.append((".".join(self.scope), ast.unparse(node)))
+        self.generic_visit(node)
+
+
 def test_model_layers_import_nothing_from_obs():
-    assert _offenders(MODEL_LAYERS, "obs") == []
+    found = []
+    for layer in OBSERVER_FREE_LAYERS:
+        for path, tree in _modules(layer):
+            found += [(path.relative_to(SRC).as_posix(), ast.unparse(node))
+                      for node in ast.walk(tree) if _imports(node, "obs")]
+    assert found == [CHAOS_DRIVER]
+
+
+def test_model_layers_hold_no_registry():
+    """No name, attribute or parameter of the model, the fault plane
+    or the workloads mentions a registry; the machine holds none
+    either."""
+    assert _names(OBSERVER_FREE_LAYERS + ("sim",), "registry") == []
 
 
 def test_machine_and_model_layers_import_nothing_from_faults():
@@ -93,19 +149,13 @@ def test_machine_and_model_layers_import_nothing_from_faults():
 def test_model_layers_hold_no_tracer():
     """No name or attribute of the model mentions a tracer: no
     ``machine.tracer`` read, no ``_tracer`` handle, no local alias."""
-    found = []
-    for layer in TRACER_FREE_LAYERS:
-        for path, tree in _modules(layer):
-            for node in ast.walk(tree):
-                name = (node.attr if isinstance(node, ast.Attribute)
-                        else getattr(node, "id", ""))
-                if "tracer" in name:
-                    found.append("%s:%d %s" % (path.relative_to(SRC),
-                                               node.lineno, name))
-    assert found == []
+    assert _names(TRACER_FREE_LAYERS, "tracer") == []
 
 
 def test_only_machine_init_reads_the_installed_observers():
+    """``current()`` is called only inside ``repro.obs``, and the one
+    way in from the simulator is ``obs.attach`` in
+    ``Machine.__init__``."""
     calls = []
     for path, tree in _modules():
         rel = path.relative_to(SRC).as_posix()
@@ -114,7 +164,14 @@ def test_only_machine_init_reads_the_installed_observers():
         visitor = _CurrentCalls()
         visitor.visit(tree)
         calls += [(rel, scope, func) for scope, func in visitor.found]
-    assert sorted(calls) == [
-        ("sim/machine.py", "Machine.__init__", "obs.current"),
-        ("sim/machine.py", "Machine.__init__", "tracing.current"),
+    assert calls == []
+    uses = []
+    for path, tree in _modules("sim"):
+        rel = path.relative_to(SRC).as_posix()
+        visitor = _ObsUses()
+        visitor.visit(tree)
+        uses += [(rel,) + use for use in visitor.found]
+    assert uses == [
+        ("sim/machine.py", "", "from repro import obs"),
+        ("sim/machine.py", "Machine.__init__", "obs.attach(self)"),
     ]

@@ -281,7 +281,7 @@ def test_no_registry_means_no_tap_and_identical_stats():
 
 
 def test_serving_summary_renders_and_is_quiet_without_metrics():
-    from repro.workloads.serving import serving_summary
+    from repro.obs.metrics import serving_summary
     assert serving_summary({"histograms": {}, "series": {}}) == []
     with obs.collecting() as registry:
         Machine(tiny_config(), policy="scoma") \

@@ -100,12 +100,13 @@ suites = session.run_campaign(("fft", "lu"), preset="small")
 time series, all organized as labeled families like
 `core.protocol_messages{kind=READ_REQ,node=3}`) plus a structured-event
 sink with JSONL export.  Both are strictly opt-in.  Install, then
-build: `Machine.__init__` reads the installed registry and trace
-collector once; every component below the machine takes its metric
-handles from `machine.registry` and fires probe points, and the
-collector's probes are attached there.  With none installed the
-handles stay `None` and the points stay empty, so the hot path pays
-one pointer test and results are byte-identical either way.
+build: `Machine.__init__` makes one call, `repro.obs.attach`, which
+registers the installed registry (`repro.obs.metrics`) and trace
+collector on the machine's probe points.  The model holds neither: it
+fires the points, and every metric comes from a probe or from a
+counter the model keeps anyway, rolled up when the run ends.  With
+none installed the points stay empty, so the hot path pays no call and
+results are byte-identical either way.
 
 ```python
 from repro import obs
@@ -116,11 +117,13 @@ with obs.collecting() as registry:
 snapshot = registry.to_dict()          # JSON-safe, stable key order
 ```
 
-* **Instrumented layers** — the simulator (access-latency histograms
+* **Observed layers** — the simulator (access-latency histograms
   per policy, per-epoch resource-utilization series), the coherence
   core (protocol message mix, fetch latencies, cache-full decisions,
-  migrations, PIT fast-lookup ratios) and the kernel (fault-service
-  timers by fault kind, page-out counters, frame-pool gauges).
+  migrations, PIT fast-lookup ratios), the kernel (fault-service
+  timers by fault kind, page-out counters, frame-pool gauges), the
+  fault plane (`faults.*`) and the serving workloads (per-request
+  latency against each workload's `request_plan`).
 * **Campaign telemetry** — `Session(collect_metrics=True)` snapshots a
   fresh registry around every simulated cell; the snapshot lands on
   `RunResult.metrics` and rides along in the result cache (it is *not*
@@ -133,9 +136,10 @@ snapshot = registry.to_dict()          # JSON-safe, stable key order
   export with `repro.harness.export.save_metrics` (`metrics.json`).
 * **Probe bus** — every observer of a machine registers callables on
   `machine.probes` (`repro.sim.probes`) at a fixed set of points:
-  `access`, `miss`, `upgrade`, `fault`, `pageout`, `send` (wrapped: a
-  probe gets the next callable and returns the result, possibly
-  adjusted) and `migrate`, `node_fail`, `barrier`, `mark` (events;
+  `run`, `access`, `miss`, `upgrade`, `fetch`, `fault`, `cache_full`,
+  `pageout`, `send` (wrapped: a probe gets the next callable and
+  returns the result, possibly adjusted) and `migrate`, `node_fail`,
+  `barrier`, `mark` (events;
   `mark` carries a protocol step's inner intervals to the causal
   tracer).  Probes fire in registration order; with none registered
   the machine runs its plain methods.
@@ -145,7 +149,7 @@ snapshot = registry.to_dict()          # JSON-safe, stable key order
   numbers that survive drops; `validate_event()` / `validate_jsonl()`
   check an exported trace end to end (strict: unknown fields and
   non-monotonic sequence numbers are rejected, and spans must be
-  causally whole).  `repro.sim.trace.TraceRecorder` is a set of probes
+  causally whole).  `repro.obs.recorder.TraceRecorder` is a set of probes
   that emit into a sink.
 * **Causal tracing** — `repro.obs.tracing.TraceCollector` follows each
   coherence transaction end-to-end as a span tree (miss/upgrade/fault
