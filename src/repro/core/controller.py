@@ -78,6 +78,13 @@ class UnreachableNodeError(NodeFailedError):
     """
 
 
+class DeadlineExceeded(RuntimeError):
+    """The run passed the fault plane's simulated-time deadline, or a
+    lost message would make a requester wait forever: the chaos hang
+    oracle (a resilient protocol finishes or fails cleanly before
+    then).  Raised by the fault plane (``repro.faults``)."""
+
+
 class WildWriteError(RuntimeError):
     """A remote write was rejected by the PIT memory firewall.
 

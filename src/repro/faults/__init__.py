@@ -15,12 +15,14 @@ models that surface:
   is empty) plus the :class:`RetryPolicy` recovery layer: per-request
   timeout, bounded retransmission with exponential backoff, and
   sequence-numbered receiver-side dedup.
-* :mod:`repro.faults.campaign` — chaos campaigns (`repro chaos`) that
-  reuse the litmus runner and SC checker from :mod:`repro.verify` to
-  assert that under every sampled fault plan a run either completes
-  with a sequentially-consistent history, or fails cleanly with
+* :mod:`repro.faults.campaign` — chaos campaigns (`repro chaos`): each
+  run hands a fresh injector to the conformance driver of
+  :mod:`repro.verify` (``run_litmus``), whose SC checker asserts that
+  under every sampled fault plan a run either completes with a
+  sequentially-consistent history, or fails cleanly with
   :class:`~repro.core.controller.NodeFailedError` — never hangs, never
-  silently corrupts.
+  silently corrupts.  Nothing here imports :mod:`repro.obs`: a traced
+  chaos run is traced by that driver.
 """
 
 from repro.faults.campaign import (ChaosCampaign, ChaosReport, ChaosRun,

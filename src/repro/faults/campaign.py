@@ -11,38 +11,24 @@ plan, a run must either
   terminated, survivors unharmed.
 
 It must never *hang* (caught by the simulated-time deadline /
-:class:`~repro.faults.injector.DeadlineExceeded`) and never *silently
+:class:`~repro.core.controller.DeadlineExceeded`) and never *silently
 corrupt* (caught by the SC checker).  :func:`run_chaos` runs one
-(test, plan, seed) triple and classifies it; :class:`ChaosCampaign`
+(test, plan, seed) triple through the conformance driver
+(:func:`repro.verify.runner.run_litmus`), which classifies it into a
+:class:`~repro.verify.runner.Verdict`; :class:`ChaosCampaign`
 samples many plans from one seed and aggregates — same seed, same
 plans, same verdicts, so a campaign is a reproducible artifact.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 import random
 
-from repro.core.controller import NodeFailedError
-from repro.faults.injector import DeadlineExceeded, FaultInjector, RetryPolicy
+from repro.faults.injector import FaultInjector, RetryPolicy
 from repro.faults.plan import FaultPlan
-from repro.obs import tracing
-from repro.sim.machine import Machine
-from repro.verify.litmus import LITMUS_SUITE, LitmusTest, LitmusWorkload
-from repro.verify.runner import History
-
-
-class Verdict:
-    """The four ways a chaos run can end (string constants)."""
-
-    COMPLETED_SC = "COMPLETED_SC"    # finished, history SC, values right
-    FAILED_CLEAN = "FAILED_CLEAN"    # NodeFailedError / clean termination
-    HUNG = "HUNG"                    # deadline exceeded — a protocol bug
-    CORRUPT = "CORRUPT"              # finished or crashed with bad values
-
-    #: Verdicts a resilient protocol is allowed to produce.
-    ACCEPTABLE = frozenset({COMPLETED_SC, FAILED_CLEAN})
+from repro.verify.litmus import LITMUS_SUITE, LitmusTest
+from repro.verify.runner import Verdict, run_litmus
 
 
 #: Default simulated-cycle budget per chaos run.  Litmus machines
@@ -90,84 +76,21 @@ def run_chaos(test: LitmusTest, plan: FaultPlan, seed: int = 0,
               trace: bool = False) -> ChaosRun:
     """Run one litmus test under one fault plan and classify the outcome.
 
-    Mirrors :func:`repro.verify.runner.run_litmus` minus the barrier
-    invariant walks (a hard-failed node legitimately freezes its half of
-    the protocol state, which the machine-wide walks would flag), plus
-    the fault plane and the hang deadline.
-
-    ``trace=True`` builds the machine under a fresh
-    :class:`~repro.obs.tracing.TraceCollector` scope (seeded with the
-    run seed) and attaches the collector to the returned
-    :class:`ChaosRun` — a failing run then comes with the span tree of
-    the transaction that hung or aborted, annotated with the faults
-    injected into it.  Tracing is passive: verdicts and fault stats are
-    identical either way.
+    Builds the fault plane (the plan, the run seed, the retry policy
+    and the hang deadline) and hands it to the conformance driver,
+    :func:`repro.verify.runner.run_litmus`, without the barrier
+    invariant walks: a hard-failed node legitimately freezes its half
+    of the protocol state, which the machine-wide walks would flag.
+    ``trace=True`` returns the run's span trees as ``trace`` (see
+    ``run_litmus``); verdicts and fault stats are identical either way.
     """
     injector = FaultInjector(plan, seed=seed, retry=retry,
                              deadline=deadline)
-    # An aborted run leaves its transaction open: unwind it (tagged)
-    # before the collector's scope closes.
-    scope = tracing.collecting(seed=seed) if trace else nullcontext()
-    with scope as collector:
-        try:
-            machine = Machine(test.build_config(), policy=test.policy,
-                              faults=injector)
-            history = History(machine)
-            # Injected faults land in the same history as the values.
-            injector.sink = history.sink
-            # Litmus tests run as LitmusWorkload; scenario-style tests
-            # (the serving family's 2PC transactions) supply their own
-            # workload via a duck-typed make_workload() hook.
-            make = getattr(test, "make_workload", None)
-            workload = make() if make is not None else LitmusWorkload(test)
-            verdict = Verdict.COMPLETED_SC
-            detail = ""
-            try:
-                machine.run(workload)
-            except DeadlineExceeded as exc:
-                verdict = Verdict.HUNG
-                detail = str(exc)
-            except NodeFailedError as exc:
-                verdict = Verdict.FAILED_CLEAN
-                detail = "%s: %s" % (type(exc).__name__, exc)
-            except RuntimeError as exc:
-                if machine.failed_nodes and str(exc).startswith("deadlock"):
-                    # A node died holding up a barrier: the survivors
-                    # block forever by design.  That is a clean partial
-                    # failure, not a protocol hang — the dead node is
-                    # known and reported.
-                    verdict = Verdict.FAILED_CLEAN
-                    detail = ("nodes %s failed; surviving CPUs blocked on a "
-                              "barrier the dead node can never reach"
-                              % sorted(machine.failed_nodes))
-                else:
-                    verdict = Verdict.CORRUPT
-                    detail = ("machine raised %s: %s"
-                              % (type(exc).__name__, exc))
-            finally:
-                history.tracker.detach()
-        finally:
-            if collector is not None:
-                collector.unwind("run aborted")
-
-    # The checks read the history and the machine; close it after them.
-    try:
-        violations = []
-        outcome = (verdict == Verdict.COMPLETED_SC
-                   and test.forbidden is not None)
-        registers = history.judge(test, violations, bind=outcome)
-        if outcome and test.forbidden(registers):
-            violations.append("forbidden outcome: registers %r"
-                              % (registers,))
-        if violations:
-            # Even a clean failure must leave an SC prefix behind; a bad
-            # history always escalates to CORRUPT.
-            verdict = Verdict.CORRUPT
-    finally:
-        machine.close()
-    return ChaosRun(test=test, plan=plan, seed=seed, verdict=verdict,
-                    detail=detail, violations=violations,
-                    fault_stats=injector.stats.to_dict(), trace=collector)
+    result = run_litmus(test, check_invariants=False, faults=injector,
+                        trace=trace)
+    return ChaosRun(test=test, plan=plan, seed=seed, verdict=result.verdict,
+                    detail=result.detail, violations=result.violations,
+                    fault_stats=injector.stats.to_dict(), trace=result.trace)
 
 
 @dataclass

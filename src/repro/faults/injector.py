@@ -34,15 +34,9 @@ from __future__ import annotations
 import heapq
 import random
 
-from repro.core.controller import UnreachableNodeError
+from repro.core.controller import DeadlineExceeded, UnreachableNodeError
 from repro.interconnect.messages import MessageKind, SequenceTracker
 from repro.interconnect.network import Network
-
-
-class DeadlineExceeded(RuntimeError):
-    """The run passed the injector's simulated-time deadline, or a lost
-    message would make a requester wait forever: the chaos hang oracle
-    (a resilient protocol finishes or fails cleanly before then)."""
 
 
 class RetryPolicy:

@@ -27,8 +27,6 @@ def attach(registry, machine) -> None:
     page_outs = {demote: registry.counter("kernel.page_outs",
                                           demote=str(demote).lower())
                  for demote in (False, True)}
-    gpage_of = machine.layout.gpage_of
-    home_of = machine.dynamic_home_of
     epoch = []
 
     def run(call, workload):
@@ -64,13 +62,14 @@ def attach(registry, machine) -> None:
         return done
 
     def fault(call, kernel, vpage, now):
-        result = call(vpage, now)
-        # Classified the way the kernel dispatched it.
-        gpage = gpage_of(vpage)
-        kind = ("private" if gpage is None else "home"
-                if home_of(gpage) == kernel.node.node_id else "client")
-        fault_observe[kind](result[1] - now)
-        return result
+        frame, done = call(vpage, now)
+        # Classified by the PIT entry the fault installed.
+        node = kernel.node
+        entry = node.pit.entry_or_none(frame)
+        kind = ("private" if entry.gpage < 0 else "home"
+                if entry.dynamic_home == node.node_id else "client")
+        fault_observe[kind](done - now)
+        return frame, done
 
     def cache_full(call, kernel, gpage):
         action = call(kernel, gpage)

@@ -15,9 +15,12 @@ order.  This package turns that into an executable oracle:
   every write's installed value into an EventSink history.
 * :mod:`repro.verify.checker`  — validates a recorded history against
   the legal writes-serialization order.
-* :mod:`repro.verify.runner`   — runs litmus tests under bounded
-  schedule perturbation (CPU start-time skew + network jitter) with
-  machine-wide invariant walks at every barrier.
+* :mod:`repro.verify.runner`   — the one conformance driver: builds,
+  taps, runs, classifies (:class:`~repro.verify.runner.Verdict`) and
+  judges one test, under an optional schedule perturbation (CPU
+  start-time skew + network jitter), an optional fault plane (the
+  chaos campaigns of :mod:`repro.faults`) and machine-wide invariant
+  walks at every barrier; ``run_suite`` runs the bounded schedule set.
 * :mod:`repro.verify.fuzz`     — a deterministic randomized schedule
   fuzzer with automatic shrinking to a minimal reproducing schedule.
 * :mod:`repro.verify.mutations` — protocol mutations (e.g. skip an
@@ -29,13 +32,13 @@ from repro.verify.fuzz import FuzzFailure, fuzz, shrink
 from repro.verify.litmus import (LITMUS_SUITE, LitmusTest, Thread, delay,
                                  ld, st, suite_by_name)
 from repro.verify.mutations import MUTATIONS, apply_mutation
-from repro.verify.runner import (LitmusResult, SuiteResult, bounded_schedules,
-                                 run_litmus, run_suite)
+from repro.verify.runner import (LitmusResult, SuiteResult, Verdict,
+                                 bounded_schedules, run_litmus, run_suite)
 from repro.verify.tracker import ValueTracker
 
 __all__ = [
     "LITMUS_SUITE", "LitmusTest", "Thread", "ld", "st", "delay",
     "suite_by_name", "ValueTracker", "check_history", "LitmusResult",
-    "SuiteResult", "bounded_schedules", "run_litmus", "run_suite",
+    "SuiteResult", "Verdict", "bounded_schedules", "run_litmus", "run_suite",
     "FuzzFailure", "fuzz", "shrink", "MUTATIONS", "apply_mutation",
 ]

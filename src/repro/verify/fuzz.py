@@ -39,18 +39,15 @@ class FuzzFailure:
 
 
 def fuzz(rounds: int, seed: int,
-         tests: "tuple[LitmusTest, ...]" = LITMUS_SUITE,
-         max_cpu_skew: int = 2000,
-         max_net_jitter: int = 200) -> "list[FuzzFailure]":
+         tests: "tuple[LitmusTest, ...]" = LITMUS_SUITE
+         ) -> "list[FuzzFailure]":
     """Run ``rounds`` random schedules across ``tests``; returns the
     failures found, each with a shrunk reproducing schedule."""
     rng = random.Random(seed)
     failures = []
     for i in range(rounds):
         test = tests[i % len(tests)]
-        schedule = SchedulePerturbation.random(
-            rng, test.num_cpus, max_cpu_skew=max_cpu_skew,
-            max_net_jitter=max_net_jitter)
+        schedule = SchedulePerturbation.random(rng, test.num_cpus)
         result = run_litmus(test, schedule)
         if not result.ok:
             failures.append(FuzzFailure(

@@ -1,9 +1,13 @@
-"""Litmus execution: one test, one schedule, three nets.
+"""Conformance execution: one test, one schedule, an optional fault
+plane, three nets.
 
-:func:`run_litmus` builds the test's tiny machine, attaches the value
-tap, installs machine-wide invariant walks at every barrier release,
-runs the workload under an optional schedule perturbation, and then
-checks three independent oracles:
+:func:`run_litmus` is the one driver of the litmus suite, the fuzzer and
+the chaos campaigns (:mod:`repro.faults.campaign`).  It builds the
+test's tiny machine (under a fault plane when given one), attaches the
+value tap, installs machine-wide invariant walks at every barrier
+release, runs the workload under an optional schedule perturbation,
+classifies how the run ended (:class:`Verdict`), and then checks three
+independent oracles:
 
 1. the generic per-location SC checker over the recorded history
    (:func:`repro.verify.checker.check_history`);
@@ -19,8 +23,11 @@ perturbations (start-time skews and network jitter patterns) and
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
+from repro.core.controller import DeadlineExceeded, NodeFailedError
+from repro.obs import tracing
 from repro.obs.events import EventSink
 from repro.sim.engine import SchedulePerturbation
 from repro.sim.invariants import InvariantViolation, install_barrier_checks
@@ -30,20 +37,44 @@ from repro.verify.litmus import LITMUS_SUITE, LitmusTest, LitmusWorkload
 from repro.verify.tracker import ValueTracker
 
 
+class Verdict:
+    """The four ways a conformance run can end (string constants).
+
+    Without a fault plane only the first and the last can happen."""
+
+    COMPLETED_SC = "COMPLETED_SC"    # finished, history SC, values right
+    FAILED_CLEAN = "FAILED_CLEAN"    # NodeFailedError / clean termination
+    HUNG = "HUNG"                    # deadline exceeded — a protocol bug
+    CORRUPT = "CORRUPT"              # finished or crashed with bad values
+
+    #: Verdicts a resilient protocol is allowed to produce.
+    ACCEPTABLE = frozenset({COMPLETED_SC, FAILED_CLEAN})
+
+
 @dataclass
 class LitmusResult:
-    """Outcome of one litmus test under one schedule."""
+    """Outcome of one litmus test (or chaos scenario) under one
+    schedule."""
 
     test: LitmusTest
     schedule: "SchedulePerturbation | None"
+    verdict: str
+    #: How a HUNG or FAILED_CLEAN run ended (empty otherwise).
+    detail: str
+    #: Everything that makes the run CORRUPT.
     violations: "list[str]"
     #: Per-thread tuples of observed litmus values, loads in program
-    #: order (empty tuples for threads without loads).
+    #: order (empty tuples for threads without loads; empty for a
+    #: scenario, which binds no registers).
     registers: "tuple[tuple[int, ...], ...]"
+    #: The run's :class:`~repro.obs.tracing.TraceCollector` when it was
+    #: traced, else ``None``.
+    trace: "object | None" = None
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """True for the two acceptable verdicts."""
+        return self.verdict in Verdict.ACCEPTABLE
 
     def describe(self) -> str:
         sched = (self.schedule.describe()
@@ -58,62 +89,103 @@ class LitmusResult:
 
 def run_litmus(test: LitmusTest,
                schedule: "SchedulePerturbation | None" = None,
-               check_invariants: bool = True) -> LitmusResult:
-    """Run one litmus test under one schedule and check all oracles."""
-    machine = Machine(test.build_config(), policy=test.policy,
-                      schedule=schedule)
-    try:
-        history = History(machine)
-        violations: "list[str]" = []
-        if check_invariants:
-            install_barrier_checks(machine)
-        workload = LitmusWorkload(test)
-        try:
-            machine.run(workload)
-        except InvariantViolation as exc:
-            violations = list(exc.problems)
-        except RuntimeError as exc:
-            # Protocol errors and engine deadlocks are conformance failures
-            # too — a mutation may crash the machine instead of corrupting
-            # values, and the suite must report that, not die.
-            violations = ["machine raised %s: %s"
-                          % (type(exc).__name__, exc)]
-        finally:
-            history.tracker.detach()
+               check_invariants: bool = True, faults=None,
+               trace: bool = False) -> LitmusResult:
+    """Run one litmus test under one schedule, classify how it ended and
+    check all oracles.
 
-        registers = history.judge(test, violations)
-        if test.forbidden is not None and not violations:
-            if test.forbidden(registers):
+    ``faults`` is a :class:`~repro.faults.injector.FaultInjector` for
+    the machine to carry; its ``fault_inject`` events land in the same
+    history as the values.  A test with a ``make_workload()`` hook (the
+    serving family's 2PC scenario) runs that workload instead of a
+    :class:`LitmusWorkload` and binds no registers; one with a
+    ``check(events, machine)`` hook adds that judge's findings.
+
+    ``trace=True`` builds the machine under a fresh
+    :class:`~repro.obs.tracing.TraceCollector` scope (seeded with the
+    fault plane's seed) and returns the collector as ``trace`` — a
+    failing run then comes with the span tree of the transaction that
+    hung or aborted, annotated with the faults injected into it.
+    Tracing is passive: verdicts are identical either way.
+    """
+    seed = faults.seed if faults is not None else 0
+    scope = tracing.collecting(seed=seed) if trace else nullcontext()
+    with scope as collector:
+        machine = Machine(test.build_config(), policy=test.policy,
+                          schedule=schedule, faults=faults)
+        try:
+            sink = EventSink(capacity=100_000)
+            tracker = ValueTracker(machine, sink)
+            if faults is not None:
+                # Injected faults land in the same history as the values.
+                faults.sink = sink
+            if check_invariants:
+                install_barrier_checks(machine)
+            make = getattr(test, "make_workload", None)
+            workload = make() if make is not None else LitmusWorkload(test)
+            try:
+                machine.run(workload)
+                verdict, detail, violations = Verdict.COMPLETED_SC, "", []
+            except RuntimeError as exc:
+                verdict, detail, violations = _ended(exc, machine)
+            finally:
+                tracker.detach()
+                if collector is not None:
+                    # An aborted run leaves its transaction open: unwind
+                    # it (tagged) before the collector's scope closes.
+                    collector.unwind("run aborted")
+
+            # The judges read the history and the machine; close it
+            # after them.
+            events = sink.events
+            if sink.dropped:
+                violations.append("history truncated: %d events dropped"
+                                  % sink.dropped)
+            violations += check_history(events, machine._line_shift)
+            check = getattr(test, "check", None)
+            if check is not None:
+                violations += check(events, machine)
+            registers = (_bind_registers(test, events) if make is None
+                         else ())
+            # Each net reports on its own: a finished run's registers
+            # are judged even when its history is not SC.
+            if (verdict == Verdict.COMPLETED_SC
+                    and test.forbidden is not None
+                    and test.forbidden(registers)):
                 violations.append("forbidden outcome: registers %r"
                                   % (registers,))
-        return LitmusResult(test=test, schedule=schedule,
-                            violations=violations, registers=registers)
-    finally:
-        machine.close()
+            if violations:
+                # Even a clean failure must leave an SC prefix behind; a
+                # bad history always escalates to CORRUPT.
+                verdict = Verdict.CORRUPT
+        finally:
+            machine.close()
+    return LitmusResult(test=test, schedule=schedule, verdict=verdict,
+                        detail=detail, violations=violations,
+                        registers=registers, trace=collector)
 
 
-class History:
-    """A litmus run's value history: tapped before the run (detach
-    ``tracker`` after it), then judged."""
-
-    def __init__(self, machine) -> None:
-        self.machine = machine
-        self.sink = EventSink(capacity=100_000)
-        self.tracker = ValueTracker(machine, self.sink)
-
-    def judge(self, test, violations: "list[str]", bind: bool = True):
-        """Append the truncation line, the SC checker's findings and the
-        test's own ``check`` findings (2PC atomicity, say) to
-        ``violations``; return the bound registers if ``bind``."""
-        sink = self.sink
-        if sink.dropped:
-            violations.append("history truncated: %d events dropped"
-                              % sink.dropped)
-        violations += check_history(sink.events, self.machine._line_shift)
-        check = getattr(test, "check", None)
-        if check is not None:
-            violations += check(sink.events, self.machine)
-        return _bind_registers(test, sink.events) if bind else None
+def _ended(exc: RuntimeError, machine) -> "tuple[str, str, list[str]]":
+    """``(verdict, detail, violations)`` of a run that raised ``exc``."""
+    name = type(exc).__name__
+    if isinstance(exc, DeadlineExceeded):
+        return Verdict.HUNG, str(exc), []
+    if isinstance(exc, NodeFailedError):
+        return Verdict.FAILED_CLEAN, "%s: %s" % (name, exc), []
+    if isinstance(exc, InvariantViolation):
+        return Verdict.CORRUPT, "", list(exc.problems)
+    if machine.failed_nodes and str(exc).startswith("deadlock"):
+        # A node died holding up a barrier: the survivors block forever
+        # by design.  That is a clean partial failure, not a protocol
+        # hang — the dead node is known and reported.
+        return (Verdict.FAILED_CLEAN,
+                "nodes %s failed; surviving CPUs blocked on a barrier the "
+                "dead node can never reach" % sorted(machine.failed_nodes),
+                [])
+    # Protocol errors and engine deadlocks are conformance failures too:
+    # a mutation may crash the machine instead of corrupting values, and
+    # the run must report that, not die.
+    return Verdict.CORRUPT, "", ["machine raised %s: %s" % (name, exc)]
 
 
 def _bind_registers(test: LitmusTest, events) -> "tuple[tuple[int, ...], ...]":
@@ -198,14 +270,9 @@ class SuiteResult:
         return text
 
 
-def run_suite(tests: "tuple[LitmusTest, ...]" = LITMUS_SUITE,
-              explore: bool = True) -> SuiteResult:
-    """Run litmus tests; ``explore`` adds the bounded schedule set per
-    test (otherwise each runs once, unperturbed)."""
-    results = []
-    for test in tests:
-        schedules = (bounded_schedules(test.num_cpus) if explore
-                     else [None])
-        for schedule in schedules:
-            results.append(run_litmus(test, schedule))
-    return SuiteResult(results=results)
+def run_suite(tests: "tuple[LitmusTest, ...]" = LITMUS_SUITE
+              ) -> SuiteResult:
+    """Run litmus tests, each under the bounded schedule set."""
+    return SuiteResult(results=[
+        run_litmus(test, schedule) for test in tests
+        for schedule in bounded_schedules(test.num_cpus)])

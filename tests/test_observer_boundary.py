@@ -8,8 +8,11 @@ installed.  No layer of the model imports ``repro.obs`` or holds a
 registry or a tracer: the collector's spans come from the ``mark``
 point, every metric from a probe or a counter the model keeps.  The
 fault plane sits outside the machine the same way: the machine is
-handed an injector and never imports ``repro.faults``.  An AST walk
-over ``src/repro`` keeps it that way.
+handed an injector and never imports ``repro.faults``; the chaos
+campaign traces a run through the conformance driver in
+``repro.verify``, so ``faults/`` imports nothing from ``repro.obs``
+either.  Four functions build a machine.  An AST walk over
+``src/repro`` keeps it that way.
 """
 
 import ast
@@ -25,11 +28,6 @@ MODEL_LAYERS = ("core", "kernel", "mem", "interconnect")
 #: Layers that must not import anything from ``repro.obs`` and hold no
 #: registry: the model, the fault plane and the workloads.
 OBSERVER_FREE_LAYERS = MODEL_LAYERS + ("faults", "workloads")
-
-#: The one module of those layers that imports ``repro.obs``: the chaos
-#: driver, which builds machines the way the harness does and installs
-#: a trace collector around a traced run.
-CHAOS_DRIVER = ("faults/campaign.py", "from repro.obs import tracing")
 
 #: Layers that must not import anything from ``repro.faults``.
 FAULT_FREE_LAYERS = ("sim",) + MODEL_LAYERS
@@ -86,9 +84,11 @@ def _names(layers, word):
 
 
 class _CurrentCalls(ast.NodeVisitor):
-    """Collects every ``current()`` call with its enclosing scope."""
+    """Collects every ``current()`` call (or every call of ``name``)
+    with its enclosing scope."""
 
-    def __init__(self):
+    def __init__(self, name="current"):
+        self.name = name
         self.scope = []
         self.found = []
 
@@ -103,7 +103,7 @@ class _CurrentCalls(ast.NodeVisitor):
         func = node.func
         name = (func.attr if isinstance(func, ast.Attribute)
                 else getattr(func, "id", None))
-        if name == "current":
+        if name == self.name:
             self.found.append((".".join(self.scope), ast.unparse(func)))
         self.generic_visit(node)
 
@@ -132,7 +132,7 @@ def test_model_layers_import_nothing_from_obs():
         for path, tree in _modules(layer):
             found += [(path.relative_to(SRC).as_posix(), ast.unparse(node))
                       for node in ast.walk(tree) if _imports(node, "obs")]
-    assert found == [CHAOS_DRIVER]
+    assert found == []
 
 
 def test_model_layers_hold_no_registry():
@@ -175,3 +175,27 @@ def test_only_machine_init_reads_the_installed_observers():
         ("sim/machine.py", "", "from repro import obs"),
         ("sim/machine.py", "Machine.__init__", "obs.attach(self)"),
     ]
+
+
+#: Every function of ``src/`` that builds a ``Machine``: a harness cell,
+#: the bench replay, the one conformance driver (litmus, fuzz and chaos)
+#: and the latency microbenchmark.
+MACHINE_BUILDERS = [
+    ("harness/session.py", "execute_spec"),
+    ("sim/replay.py", "build_machine"),
+    ("verify/runner.py", "run_litmus"),
+    ("workloads/microbench.py", "LatencyProbe.__init__"),
+]
+
+
+def test_four_functions_build_a_machine():
+    """A new path that builds and runs a machine would need its own
+    observers, fault plane and ``close``; it takes one of these
+    instead."""
+    calls = []
+    for path, tree in _modules():
+        visitor = _CurrentCalls("Machine")
+        visitor.visit(tree)
+        calls += [(path.relative_to(SRC).as_posix(), scope)
+                  for scope, _func in visitor.found]
+    assert calls == MACHINE_BUILDERS

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.core.controller import ProtocolError
+from repro.faults import FaultPlan, run_chaos
 from repro.sim.engine import SchedulePerturbation
 from repro.sim.machine import Machine
-from repro.verify import (LITMUS_SUITE, LitmusTest, Thread, bounded_schedules,
-                          delay, ld, run_litmus, run_suite, st, suite_by_name)
+from repro.verify import (LITMUS_SUITE, LitmusTest, Thread, Verdict,
+                          bounded_schedules, delay, ld, run_litmus, run_suite,
+                          st, suite_by_name)
 from repro.verify.litmus import LitmusWorkload
 
 pytestmark = pytest.mark.verify
@@ -118,3 +121,17 @@ def test_result_describe_mentions_test_and_schedule():
                         SchedulePerturbation(net_jitter=(42,)))
     text = result.describe()
     assert "mp_scoma" in text and "42" in text and "ok" in text
+
+
+def test_a_machine_that_raises_is_corrupt_in_litmus_and_chaos(monkeypatch):
+    """One driver, one rule: the crash is the run's first violation and
+    no detail, with or without a fault plane."""
+    def crash(self, workload):
+        raise ProtocolError("boom")
+    monkeypatch.setattr(Machine, "run", crash)
+    test = suite_by_name()["mp_scoma"]
+    for result in (run_litmus(test), run_chaos(test, FaultPlan())):
+        assert result.verdict == Verdict.CORRUPT
+        assert not result.ok
+        assert result.detail == ""
+        assert result.violations[0] == "machine raised ProtocolError: boom"

@@ -11,7 +11,8 @@
 # observability, causal-tracing, live-dashboard and serving smokes; the
 # exact tracing-overhead gate; the litmus suite and a fixed-seed fuzz
 # run; reproducible chaos campaigns, plain and traced, sampled and under
-# a plan that injects from cycle 0; the benchmark
+# a plan that injects from cycle 0, and that plan failing without
+# retransmission; the benchmark
 # smoke and its exact gate against tools/bench_reference; the
 # wall-clock, cold-start and memory ceilings; and the benchmark's own
 # tests.
@@ -184,6 +185,16 @@ print("faulted chaos: %d drops, %d retransmissions, traced == untraced"
       % (sum(s.get("dropped", 0) for s in stats),
          sum(s.get("retransmissions", 0) for s in stats)))
 EOF
+# The retry layer is what keeps those drops acceptable: without it the
+# same plan must hang a requester, and the campaign must fail.
+status=0
+python -m repro chaos --seed 7 --rounds 4 --plan "$workdir/plan.json" \
+    --no-retry > "$workdir/chaos-noretry.txt" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q 'HUNG' "$workdir/chaos-noretry.txt"; then
+    echo "FAIL: chaos --no-retry under the live plan exited $status" \
+        "without a HUNG run; the smoke does not exercise retransmission" >&2
+    exit 1
+fi
 
 echo "== live dashboard smoke =="
 python -m repro top --apps fft --preset tiny --no-cache > "$workdir/top.txt"

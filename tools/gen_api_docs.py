@@ -207,8 +207,10 @@ receiver-side duplicate suppression, and graceful degradation that
 prunes a hard-failed node from directory sharer lists and PIT
 forwarding hints so survivors fail fast with
 `UnreachableNodeError` instead of hanging.  `ChaosCampaign` samples
-plans from one seed and runs the litmus suite under them; every run
-must complete sequentially consistent or fail cleanly
+plans from one seed and runs the litmus suite under them through the
+same driver as `repro verify` (`repro.verify.runner.run_litmus`, handed
+the injector); every run must complete sequentially consistent or fail
+cleanly
 (`NodeFailedError`) — never hang (simulated-time deadline), never
 silently corrupt (SC checker).  Without an injector neither a hop
 nor a scheduler turn tests for the fault plane, and results are

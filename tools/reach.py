@@ -87,13 +87,14 @@ def read_allowlist() -> "dict[str, str]":
 
 # -- the jobs ---------------------------------------------------------------
 
-def _repro(*argv: str):
-    """A job that runs ``python -m repro ARGV`` and expects exit 0."""
+def _repro(*argv: str, code: int = 0):
+    """A job that runs ``python -m repro ARGV`` and expects exit
+    ``code``."""
     def job():
         from repro.harness.cli import main
-        code = main(list(argv))
-        if code != 0:
-            raise RuntimeError("exit code %d" % code)
+        got = main(list(argv))
+        if got != code:
+            raise RuntimeError("exit code %d, expected %d" % (got, code))
     job.__name__ = "repro " + " ".join(argv)
     return job
 
@@ -184,6 +185,8 @@ def jobs(work: str) -> list:
         _repro("chaos", "--seed", "7", "--rounds", "4", "--plan", live_plan),
         _repro("chaos", "--seed", "7", "--rounds", "4", "--plan", live_plan,
                "--trace"),
+        _repro("chaos", "--seed", "7", "--rounds", "4", "--plan", live_plan,
+               "--no-retry", code=1),
         _repro("top", "--apps", "fft", "--preset", "tiny", "--no-cache"),
         _repro("run", "kvstore", "--preset", "tiny", "--no-cache",
                "--metrics"),
