@@ -14,7 +14,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness.runner import derive_page_cache_caps
 from repro.sim.config import MachineConfig
 from repro.sim.latency import LatencyModel
 from repro.sim.machine import Machine
@@ -28,12 +27,10 @@ def test_home_status_flag_benefit(benchmark):
     a thrashing SCOMA-70-style run re-faults constantly."""
     def pair():
         results = {}
-        scoma = run_spec("water-nsq", "scoma")
-        caps = derive_page_cache_caps(scoma, fraction=0.4)
         for flag in (False, True):
             cfg = MachineConfig(home_status_flags=flag)
             results[flag] = run_spec("water-nsq", "scoma-70", config=cfg,
-                                     page_cache_override=tuple(caps))
+                                     cache_fraction=0.4)
         return results
 
     results = benchmark.pedantic(pair, rounds=1, iterations=1)

@@ -15,7 +15,6 @@ under per-bucket locks, then a reduction phase reads all buckets.
 """
 
 from repro import Machine, MachineConfig
-from repro.harness.runner import derive_page_cache_caps
 from repro.workloads.base import (SharedArray, Workload, barrier, compute,
                                   lock, unlock)
 from repro.workloads.rng import RandomState
@@ -66,7 +65,11 @@ def main() -> int:
     print("custom workload under three page-mode policies:\n")
     baseline = Machine(MachineConfig(), policy="scoma")
     scoma = baseline.run(HistogramWorkload())
-    caps = derive_page_cache_caps(scoma)
+    # Section 4.2's cap: 70% of each node's client frames under SCOMA.
+    # (A registered workload gets it from the harness: an ExperimentSpec
+    # of a capped policy runs its SCOMA sibling first.)
+    caps = [max(1, int(0.7 * node.scoma_client_frames_peak))
+            for node in scoma.stats.nodes]
 
     print("%-9s %15s %14s %10s" % ("policy", "cycles", "remote misses",
                                    "page-outs"))

@@ -19,8 +19,7 @@ from repro.harness.export import (campaign_to_dict, load_campaign,
                                   metrics_to_dict, save_campaign,
                                   save_metrics, suite_to_dict)
 from repro.harness.report import CampaignProgress
-from repro.harness.runner import (PAPER_POLICIES, SuiteResult,
-                                  derive_page_cache_caps)
+from repro.harness.runner import PAPER_POLICIES, SuiteResult
 from repro.harness.session import ExperimentSpec, ResultCache, Session
 from repro.harness.sweep import (SweepResult, cache_fraction_sweep,
                                  render_sweep)
@@ -68,7 +67,7 @@ __all__ = [
     "APPLICATIONS", "CampaignDiff", "CampaignProgress", "Delta",
     "ExperimentSpec", "PAPER_POLICIES", "ResultCache", "Session",
     "SuiteResult", "SweepResult", "compare_campaigns",
-    "cache_fraction_sweep", "campaign_to_dict", "derive_page_cache_caps",
+    "cache_fraction_sweep", "campaign_to_dict",
     "figure7_ascii", "figure7_table",
     "load_campaign", "metrics_table", "metrics_to_dict",
     "pit_sensitivity", "render_sweep", "run_paper_evaluation",

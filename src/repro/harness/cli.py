@@ -242,27 +242,34 @@ def _session_from_args(args, verbose: bool = True):
 def cmd_run(args) -> int:
     """``repro run``: one workload under one policy.
 
-    ``--trace-out`` and ``--check-invariants`` observe the live machine,
-    so they run the cell in-process through the runner's ``attach``
-    seam and neither read nor fill the result cache; every other run
-    goes through the session.  The printed stats are identical either
-    way.
+    ``--page-cache N`` caps a capped policy at N frames per node
+    instead of 70% of its SCOMA sibling's.  ``--trace-out`` and
+    ``--check-invariants`` observe the live machine, so they run the
+    cell in-process through the runner's ``attach`` seam and neither
+    read nor fill the result cache; every other run goes through the
+    session.  The printed stats are identical either way.
     """
+    from dataclasses import replace
+
     from repro.harness.session import ExperimentSpec, execute_spec
     config = MachineConfig(page_cache_frames=args.page_cache,
                            enable_migration=args.migration)
     session = _session_from_args(args, verbose=False)
     spec = ExperimentSpec(args.workload, args.policy,
                           preset=args.preset, config=config)
+    if args.page_cache is not None:
+        spec = replace(spec, cache_fraction=None)
     note = ""
     if args.trace_out or args.check_invariants:
         from repro.obs import EventSink
         from repro.sim.invariants import InvariantViolation
+        caps = session.page_cache_caps(spec)
         sink = EventSink() if args.trace_out else None
         try:
             result = execute_spec(
                 spec, session.collect_metrics,
-                attach=_live_observers(args.check_invariants, sink))
+                attach=_live_observers(args.check_invariants, sink),
+                caps=caps)
         except InvariantViolation as exc:
             print("INVARIANT VIOLATION at cycle %d (%s / %s):"
                   % (exc.when, spec.workload, spec.policy))
@@ -273,7 +280,8 @@ def cmd_run(args) -> int:
             note = " [invariants checked at every barrier]"
     else:
         result = session.run(spec)
-        if session.cache_hits:
+        # A capped cell that missed may still have read its sibling.
+        if session.cache_hits and not session.cache_misses:
             note = " [cached]"
     print("%s / %s (%s preset)%s"
           % (args.workload, args.policy, args.preset, note))
@@ -629,12 +637,14 @@ def cmd_trace(args) -> int:
     latency).  ``--out`` / ``--chrome`` export the retained spans.
     """
     from repro.harness.report import TextTable
-    from repro.harness.session import ExperimentSpec, execute_spec
+    from repro.harness.session import ExperimentSpec, Session, execute_spec
     from repro.obs import tracing
 
+    spec = ExperimentSpec(args.workload, args.policy, preset=args.preset)
+    # A capped policy's SCOMA sibling runs before the collector opens.
+    caps = Session().page_cache_caps(spec)
     with tracing.collecting(seed=args.seed) as collector:
-        execute_spec(ExperimentSpec(args.workload, args.policy,
-                                    preset=args.preset))
+        execute_spec(spec, caps=caps)
 
     print("%s / %s (%s preset, seed %d): %d transactions, %d spans"
           % (args.workload, args.policy, args.preset, args.seed,

@@ -86,13 +86,3 @@ PIT_SLOWDOWN = {
     "water-nsq": 0.02,
     "water-spa": 0.02,
 }
-
-#: Headline claims, used by the shape checks in the integration tests
-#: and EXPERIMENTS.md:
-#: - SCOMA is the best configuration for every application;
-#: - SCOMA-70 beats LANUMA on Barnes, LU, Ocean, Radix;
-#: - LANUMA beats SCOMA-70 on Water-nsq;
-#: - adaptive policies land between and are "usually within 10%" of SCOMA;
-#: - adaptive page-outs are far below SCOMA-70's.
-SCOMA70_WINS = ("barnes", "lu", "ocean", "radix")
-LANUMA_WINS = ("water-nsq",)

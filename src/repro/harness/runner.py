@@ -1,14 +1,10 @@
-"""Suite/campaign result types and the SCOMA-relative cap derivation.
+"""Suite/campaign result types and the paper's policy sets.
 
 The SCOMA-70 and adaptive configurations are defined *relative to the
 SCOMA run*: the page cache at each node is capped at 70% of the client
-S-COMA frames that node allocated under SCOMA (section 4.2).  The suite
-scheduler therefore always runs SCOMA first, derives the per-node caps,
-and reuses them for every capped policy.
-
-Experiments are run through the
-:class:`~repro.harness.session.ExperimentSpec` +
-:class:`~repro.harness.session.Session` API.
+S-COMA frames that node allocated under SCOMA (section 4.2).  The
+session's scheduler (:mod:`repro.harness.session`) resolves that cap
+for every cell of :data:`CAPPED_POLICIES`.
 """
 
 from __future__ import annotations
@@ -21,19 +17,9 @@ from repro.sim.machine import RunResult
 PAPER_POLICIES = ("scoma", "lanuma", "scoma-70",
                   "dyn-fcfs", "dyn-util", "dyn-lru")
 
-#: Policies that run with the 70%-of-SCOMA page-cache cap.
+#: Policies that run with a SCOMA-relative page-cache cap.
 CAPPED_POLICIES = ("scoma-70", "dyn-fcfs", "dyn-util", "dyn-lru",
                    "dyn-bidir")
-
-
-def derive_page_cache_caps(scoma_result: RunResult,
-                           fraction: float = 0.7) -> "list[int]":
-    """Per-node page-cache capacities: ``fraction`` of the SCOMA run's
-    peak client S-COMA frame count at each node (section 4.2)."""
-    caps = []
-    for node_stats in scoma_result.stats.nodes:
-        caps.append(max(1, int(node_stats.scoma_client_frames_peak * fraction)))
-    return caps
 
 
 @dataclass
@@ -43,6 +29,8 @@ class SuiteResult:
     workload: str
     preset: str
     results: "dict[str, RunResult]" = field(default_factory=dict)
+    #: The per-node caps the suite's capped policies ran with (empty
+    #: when it has none).
     page_cache_caps: "list[int]" = field(default_factory=list)
 
     def normalized_time(self, policy: str,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.harness.runner import derive_page_cache_caps
 from repro.harness.session import ExperimentSpec, Session
 
 
@@ -69,18 +68,16 @@ def cache_fraction_sweep(workload: str,
     points in parallel and/or through the result cache.
     """
     session = session if session is not None else Session()
-    scoma, lanuma = session.run_suite([
-        ExperimentSpec(workload, "scoma", preset=preset, config=config),
-        ExperimentSpec(workload, "lanuma", preset=preset, config=config)])
+    scoma, lanuma, *points = session.run_suite(
+        [ExperimentSpec(workload, "scoma", preset=preset, config=config),
+         ExperimentSpec(workload, "lanuma", preset=preset, config=config)]
+        + [ExperimentSpec(workload, "scoma-70", preset=preset, config=config,
+                          cache_fraction=fraction)
+           for fraction in fractions])
     sweep = SweepResult(workload=workload, preset=preset,
                         lanuma_cycles=lanuma.stats.execution_cycles,
                         scoma_cycles=scoma.stats.execution_cycles)
-    specs = [ExperimentSpec(
-        workload, "scoma-70", preset=preset, config=config,
-        page_cache_override=tuple(
-            derive_page_cache_caps(scoma, fraction=fraction)))
-        for fraction in fractions]
-    for fraction, result in zip(fractions, session.run_suite(specs)):
+    for fraction, result in zip(fractions, points):
         sweep.points[fraction] = (result.stats.execution_cycles,
                                   result.stats.client_page_outs)
     return sweep

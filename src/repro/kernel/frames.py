@@ -9,8 +9,7 @@ identifies its kind.
 The page-cache capacity limit that drives the paper's SCOMA-70 and
 adaptive experiments applies to *client S-COMA frames* — S-COMA frames
 backing pages whose home is elsewhere.  Home frames and private frames
-are not limited in the paper's runs (and are not here, unless
-``total_frames`` is set).
+are not limited in the paper's runs, and are not here.
 """
 
 from __future__ import annotations
@@ -28,11 +27,9 @@ class FramePools:
     """Frame allocator for one node."""
 
     def __init__(self, node_id: int,
-                 page_cache_frames: "int | None" = None,
-                 total_frames: "int | None" = None) -> None:
+                 page_cache_frames: "int | None" = None) -> None:
         self.node_id = node_id
         self.page_cache_frames = page_cache_frames
-        self.total_frames = total_frames
 
         self._next_real = 0
         self._next_imaginary = IMAGINARY_BASE
@@ -55,12 +52,6 @@ class FramePools:
         if self.page_cache_frames is None:
             return False
         return self.client_scoma_in_use >= self.page_cache_frames
-
-    def real_available(self) -> bool:
-        """Is there room for another real frame?"""
-        if self.total_frames is None:
-            return True
-        return self.real_in_use < self.total_frames
 
     def occupancy(self) -> "dict[str, int]":
         """Current pool occupancy and cumulative totals.
@@ -87,8 +78,6 @@ class FramePools:
         check :meth:`page_cache_full` first (the kernel's fault handler
         pages out or demotes a victim before retrying).
         """
-        if not self.real_available():
-            raise MemoryError("node %d out of real frames" % self.node_id)
         if client_scoma and self.page_cache_full():
             raise MemoryError("node %d page cache full" % self.node_id)
         if self._free_real:

@@ -86,11 +86,6 @@ class MachineConfig:
     #: means unbounded (the paper's SCOMA "infinite page cache").
     page_cache_frames: "int | None" = None
 
-    #: Maximum real frames per node for *all* allocations.  ``None``
-    #: means unbounded; only the page cache limit above is enforced in
-    #: the paper's experiments.
-    total_frames_per_node: "int | None" = None
-
     #: Enable the home-page-status flag optimization (section 3.3): a
     #: client that paged a page in before skips the home round-trip on
     #: repeat faults.  The paper *proposes* this optimization; Table 1

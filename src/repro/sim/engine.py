@@ -65,6 +65,13 @@ class Resource:
         return "Resource(%r, next_free=%d)" % (self.name, self.next_free)
 
 
+#: Bounds of :meth:`SchedulePerturbation.random`: start skews and hop
+#: jitter of up to this many cycles, over this many jitter slots.
+MAX_CPU_SKEW = 2000
+MAX_NET_JITTER = 200
+JITTER_SLOTS = 16
+
+
 class SchedulePerturbation:
     """Bounded, deterministic perturbation of the simulator's schedule.
 
@@ -118,15 +125,13 @@ class SchedulePerturbation:
         return value
 
     @classmethod
-    def random(cls, rng, num_cpus: int, max_cpu_skew: int = 2000,
-               max_net_jitter: int = 200,
-               jitter_slots: int = 16) -> "SchedulePerturbation":
+    def random(cls, rng, num_cpus: int) -> "SchedulePerturbation":
         """Draw a bounded random schedule from ``rng`` (a
         ``random.Random``)."""
-        offsets = tuple(rng.randrange(max_cpu_skew + 1)
+        offsets = tuple(rng.randrange(MAX_CPU_SKEW + 1)
                         for _ in range(num_cpus))
-        jitter = tuple(rng.randrange(max_net_jitter + 1)
-                       for _ in range(jitter_slots))
+        jitter = tuple(rng.randrange(MAX_NET_JITTER + 1)
+                       for _ in range(JITTER_SLOTS))
         return cls(cpu_offsets=offsets, net_jitter=jitter)
 
     def describe(self) -> str:

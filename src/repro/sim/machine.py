@@ -95,8 +95,7 @@ class Node:
         self.memory = NodeMemory(node_id, config.latency)
         self.presence = NodePresence()
         self.pools = FramePools(node_id,
-                                page_cache_frames=config.page_cache_frames,
-                                total_frames=config.total_frames_per_node)
+                                page_cache_frames=config.page_cache_frames)
         self.pit = PageInformationTable(node_id, config.lines_per_page)
         self.directory = Directory(node_id, config.lines_per_page,
                                    config.directory_cache_entries)
@@ -117,6 +116,9 @@ class RunResult:
     #: Metrics-registry snapshot collected during the run (see
     #: ``repro.obs``), or None when observability was disabled.
     metrics: "dict[str, object] | None" = None
+    #: Per-node client page-cache capacities the run was built with
+    #: (``page_cache_override``), or None when it had none.
+    page_cache_caps: "list[int] | None" = None
 
 
 class Machine:
@@ -443,7 +445,8 @@ class Machine:
                 "(mismatched barriers or locks in the workload?)" % stuck)
         self._finalize()
         return RunResult(workload=workload.name, policy=self.policy.name,
-                         config=self.config, stats=self.stats)
+                         config=self.config, stats=self.stats,
+                         page_cache_caps=self._page_cache_override)
 
     def _new_heap(self) -> "list[int]":
         """The event heap at the start of a run: every CPU's packed key

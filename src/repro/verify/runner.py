@@ -24,7 +24,8 @@ perturbations (start-time skews and network jitter patterns) and
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.controller import DeadlineExceeded, NodeFailedError
 from repro.obs import tracing
@@ -63,10 +64,8 @@ class LitmusResult:
     detail: str
     #: Everything that makes the run CORRUPT.
     violations: "list[str]"
-    #: Per-thread tuples of observed litmus values, loads in program
-    #: order (empty tuples for threads without loads; empty for a
-    #: scenario, which binds no registers).
-    registers: "tuple[tuple[int, ...], ...]"
+    #: The recorded history the registers bind from.
+    history: list = field(default_factory=list, repr=False, compare=False)
     #: The run's :class:`~repro.obs.tracing.TraceCollector` when it was
     #: traced, else ``None``.
     trace: "object | None" = None
@@ -75,6 +74,17 @@ class LitmusResult:
     def ok(self) -> bool:
         """True for the two acceptable verdicts."""
         return self.verdict in Verdict.ACCEPTABLE
+
+    @cached_property
+    def registers(self) -> "tuple[tuple[int, ...], ...]":
+        """Per-thread litmus values the loads saw, bound on first read.
+
+        One tuple per thread, loads in program order (empty for threads
+        without loads; empty overall for a scenario, which binds no
+        registers).  A chaos report never reads them."""
+        if getattr(self.test, "make_workload", None) is not None:
+            return ()
+        return _bind_registers(self.test, self.history)
 
     def describe(self) -> str:
         sched = (self.schedule.describe()
@@ -145,24 +155,24 @@ def run_litmus(test: LitmusTest,
             check = getattr(test, "check", None)
             if check is not None:
                 violations += check(events, machine)
-            registers = (_bind_registers(test, events) if make is None
-                         else ())
+            result = LitmusResult(test=test, schedule=schedule,
+                                  verdict=verdict, detail=detail,
+                                  violations=violations, history=events,
+                                  trace=collector)
             # Each net reports on its own: a finished run's registers
             # are judged even when its history is not SC.
             if (verdict == Verdict.COMPLETED_SC
                     and test.forbidden is not None
-                    and test.forbidden(registers)):
+                    and test.forbidden(result.registers)):
                 violations.append("forbidden outcome: registers %r"
-                                  % (registers,))
+                                  % (result.registers,))
             if violations:
                 # Even a clean failure must leave an SC prefix behind; a
                 # bad history always escalates to CORRUPT.
-                verdict = Verdict.CORRUPT
+                result.verdict = Verdict.CORRUPT
         finally:
             machine.close()
-    return LitmusResult(test=test, schedule=schedule, verdict=verdict,
-                        detail=detail, violations=violations,
-                        registers=registers, trace=collector)
+    return result
 
 
 def _ended(exc: RuntimeError, machine) -> "tuple[str, str, list[str]]":

@@ -41,6 +41,74 @@ def test_run_caches_result(tmp_path, capsys):
     assert warm.replace(" [cached]", "") == cold
 
 
+def test_run_capped_policy_runs_at_the_campaign_cap(tmp_path, capsys):
+    # fft/scoma-70 at tiny: the campaign's cell is 366,866 cycles with
+    # 28 page-outs; run uncapped it would be SCOMA's 408,155 and 0.
+    base = ["run", "fft", "--preset", "tiny", "--policy", "scoma-70"]
+    assert main(base + ["--no-cache"]) == 0
+    plain = capsys.readouterr().out
+    lines = plain.splitlines()
+    assert "  execution_cycles       366866" in lines
+    assert "  client_page_outs       28" in lines
+    # The live-machine path resolves the same caps before attaching.
+    assert main(base + ["--no-cache", "--check-invariants"]) == 0
+    checked = capsys.readouterr().out
+    assert checked.replace(" [invariants checked at every barrier]",
+                           "") == plain
+    # Its SCOMA sibling is cached, but the capped cell was not.
+    cache = str(tmp_path / "cache")
+    assert main(["run", "fft", "--preset", "tiny",
+                 "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    assert main(base + ["--cache-dir", cache]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(base + ["--cache-dir", cache]) == 0
+    assert capsys.readouterr().out.replace(" [cached]", "") == plain
+
+
+def test_run_page_cache_is_an_absolute_cap(capsys):
+    assert main(["run", "fft", "--preset", "tiny", "--no-cache",
+                 "--policy", "scoma-70", "--page-cache", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  execution_cycles       366866" not in lines
+    assert "  client_page_outs       28" not in lines
+
+
+def test_metrics_capped_policy_observes_only_the_capped_cell(capsys):
+    import json
+
+    from repro.harness.session import Session
+    from repro.obs import parse_key
+    family = "sim.access_latency_cycles"
+    cell = Session(collect_metrics=True).run_workload_suite(
+        "fft", preset="tiny").results["dyn-lru"]
+    expected = {key: (hist["count"], hist["sum"])
+                for key, hist in cell.metrics["histograms"].items()
+                if parse_key(key)[0] == family}
+    assert sum(count for count, _ in expected.values()) \
+        == cell.stats.references
+    assert main(["metrics", "fft", "--preset", "tiny", "--policy",
+                 "dyn-lru", "--no-cache", "--format", "json",
+                 "--filter", family]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {row["metric"]: (row["count"], row["sum"])
+            for row in rows} == expected
+
+
+def test_trace_capped_policy_traces_only_the_capped_cell(capsys):
+    from repro.harness.session import ExperimentSpec, Session, execute_spec
+    from repro.obs import tracing
+    spec = ExperimentSpec("fft", "dyn-lru", preset="tiny")
+    caps = Session().page_cache_caps(spec)
+    with tracing.collecting(seed=0) as collector:
+        execute_spec(spec, caps=caps)
+    assert main(["trace", "fft", "--preset", "tiny", "--policy", "dyn-lru",
+                 "--top", "1"]) == 0
+    out = capsys.readouterr().out
+    assert ("fft / dyn-lru (tiny preset, seed 0): %d transactions, %d spans"
+            % (collector.finished, collector.span_count)) in out
+
+
 def test_run_trace_and_metrics_out(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     metrics = tmp_path / "metrics.json"

@@ -11,8 +11,8 @@ from repro.harness.session import Session
 @pytest.fixture(scope="module")
 def suite():
     return Session().run_workload_suite(
-        "water-spa", policies=("scoma", "lanuma"), preset="tiny",
-        config=repro.tiny_config())
+        "water-spa", policies=("scoma", "lanuma", "scoma-70"),
+        preset="tiny", config=repro.tiny_config())
 
 
 def test_suite_to_dict(suite):
@@ -20,6 +20,8 @@ def test_suite_to_dict(suite):
     assert flat["policies"]["scoma"]["normalized_time"] == 1.0
     assert flat["policies"]["lanuma"]["remote_misses"] > 0
     assert flat["page_cache_caps"]
+    assert (flat["page_cache_caps"]
+            == suite.results["scoma-70"].page_cache_caps)
 
 
 def test_save_and_load_campaign(suite, tmp_path):

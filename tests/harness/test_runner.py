@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.harness.figures import figure7_ascii, figure7_table
-from repro.harness.runner import CAPPED_POLICIES, derive_page_cache_caps
+from repro.harness.runner import CAPPED_POLICIES
 from repro.harness.session import ExperimentSpec, Session
 from repro.harness.tables import table1, table2, table3, table4, table5
 
@@ -33,10 +33,13 @@ def test_suite_contains_all_policies(suites):
 def test_caps_are_70pct_of_scoma_peak(suites):
     suite = suites["fft"]
     scoma = suite.results["scoma"]
-    expected = derive_page_cache_caps(scoma)
+    expected = [max(1, int(0.7 * node_stats.scoma_client_frames_peak))
+                for node_stats in scoma.stats.nodes]
     assert suite.page_cache_caps == expected
-    for cap, node_stats in zip(expected, scoma.stats.nodes):
-        assert cap == max(1, int(0.7 * node_stats.scoma_client_frames_peak))
+    for policy in CAPPED_POLICIES:
+        if policy in suite.results:
+            assert suite.results[policy].page_cache_caps == expected
+    assert suite.results["lanuma"].page_cache_caps is None
 
 
 def test_scoma70_actually_pages_out(suites):

@@ -1,11 +1,19 @@
 """Tests for the parallel campaign engine (ExperimentSpec / Session)."""
 
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
 import pytest
 
+from repro.harness import session as session_module
 from repro.harness.report import CampaignProgress
-from repro.harness.session import (CACHE_SCHEMA, ExperimentSpec, Session,
-                                   execute_spec)
+from repro.harness.session import ExperimentSpec, Session, execute_spec
 from repro.sim.config import MachineConfig, tiny_config
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 def spec(workload="fft", policy="scoma", **kwargs):
@@ -19,10 +27,20 @@ class TestExperimentSpec:
         with pytest.raises(AttributeError):
             spec().policy = "lanuma"
 
-    def test_override_normalized_to_tuple(self):
-        s = spec(page_cache_override=[4, 5])
-        assert s.page_cache_override == (4, 5)
-        assert hash(s) == hash(spec(page_cache_override=(4, 5)))
+    def test_cache_fraction_defaults_by_policy(self):
+        assert spec(policy="scoma-70").cache_fraction == 0.7
+        assert spec(policy="dyn-lru").cache_fraction == 0.7
+        # A policy that takes no cap has no fraction.
+        assert spec().cache_fraction is None
+        assert spec(policy="lanuma", cache_fraction=0.4).cache_fraction is None
+        # An absolute cap (config.page_cache_frames) sets no fraction.
+        assert spec(policy="scoma-70",
+                    cache_fraction=None).cache_fraction is None
+        # The fraction is part of the cell, and so of its cache key.
+        capped = spec(policy="scoma-70")
+        assert capped.cache_key() != spec(policy="scoma-70",
+                                          cache_fraction=0.4).cache_key()
+        assert hash(capped) == hash(spec(policy="scoma-70"))
 
     def test_none_config_resolves_to_default(self):
         s = ExperimentSpec("fft", "scoma")
@@ -46,11 +64,11 @@ class TestExperimentSpec:
         assert base.cache_key() != spec(config=slow_pit).cache_key()
 
     def test_payload_round_trip(self):
-        s = spec(policy="scoma-70", page_cache_override=(3, 4))
+        s = spec(policy="scoma-70", cache_fraction=0.4)
         back = ExperimentSpec.from_payload(s.to_payload())
         assert back == ExperimentSpec(
             "fft", "scoma-70", preset="tiny", config=tiny_config(),
-            page_cache_override=(3, 4))
+            cache_fraction=0.4)
         assert back.cache_key() == s.cache_key()
 
 
@@ -81,6 +99,34 @@ class TestSessionRun:
                     == single.stats.to_dict())
         assert caps == [max(1, int(0.7 * n.scoma_client_frames_peak))
                         for n in suite.results["scoma"].stats.nodes]
+
+    def test_capped_run_matches_the_campaign_cell(self):
+        # A lone capped cell runs its SCOMA sibling first, unreported,
+        # and comes out as the campaign's cell.
+        suite = Session().run_workload_suite("fft", preset="tiny")
+        session = Session(progress=CampaignProgress(enabled=False))
+        alone = session.run(ExperimentSpec("fft", "scoma-70", preset="tiny"))
+        cell = suite.results["scoma-70"]
+        assert alone.stats.to_dict() == cell.stats.to_dict()
+        assert (alone.stats.execution_cycles,
+                alone.stats.client_page_outs) == (366866, 28)
+        assert alone.page_cache_caps == suite.page_cache_caps
+        assert session.progress.done == 1
+        dyn_lru = ExperimentSpec("fft", "dyn-lru", preset="tiny")
+        assert Session().page_cache_caps(dyn_lru) == suite.page_cache_caps
+        assert (Session().run(dyn_lru).stats.to_dict()
+                == suite.results["dyn-lru"].stats.to_dict())
+
+    def test_execute_spec_never_runs_a_capped_cell_uncapped(self):
+        with pytest.raises(ValueError, match="SCOMA sibling"):
+            execute_spec(spec(policy="scoma-70"))
+        with pytest.raises(ValueError, match="SCOMA sibling"):
+            execute_spec(spec(), caps=[1, 1])
+        caps = Session().page_cache_caps(spec(policy="scoma-70"))
+        assert Session().page_cache_caps(spec()) is None
+        assert (execute_spec(spec(policy="scoma-70"), caps=caps).stats
+                .to_dict() == Session().run(spec(policy="scoma-70"))
+                .stats.to_dict())
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
@@ -115,19 +161,32 @@ class TestResultCache:
         s2.run(spec(policy="lanuma", config=tiny_config(tlb_entries=16)))
         assert (s2.cache_hits, s2.cache_misses) == (1, 1)
 
-    def test_schema_mismatch_is_a_miss(self, tmp_path):
+    def test_model_source_change_is_a_miss(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "cache")
-        session = Session(cache_dir=cache_dir)
-        session.run(spec())
-        # Corrupt every entry's schema stamp; the next lookup re-runs.
-        import json
-        for path in (tmp_path / "cache").rglob("*.json"):
-            entry = json.loads(path.read_text())
-            entry["schema"] = CACHE_SCHEMA + 1
-            path.write_text(json.dumps(entry))
+        Session(cache_dir=cache_dir).run(spec())
+        monkeypatch.setattr(session_module, "model_digest",
+                            lambda: "0" * 64)
         fresh = Session(cache_dir=cache_dir)
         fresh.run(spec())
         assert (fresh.cache_hits, fresh.cache_misses) == (0, 1)
+
+    def test_warm_cache_serves_a_capped_cell_without_its_sibling(
+            self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cold = Session(cache_dir=cache_dir)
+        first = cold.run(spec(policy="dyn-lru"))
+        assert (cold.cache_hits, cold.cache_misses) == (0, 2)
+        warm = Session(cache_dir=cache_dir)
+        again = warm.run(spec(policy="dyn-lru"))
+        assert (warm.cache_hits, warm.cache_misses) == (1, 0)
+        assert again.stats.to_dict() == first.stats.to_dict()
+        assert again.page_cache_caps == first.page_cache_caps
+        # Another fraction is another cell; its sibling is cached.
+        other = Session(cache_dir=cache_dir)
+        assert other.page_cache_caps(spec(policy="dyn-lru")) \
+            == first.page_cache_caps
+        other.run(spec(policy="dyn-lru", cache_fraction=0.4))
+        assert (other.cache_hits, other.cache_misses) == (2, 1)
 
     @pytest.mark.parametrize("corrupt", [
         lambda entry: [entry],                            # not an object
@@ -311,9 +370,60 @@ class TestParallelScheduler:
                 assert (par[app].results[policy].stats.to_dict()
                         == seq[app].results[policy].stats.to_dict())
 
+    def test_jobs2_lone_capped_cells_identical_to_jobs1(self):
+        cells = [spec(policy="scoma-70"), spec(policy="lanuma"),
+                 spec(policy="dyn-util", cache_fraction=0.4)]
+        seq = Session(jobs=1).run_suite(cells)
+        par = Session(jobs=2).run_suite(cells)
+        assert ([r.stats.to_dict() for r in par]
+                == [r.stats.to_dict() for r in seq])
+        assert ([r.page_cache_caps for r in par]
+                == [r.page_cache_caps for r in seq])
+
     def test_parallel_worker_error_propagates(self):
         with pytest.raises(ValueError):
             Session(jobs=2).run_suite(
                 [spec(), ExperimentSpec("no-such-app", "scoma",
                                         preset="tiny",
                                         config=tiny_config())])
+
+
+class TestModelDigest:
+    """The cache key folds in the model's source (repro/{sim,core,mem,
+    kernel,interconnect,workloads}), so an edit there misses the cache
+    and an edit elsewhere does not.  Each case edits a copy of the
+    package and runs one cell against a shared cache in a fresh
+    interpreter."""
+
+    CELL = ("from repro.harness.session import ExperimentSpec, Session\n"
+            "session = Session(cache_dir=%r)\n"
+            "session.run(ExperimentSpec('fft', 'scoma', preset='tiny'))\n"
+            "print(session.cache_hits, session.cache_misses)\n")
+
+    def lookups(self, tmp_path, name, edit=None):
+        root = tmp_path / name
+        shutil.copytree(SRC / "repro", root / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if edit is not None:
+            path, old, new = edit
+            text = (root / "repro" / path).read_text()
+            assert old in text
+            (root / "repro" / path).write_text(text.replace(old, new, 1))
+        out = subprocess.run(
+            [sys.executable, "-c", self.CELL % str(tmp_path / "cache")],
+            env=dict(os.environ, PYTHONPATH=str(root)), cwd=str(root),
+            check=True, capture_output=True, text=True).stdout
+        return tuple(int(n) for n in out.split())
+
+    def test_model_edits_miss_and_harness_edits_hit(self, tmp_path):
+        assert self.lookups(tmp_path, "parent") == (0, 1)
+        assert self.lookups(tmp_path, "same") == (1, 0)
+        assert self.lookups(tmp_path, "cli", (
+            "harness/cli.py", "import argparse\n",
+            "import argparse\n# an edit outside the model\n")) == (1, 0)
+        assert self.lookups(tmp_path, "latency", (
+            "sim/latency.py", "l2_hit: int = 12", "l2_hit: int = 13")) \
+            == (0, 1)
+        assert self.lookups(tmp_path, "problem", (
+            "workloads/__init__.py", "FftWorkload(points=256)",
+            "FftWorkload(points=1024)")) == (0, 1)

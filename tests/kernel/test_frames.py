@@ -44,14 +44,6 @@ def test_page_cache_only_limits_client_frames():
     assert pools.real_in_use == 3
 
 
-def test_total_frames_limit():
-    pools = FramePools(0, total_frames=2)
-    pools.alloc_real()
-    pools.alloc_real()
-    with pytest.raises(MemoryError):
-        pools.alloc_real()
-
-
 def test_double_free_detected():
     pools = FramePools(0)
     f = pools.alloc_real()

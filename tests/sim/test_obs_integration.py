@@ -10,7 +10,9 @@ import pytest
 from repro import obs
 from repro.harness.session import ExperimentSpec, execute_spec
 
-TINY = ExperimentSpec(workload="water-spa", policy="dyn-lru", preset="tiny")
+#: Dyn-LRU with no page-cache cap, so it runs without a SCOMA sibling.
+TINY = ExperimentSpec(workload="water-spa", policy="dyn-lru", preset="tiny",
+                      cache_fraction=None)
 
 
 def stats_blob(result):
@@ -111,7 +113,7 @@ def test_collected_metrics_cover_all_three_layers():
 def test_cache_full_actions_counted_for_capped_policy():
     import repro
     spec = ExperimentSpec(workload="water-spa", policy="dyn-lru",
-                          preset="tiny",
+                          preset="tiny", cache_fraction=None,
                           config=repro.tiny_config(page_cache_frames=3))
     with obs.collecting() as registry:
         result = execute_spec(spec)

@@ -16,8 +16,7 @@ import pytest
 import repro
 from repro.core.controller import CoherenceController
 from repro.core.finegrain import FineGrainTags, Tag
-from repro.harness.runner import derive_page_cache_caps
-from repro.harness.session import ExperimentSpec, execute_spec
+from repro.harness.session import ExperimentSpec, Session, execute_spec
 from repro.interconnect.messages import MessageKind
 from repro.sim.engine import SchedulePerturbation
 from repro.sim.machine import Machine
@@ -46,10 +45,8 @@ def counting(point, calls):
 
 
 def build(spec):
-    override = (list(spec.page_cache_override)
-                if spec.page_cache_override is not None else None)
     return Machine(spec.resolved_config(), policy=spec.policy,
-                   page_cache_override=override)
+                   page_cache_override=Session().page_cache_caps(spec))
 
 
 def run(machine, spec):
@@ -57,9 +54,7 @@ def run(machine, spec):
 
 
 def scoma70_spec():
-    caps = derive_page_cache_caps(execute_spec(FFT_SCOMA), 0.7)
-    return ExperimentSpec(workload="fft", policy="scoma-70", preset="tiny",
-                          page_cache_override=tuple(caps))
+    return ExperimentSpec(workload="fft", policy="scoma-70", preset="tiny")
 
 
 def drive_point(point, calls):

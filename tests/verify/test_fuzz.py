@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.sim.engine import SchedulePerturbation
+from repro.sim.engine import (JITTER_SLOTS, MAX_CPU_SKEW, MAX_NET_JITTER,
+                              SchedulePerturbation)
 from repro.verify import apply_mutation, fuzz, shrink, suite_by_name
 from repro.verify.runner import run_litmus
 
@@ -32,11 +33,11 @@ def test_fuzz_is_deterministic_per_seed():
 def test_random_schedules_respect_bounds():
     rng = random.Random(1)
     for _ in range(20):
-        schedule = SchedulePerturbation.random(rng, 4, max_cpu_skew=100,
-                                               max_net_jitter=10)
-        assert all(0 <= x <= 100 for x in schedule.cpu_offsets)
-        assert all(0 <= x <= 10 for x in schedule.net_jitter)
+        schedule = SchedulePerturbation.random(rng, 4)
+        assert all(0 <= x <= MAX_CPU_SKEW for x in schedule.cpu_offsets)
+        assert all(0 <= x <= MAX_NET_JITTER for x in schedule.net_jitter)
         assert len(schedule.cpu_offsets) == 4
+        assert len(schedule.net_jitter) == JITTER_SLOTS
 
 
 def test_shrink_returns_flaky_schedule_unchanged():

@@ -91,6 +91,15 @@ assert families > 0, "metrics snapshot is empty"
 print("observability smoke: %d events, %d metric families OK"
       % (events, families))
 EOF
+# A capped policy runs at 70% of its SCOMA sibling's client frames
+# (section 4.2), so its page cache must page out.
+python -m repro run fft --preset tiny --no-cache --policy scoma-70 \
+    > "$workdir/capped.txt"
+if ! grep -Eq '^  client_page_outs +[1-9]' "$workdir/capped.txt"; then
+    echo "FAIL: run --policy scoma-70 reported no page-outs" >&2
+    cat "$workdir/capped.txt" >&2
+    exit 1
+fi
 echo "== causal tracing smoke: record, validate, deterministic ids =="
 # Record the same traced cell twice: the span exports must validate
 # (schema + causal integrity) and be byte-identical across runs —

@@ -59,33 +59,41 @@ def describe_module(path: pathlib.Path) -> "list[str]":
 GUIDE = """\
 ## Running campaigns in parallel
 
-The evaluation campaign is a grid of independent (workload, policy)
-cells; the `repro.harness.session` module schedules them as a two-stage
-DAG (every SCOMA run plus the uncapped policies fan out first, and each
-workload's capped policies are scheduled the moment its SCOMA result —
-and with it the per-node page-cache caps — lands).
+The evaluation campaign is a grid of (workload, policy) cells; the
+`repro.harness.session` module schedules them.  The one dependency is
+section 4.2's page-cache cap: SCOMA-70 and the Dyn-* policies cap each
+node's page cache at a fraction of the client frames the same run
+allocated under SCOMA.  The session's scheduler resolves it for every
+job: a capped cell that misses the cache waits for its SCOMA sibling
+(taken from the batch, or run unreported when the batch lacks it), and
+is scheduled with the per-node caps the moment the sibling lands.
 
 ```python
 from repro.harness.session import ExperimentSpec, Session
 
 session = Session(jobs=4, cache_dir=".prism-cache")
-result = session.run(ExperimentSpec("fft", "scoma", preset="small"))
+result = session.run(ExperimentSpec("fft", "scoma-70", preset="small"))
 suite  = session.run_workload_suite("fft", preset="small")
 suites = session.run_campaign(("fft", "lu"), preset="small")
 ```
 
 * **`ExperimentSpec`** — a frozen dataclass naming one cell: `workload`,
   `policy`, `preset`, `config` (a `MachineConfig`, or `None` for the
-  default), `page_cache_override` and `seed`.  Specs are immutable,
-  content-hashable (`spec.cache_key()`), and serialize to plain dicts
-  (`to_payload()` / `from_payload()`) for the worker handoff.
+  default), `cache_fraction` (0.7 for a capped policy, `None` for the
+  others or for an absolute `config.page_cache_frames` cap) and
+  `seed`.  Specs are immutable, content-hashable (`spec.cache_key()`),
+  and serialize to plain dicts (`to_payload()` / `from_payload()`) for
+  the worker handoff.
 * **`Session(jobs=N)`** — `N` worker processes via `multiprocessing`
   (`jobs=1` runs in-process).  Outputs are deterministic: `--jobs 4` is
   byte-identical to `--jobs 1`; only the wall clock changes.
 * **Result cache** — `Session(cache_dir=...)` keeps a content-addressed
   on-disk cache at `<dir>/<key[:2]>/<key>.json`, keyed by a stable
-  SHA-256 of `(spec, MachineConfig, schema version)`.  A re-run after a
-  config tweak only recomputes the cells whose inputs changed; consult
+  SHA-256 of `(spec, MachineConfig, model source)`, where the model
+  source is a digest of `repro/{sim,core,mem,kernel,interconnect,
+  workloads}`.  A re-run after a config tweak only recomputes the cells
+  whose inputs changed, an edit to the model recomputes them all, and a
+  capped cell is served without its SCOMA sibling; consult
   `session.cache_hits` / `session.cache_misses`.
 * **Progress** — pass `progress=CampaignProgress()` (from
   `repro.harness.report`) for live per-cell lines and a wall-clock
@@ -131,7 +139,9 @@ snapshot = registry.to_dict()          # JSON-safe, stable key order
   holds what the session collects.  `execute_spec` is the one cell
   runner: it builds, observes, runs and closes every harness cell's
   machine, and its `attach` hook takes the observers that need the
-  live machine (an event recorder, the barrier invariant walks).
+  live machine (an event recorder, the barrier invariant walks).  A
+  capped cell needs its `caps=` from `session.page_cache_caps(spec)`;
+  without them `execute_spec` raises rather than run it uncapped.
   Render with `repro.harness.tables.metrics_table` or
   export with `repro.harness.export.save_metrics` (`metrics.json`).
 * **Probe bus** — every observer of a machine registers callables on

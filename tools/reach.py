@@ -173,6 +173,8 @@ def jobs(work: str) -> list:
                "--trace-out", os.path.join(work, "trace.jsonl"),
                "--metrics-out", os.path.join(work, "metrics.json")),
         _validate(os.path.join(work, "trace.jsonl")),
+        _repro("run", "fft", "--preset", "tiny", "--no-cache",
+               "--policy", "scoma-70"),
         _repro("trace", "fft", "--preset", "tiny", "--seed", "3",
                "--top", "3", "--out", os.path.join(work, "spans.jsonl"),
                "--chrome", os.path.join(work, "chrome.json")),
@@ -199,6 +201,7 @@ def jobs(work: str) -> list:
         _repro("metrics", "fft", "--preset", "tiny", "--cache-dir", cache),
         _repro("metrics", "fft", "--preset", "tiny", "--cache-dir", cache,
                "--format", "csv"),
+        _repro("trace", "fft", "--preset", "tiny", "--policy", "dyn-lru"),
         _repro("analyze", "fft", "--preset", "tiny"),
         _repro("microbench"),
         _repro("list"),
