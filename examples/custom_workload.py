@@ -15,6 +15,7 @@ under per-bucket locks, then a reduction phase reads all buckets.
 """
 
 from repro import Machine, MachineConfig
+from repro.harness.session import scoma_caps
 from repro.workloads.base import (SharedArray, Workload, barrier, compute,
                                   lock, unlock)
 from repro.workloads.rng import RandomState
@@ -68,8 +69,7 @@ def main() -> int:
     # Section 4.2's cap: 70% of each node's client frames under SCOMA.
     # (A registered workload gets it from the harness: an ExperimentSpec
     # of a capped policy runs its SCOMA sibling first.)
-    caps = [max(1, int(0.7 * node.scoma_client_frames_peak))
-            for node in scoma.stats.nodes]
+    caps = scoma_caps(scoma.stats)
 
     print("%-9s %15s %14s %10s" % ("policy", "cycles", "remote misses",
                                    "page-outs"))

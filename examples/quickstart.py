@@ -15,6 +15,7 @@ e.g. ``python examples/quickstart.py radix small``.
 import sys
 
 from repro import APPLICATIONS, Machine, MachineConfig, make_workload
+from repro.harness.session import scoma_caps
 
 
 def run(workload_name: str, policy: str, preset: str,
@@ -43,8 +44,7 @@ def main() -> int:
 
     # Give the adaptive run a constrained page cache: 70% of what the
     # SCOMA run used at each node, as in the paper's section 4.2.
-    caps = [max(1, int(0.7 * n.scoma_client_frames_peak))
-            for n in baseline.stats.nodes]
+    caps = scoma_caps(baseline.stats)
     adaptive = Machine(MachineConfig(), policy="dyn-lru",
                        page_cache_override=caps)
     result = adaptive.run(make_workload(workload, preset))

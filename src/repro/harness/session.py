@@ -49,15 +49,14 @@ MODEL_PACKAGES = ("sim", "core", "mem", "kernel", "interconnect",
 
 
 @functools.lru_cache(maxsize=None)
-def model_digest() -> str:
-    """SHA-256 of the model's source, read once per process.
-
-    It covers ``repro/<package>`` for each of :data:`MODEL_PACKAGES`.
-    Every cache key folds it in, so no entry serves a simulator other
-    than the one that produced it."""
+def model_digest(packages: "tuple[str, ...]" = MODEL_PACKAGES) -> str:
+    """SHA-256 of the source of ``packages``, read once per process.
+    It covers ``repro/<package>`` for each.  Every cache key folds in the
+    model's, so no entry serves another simulator; an entry keeps
+    ``repro/obs``'s beside its metrics snapshot."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     digest = hashlib.sha256()
-    for package in MODEL_PACKAGES:
+    for package in packages:
         for path in sorted(glob.glob(os.path.join(root, package, "**",
                                                   "*.py"), recursive=True)):
             with open(path, "rb") as fh:
@@ -207,8 +206,9 @@ class ResultCache:
 
     Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is
     :meth:`ExperimentSpec.cache_key`; each file holds the spec payload
-    (for inspection), the full :class:`MachineStats` dict and, for a
-    capped cell, the page-cache caps it ran with.  Writes are atomic
+    (for inspection), the full :class:`MachineStats` dict, for a capped
+    cell the page-cache caps it ran with, and any metrics snapshot with
+    the digest of the ``repro/obs`` that made it.  Writes are atomic
     (temp file + rename) so concurrent sessions sharing a cache
     directory never observe torn entries.
     """
@@ -226,11 +226,11 @@ class ResultCache:
         """Cached ``(stats, metrics snapshot, caps)`` for ``spec``.
 
         An entry serves a request only if it holds what was asked for:
-        with ``collect_metrics`` it must carry a snapshot, with
-        ``trace_cells`` a snapshot with the ``trace.*`` roll-ups.  A
-        plain lookup takes any entry, snapshot or not.  An entry that
-        falls short, or cannot be read back, is a miss (None): the cell
-        runs again and overwrites it.
+        with ``collect_metrics`` it must carry a snapshot of this
+        observer code, with ``trace_cells`` one with the ``trace.*``
+        roll-ups.  A plain lookup takes any entry, snapshot or not.  An
+        entry that falls short, or cannot be read back, is a miss
+        (None): the cell runs again and overwrites it.
         """
         try:
             with open(self._path(spec.cache_key())) as fh:
@@ -238,7 +238,8 @@ class ResultCache:
             stats = MachineStats.from_dict(entry["stats"])
             caps = (entry["caps"] if spec.cache_fraction is not None
                     else None)
-            metrics = entry.get("metrics")
+            metrics = (entry.get("metrics") if entry.get("observers")
+                       == model_digest(("obs",)) else None)
             if metrics is None:
                 short = collect_metrics or trace_cells
             else:
@@ -261,6 +262,7 @@ class ResultCache:
         entry = {"spec": spec.to_payload(), "stats": stats.to_dict()}
         if metrics is not None:
             entry["metrics"] = metrics
+            entry["observers"] = model_digest(("obs",))
         if caps is not None:
             entry["caps"] = caps
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
@@ -279,15 +281,22 @@ class ResultCache:
             raise
 
 
+def scoma_caps(scoma_stats: MachineStats,
+               fraction: float = 0.7) -> "list[int]":
+    """Section 4.2's page-cache caps from the SCOMA run ``scoma_stats``.
+    Per node: ``fraction`` of its peak client S-COMA frames, at least 1."""
+    return [max(1, int(node.scoma_client_frames_peak * fraction))
+            for node in scoma_stats.nodes]
+
+
 class _Scheduler:
     """Runs a batch of specs on a worker pool (or inline); the only
     code that turns a ``cache_fraction`` into page-cache caps.
 
     A capped cell that misses the cache waits for its SCOMA sibling
-    (same workload, preset, config and seed), then runs capped at
-    ``cache_fraction`` of the sibling's peak client S-COMA frames at
-    each node, at least one.  A sibling the batch lacks runs too,
-    unobserved and unreported.
+    (same workload, preset, config and seed), then runs with
+    :func:`scoma_caps` of the sibling's stats.  A sibling the batch
+    lacks runs too, unobserved and unreported.
     """
 
     def __init__(self, session: "Session") -> None:
@@ -326,9 +335,7 @@ class _Scheduler:
                     _, waiters = self._waiting.pop(spec.cache_key(),
                                                    (None, ()))
                     for fraction, then in waiters:
-                        then([max(1, int(node.scoma_client_frames_peak
-                                         * fraction))
-                              for node in stats.nodes])
+                        then(scoma_caps(stats, fraction))
                 if tag is not None:
                     yield tag, spec, stats, metrics, caps, cached, seconds
         finally:

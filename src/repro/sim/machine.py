@@ -37,7 +37,7 @@ from repro import obs
 from repro.sim.config import MachineConfig
 from repro.sim.engine import Barrier, LockTable, Resource
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
-                           OP_READ_RUN, OP_UNLOCK, OP_WRITE, OP_WRITE_RUN)
+                           OP_RUN, OP_UNLOCK, OP_WRITE)
 from repro.sim.probes import (_CONTROLLER_METHODS, _KERNEL_METHODS,
                               _MACHINE_METHODS, _NETWORK_METHODS,
                               _POLICY_METHODS, POINTS, Probes)
@@ -76,9 +76,8 @@ class Cpu:
         self.time = 0
         self.gen = None
         self.done = False
-        #: Suspended block op: (is_write, next_addr, stride, remaining),
-        #: or None.  Set when a run op is preempted mid-run because the
-        #: CPU's clock passed another CPU's event time.
+        #: A run op preempted mid-run (the CPU's clock passed another
+        #: CPU's event time): (next_addr, stride, next_pos, end, writes).
         self.run_state = None
 
 
@@ -372,11 +371,12 @@ class Machine:
                 run = cpu.run_state
                 while time <= limit:
                     if run is not None:
-                        # Expand a block op inline: one generator resume
-                        # bought `count` references; the limit check per
-                        # reference keeps cross-CPU FCFS order exact.
-                        is_write, addr, stride, count = run
-                        while count:
+                        # Expand a run op inline: one generator resume
+                        # bought `end - pos` references; the limit check
+                        # per reference keeps cross-CPU FCFS order exact.
+                        addr, stride, pos, end, writes = run
+                        while pos < end:
+                            is_write = writes[pos] == 1
                             time = access(cpu, addr, is_write,
                                           time + ref_gap)
                             stats.references += 1
@@ -385,10 +385,10 @@ class Machine:
                             else:
                                 stats.reads += 1
                             addr += stride
-                            count -= 1
+                            pos += 1
                             if time > limit:
                                 break
-                        run = ((is_write, addr, stride, count) if count
+                        run = ((addr, stride, pos, end, writes) if pos < end
                                else None)
                         continue
                     op = next(gen, None)
@@ -408,12 +408,8 @@ class Machine:
                         stats.writes += 1
                     elif kind == OP_COMPUTE:
                         time += op[1]
-                    elif kind == OP_READ_RUN:
-                        if op[3] > 0:
-                            run = (False, op[1], op[2], op[3])
-                    elif kind == OP_WRITE_RUN:
-                        if op[3] > 0:
-                            run = (True, op[1], op[2], op[3])
+                    elif kind == OP_RUN:       # (a count of 0 runs nothing)
+                        run = (op[1], op[2], op[5], op[5] + op[3], op[4])
                     elif kind == OP_BARRIER:
                         cpu.time = time
                         self._arrive(cpu, op[1], time)

@@ -9,15 +9,16 @@ is one of:
 * ``(OP_BARRIER, barrier_id)`` — global barrier across all CPUs.
 * ``(OP_LOCK, lock_id)``     — acquire a lock (blocks if held).
 * ``(OP_UNLOCK, lock_id)``   — release a lock.
-* ``(OP_READ_RUN, base, stride, count)``  — ``count`` loads from
-  ``base, base+stride, ...`` (virtual addresses).
-* ``(OP_WRITE_RUN, base, stride, count)`` — the store equivalent.
+* ``(OP_RUN, base, stride, count, writes, pos)`` — ``count``
+  references to ``base, base+stride, ...`` (virtual addresses);
+  reference ``i`` is a store if ``writes[pos + i]`` is 1 (or True),
+  else a load.  ``writes`` is the producer's own flag sequence, not a
+  copy, so a run of any mix of loads and stores is one tuple.
 
-The run ops are *block* operations: the machine expands them inline in
-its dispatch loop, so a strided sweep costs one generator resume (and
-one yielded tuple) instead of one per reference, while simulating the
-exact same per-reference sequence — including preemption between any
-two references of the run when another CPU's clock falls earlier.
+The machine expands a run op inline in its dispatch loop, so a strided
+sweep costs one generator resume instead of one per reference, while
+simulating the exact same per-reference sequence — including
+preemption between any two references of the run.
 
 Plain integers (not an Enum) keep the hot dispatch loop fast.
 """
@@ -28,16 +29,4 @@ OP_WRITE = 2
 OP_BARRIER = 3
 OP_LOCK = 4
 OP_UNLOCK = 5
-OP_READ_RUN = 6
-OP_WRITE_RUN = 7
-
-OP_NAMES = {
-    OP_COMPUTE: "compute",
-    OP_READ: "read",
-    OP_WRITE: "write",
-    OP_BARRIER: "barrier",
-    OP_LOCK: "lock",
-    OP_UNLOCK: "unlock",
-    OP_READ_RUN: "read_run",
-    OP_WRITE_RUN: "write_run",
-}
+OP_RUN = 6

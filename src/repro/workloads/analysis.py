@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
-from repro.sim.ops import OP_BARRIER, OP_LOCK, OP_READ, OP_WRITE
+from repro.sim.ops import OP_BARRIER, OP_LOCK, OP_READ, OP_RUN, OP_WRITE
 
 
 @dataclass
@@ -114,11 +114,21 @@ def profile_workload(workload, num_cpus: int = 32,
         refs = 0
         for op in workload.generator(cpu, num_cpus):
             kind = op[0]
-            if kind == OP_READ or kind == OP_WRITE:
+            if kind == OP_RUN:
+                _, vaddr, stride, count, writes, pos = op
+                flags = writes[pos:pos + count]
+            elif kind == OP_READ or kind == OP_WRITE:
+                vaddr, stride, flags = op[1], 0, (kind == OP_WRITE,)
+            else:
+                profile.barriers += kind == OP_BARRIER and cpu == 0
+                profile.lock_acquires += kind == OP_LOCK
+                continue
+            for write in flags:              # each reference, own flag
                 refs += 1
-                vpage = op[1] // page_bytes
+                vpage = vaddr // page_bytes
+                vaddr += stride
                 gpage = layout.gpage_of(vpage)
-                if kind == OP_WRITE:
+                if write:
                     profile.writes += 1
                 else:
                     profile.reads += 1
@@ -128,13 +138,8 @@ def profile_workload(workload, num_cpus: int = 32,
                 else:
                     profile.shared_refs += 1
                     page_readers.setdefault(gpage, set()).add(cpu)
-                    if kind == OP_WRITE:
+                    if write:
                         page_writers.setdefault(gpage, set()).add(cpu)
-            elif kind == OP_BARRIER:
-                if cpu == 0:
-                    profile.barriers += 1
-            elif kind == OP_LOCK:
-                profile.lock_acquires += 1
         per_cpu_refs.append(refs)
 
     profile.references = sum(per_cpu_refs)

@@ -23,8 +23,14 @@ space; :class:`SharedArray` and :class:`PrivateArray` provide element
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
-                           OP_READ_RUN, OP_UNLOCK, OP_WRITE, OP_WRITE_RUN)
+                           OP_RUN, OP_UNLOCK, OP_WRITE)
+
+#: Flag bytes of the uniform runs of ``read_run`` (0s) and ``write_run``
+#: (1s); each grows to twice the longest run, so stays as small as runs.
+_UNIFORM = [b"", b""]
 
 
 class SharedArray:
@@ -51,18 +57,23 @@ class SharedArray:
         return (OP_WRITE, self.vbase + index * self.elem_bytes)
 
     def read_run(self, index: int, count: int,
-                 stride: int = 1) -> "tuple[int, int, int, int]":
+                 stride: int = 1) -> tuple:
         """A block-load op: ``count`` loads starting at element
         ``index``, ``stride`` elements apart."""
-        return (OP_READ_RUN, self.vbase + index * self.elem_bytes,
-                stride * self.elem_bytes, count)
+        return self._run(index, count, stride, 0)
 
     def write_run(self, index: int, count: int,
-                  stride: int = 1) -> "tuple[int, int, int, int]":
+                  stride: int = 1) -> tuple:
         """A block-store op: ``count`` stores starting at element
         ``index``, ``stride`` elements apart."""
-        return (OP_WRITE_RUN, self.vbase + index * self.elem_bytes,
-                stride * self.elem_bytes, count)
+        return self._run(index, count, stride, 1)
+
+    def _run(self, index: int, count: int, stride: int, write: int) -> tuple:
+        flags = _UNIFORM[write]
+        if len(flags) < count:
+            flags = _UNIFORM[write] = bytes((write,)) * (2 * count)
+        return (OP_RUN, self.vbase + index * self.elem_bytes,
+                stride * self.elem_bytes, count, flags, 0)
 
 
 class PrivateArray:
@@ -140,42 +151,38 @@ COALESCE_CHUNK = 64
 
 
 def coalesce(addrs, writes):
-    """Fuse a stretch of references into maximal constant-stride runs.
+    """Fuse a stretch of references into constant-stride runs.
 
     ``addrs`` and ``writes`` are equal-length sequences: reference ``i``
-    loads (or, where ``writes[i]`` is true, stores) ``addrs[i]``.  The
-    ops are the ones :func:`coalesce_stream` yields for the same single
-    ops — same-kind runs grown greedily from the left, lone references
-    left as plain single ops — so a generator built on it is
-    reference-for-reference identical to one yielding the singles; only
-    the op count the simulator iterates over shrinks.
+    loads (or, where ``writes[i]`` is 1 or True, stores) ``addrs[i]``.
+    A reference starts a run if it and the next two are evenly spaced,
+    whatever their kinds, and the run takes every later reference that
+    keeps the stride; any other is a single op (with the machine
+    preempting between most references, a two-reference run costs more
+    than two single ops).  A run op points into ``writes``: no copy.
+    Expanded, the ops are the input's references; only the op count the
+    simulator iterates over shrinks.
 
     The ops come in lists of at most :data:`COALESCE_CHUNK` ops, built
-    as the caller consumes them; joined, the lists are the whole op
-    list.
+    as the caller consumes them; joined, they are the whole op list.
     """
-    run_of = {OP_READ: OP_READ_RUN, OP_WRITE: OP_WRITE_RUN}
     chunk = []
-    kind = base = prev = stride = None
-    count = 0
-    for addr, write in zip(addrs, writes):
-        k = OP_WRITE if write else OP_READ
-        if k == kind and (count == 1 or addr - prev == stride):
-            if count == 1:
-                stride = addr - prev
-            prev = addr
-            count += 1
-            continue
-        if count:
-            chunk.append((kind, base) if count == 1 else
-                         (run_of[kind], base, stride, count))
-            if len(chunk) == COALESCE_CHUNK:
-                yield chunk
-                chunk = []
-        kind, base, prev, count = k, addr, addr, 1
-    if count:
-        chunk.append((kind, base) if count == 1 else
-                     (run_of[kind], base, stride, count))
+    i, n = 0, len(addrs)
+    while i < n:
+        base = addrs[i]
+        if i + 2 < n and addrs[i + 1] - base == addrs[i + 2] - addrs[i + 1]:
+            stride = addrs[i + 1] - base
+            end = i + 3
+            while end < n and addrs[end] - addrs[end - 1] == stride:
+                end += 1
+            chunk.append((OP_RUN, base, stride, end - i, writes, i))
+            i = end
+        else:
+            chunk.append((OP_WRITE if writes[i] else OP_READ, base))
+            i += 1
+        if len(chunk) == COALESCE_CHUNK:
+            yield chunk
+            chunk = []
     if chunk:
         yield chunk
 
@@ -186,44 +193,48 @@ def coalesce_stream(ops):
 
     Like :func:`coalesce`, but takes a stream of op tuples, the
     complete generator output included:
-    non-reference ops flush any pending run and pass through unchanged,
-    so the expanded stream is op-for-op identical to the input — only
-    maximal same-kind constant-stride reference runs collapse into
-    ``OP_READ_RUN``/``OP_WRITE_RUN``.  Wrap an existing generator with
-    it to get run coalescing without restructuring the kernel::
+    non-reference ops end a stretch and pass through unchanged, so the
+    expanded stream is op-for-op identical to the input — only runs of
+    :func:`coalesce`'s rule (three or more evenly spaced references of
+    any kinds) collapse into ``OP_RUN`` ops, each with its own flag
+    bytes.  Wrap an existing generator with it to get run coalescing
+    without restructuring the kernel::
 
         def generator(self, cpu_id, num_cpus):
             return coalesce_stream(self._stream(cpu_id, num_cpus))
     """
-    run_of = {OP_READ: OP_READ_RUN, OP_WRITE: OP_WRITE_RUN}
-    kind = base = prev = stride = None
+    first = second = prev = stride = flags = None
     count = 0
-    for op in ops:
+    for op in chain(ops, ((None,),)):              # None: the end
         k = op[0]
         if k == OP_READ or k == OP_WRITE:
             addr = op[1]
-            if k == kind and (stride is None or addr - prev == stride):
-                if stride is None:
-                    stride = addr - prev
+            if count > 1 and addr - prev == stride:
+                if count == 2:
+                    flags = bytearray((first[0] == OP_WRITE,
+                                       second[0] == OP_WRITE))
+                flags.append(k == OP_WRITE)
                 prev = addr
                 count += 1
-                continue
-            if count == 1:
-                yield (kind, base)
-            elif count:
-                yield (run_of[kind], base, stride, count)
-            kind, base, prev, stride, count = k, addr, addr, None, 1
+            elif count == 1:
+                second, stride, prev, count = op, addr - prev, addr, 2
+            elif count == 2:
+                yield first
+                first, second, stride, prev = second, op, addr - prev, addr
+            else:
+                if count:
+                    yield (OP_RUN, first[1], stride, count, flags, 0)
+                first, prev, count = op, addr, 1
             continue
-        if count == 1:
-            yield (kind, base)
+        if count > 2:
+            yield (OP_RUN, first[1], stride, count, flags, 0)
         elif count:
-            yield (run_of[kind], base, stride, count)
-        kind, stride, count = None, None, 0
-        yield op
-    if count == 1:
-        yield (kind, base)
-    elif count:
-        yield (run_of[kind], base, stride, count)
+            yield first
+            if count == 2:
+                yield second
+        count = 0
+        if k is not None:
+            yield op
 
 
 def barrier(bid: int) -> "tuple[int, int]":

@@ -33,9 +33,9 @@ from __future__ import annotations
 from array import array
 from itertools import chain
 
-from repro.sim.ops import OP_READ, OP_READ_RUN, OP_WRITE, OP_WRITE_RUN
-from repro.workloads.base import (COALESCE_CHUNK, SharedArray, Workload,
-                                  barrier, coalesce, compute)
+from repro.sim.ops import OP_READ, OP_RUN, OP_WRITE
+from repro.workloads.base import (SharedArray, Workload, barrier, coalesce,
+                                  compute)
 from repro.workloads.rng import RandomState
 
 LINE_BYTES = 32
@@ -199,37 +199,29 @@ class SyntheticWorkload(Workload):
         reference ``i`` touches line ``first + i % span`` and is a store
         where ``writes[i]`` is 1.
 
-        Expanded, the ops are the references :func:`coalesce` would get;
-        each same-kind stretch of a lap is one run, found with
-        ``bytes.find``, so no per-reference list is built.  (Where a
-        lone reference ends one lap and the next lap starts with the
-        same kind, :func:`coalesce` would fuse the two across the wrap;
-        here they stay two ops.  The references are the same.)
+        A lap is one run op pointing into ``writes`` (no copy): the ops
+        :func:`coalesce` makes of the same references, so a lap of one
+        or two references is single ops and a one-line span is one
+        stride-0 run.  The one chunk is lazy: a CPU holds one op of its
+        sweep at a time, and no per-reference list is built.
         """
         step = self.array.elem_bytes
         vbase = self.array.vbase + first * step
+        if span == 1:
+            span, step = max(len(writes), 1), 0
+        return (self._laps(vbase, step, span, writes),)
+
+    @staticmethod
+    def _laps(vbase: int, step: int, span: int, writes: bytes):
         n = len(writes)
-        chunk = []
         for lap in range(0, n, span):
-            end = min(lap + span, n)
-            i = lap
-            while i < end:
-                write = writes[i]
-                stop = writes.find(1 - write, i, end)
-                if stop < 0:
-                    stop = end
-                addr = vbase + (i - lap) * step
-                if stop - i == 1:
-                    chunk.append((OP_WRITE if write else OP_READ, addr))
-                else:
-                    chunk.append((OP_WRITE_RUN if write else OP_READ_RUN,
-                                  addr, step, stop - i))
-                if len(chunk) == COALESCE_CHUNK:
-                    yield chunk
-                    chunk = []
-                i = stop
-        if chunk:
-            yield chunk
+            count = min(span, n - lap)
+            if count > 2:
+                yield (OP_RUN, vbase, step, count, writes, lap)
+                continue
+            for i in range(count):
+                yield (OP_WRITE if writes[lap + i] else OP_READ,
+                       vbase + i * step)
 
     # -- generator ---------------------------------------------------------
 

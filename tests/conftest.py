@@ -7,7 +7,7 @@ import pytest
 from repro.mem.cache import LineState
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.machine import Machine
-from repro.sim.ops import OP_READ, OP_READ_RUN, OP_WRITE, OP_WRITE_RUN
+from repro.sim.ops import OP_READ, OP_RUN, OP_WRITE
 
 GAP = 1_000_000
 
@@ -105,16 +105,26 @@ def holders(presence, line):
 def expand_op(op):
     """Expand one op into its per-reference equivalent (a list of ops).
 
-    Run ops unroll into ``count`` single-reference ops; every other op
-    is returned as-is.  The machine expands runs inline; the block-op
+    A run op unrolls into ``count`` single-reference ops, reference
+    ``i`` a store where ``writes[pos + i]`` is 1; every other op is
+    returned as-is.  The machine expands runs inline; the block-op
     equivalence tests compare against this reference expansion.
     """
-    kind = op[0]
-    if kind == OP_READ_RUN or kind == OP_WRITE_RUN:
-        single = OP_READ if kind == OP_READ_RUN else OP_WRITE
-        _, base, stride, count = op
-        return [(single, base + i * stride) for i in range(count)]
+    if op[0] == OP_RUN:
+        _, base, stride, count, writes, pos = op
+        return [(OP_WRITE if writes[pos + i] == 1 else OP_READ,
+                 base + i * stride) for i in range(count)]
     return [op]
+
+
+def run_flags(op):
+    """``op`` with a run op's ``(writes, pos)`` replaced by the bytes of
+    its own flags, so ops of different producers compare by content."""
+    if op[0] == OP_RUN:
+        _, base, stride, count, writes, pos = op
+        return (OP_RUN, base, stride, count,
+                bytes(writes[pos:pos + count]))
+    return op
 
 
 def probe(h, line):

@@ -10,7 +10,8 @@ import pytest
 
 from repro.harness import session as session_module
 from repro.harness.report import CampaignProgress
-from repro.harness.session import ExperimentSpec, Session, execute_spec
+from repro.harness.session import (ExperimentSpec, Session, execute_spec,
+                                   scoma_caps)
 from repro.sim.config import MachineConfig, tiny_config
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -99,6 +100,13 @@ class TestSessionRun:
                     == single.stats.to_dict())
         assert caps == [max(1, int(0.7 * n.scoma_client_frames_peak))
                         for n in suite.results["scoma"].stats.nodes]
+
+    def test_scoma_caps_rule(self):
+        stats = execute_spec(spec(policy="scoma")).stats    # two nodes
+        stats.nodes[0].scoma_client_frames_peak = 0
+        stats.nodes[1].scoma_client_frames_peak = 9
+        assert scoma_caps(stats, 0.4) == [1, 3]     # at least one frame
+        assert scoma_caps(stats) == [1, 6]          # 70% by default
 
     def test_capped_run_matches_the_campaign_cell(self):
         # A lone capped cell runs its SCOMA sibling first, unreported,
@@ -400,7 +408,7 @@ class TestModelDigest:
             "session.run(ExperimentSpec('fft', 'scoma', preset='tiny'))\n"
             "print(session.cache_hits, session.cache_misses)\n")
 
-    def lookups(self, tmp_path, name, edit=None):
+    def lookups(self, tmp_path, name, edit=None, cell=CELL):
         root = tmp_path / name
         shutil.copytree(SRC / "repro", root / "repro",
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -410,7 +418,7 @@ class TestModelDigest:
             assert old in text
             (root / "repro" / path).write_text(text.replace(old, new, 1))
         out = subprocess.run(
-            [sys.executable, "-c", self.CELL % str(tmp_path / "cache")],
+            [sys.executable, "-c", cell % str(tmp_path / "cache")],
             env=dict(os.environ, PYTHONPATH=str(root)), cwd=str(root),
             check=True, capture_output=True, text=True).stdout
         return tuple(int(n) for n in out.split())
@@ -427,3 +435,26 @@ class TestModelDigest:
         assert self.lookups(tmp_path, "problem", (
             "workloads/__init__.py", "FftWorkload(points=256)",
             "FftWorkload(points=1024)")) == (0, 1)
+
+    METERED = ("from repro.harness.session import ExperimentSpec, Session\n"
+               "session = Session(cache_dir=%r, collect_metrics=True)\n"
+               "result = session.run(ExperimentSpec('fft', 'scoma',"
+               " preset='tiny'))\n"
+               "print(session.cache_hits, session.cache_misses,"
+               " int('core.remote_txns' in result.metrics['counters']))\n")
+
+    def test_observer_edits_miss_for_metrics_and_hit_for_plain_runs(
+            self, tmp_path):
+        # A snapshot is stored with the digest of repro/obs: renaming a
+        # metric re-runs a --metrics cell (and the snapshot carries the
+        # new name), while a plain run still takes the entry's stats.
+        rename = ("obs/metrics.py", '"core.remote_transactions"',
+                  '"core.remote_txns"')
+        metered = self.METERED
+        assert self.lookups(tmp_path, "parent", cell=metered) == (0, 1, 0)
+        assert self.lookups(tmp_path, "same", cell=metered) == (1, 0, 0)
+        assert self.lookups(tmp_path, "renamed", rename,
+                            cell=metered) == (0, 1, 1)
+        assert self.lookups(tmp_path, "renamed-again", rename,
+                            cell=metered) == (1, 0, 1)
+        assert self.lookups(tmp_path, "plain", rename) == (1, 0)

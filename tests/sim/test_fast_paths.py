@@ -17,11 +17,12 @@ from repro.kernel.frames import IMAGINARY_BASE
 from repro.sim.config import tiny_config
 from repro.sim.engine import LockTable
 from repro.sim.machine import Machine
-from repro.sim.ops import OP_READ, OP_READ_RUN, OP_WRITE, OP_WRITE_RUN
+from repro.sim.ops import OP_COMPUTE, OP_READ, OP_RUN, OP_WRITE
 from repro.workloads import make_workload
-from repro.workloads.base import Workload, coalesce
+from repro.workloads.base import (SharedArray, Workload, coalesce,
+                                  coalesce_stream)
 from repro.workloads.synthetic import SyntheticWorkload
-from tests.conftest import expand_op
+from tests.conftest import expand_op, run_flags
 
 
 def run_stats(workload_factory, policy):
@@ -72,7 +73,7 @@ class ExpandedWorkload(Workload):
 
     def generator(self, cpu_id, num_cpus):
         for op in self.inner.generator(cpu_id, num_cpus):
-            if op[0] == OP_READ_RUN or op[0] == OP_WRITE_RUN:
+            if op[0] == OP_RUN:
                 for single in expand_op(op):
                     yield single
             else:
@@ -114,8 +115,89 @@ class TestRunOpEquivalence:
                 return region
 
         wl.setup(_Layout(), 2)
-        kinds = {op[0] for op in wl.generator(0, 2)}
-        assert OP_READ_RUN in kinds and OP_WRITE_RUN in kinds
+        runs = [run_flags(op) for op in wl.generator(0, 2)
+                if op[0] == OP_RUN]
+        # Load runs and store runs both.
+        assert {flag for run in runs for flag in run[4]} == {0, 1}
+
+
+class MixedStretches(Workload):
+    """Per CPU, constant-stride stretches of loads and stores mixed at
+    random over one shared array, with computes between them; with
+    ``fused`` the stream goes through ``coalesce_stream``, so most
+    stretches become one run op of both kinds."""
+
+    name = "mixed-stretches"
+
+    def __init__(self, fused):
+        super().__init__()
+        self.fused = fused
+
+    def setup(self, layout, num_cpus):
+        self.array = SharedArray(layout, key=7, num_elems=256, elem_bytes=32)
+
+    def stream(self, cpu_id):
+        rng = random.Random(cpu_id)
+        for _ in range(60):
+            start = rng.randrange(256)
+            stride = rng.choice((0, 1, -1, 3))
+            for i in range(rng.randint(1, 24)):
+                yield (OP_WRITE if rng.random() < 0.3 else OP_READ,
+                       self.array.addr((start + i * stride) % 256))
+            yield (OP_COMPUTE, rng.randint(0, 40))
+
+    def generator(self, cpu_id, num_cpus):
+        ops = self.stream(cpu_id)
+        return coalesce_stream(ops) if self.fused else ops
+
+
+def _logged_run(fused):
+    """Stats and the ``(cpu, vaddr, is_write)`` log of every access."""
+    machine = Machine(tiny_config(), policy="scoma")
+    log = []
+
+    def probe(call, cpu, vaddr, is_write, now):
+        log.append((cpu.cpu_id, vaddr, is_write))
+        return call(cpu, vaddr, is_write, now)
+
+    machine.probes.add("access", probe)
+    try:
+        workload = MixedStretches(fused)
+        return machine.run(workload).stats.to_dict(), log, workload
+    finally:
+        machine.close()
+
+
+class TestOneRunOp:
+    def test_fused_mixed_runs_equal_single_ops(self):
+        singles, single_log, _ = _logged_run(fused=False)
+        fused, fused_log, workload = _logged_run(fused=True)
+        assert fused == singles
+        assert fused_log == single_log
+        # The access probe sees a bool, from single ops and runs alike.
+        assert {type(is_write) for _, _, is_write in fused_log} == {bool}
+        assert {w for _, _, w in fused_log} == {False, True}
+        # Runs of both kinds, preempted between two of their references:
+        # a hand-off to another CPU where the next reference of the CPU
+        # handing off is not the first of an op.
+        starts = {}
+        for cpu in {cpu for cpu, _, _ in fused_log}:
+            ops = list(coalesce_stream(workload.stream(cpu)))
+            assert any(op[0] == OP_RUN and len(set(run_flags(op)[4])) == 2
+                       for op in ops)
+            refs, starts[cpu] = 0, set()
+            for op in ops:
+                if op[0] != OP_COMPUTE:
+                    starts[cpu].add(refs)
+                    refs += len(expand_op(op))
+            starts[cpu].add(refs)                   # the CPU is done
+        done = dict.fromkeys(starts, 0)
+        mid_op = 0
+        for (cpu, _, _), (nxt, _, _) in zip(fused_log, fused_log[1:]):
+            done[cpu] += 1
+            if nxt != cpu and done[cpu] not in starts[cpu]:
+                mid_op += 1
+        assert mid_op > 0
 
 
 def _coalesce_refs(refs):
@@ -141,12 +223,20 @@ class TestCoalesce:
         assert expanded == refs
 
     def test_lone_references_stay_single_ops(self):
-        refs = [(OP_READ, 0), (OP_WRITE, 8), (OP_READ, 16)]
+        # No three of them evenly spaced: two references make no run.
+        refs = [(OP_READ, 0), (OP_WRITE, 8), (OP_READ, 24)]
         assert _coalesce_refs(refs) == refs
 
     def test_constant_stride_becomes_one_run(self):
         refs = [(OP_READ, 100 + 32 * i) for i in range(8)]
-        assert _coalesce_refs(refs) == [(OP_READ_RUN, 100, 32, 8)]
+        assert ([run_flags(op) for op in _coalesce_refs(refs)]
+                == [(OP_RUN, 100, 32, 8, bytes(8))])
+
+    def test_mixed_kinds_share_one_run(self):
+        refs = [(OP_WRITE if i % 3 == 0 else OP_READ, 100 - 8 * i)
+                for i in range(7)]
+        assert ([run_flags(op) for op in _coalesce_refs(refs)]
+                == [(OP_RUN, 100, -8, 7, b"\1\0\0\1\0\0\1")])
 
 
 class TestDensePit:

@@ -115,7 +115,8 @@ def test_result_cache_entry_bytes_are_sorted_json(tmp_path):
     metrics = {"schema": 1, "counters": {"b": 2, "a": 1}}
     cache.store(spec, stats, metrics)
     entry = {"spec": spec.to_payload(), "stats": stats.to_dict(),
-             "metrics": metrics}
+             "metrics": metrics,
+             "observers": session.model_digest(("obs",))}
     path = tmp_path / spec.cache_key()[:2] / (spec.cache_key() + ".json")
     assert path.read_text() == json.dumps(entry, sort_keys=True)
     assert cache.load(spec)[0].to_dict() == stats.to_dict()

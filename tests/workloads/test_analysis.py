@@ -3,7 +3,9 @@ kernel's memory-system character."""
 
 import pytest
 
-from repro.workloads import make_workload
+from repro.sim.config import MachineConfig
+from repro.sim.machine import Machine
+from repro.workloads import APPLICATIONS, make_workload
 from repro.workloads.analysis import profile_workload
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -77,3 +79,19 @@ def test_summary_keys():
     for key in ("references", "shared_fraction", "avg_sharing_degree",
                 "imbalance", "barriers"):
         assert key in summary
+
+
+@pytest.mark.parametrize("app", APPLICATIONS)
+def test_profile_counts_every_simulated_reference(app):
+    # Every reference of a run op counts, each with its own store flag:
+    # the profile's mix is the one the machine executes.
+    config = MachineConfig()
+    p = profile_workload(make_workload(app, "tiny"),
+                         num_cpus=config.num_nodes * config.cpus_per_node)
+    machine = Machine(config, policy="scoma")
+    try:
+        cpus = machine.run(make_workload(app, "tiny")).stats.cpus
+    finally:
+        machine.close()
+    assert (p.reads, p.writes) == (sum(c.reads for c in cpus),
+                                   sum(c.writes for c in cpus))

@@ -9,7 +9,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.invariants import check_machine
 from repro.sim.ops import OP_BARRIER, OP_READ, OP_WRITE
-from repro.workloads.base import COALESCE_CHUNK, coalesce
+from repro.workloads.base import coalesce
 from repro.workloads.synthetic import PATTERNS, SyntheticWorkload
 from tests.conftest import expand_op
 
@@ -155,16 +155,17 @@ def test_op_streams_stay_bounded_on_the_paper_geometry():
 @pytest.mark.parametrize("sweep_fraction, refs", [
     (1.0, 256),     # span 128: two whole laps
     (1.0, 200),     # a lap and a part
+    (1.0, 129),     # a lap and a lone reference
     (0.5, 192),     # span 64: three whole laps
     (0.39, 101),    # span 49
     (0.05, 20),     # span 6
-    (0.01, 9),      # span 1: every reference is its own lap
+    (0.01, 9),      # span 1: one stride-0 run
 ])
 def test_block_sweep_expands_like_coalesce(imbalance, sweep_fraction,
                                            refs):
-    # The sweep's ops come straight from the write flags, one per
-    # same-kind stretch of a lap; expanded, they must be the references
-    # coalesce fuses from the per-reference addresses.
+    # The sweep's ops come straight from the write flags, one run per
+    # lap; they must be the ops coalesce fuses from the per-reference
+    # addresses, and expand to those references.
     wl = SyntheticWorkload("block", shared_kb=32,
                            sweep_fraction=sweep_fraction,
                            refs_per_cpu_per_iter=refs, iterations=2,
@@ -177,9 +178,28 @@ def test_block_sweep_expands_like_coalesce(imbalance, sweep_fraction,
             assert offsets is None and isinstance(writes, bytes)
             addrs = [wl.array.addr(cpu * per_cpu + i % span)
                      for i in range(len(writes))]
-            want = list(expanded(op for chunk in coalesce(addrs, writes)
-                                 for op in chunk))
-            chunks = list(wl._plan_block(cpu, it, None, writes))
-            assert all(0 < len(chunk) <= COALESCE_CHUNK for chunk in chunks)
-            assert list(expanded(op for chunk in chunks
-                                 for op in chunk)) == want
+            ops = [op for chunk in wl._plan_block(cpu, it, None, writes)
+                   for op in chunk]
+            assert ops == [op for chunk in coalesce(addrs, writes)
+                           for op in chunk]
+            assert list(expanded(ops)) == [(OP_WRITE if w else OP_READ, a)
+                                           for a, w in zip(addrs, writes)]
+
+
+def test_hot_32x8_pass_is_one_op_per_lap():
+    # The benchmark's hot-32x8 pass: 256 CPUs sweep 32-line blocks,
+    # 2000 references an iteration, two iterations.  Each CPU's
+    # iteration is 63 laps (the last of 16 references), a compute and
+    # a barrier: 256 * 2 * 65 ops for 1,024,000 references.
+    num_cpus = 256
+    wl = SyntheticWorkload("block", shared_kb=256,
+                           refs_per_cpu_per_iter=2000, iterations=2, seed=0)
+    wl.setup(AddressSpaceLayout(GlobalIpcServer(32, 4096), 4096), num_cpus)
+    ops = refs = 0
+    for cpu in range(num_cpus):
+        for op in wl.generator(cpu, num_cpus):
+            ops += 1
+            refs += sum(single[0] in (OP_READ, OP_WRITE)
+                        for single in expand_op(op))
+    assert refs == 1_024_000
+    assert ops == 33_280

@@ -137,12 +137,13 @@ def test_descriptions_populated():
 
 
 def test_coalesce_stream_expands_to_exact_input():
-    from repro.sim.ops import OP_READ_RUN, OP_WRITE_RUN
+    from repro.sim.ops import OP_RUN
     from repro.workloads.base import coalesce_stream
+    from tests.conftest import run_flags
 
     stream = [
         (OP_READ, 0), (OP_READ, 32), (OP_READ, 64),      # stride-32 run
-        (OP_WRITE, 96),                                  # lone write
+        (OP_WRITE, 96),                                  # a store joins it
         (OP_COMPUTE, 10),                                # flushes
         (OP_READ, 200), (OP_READ, 100),                  # negative stride
         (OP_BARRIER, 0),
@@ -152,8 +153,10 @@ def test_coalesce_stream_expands_to_exact_input():
     ]
     out = list(coalesce_stream(iter(stream)))
     # Runs actually formed where strides were constant...
-    assert (OP_READ_RUN, 0, 32, 3) in out
-    assert (OP_WRITE_RUN, 0, 64, 3) in out
+    fused = [run_flags(op) for op in out]
+    assert (OP_RUN, 0, 32, 4, b"\0\0\0\1") in fused
+    assert (OP_RUN, 0, 64, 3, b"\1\1\1") in fused
+    assert (OP_READ, 500) in fused
     # ...and the expansion is op-for-op identical to the input.
     expanded = []
     for op in out:

@@ -238,8 +238,9 @@ required to leave simulated results byte-identical; see
 `bench/` benchmark, the CI gates on its exact per-layer call counts
 and on a wall-clock floor, and a cProfile recipe for single cells.
 Workload generators can compress constant-stride reference sequences
-into block ops (`OP_READ_RUN`/`OP_WRITE_RUN`) via
-`SharedArray.read_run`/`write_run` or `repro.workloads.base.coalesce`.
+into run ops (`OP_RUN`, whose store flags let one run mix loads and
+stores) via `SharedArray.read_run`/`write_run` or
+`repro.workloads.base.coalesce`.
 """
 
 
