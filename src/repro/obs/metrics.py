@@ -8,6 +8,7 @@ docs/OBSERVABILITY.md tabulates which.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from time import perf_counter
 
 from repro.obs.registry import find_metrics, quantile
@@ -18,11 +19,11 @@ def attach(registry, machine) -> None:
     the handles every run reports, at zero until it runs)."""
     probes = machine.probes
     policy = machine.policy.name
-    fetch_observe = registry.histogram("core.fetch_latency_cycles").observe
+    fetch_latency = registry.histogram("core.fetch_latency_cycles")
+    fetch_counts, fetch_buckets = fetch_latency.counts, fetch_latency.buckets
     transactions = registry.counter("core.remote_transactions")
-    fault_observe = {
-        kind: registry.histogram("kernel.fault_service_cycles",
-                                 kind=kind).observe
+    fault_service = {
+        kind: registry.histogram("kernel.fault_service_cycles", kind=kind)
         for kind in ("private", "home", "client")}
     page_outs = {demote: registry.counter("kernel.page_outs",
                                           demote=str(demote).lower())
@@ -31,22 +32,22 @@ def attach(registry, machine) -> None:
 
     def run(call, workload):
         request_plan = getattr(workload, "request_plan", None)
-        if request_plan is not None:
-            serving_tap(registry, machine, request_plan(len(machine.cpus)))
-        access_observe = registry.histogram("sim.access_latency_cycles",
-                                            policy=policy).observe
-
-        def access(call, cpu, vaddr, is_write, now):
-            done = call(cpu, vaddr, is_write, now)
-            access_observe(done - now)
-            return done
-        # Registered after the workload's probes and the tap, so
-        # outermost: it observes the completion the whole chain returns.
+        if request_plan is None:
+            access = latency_probe(registry.histogram(
+                "sim.access_latency_cycles", policy=policy))
+            settle = None
+        else:
+            access, settle = serving_tap(
+                registry, request_plan(len(machine.cpus)), policy)
+        # Registered after the workload's probes, so outermost: it
+        # observes the completion the whole chain returns.
         probes.add("access", access)
         start = perf_counter()
         try:
             result = call(workload)
         finally:
+            if settle is not None:
+                settle()
             _roll_up_counters(registry, machine, transactions)
         wall = perf_counter() - start
         _roll_up_run(registry, machine)
@@ -56,9 +57,13 @@ def attach(registry, machine) -> None:
             round(machine.stats.references / wall, 1) if wall > 0 else 0.0)
         return result
 
+    # The hot probes update their histograms in place: no call per
+    # observation (see latency_probe).
     def fetch(call, entry, lip, want_excl, has_copy, now):
         done = call(entry, lip, want_excl, has_copy, now)
-        fetch_observe(done - now)
+        cycles = done - now
+        fetch_counts[bisect_left(fetch_buckets, cycles)] += 1
+        fetch_latency.sum += cycles
         return done
 
     def fault(call, kernel, vpage, now):
@@ -66,9 +71,12 @@ def attach(registry, machine) -> None:
         # Classified by the PIT entry the fault installed.
         node = kernel.node
         entry = node.pit.entry_or_none(frame)
-        kind = ("private" if entry.gpage < 0 else "home"
-                if entry.dynamic_home == node.node_id else "client")
-        fault_observe[kind](done - now)
+        hist = fault_service["private" if entry.gpage < 0 else "home"
+                             if entry.dynamic_home == node.node_id
+                             else "client"]
+        cycles = done - now
+        hist.counts[bisect_left(hist.buckets, cycles)] += 1
+        hist.sum += cycles
         return frame, done
 
     def cache_full(call, kernel, gpage):
@@ -161,49 +169,90 @@ def _roll_up_run(registry, machine) -> None:
         machine.stats.execution_cycles)
 
 
-def serving_tap(registry, machine, schedules) -> None:
-    """Per-request ``serving.*`` metrics from an ``access`` probe.
+def latency_probe(hist):
+    """An ``access`` probe recording each reference's latency.
 
-    ``schedules[cpu]`` is that CPU's request plan, ``(kind, accesses)``
-    pairs in issue order; a request's latency runs from its first
-    access to its last access's completion.
+    It bumps ``hist``'s bucket slot and sum in place, as
+    :meth:`~repro.obs.registry.Histogram.observe` would (the count is
+    the bucket total), so a reference costs this one frame.
+    """
+    counts, buckets = hist.counts, hist.buckets
+
+    def access(call, cpu, vaddr, is_write, now):
+        done = call(cpu, vaddr, is_write, now)
+        cycles = done - now
+        counts[bisect_left(buckets, cycles)] += 1
+        hist.sum += cycles
+        return done
+    return access
+
+
+def serving_tap(registry, schedules, policy):
+    """The ``access`` probe of a run with a request plan, and its settle.
+
+    The probe does :func:`latency_probe`'s work and, in the same frame,
+    the per-request ``serving.*`` metrics.  ``schedules[cpu]`` is that
+    CPU's request plan, ``(kind, accesses)`` pairs in issue order; a
+    request's latency runs from its first access to its last access's
+    completion.  ``settle`` sets ``serving.requests{op}`` and
+    ``serving.requests_total`` from the run's totals.
     """
     requests = [iter(schedule) for schedule in schedules]
-    # Per CPU, its request in flight: [kind, accesses left, issue].
-    in_flight = [None] * len(schedules)
-    handles = {}
-    sample = registry.series("serving.completed_requests").sample
+    # Per CPU, its request in flight: accesses left (0: none), kind and
+    # first access's issue time.
+    left = [0] * len(schedules)
+    kind_of = [None] * len(schedules)
+    issued = [0] * len(schedules)
+    # Per request kind: [latency histogram, counter, requests served].
+    served = {}
+    completions = registry.series("serving.completed_requests")
     total = registry.gauge("serving.requests_total")
+    latency = registry.histogram("sim.access_latency_cycles", policy=policy)
+    counts, buckets = latency.counts, latency.buckets
     completed = 0
 
-    def on_access(call, cpu, vaddr, is_write, now):
+    def access(call, cpu, vaddr, is_write, now):
         nonlocal completed
         done = call(cpu, vaddr, is_write, now)
+        cycles = done - now
+        counts[bisect_left(buckets, cycles)] += 1
+        latency.sum += cycles
         cid = cpu.cpu_id
-        request = in_flight[cid]
-        if request is None:
+        pending = left[cid]
+        if not pending:
             planned = next(requests[cid], None)
             if planned is None:
                 return done
-            request = in_flight[cid] = [planned[0], planned[1], now]
-        request[1] -= 1
-        if request[1]:
+            kind_of[cid], pending = planned
+            issued[cid] = now
+        if pending > 1:
+            left[cid] = pending - 1
             return done
-        in_flight[cid] = None
-        kind = request[0]
-        if kind not in handles:
-            handles[kind] = (
+        left[cid] = 0
+        kind = kind_of[cid]
+        tally = served.get(kind)
+        if tally is None:
+            tally = served[kind] = [
                 registry.histogram("serving.request_latency_cycles",
-                                   op=kind).observe,
-                registry.counter("serving.requests", op=kind).inc)
-        observe, count = handles[kind]
-        observe(done - request[2])
-        count()
+                                   op=kind),
+                registry.counter("serving.requests", op=kind), 0]
+        hist = tally[0]
+        cycles = done - issued[cid]
+        hist.counts[bisect_left(hist.buckets, cycles)] += 1
+        hist.sum += cycles
+        tally[2] += 1
         completed += 1
-        total.set(completed)
-        sample(done, completed)
+        if completions.due > 1:
+            completions.due -= 1
+        else:
+            completions.sample(done, completed)
         return done
-    machine.probes.add("access", on_access)
+
+    def settle():
+        for _hist, counter, count in served.values():
+            counter.inc(count)
+        total.set(completed)
+    return access, settle
 
 
 def serving_summary(snapshot: "dict[str, object]") -> "list[str]":

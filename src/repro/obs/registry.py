@@ -92,10 +92,13 @@ class Histogram:
 
     ``buckets`` are inclusive upper bounds in ascending order; an
     observation larger than the last bound lands in the overflow slot,
-    so ``counts`` has ``len(buckets) + 1`` entries.
+    so ``counts`` has ``len(buckets) + 1`` entries.  A hot observer may
+    do :meth:`observe`'s work in place, without the call: bump
+    ``counts[bisect_left(buckets, value)]`` and add ``value`` to
+    ``sum``.  The count is the bucket total, so that is all.
     """
 
-    __slots__ = ("buckets", "counts", "sum", "count")
+    __slots__ = ("buckets", "counts", "sum")
 
     def __init__(self, buckets=LATENCY_BUCKETS_CYCLES) -> None:
         self.buckets = tuple(buckets)
@@ -103,13 +106,16 @@ class Histogram:
             raise ValueError("buckets must be non-empty and ascending")
         self.counts = [0] * (len(self.buckets) + 1)
         self.sum = 0
-        self.count = 0
+
+    @property
+    def count(self) -> int:
+        """Observations recorded."""
+        return sum(self.counts)
 
     def observe(self, value) -> None:
         """Record one observation."""
         self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
-        self.count += 1
 
 
 class Series:
@@ -118,26 +124,29 @@ class Series:
     When :data:`SERIES_MAX_POINTS` is reached, every other retained
     point is discarded and the sampling stride doubles — the series
     keeps covering the whole run at progressively coarser resolution
-    instead of silently truncating the tail.
+    instead of silently truncating the tail.  ``due`` counts the
+    :meth:`sample` calls until the next one records, so a hot caller
+    may skip a call that would not record: at ``due`` above 1,
+    decrementing it is all the call would do.
     """
 
-    __slots__ = ("points", "stride", "_skip")
+    __slots__ = ("points", "stride", "due")
 
     def __init__(self) -> None:
         self.points: "list[list]" = []
         self.stride = 1
-        self._skip = 0
+        self.due = 1
 
     def sample(self, time, value) -> None:
         """Record one sample (subject to the current stride)."""
-        self._skip += 1
-        if self._skip < self.stride:
+        if self.due > 1:
+            self.due -= 1
             return
-        self._skip = 0
         self.points.append([time, value])
         if len(self.points) >= SERIES_MAX_POINTS:
             self.points = self.points[::2]
             self.stride *= 2
+        self.due = self.stride
 
 
 class MetricsRegistry:

@@ -131,8 +131,17 @@ class Probes:
 
 def _bind(owner, method: str, probes: tuple, extra: tuple) -> None:
     """Bind the chain of ``probes`` around ``owner.method`` on the
-    instance, or drop the instance binding when ``probes`` is empty."""
-    vars(owner).pop(method, None)
+    instance, or drop the instance binding when ``probes`` is empty.
+
+    Bound and dropped with ``setattr``/``delattr``: reading
+    ``vars(owner)`` would materialize the instance's ``__dict__``, and
+    every attribute read of the owner would then take the slower dict
+    path for the rest of its life.
+    """
+    try:
+        delattr(owner, method)
+    except AttributeError:
+        pass
     if not probes:
         return
     call = getattr(owner, method)

@@ -7,6 +7,8 @@ points, a trace collector exactly its own, and ``Machine.close``
 unbinds them all.
 """
 
+import pytest
+
 import repro
 from repro import obs
 from repro.obs import tracing
@@ -69,6 +71,18 @@ def test_a_collector_binds_exactly_its_points():
         machine = build()
     assert populated(machine) == COLLECTOR_POINTS
     assert bound(machine) == wrapped(COLLECTOR_POINTS)
+
+
+@pytest.mark.parametrize("app", ["kvstore", "txn2pc"])
+def test_a_registry_run_has_one_access_probe(app):
+    # The access-latency histogram and the serving tap share one frame
+    # per reference.
+    with obs.collecting():
+        machine = build()
+    machine.run(make_workload(app, "tiny"))
+    assert [probe.__module__ for probe in machine.probes.access] == [
+        "repro.obs.metrics"]
+    machine.close()
 
 
 def test_close_unbinds_every_observer():

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.kernel.segments import AddressSpaceLayout, GlobalIpcServer
-from repro.sim.config import tiny_config
+from repro.sim.config import MachineConfig, tiny_config
 from repro.sim.machine import Machine
 from repro.sim.ops import (OP_BARRIER, OP_COMPUTE, OP_LOCK, OP_READ,
                            OP_UNLOCK, OP_WRITE)
 from repro.workloads import SERVING_APPLICATIONS, make_workload
-from repro.workloads.serving import ZipfianStream
+from repro.workloads.serving import ZipfianStream, chaos_scenarios
 from tests.conftest import expand_op
 
 NUM_CPUS = 8
@@ -267,6 +267,31 @@ def test_kvstore_tap_counts_match_the_plan():
     snapshot = registry.to_dict()
     counters = obs.find_metrics(snapshot["counters"], "serving.requests")
     assert sum(count for _labels, count in counters) == expected
+
+
+def assert_plan_covers_every_reference(machine, workload):
+    # The tap ignores accesses past a CPU's plan, so a plan that drifts
+    # from the ops would lose requests unnoticed.
+    stats = machine.run(workload).stats
+    plan = workload.request_plan(len(machine.cpus))
+    assert [sum(accesses for _op, accesses in requests)
+            for requests in plan] == [cpu.references for cpu in stats.cpus]
+    machine.close()
+
+
+@pytest.mark.parametrize("preset", ["tiny", "small"])
+@pytest.mark.parametrize("app", SERVING_APPLICATIONS)
+def test_request_plan_covers_every_reference(app, preset):
+    assert_plan_covers_every_reference(Machine(MachineConfig()),
+                                       make_workload(app, preset))
+
+
+def test_chaos_request_plan_covers_every_reference():
+    scenario = chaos_scenarios()["txn2pc"]
+    workload = scenario.make_workload()
+    assert workload.use_command_channels
+    assert_plan_covers_every_reference(
+        Machine(scenario.build_config(), policy=scenario.policy), workload)
 
 
 def test_no_registry_means_no_tap_and_identical_stats():
