@@ -7,6 +7,11 @@ carries one, every inter-node hop is *judged*: partitions and
 drop rules lose it, delay/reorder rules stretch its flight, duplicate
 rules deliver it twice (the second copy is discarded by sequence-number
 dedup), and deliveries to a paused node are held until the pause ends.
+Before the first cycle at which any clause or the deadline can act,
+no verdict can be anything but clean: a hop sent then is stamped,
+charged and counted as judged without the checks (held only if it
+lands in a pause), and a key popped then is admitted unchecked.  The
+counters, sequence numbers and RNG draws are the same either way.
 
 The recovery half lives here too.  The simulator resolves transactions
 atomically — a "request" is a direct call, not a queued object — so a
@@ -129,6 +134,17 @@ class FaultInjector:
         for pause in plan.pauses:
             self._pauses_by_node.setdefault(pause.node, []).append(pause)
         self._dup_pending = False
+        #: The first cycle at which any clause can act (the deadline
+        #: from ``deadline + 1``).  Before it no key is held and no hop
+        #: sent is lost or stretched, so :meth:`admit` and :meth:`_send`
+        #: skip their checks there.
+        self._quiet_until = min(
+            [r.start for r in self._rules]
+            + [p.start for p in self._partitions]
+            + [p.start for p in plan.pauses]
+            + [f.at for f in self._failures]
+            + ([deadline + 1] if deadline is not None else []),
+            default=float("inf"))
 
     # -- machine wiring ----------------------------------------------------
 
@@ -156,11 +172,14 @@ class FaultInjector:
         """``pop(heap, *item)`` for the event loop, each key checked in
         order: the deadline, scheduled failures due by its time, then
         its CPU's node's pause windows.  A paused CPU is requeued at its
-        release time and the key that comes back is checked in turn."""
+        release time and the key that comes back is checked in turn.  A
+        key before the plan's first clause opens passes unchecked."""
+        key = pop(heap, *item)
         shift = self._key_shift
+        if key >> shift < self._quiet_until:
+            return key
         mask = (1 << shift) - 1
         deadline = self.deadline
-        key = pop(heap, *item)
         while True:
             t = key >> shift
             if deadline is not None and t > deadline:
@@ -205,6 +224,21 @@ class FaultInjector:
         the fault-free path charges.
         """
         machine = self._machine
+        if (now < self._quiet_until and not self._dup_pending
+                and dst not in machine.failed_nodes):
+            # Before the plan's first clause opens the verdict is clean
+            # and no failure is due: the stamped hop as the chain
+            # charges it, held only if it lands in a pause.
+            stamp = self.seqs.stamp(src, dst)
+            arrival = call(src, dst, now, kind)
+            self.stats.judged += 1
+            if arrival >= self._quiet_until:
+                release = self.release_time(dst, arrival)
+                if release > arrival:
+                    self.stats.paused_deliveries += 1
+                    arrival = release
+            self.seqs.accept(src, dst, stamp)
+            return arrival
         retry = self.retry
         stamp = self.seqs.stamp(src, dst)
         ni = machine.network.interfaces[src]

@@ -252,9 +252,11 @@ class FaultPlan:
 
     An injector with an empty plan changes no result: the run is
     byte-identical to one without an injector.  It is not free,
-    though: it still judges every inter-node hop and checks every key
-    the event loop pops.  Only a machine built without an injector
-    pays nothing for the fault plane.
+    though: every inter-node hop is stamped and counted, and from the
+    first cycle at which a clause (or the deadline) can act, every hop
+    is judged and every key the event loop pops is checked.  Only a
+    machine built without an injector pays nothing for the fault
+    plane.
     """
 
     message_rules: "list[MessageRule]" = field(default_factory=list)

@@ -63,7 +63,7 @@ class Cpu:
     """One simulated processor."""
 
     __slots__ = ("cpu_id", "local_id", "node", "hierarchy", "tlb", "stats",
-                 "time", "gen", "done", "run_state")
+                 "done")
 
     def __init__(self, cpu_id: int, local_id: int, node: "Node",
                  config: MachineConfig) -> None:
@@ -73,12 +73,9 @@ class Cpu:
         self.hierarchy = CacheHierarchy(config.l1, config.l2)
         self.tlb = Tlb(config.tlb_entries)
         self.stats = CpuStats(cpu_id)
-        self.time = 0
-        self.gen = None
+        #: Finished, or halted by its node's failure: the scheduler
+        #: skips its keys.
         self.done = False
-        #: A run op preempted mid-run (the CPU's clock passed another
-        #: CPU's event time): (next_addr, stride, next_pos, end, writes).
-        self.run_state = None
 
 
 class Node:
@@ -145,7 +142,7 @@ class Machine:
         and costs the hot path nothing.
 
         ``faults`` takes a :class:`~repro.faults.injector.FaultInjector`,
-        which judges every inter-node hop and every key the event loop
+        which judges inter-node hops and checks the keys the event loop
         pops; ``None`` (the default) keeps the fault-free fast paths.
         """
         self.config = config if config is not None else MachineConfig()
@@ -284,10 +281,10 @@ class Machine:
         the probe bus all point back at it, and every bound probe chain
         points at its owner), so without this its caches, directories
         and PITs wait for a full cyclic collection.  ``close`` empties
-        every probe point, unbinds the chains, severs the
-        back-references and drops the CPUs' generators; the model is
-        then freed by reference counting as soon as the owner drops the
-        machine.
+        every probe point, unbinds the chains and severs the
+        back-references (the CPUs' drivers and op generators never
+        outlive ``_run``); the model is then freed by reference counting
+        as soon as the owner drops the machine.
 
         The returned :class:`RunResult` and ``self.stats`` stay valid,
         as does :meth:`resource_report`; the machine cannot run again.
@@ -320,7 +317,6 @@ class Machine:
             kernel.node = kernel.machine = None
             for cpu in node.cpus:
                 cpu.node = None
-                cpu.gen = None
 
     def _run(self, workload) -> RunResult:
         """The scheduler: run the set-up ``workload``'s CPUs in (time,
@@ -328,112 +324,54 @@ class Machine:
 
         Heap entries are packed ints, ``time << shift | cpu_id`` (see
         ``_key_shift``), so ordering is exactly (time, cpu_id).  Each
-        turn pops the earliest CPU and runs it inline until its clock
-        passes the next heap key (``limit``) or it parks on a barrier or
-        lock; a CPU still runnable hands off with one fused
-        ``heappushpop``, which equals a push followed by a pop.
+        CPU's op loop is a generator, its driver (:meth:`_drive`).  Each
+        turn pops the earliest key and resumes that CPU's driver with
+        it; a driver that yields a clock is still runnable and hands off
+        with one fused ``heappushpop``, which equals a push followed by a
+        pop.  A CPU halted by its node's failure is skipped.
 
         Both pops are heapq's own, or with a fault plane
         ``partial(faults.admit, pop)``, which checks each key first
         (deadline, failures, pauses); the loop body is the same.
+
+        ``CpuStats.references`` is set from ``reads + writes`` when the
+        run ends, also when it raises.
         """
         cpus = self.cpus
         # Instructions executed around each memory reference (address
         # arithmetic, loop control) — keeps issue rates realistic for an
         # in-order CPU instead of back-to-back memory operations.
         ref_gap = getattr(workload, "cycles_per_ref", 3)
-        for cpu in cpus:
-            cpu.gen = workload.generator(cpu.cpu_id, len(cpus))
         shift = self._key_shift
         mask = (1 << shift) - 1
         heap = self._new_heap()
-        # Hot locals, resolved once per run.  Access probes are bound
-        # on the instance as one composed chain by now, so the chain
-        # (or the plain method, with none registered) is what gets
-        # bound here.
+        # The drivers live in this frame only, never on a Cpu, so no
+        # suspended frame outlives the run pointing back at the machine.
+        drivers = [self._drive(cpu, workload.generator(cpu.cpu_id, len(cpus)),
+                               heap, ref_gap)
+                   for cpu in cpus]
         heappop = self._heappop
         heappushpop = self._heappushpop
-        access = self._access
-        while heap:
-            key = heappop(heap)
-            while True:
-                t = key >> shift
-                cid = key & mask
-                cpu = cpus[cid]
-                if cpu.done:
-                    break
-                time = cpu.time
-                if t > time:
-                    time = t
-                limit = heap[0] >> shift if heap else _NO_LIMIT
-                gen = cpu.gen
-                stats = cpu.stats
-                run = cpu.run_state
-                while time <= limit:
-                    if run is not None:
-                        # Expand a run op inline: one generator resume
-                        # bought `end - pos` references; the limit check
-                        # per reference keeps cross-CPU FCFS order exact.
-                        addr, stride, pos, end, writes = run
-                        while pos < end:
-                            is_write = writes[pos] == 1
-                            time = access(cpu, addr, is_write,
-                                          time + ref_gap)
-                            stats.references += 1
-                            if is_write:
-                                stats.writes += 1
-                            else:
-                                stats.reads += 1
-                            addr += stride
-                            pos += 1
-                            if time > limit:
-                                break
-                        run = ((addr, stride, pos, end, writes) if pos < end
-                               else None)
-                        continue
-                    op = next(gen, None)
-                    if op is None:
-                        cpu.done = True
-                        cpu.time = time
-                        stats.finish_time = time
+        try:
+            for driver in drivers:
+                next(driver)        # each waits for its first key
+            while heap:
+                key = heappop(heap)
+                while True:
+                    cid = key & mask
+                    if cpus[cid].done:
                         break
-                    kind = op[0]
-                    if kind == OP_READ:
-                        time = access(cpu, op[1], False, time + ref_gap)
-                        stats.references += 1
-                        stats.reads += 1
-                    elif kind == OP_WRITE:
-                        time = access(cpu, op[1], True, time + ref_gap)
-                        stats.references += 1
-                        stats.writes += 1
-                    elif kind == OP_COMPUTE:
-                        time += op[1]
-                    elif kind == OP_RUN:       # (a count of 0 runs nothing)
-                        run = (op[1], op[2], op[5], op[5] + op[3], op[4])
-                    elif kind == OP_BARRIER:
-                        cpu.time = time
-                        self._arrive(cpu, op[1], time)
+                    time = drivers[cid].send(key)
+                    if time is None:
+                        # Parked until a barrier or lock wakes it, or done.
                         break
-                    elif kind == OP_LOCK:
-                        granted = self.locks.acquire(op[1], cid, time)
-                        if granted is None:
-                            cpu.time = time
-                            break
-                        stats.lock_acquires += 1
-                        time = granted
-                    elif kind == OP_UNLOCK:
-                        time = self._unlock(cpu, op[1], time)
-                    else:
-                        raise ValueError("unknown op %r from workload" % (op,))
-                else:
-                    # The clock passed the limit: requeue and hand off.
-                    cpu.time = time
-                    cpu.run_state = run
                     key = heappushpop(heap, time << shift | cid)
-                    continue
-                # Done, or parked until a barrier or lock wakes it.
-                cpu.run_state = None
-                break
+        finally:
+            for driver in drivers:
+                driver.close()
+            for cpu in cpus:
+                stats = cpu.stats
+                stats.references = stats.reads + stats.writes
         stuck = [c.cpu_id for c in cpus if not c.done]
         if stuck:
             raise RuntimeError(
@@ -443,6 +381,83 @@ class Machine:
         return RunResult(workload=workload.name, policy=self.policy.name,
                          config=self.config, stats=self.stats,
                          page_cache_caps=self._page_cache_override)
+
+    def _drive(self, cpu: Cpu, gen, heap: "list[int]", ref_gap: int):
+        """One CPU's op loop, as a generator that ``_run`` resumes with
+        each key it pops for the CPU.
+
+        A turn runs ops until the CPU's clock passes the limit, the
+        earliest key left in the heap, and yields the clock; parked on a
+        barrier or lock, or finished, it yields ``None``.  A run op
+        checks the limit after every reference, so cross-CPU FCFS order
+        is exact, and a run preempted mid-run resumes where it stopped.
+
+        Every key pushed for a CPU carries a time at or past its clock
+        (a hand-off its clock, a wake its release, a pause its end, the
+        first its start skew), so each turn starts at the key's time and
+        reads the limit once.
+        """
+        shift = self._key_shift
+        # Resolved when ``_run`` primes the driver: access probes are
+        # bound on the instance as one composed chain by then, so the
+        # chain (or the plain method, with none registered) is bound.
+        access = self._access
+        stats = cpu.stats
+        cid = cpu.cpu_id
+        time = (yield) >> shift
+        limit = heap[0] >> shift if heap else _NO_LIMIT
+        for op in gen:
+            kind = op[0]
+            if kind == OP_READ:
+                time = access(cpu, op[1], False, time + ref_gap)
+                stats.reads += 1
+            elif kind == OP_WRITE:
+                time = access(cpu, op[1], True, time + ref_gap)
+                stats.writes += 1
+            elif kind == OP_COMPUTE:
+                time += op[1]
+            elif kind == OP_RUN:       # (a count of 0 runs nothing)
+                # Expand a run op inline: one generator resume buys
+                # `count` references.
+                addr = op[1]
+                stride = op[2]
+                pos = op[5]
+                for flag in op[4][pos:pos + op[3]]:
+                    if flag:
+                        time = access(cpu, addr, True, time + ref_gap)
+                        stats.writes += 1
+                    else:
+                        time = access(cpu, addr, False, time + ref_gap)
+                        stats.reads += 1
+                    addr += stride
+                    if time > limit:
+                        time = (yield time) >> shift
+                        limit = heap[0] >> shift if heap else _NO_LIMIT
+                continue
+            elif kind == OP_BARRIER:
+                self._arrive(cpu, op[1], time)
+                time = (yield) >> shift
+                limit = heap[0] >> shift if heap else _NO_LIMIT
+                continue
+            elif kind == OP_LOCK:
+                granted = self.locks.acquire(op[1], cid, time)
+                if granted is None:
+                    time = (yield) >> shift
+                    limit = heap[0] >> shift if heap else _NO_LIMIT
+                    continue
+                stats.lock_acquires += 1
+                time = granted
+            elif kind == OP_UNLOCK:
+                time = self._unlock(cpu, op[1], time)
+            else:
+                raise ValueError("unknown op %r from workload" % (op,))
+            if time > limit:
+                # The clock passed the limit: hand off.
+                time = (yield time) >> shift
+                limit = heap[0] >> shift if heap else _NO_LIMIT
+        cpu.done = True
+        stats.finish_time = time
+        yield
 
     def _new_heap(self) -> "list[int]":
         """The event heap at the start of a run: every CPU's packed key
@@ -482,7 +497,6 @@ class Machine:
         return now + 1
 
     def _wake(self, cpu_id: int, when: int) -> None:
-        self.cpus[cpu_id].time = when
         heapq.heappush(self._heap, when << self._key_shift | cpu_id)
 
     # ------------------------------------------------------------------

@@ -27,6 +27,32 @@ class TestTransparency:
         _, with_plane = run_fft(faults=FaultInjector(FaultPlan(), seed=3))
         assert with_plane.stats.to_dict() == baseline.stats.to_dict()
 
+    def test_plan_opening_after_the_run_judges_nothing(self):
+        # Every clause, and the deadline, opens after the run ends.
+        late = 10 ** 6
+        plan = (FaultPlan().drop(1.0, start=late).delay(1.0, 50, start=late)
+                .pause_node(0, start=late, end=late + 1)
+                .partition({1}, start=late).fail_node(1, at=late))
+        injector = FaultInjector(plan, seed=3, deadline=late)
+        calls = {"_judge": 0, "on_tick": 0}
+        for name in calls:
+            def counted(*args, _name=name, _method=getattr(injector, name)):
+                calls[_name] += 1
+                return _method(*args)
+            setattr(injector, name, counted)
+        _, baseline = run_fft()
+        _, result = run_fft(faults=injector)
+        empty = FaultInjector(FaultPlan(), seed=3)
+        run_fft(faults=empty)
+        assert baseline.stats.execution_cycles < late
+        assert calls == {"_judge": 0, "on_tick": 0}
+        assert result.stats.to_dict() == baseline.stats.to_dict()
+        assert injector.stats.judged > 0
+        assert injector.stats.to_dict() == empty.stats.to_dict()
+        assert injector.noted == {}
+        assert injector.seqs._accepted == empty.seqs._accepted
+        assert injector.rng.getstate() == empty.rng.getstate()
+
     def test_plan_node_ids_validated_against_machine(self):
         plan = FaultPlan().fail_node(99, at=0)
         with pytest.raises(ValueError, match="99"):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.modes import PageMode
 from repro.core.pit import PageInformationTable
+from repro.faults import FaultInjector, FaultPlan
 from repro.kernel.frames import IMAGINARY_BASE
 from repro.sim.config import tiny_config
 from repro.sim.engine import LockTable
@@ -151,13 +152,14 @@ class MixedStretches(Workload):
         return coalesce_stream(ops) if self.fused else ops
 
 
-def _logged_run(fused):
-    """Stats and the ``(cpu, vaddr, is_write)`` log of every access."""
-    machine = Machine(tiny_config(), policy="scoma")
+def _logged_run(fused, faults=None):
+    """Stats and the ``(cpu, vaddr, is_write, now)`` log of every
+    access."""
+    machine = Machine(tiny_config(), policy="scoma", faults=faults)
     log = []
 
     def probe(call, cpu, vaddr, is_write, now):
-        log.append((cpu.cpu_id, vaddr, is_write))
+        log.append((cpu.cpu_id, vaddr, is_write, now))
         return call(cpu, vaddr, is_write, now)
 
     machine.probes.add("access", probe)
@@ -175,13 +177,13 @@ class TestOneRunOp:
         assert fused == singles
         assert fused_log == single_log
         # The access probe sees a bool, from single ops and runs alike.
-        assert {type(is_write) for _, _, is_write in fused_log} == {bool}
-        assert {w for _, _, w in fused_log} == {False, True}
+        assert {type(is_write) for _, _, is_write, _ in fused_log} == {bool}
+        assert {w for _, _, w, _ in fused_log} == {False, True}
         # Runs of both kinds, preempted between two of their references:
         # a hand-off to another CPU where the next reference of the CPU
         # handing off is not the first of an op.
         starts = {}
-        for cpu in {cpu for cpu, _, _ in fused_log}:
+        for cpu in {cpu for cpu, _, _, _ in fused_log}:
             ops = list(coalesce_stream(workload.stream(cpu)))
             assert any(op[0] == OP_RUN and len(set(run_flags(op)[4])) == 2
                        for op in ops)
@@ -193,11 +195,71 @@ class TestOneRunOp:
             starts[cpu].add(refs)                   # the CPU is done
         done = dict.fromkeys(starts, 0)
         mid_op = 0
-        for (cpu, _, _), (nxt, _, _) in zip(fused_log, fused_log[1:]):
+        for (cpu, *_), (nxt, *_) in zip(fused_log, fused_log[1:]):
             done[cpu] += 1
             if nxt != cpu and done[cpu] not in starts[cpu]:
                 mid_op += 1
         assert mid_op > 0
+
+    def test_run_preempted_by_a_pause_resumes_mid_run(self):
+        """A pause window requeues a CPU at its end, past the clock it
+        handed off with; a CPU stopped inside a run op resumes there, at
+        the later key."""
+        plain = FaultInjector(PAUSE)
+        singles, single_log, _ = _logged_run(False, faults=plain)
+        resumes = []
+        injector = _watch_resumes(FaultInjector(PAUSE), resumes)
+        fused, fused_log, workload = _logged_run(True, faults=injector)
+        assert fused == singles
+        assert fused_log == single_log
+        assert injector.stats.to_dict() == plain.stats.to_dict()
+        late_mid_run = [
+            (cpu, refs) for cpu, refs, late in resumes
+            if late and refs not in _op_starts(workload, cpu)]
+        assert late_mid_run
+
+
+#: Node 1 (CPUs 2 and 3) stalls for a window that opens while one of
+#: its CPUs is inside a run op (the run is 671,508 cycles unperturbed).
+PAUSE = FaultPlan().pause_node(1, start=350_000, end=370_000)
+
+
+def _op_starts(workload, cpu):
+    """The reference counts at which ``cpu``'s fused ops start."""
+    refs, starts = 0, {0}
+    for op in coalesce_stream(workload.stream(cpu)):
+        if op[0] != OP_COMPUTE:
+            refs += len(expand_op(op))
+        starts.add(refs)
+    return starts
+
+
+def _watch_resumes(injector, resumes):
+    """Wrap ``injector.admit`` to log each CPU's first key after a
+    hand-off as ``(cpu, references done, later than its clock)``.
+
+    A hand-off pushes ``clock << shift | cpu``; the key that comes back
+    for the CPU is later only if a pause requeued it.  The machine binds
+    ``admit`` when it is built, so this wraps it before."""
+    admit = injector.admit
+    handed_off = {}
+
+    def watched(pop, heap, *item):
+        shift = injector._key_shift
+        mask = (1 << shift) - 1
+        if item:
+            cpu = item[0] & mask
+            stats = injector._machine.cpus[cpu].stats
+            handed_off[cpu] = (item[0] >> shift, stats.reads + stats.writes)
+        key = admit(pop, heap, *item)
+        cpu = key & mask
+        if cpu in handed_off:
+            clock, refs = handed_off.pop(cpu)
+            resumes.append((cpu, refs, key >> shift > clock))
+        return key
+
+    injector.admit = watched
+    return injector
 
 
 def _coalesce_refs(refs):

@@ -94,6 +94,14 @@ def _chaos(test):
     return job
 
 
+def _hung_chaos():
+    # A deadline-only plan: the run raises DeadlineExceeded from a heap
+    # pop with the CPUs' drivers suspended mid-run.
+    run = run_chaos(chaos_scenarios()["txn2pc"], FaultPlan(), deadline=20_000)
+    assert run.verdict == "HUNG", run.describe()
+    assert "deadline 20000 exceeded" in run.detail
+
+
 def _campaign():
     suites = Session(jobs=1).run_campaign(("fft", "lu"), preset="tiny")
     assert set(suites) == {"fft", "lu"}
@@ -117,6 +125,10 @@ def test_litmus_chaos_run_is_freed():
 
 def test_txn2pc_chaos_run_is_freed():
     _assert_freed(_chaos(chaos_scenarios()["txn2pc"]))
+
+
+def test_chaos_run_that_raises_is_freed():
+    _assert_freed(_hung_chaos)
 
 
 def test_campaign_cells_are_freed():
@@ -159,7 +171,6 @@ def test_close_is_idempotent_and_keeps_results():
     machine.close()
     machine.close()
     assert result.stats.to_dict() == before
-    assert all(cpu.gen is None for cpu in machine.cpus)
     assert machine.stats is result.stats
     assert machine.resource_report() == utilization
     with pytest.raises(RuntimeError, match="closed"):
