@@ -1,222 +1,219 @@
 """The memory-latency microbenchmark behind Table 1.
 
-The paper measures uncontended cache-miss latencies and paging
-overheads "by a memory-latency microbenchmark".  This module sets up
-the same scenarios on a small machine and measures each access with the
-simulator's own reference path, so the numbers reflect exactly what
-application references pay.
-
-Every probe isolates one Table 1 row; all probes leave large time gaps
-between accesses so resources are idle (uncontended latencies).
+The paper measures uncontended miss latencies and paging overheads "by
+a memory-latency microbenchmark".  Each Table 1 row here is a script of
+``(cpu, address, write)`` steps, real warm-up references and then the
+timed one, run on its own machine through the conformance driver
+(:func:`repro.verify.runner.run_litmus`): the normal ``Machine.run``
+path, under the value tap, the invariant walks, the SC checker and any
+tracer.  A large gap before each reference keeps resources idle.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from itertools import islice
 
 from repro.sim.config import CacheConfig, MachineConfig
-from repro.sim.machine import Machine
+from repro.sim.latency import PAPER_TABLE1
+from repro.sim.ops import OP_READ, OP_WRITE
+from repro.workloads.base import Workload, barrier, compute
 
-#: Gap between probe accesses, enough for any resource to drain.
+#: Cycles a CPU computes before each scripted reference, enough for any
+#: resource to drain.
 GAP = 100_000
 
 
-def _microbench_config(**overrides) -> MachineConfig:
-    cfg = MachineConfig(
-        num_nodes=8,
-        cpus_per_node=2,
-        page_bytes=1024,
-        line_bytes=32,
-        l1=CacheConfig(1024, 32, 2),
-        l2=CacheConfig(8192, 32, 4),
-        tlb_entries=16,
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+def _microbench_config() -> MachineConfig:
+    return MachineConfig(num_nodes=8, cpus_per_node=2, page_bytes=1024,
+                         line_bytes=32, l1=CacheConfig(1024, 32, 2),
+                         l2=CacheConfig(8192, 32, 4), tlb_entries=16)
 
 
-class LatencyProbe:
-    """Drives crafted references through a machine and times them."""
+class Table1Row(Workload):
+    """One Table 1 row: a scripted workload that is its own scenario for
+    :func:`~repro.verify.runner.run_litmus` (``name``, ``policy``,
+    ``build_config()``, ``forbidden``, ``make_workload()``).
 
-    def __init__(self, config: "MachineConfig | None" = None,
-                 policy: str = "lanuma") -> None:
-        self.machine = Machine(config or _microbench_config(), policy=policy)
-        self.clock = 0
+    ``script(row)`` returns the ``(cpu, vaddr, write)`` steps, the timed
+    one last, once the regions exist.  Every CPU passes a barrier
+    wherever the acting CPU changes; an ``access`` probe times each
+    reference."""
+
+    policy = "lanuma"
+    #: No register outcome to judge; the SC checker and walks still run.
+    forbidden = None
+
+    def __init__(self, name: str, script, config=None, baseline=0) -> None:
+        super().__init__()
+        self.name = name
+        self.script = script
+        self.config = config or _microbench_config()
+        #: Cycles of the timed reference the row does not count (the
+        #: hit under a TLB reload, the miss after a page fault).
+        self.baseline = baseline
+        self.latencies: "list[int]" = []
+
+    def build_config(self) -> MachineConfig:
+        return self.config
+
+    def make_workload(self) -> "Table1Row":
+        """The row itself, its latencies cleared for a fresh run."""
+        self.latencies = []
+        return self
+
+    @property
+    def value(self) -> int:
+        """The row's cycles: the timed reference's less the baseline."""
+        return self.latencies[-1] - self.baseline
+
+    def setup(self, layout, num_cpus: int) -> None:
+        page = self.config.page_bytes
         # One large shared segment; gpage g is homed at node g % N.
-        self.region = self.machine.layout.attach_shared(
-            key=9001, size_bytes=256 * self.machine.config.page_bytes)
-        self.private = self.machine.layout.add_private(
-            64 * self.machine.config.page_bytes)
+        shared = layout.attach_shared(key=9001, size_bytes=256 * page)
+        self.shared, self.gpage_base = shared.vbase, shared.gpage_base
+        self.private = layout.add_private(64 * page).vbase
+        self.home_of = layout.ipc.home_of
+        self.steps = self.script(self)
 
-    # -- plumbing --------------------------------------------------------
+    def generator(self, cpu_id: int, num_cpus: int):
+        acting = self.steps[0][0]
+        for bid, (cpu, vaddr, write) in enumerate(self.steps):
+            if cpu != acting:
+                acting = cpu
+                yield barrier(bid)
+            if cpu == cpu_id:
+                yield compute(GAP)
+                yield (OP_WRITE if write else OP_READ, vaddr)
 
-    def access(self, cpu_index: int, vaddr: int, write: bool = False) -> int:
-        """One reference; returns its latency in cycles."""
-        self.clock += GAP
-        cpu = self.machine.cpus[cpu_index]
-        end = self.machine._access(cpu, vaddr, write, self.clock)
-        return end - self.clock
+    def add_probes(self, machine) -> None:
+        """Machine hook: time every reference."""
+        machine.probes.add("access", self._time)
 
-    def cpu_on_node(self, node_id: int, local: int = 0) -> int:
-        """Global CPU index of a node's ``local``-th CPU."""
-        return node_id * self.machine.config.cpus_per_node + local
+    def _time(self, call, cpu, vaddr: int, is_write: bool, now: int) -> int:
+        end = call(cpu, vaddr, is_write, now)
+        self.latencies.append(end - now)
+        return end
 
-    def shared_vaddr(self, page_index: int, line_in_page: int = 0) -> int:
-        """Virtual address of a line within the probe region."""
-        cfg = self.machine.config
-        return (self.region.vbase + page_index * cfg.page_bytes
-                + line_in_page * cfg.line_bytes)
+    def cpu(self, node_id: int) -> int:
+        """Global index of a node's first CPU."""
+        return node_id * self.config.cpus_per_node
 
-    def warm_directory(self, page_index: int, line_in_page: int) -> None:
-        """Pre-touch a directory-cache entry so the measured access sees
-        a directory cache hit (Table 1 reports steady-state latencies)."""
-        gpage = self.region.gpage_base + page_index
-        home = self.machine.nodes[self.machine.dynamic_home_of(gpage)]
-        home.directory.cache.access(gpage, line_in_page)
+    def private_line(self, page: int, line: int = 0) -> int:
+        """Virtual address of a line of the private region."""
+        cfg = self.config
+        return self.private + page * cfg.page_bytes + line * cfg.line_bytes
 
-    def page_homed_at(self, node_id: int, skip: int = 0) -> int:
-        """Index (within the region) of a page homed at ``node_id``."""
-        base_gpage = self.region.gpage_base
-        count = 0
-        for i in range(256):
-            if self.machine.static_home_of(base_gpage + i) == node_id:
-                if count == skip:
-                    return i
-                count += 1
-        raise RuntimeError("no page homed at node %d" % node_id)
+    def shared_line(self, home: int, line: int, skip: int = 0) -> int:
+        """Virtual address of a line of the ``skip``-th shared page homed
+        at node ``home``."""
+        cfg = self.config
+        homed = (i for i in range(256)
+                 if self.home_of(self.gpage_base + i) == home)
+        page = next(islice(homed, skip, None))
+        return self.shared + page * cfg.page_bytes + line * cfg.line_bytes
 
-    # -- Table 1 probes ---------------------------------------------------
 
-    def probe_l2_hit(self) -> int:
-        """L1 miss, L2 hit: evict a line from L1 (2-way) with two
-        same-L1-set lines from other pages, then re-access it."""
-        cfg = self.machine.config
-        page = cfg.page_bytes
-        target = self.private.vbase
-        self.access(0, target)                    # fault + miss (page 0)
-        self.access(0, target + page)             # fault page 1
-        self.access(0, target + 2 * page)         # fault page 2
-        self.access(0, target + page)             # same L1 set as target
-        self.access(0, target + 2 * page)         # evicts target from L1
-        return self.access(0, target)
+def _l2_hit(w):
+    # Two same-set lines of other pages evict the target from the 2-way
+    # L1; re-reading it hits in L2.
+    return [(0, w.private_line(p), False) for p in (0, 1, 2, 1, 2, 0)]
 
-    def probe_local_memory(self) -> int:
-        """'Uncached, line in local memory' (Table 1)."""
-        vaddr = self.private.vbase + 3 * self.machine.config.page_bytes
-        self.access(0, vaddr)                          # fault the page
-        return self.access(0, vaddr + self.machine.config.line_bytes)
 
-    def probe_tlb_miss(self) -> int:
-        """'TLB miss' (Table 1)."""
-        cfg = self.machine.config
-        base = self.private.vbase + 8 * cfg.page_bytes
-        lines_per_page = cfg.lines_per_page
-        pages = cfg.tlb_entries + 4
-        for p in range(pages):
-            # Distinct lines so the measured page's line stays cached.
-            self.access(0, base + p * cfg.page_bytes
-                        + (p % lines_per_page) * cfg.line_bytes)
-        # Page 0's translation has been evicted; its line is still in L2
-        # or L1, so the extra cost over a hit is the TLB reload.
-        return self.access(0, base) - self.machine.config.latency.l1_hit
+def _local_memory(w):
+    return [(0, w.private_line(3, line), False) for line in (0, 1)]
 
-    def probe_remote_clean(self) -> int:
-        """'Uncached, line in remote memory' (Table 1)."""
-        home = 1
-        page = self.page_homed_at(home)
-        client = self.cpu_on_node(0)
-        self.access(client, self.shared_vaddr(page))          # fault
-        self.warm_directory(page, 1)
-        return self.access(client, self.shared_vaddr(page, 1))
 
-    def probe_2party_modified(self) -> int:
-        """'2-party read/write to a modified line' (Table 1)."""
-        home = 2
-        page = self.page_homed_at(home)
-        home_cpu = self.cpu_on_node(home)
-        client = self.cpu_on_node(0)
-        vaddr = self.shared_vaddr(page, 2)
-        self.access(home_cpu, vaddr, write=True)   # dirty in home's cache
-        self.access(client, self.shared_vaddr(page, 3))       # fault page
-        self.warm_directory(page, 2)
-        return self.access(client, vaddr)
+def _remote_clean(w):
+    # The client faults the page in; a node-2 read warms the home's
+    # directory cache entry.
+    line = w.shared_line(1, 1)
+    return [(w.cpu(0), w.shared_line(1, 0), False), (w.cpu(2), line, False),
+            (w.cpu(0), line, False)]
 
-    def probe_3party_modified(self) -> int:
-        """'3-party read/write to a modified line' (Table 1)."""
-        home = 3
-        page = self.page_homed_at(home)
-        owner = self.cpu_on_node(4)
-        requester = self.cpu_on_node(5)
-        vaddr = self.shared_vaddr(page, 4)
-        self.access(owner, vaddr, write=True)      # owner node holds M
-        self.access(requester, self.shared_vaddr(page, 5))    # fault page
-        return self.access(requester, vaddr)
 
-    def probe_2party_write_shared(self) -> int:
-        """'2-party write to shared line' (Table 1)."""
-        home = 6
-        page = self.page_homed_at(home)
-        client = self.cpu_on_node(0)
-        vaddr = self.shared_vaddr(page, 6)
-        self.access(client, vaddr)                 # shared copy
-        return self.access(client, vaddr, write=True)
+def _two_party_modified(w):
+    # The home's write invalidates the client's copy.
+    line = w.shared_line(2, 2)
+    return [(w.cpu(0), line, False), (w.cpu(2), line, True),
+            (w.cpu(0), line, False)]
 
-    def probe_write_shared(self, extra_sharers: int) -> int:
-        """'(3+n)-party write to shared line' (Table 1)."""
-        home = 7
-        page = self.page_homed_at(home)
-        vaddr = self.shared_vaddr(page, 7)
-        writer_node = 0
-        sharer_nodes = [n for n in range(self.machine.config.num_nodes)
-                        if n not in (home, writer_node)]
-        readers = sharer_nodes[:1 + extra_sharers]
-        self.access(self.cpu_on_node(writer_node), vaddr)
-        for node in readers:
-            self.access(self.cpu_on_node(node), vaddr)
-        return self.access(self.cpu_on_node(writer_node), vaddr, write=True)
 
-    def probe_fault_local(self) -> int:
-        """'In-core page fault, local home' (Table 1)."""
-        vaddr = self.private.vbase + 40 * self.machine.config.page_bytes
-        full = self.access(0, vaddr)
-        return full - self.machine.config.latency.expected_local_memory
+def _three_party_modified(w):
+    # The requester's first read faults the page in.
+    line = w.shared_line(3, 4)
+    return [(w.cpu(4), line, True), (w.cpu(5), w.shared_line(3, 5), False),
+            (w.cpu(5), line, False)]
 
-    def probe_fault_remote(self) -> int:
-        """'In-core page fault, remote home' (Table 1)."""
-        page = self.page_homed_at(1, skip=8)
-        vaddr = self.shared_vaddr(page, 8)
-        self.warm_directory(page, 8)
-        full = self.access(self.cpu_on_node(0), vaddr)
-        return full - self.machine.config.latency.expected_remote_clean
+
+def _two_party_write_shared(w):
+    line = w.shared_line(6, 6)
+    return [(w.cpu(0), line, False), (w.cpu(0), line, True)]
+
+
+def _tlb_miss(w):
+    # More pages than the TLB holds, each at its own line so the first
+    # page's line stays cached: re-reading it reloads only the TLB.
+    cfg = w.config
+    pages = [w.private_line(8 + p, p % cfg.lines_per_page)
+             for p in range(cfg.tlb_entries + 4)]
+    return [(0, vaddr, False) for vaddr in pages + [w.private_line(8)]]
+
+
+def _fault_local(w):
+    return [(0, w.private_line(40), False)]
+
+
+def _fault_remote(w):
+    # A node-2 read warms the home's directory cache entry.
+    line = w.shared_line(1, 8, skip=8)
+    return [(w.cpu(2), line, False), (w.cpu(0), line, False)]
+
+
+def write_shared_row(extra_sharers: int,
+                     config: "MachineConfig | None" = None) -> Table1Row:
+    """The (3+n)-party write, ``n = extra_sharers``: node 0 and ``1 + n``
+    other nodes read a line homed at node 7, then node 0 writes it."""
+    def script(w):
+        line = w.shared_line(7, 7)
+        readers = [n for n in range(1, w.config.num_nodes) if n != 7]
+        return ([(w.cpu(n), line, False)
+                 for n in [0] + readers[:1 + extra_sharers]]
+                + [(w.cpu(0), line, True)])
+    return Table1Row("write_shared_base" if extra_sharers == 0
+                     else "write_shared+%d" % extra_sharers, script, config)
+
+
+def table1_rows(config: "MachineConfig | None" = None) -> "list[Table1Row]":
+    """Every row :func:`run_microbenchmark` runs, in Table 1 order; the
+    (3+n)-party write runs bare and with two extra sharers."""
+    cfg = config or _microbench_config()
+    lat = cfg.latency
+    return [Table1Row("l2_hit", _l2_hit, cfg),
+            Table1Row("local_memory", _local_memory, cfg),
+            Table1Row("remote_clean", _remote_clean, cfg),
+            Table1Row("2party_modified", _two_party_modified, cfg),
+            Table1Row("3party_modified", _three_party_modified, cfg),
+            Table1Row("2party_write_shared", _two_party_write_shared, cfg),
+            write_shared_row(0, cfg), write_shared_row(2, cfg),
+            Table1Row("tlb_miss", _tlb_miss, cfg, lat.l1_hit),
+            Table1Row("fault_local", _fault_local, cfg,
+                      lat.expected_local_memory),
+            Table1Row("fault_remote", _fault_remote, cfg,
+                      lat.expected_remote_clean)]
 
 
 def run_microbenchmark(config: "MachineConfig | None" = None) -> "dict[str, int]":
-    """Measure every Table 1 row; returns ``{row_name: cycles}``.
-
-    Each probe's machine is closed when the measurement is done.
-    """
-    results: "dict[str, int]" = {}
-    with ExitStack() as owned:
-        probe = LatencyProbe(config)
-        owned.callback(probe.machine.close)
-        results["l2_hit"] = probe.probe_l2_hit()
-        results["local_memory"] = probe.probe_local_memory()
-        results["remote_clean"] = probe.probe_remote_clean()
-        results["2party_modified"] = probe.probe_2party_modified()
-        results["3party_modified"] = probe.probe_3party_modified()
-        results["2party_write_shared"] = probe.probe_2party_write_shared()
-        base_probe = LatencyProbe(config)
-        owned.callback(base_probe.machine.close)
-        base = base_probe.probe_write_shared(0)
-        results["write_shared_base"] = base
-        two_probe = LatencyProbe(config)
-        owned.callback(two_probe.machine.close)
-        with_two = two_probe.probe_write_shared(2)
-        results["write_shared_per_sharer"] = (with_two - base) // 2
-        results["tlb_miss"] = probe.probe_tlb_miss()
-        fresh = LatencyProbe(config)
-        owned.callback(fresh.machine.close)
-        results["fault_local"] = fresh.probe_fault_local()
-        results["fault_remote"] = fresh.probe_fault_remote()
-    return results
+    """Measure every Table 1 row; returns ``{row_name: cycles}``.  A row
+    whose run is not ``COMPLETED_SC`` is a bug, not a number: it raises."""
+    # Imported here, not by every launch that imports the harness's
+    # tables (about 11 ms).
+    from repro.verify.runner import Verdict, run_litmus
+    measured = {}
+    for row in table1_rows(config):
+        result = run_litmus(row)
+        if result.verdict != Verdict.COMPLETED_SC:
+            raise RuntimeError("Table 1 row " + result.describe())
+        measured[row.name] = row.value
+    measured["write_shared_per_sharer"] = (
+        measured["write_shared+2"] - measured["write_shared_base"]) // 2
+    return {row: measured[row] for row in PAPER_TABLE1}

@@ -11,8 +11,9 @@ fault plane sits outside the machine the same way: the machine is
 handed an injector and never imports ``repro.faults``; the chaos
 campaign traces a run through the conformance driver in
 ``repro.verify``, so ``faults/`` imports nothing from ``repro.obs``
-either.  Four functions build a machine.  An AST walk over
-``src/repro`` keeps it that way.
+either.  Three functions build a machine, and no code outside the
+machine drives its reference path or outside the protocol touches a
+directory cache.  An AST walk over ``src/repro`` keeps it that way.
 """
 
 import ast
@@ -178,20 +179,20 @@ def test_only_machine_init_reads_the_installed_observers():
 
 
 #: Every function of ``src/`` that builds a ``Machine``: a harness cell,
-#: the bench replay, the one conformance driver (litmus, fuzz and chaos)
-#: and the latency microbenchmark.
+#: the bench replay and the one conformance driver (litmus, fuzz, chaos
+#: and the Table 1 rows).
 MACHINE_BUILDERS = [
     ("harness/session.py", "execute_spec"),
     ("sim/replay.py", "build_machine"),
     ("verify/runner.py", "run_litmus"),
-    ("workloads/microbench.py", "LatencyProbe.__init__"),
 ]
 
 
-def test_four_functions_build_a_machine():
+def test_three_functions_build_a_machine():
     """A new path that builds and runs a machine would need its own
-    observers, fault plane and ``close``; it takes one of these
-    instead."""
+    observers, fault plane, invariant walks and ``close``; it takes one
+    of these instead (Table 1 runs its scripted rows through
+    ``run_litmus``)."""
     calls = []
     for path, tree in _modules():
         visitor = _CurrentCalls("Machine")
@@ -199,3 +200,26 @@ def test_four_functions_build_a_machine():
         calls += [(path.relative_to(SRC).as_posix(), scope)
                   for scope, _func in visitor.found]
     assert calls == MACHINE_BUILDERS
+
+
+def _calls_outside(layer, callee):
+    """``path: call`` of every call whose callee ends with ``callee``
+    (an attribute chain), in any module outside ``layer``."""
+    found = []
+    for path, tree in _modules():
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith(layer + "/"):
+            continue
+        visitor = _CurrentCalls(callee.rsplit(".", 1)[1])
+        visitor.visit(tree)
+        found += ["%s: %s" % (rel, func) for _scope, func in visitor.found
+                  if func.endswith(callee)]
+    return found
+
+
+def test_only_the_machine_drives_references_and_the_protocol_its_directory():
+    """A reference enters the machine through ``run``, never a direct
+    ``_access`` call, and a directory cache changes only through the
+    protocol, so every measurement takes the path the checkers see."""
+    assert _calls_outside("sim", "._access") == []
+    assert _calls_outside("core", "directory.cache.access") == []
